@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .config import ExperimentConfig
 from .evolve import (
     asymptotic_error,
     evolve,
-    extract_profile,
     scattering_deviation,
     dispersive_ratio,
     state_from_field,
@@ -31,6 +30,7 @@ from .fixedpoint import (
     TimeGrid,
     apply_phi,
     contraction_probe,
+    forcing_integrand,
     phi_eps,
     picard_iterate,
     xt_norm,
@@ -196,16 +196,7 @@ def run_verify_dispersive(config: ExperimentConfig, n_profiles: int = 100) -> Ca
 
 
 def _coarse_setup(config: ExperimentConfig) -> tuple[SolverParams, FinalData]:
-    cparams = SolverParams(
-        lam=config.params.lam,
-        delta=config.params.delta,
-        alpha=config.params.alpha,
-        eps0=config.params.eps0,
-        T=config.params.T,
-        t_max=config.params.t_max,
-        grid=SpectralGrid(64, 60.0),
-        time_grid_points=config.params.time_grid_points,
-    )
+    cparams = replace(config.params, grid=SpectralGrid(64, 60.0))
     # bandwidth 0.2 keeps the freely spread wave inside the box up to t = 50
     # while the datum still fits the 64-point frequency band
     return cparams, make_final_data("gaussian", cparams, seed=config.seed, bandwidth=0.2)
@@ -217,11 +208,7 @@ def run_verify_forcing(config: ExperimentConfig) -> CampaignResult:
     base = config.params
     # decay fits need the wave to stay inside the box over the whole fit
     # window (box >= 2 * t * band radius), hence a wide box + narrow band
-    params = SolverParams(
-        lam=base.lam, delta=base.delta, alpha=base.alpha, eps0=base.eps0,
-        T=base.T, t_max=base.t_max, grid=SpectralGrid(4096, 800.0),
-        time_grid_points=base.time_grid_points,
-    )
+    params = replace(base, grid=SpectralGrid(4096, 800.0))
     W = make_final_data(config.data_kind, params, seed=config.seed, bandwidth=0.06)
     cparams, Wc = _coarse_setup(config)
 
@@ -269,11 +256,7 @@ def run_verify_forcing(config: ExperimentConfig) -> CampaignResult:
     )
 
     # cubic eps0 scaling of the forcing and of Phi_eps
-    half = SolverParams(
-        lam=params.lam, delta=params.delta, alpha=params.alpha, eps0=0.5 * params.eps0,
-        T=params.T, t_max=params.t_max, grid=params.grid,
-        time_grid_points=params.time_grid_points,
-    )
+    half = replace(params, eps0=0.5 * params.eps0)
     W_half = make_final_data(config.data_kind, half, seed=config.seed, bandwidth=0.06)
     t_ref = 100.0
     ratio = (norms(pulled_back_forcing(W, t_ref, params)).linf
@@ -294,22 +277,26 @@ def run_verify_forcing(config: ExperimentConfig) -> CampaignResult:
 
 
 def _fixed_point_checks(res, tag, params, W, config):
-    g, report = picard_iterate(W, params, max_iter=config.max_iter, tol=config.tol)
+    # the forcing integrand depends on W alone: build it once for every use below
+    tg = TimeGrid.from_params(params)
+    integrand = forcing_integrand(W, params, tg)
+    cached = phi_eps(W, params, tg, integrand)
+    g, report = picard_iterate(W, params, max_iter=config.max_iter, tol=config.tol,
+                               integrand=integrand)
     max_ratio = max(report.contraction_ratios) if report.contraction_ratios else 0.0
     res.add_check(f"contraction_max_ratio_{tag}", max_ratio, max_ratio <= 0.5,
                   "all Picard contraction ratios <= 0.5")
     res.add_check(f"converged_{tag}", report.iterates,
-                  report.converged and report.iterates <= 15,
-                  f"step below {config.tol:g} within 15 iterations")
+                  report.converged and report.iterates <= config.max_iter,
+                  f"step below {config.tol:g} within {config.max_iter} iterations")
 
-    tg = TimeGrid.from_params(params)
-    cached = phi_eps(W, params, tg)
     residual = xt_norm(apply_phi(g, W, params, cached) - g, params.alpha)
     res.add_check(f"fixed_point_residual_{tag}", residual, residual <= 2e-9,
                   "||Phi(g) - g||_XT <= 2e-9")
 
     alt_start = ProfileTrajectory(params.grid, tg, 2.0 * cached.values)
-    g_alt, _ = picard_iterate(W, params, max_iter=config.max_iter, tol=config.tol, g0=alt_start)
+    g_alt, _ = picard_iterate(W, params, max_iter=config.max_iter, tol=config.tol,
+                              g0=alt_start, integrand=integrand)
     gap = xt_norm(g - g_alt, params.alpha)
     res.add_check(f"start_independence_{tag}", gap, gap <= 1e-8,
                   "fixed points from two starts agree to 1e-8 in X_T")
@@ -329,11 +316,7 @@ def run_construct(config: ExperimentConfig) -> CampaignResult:
     res = CampaignResult("construct")
     base = config.params
     for lam in (1, -1):
-        params = SolverParams(
-            lam=lam, delta=base.delta, alpha=base.alpha, eps0=base.eps0,
-            T=base.T, t_max=base.t_max, grid=base.grid,
-            time_grid_points=base.time_grid_points,
-        )
+        params = replace(base, lam=lam)
         W = make_final_data(config.data_kind, params, seed=config.seed,
                             bandwidth=config.bandwidth)
         tag = "focusing" if lam == -1 else "defocusing"
@@ -400,11 +383,8 @@ def run_roundtrip(config: ExperimentConfig) -> CampaignResult:
     times = _sample_times(t_lo, t_hi, n=25)
 
     # narrow-band run: main weighted bound plus conservation hygiene
-    params_a = SolverParams(
-        lam=base.lam, delta=base.delta, alpha=alpha, eps0=base.eps0,
-        T=base.T, t_max=100_000.0, grid=SpectralGrid(4096, 9600.0),
-        time_grid_points=257,
-    )
+    params_a = replace(base, t_max=100_000.0, grid=SpectralGrid(4096, 9600.0),
+                       time_grid_points=257)
     W_a, states_a, report_a = _construct_and_evolve(config, params_a, 0.008, times)
     res.extras["picard_report_narrow"] = report_a.to_dict()
     if states_a is None:
@@ -437,11 +417,8 @@ def run_roundtrip(config: ExperimentConfig) -> CampaignResult:
                   "relative drift <= 1e-6")
 
     # dispersive-regime run: pointwise expansion and correction decay
-    params_b = SolverParams(
-        lam=base.lam, delta=base.delta, alpha=alpha, eps0=base.eps0,
-        T=base.T, t_max=10_000.0, grid=SpectralGrid(4096, 800.0),
-        time_grid_points=193,
-    )
+    params_b = replace(base, t_max=10_000.0, grid=SpectralGrid(4096, 800.0),
+                       time_grid_points=193)
     W_b, states_b, report_b = _construct_and_evolve(config, params_b, 0.06, times)
     res.extras["picard_report_dispersive"] = report_b.to_dict()
     if states_b is None:
@@ -467,11 +444,7 @@ def run_roundtrip(config: ExperimentConfig) -> CampaignResult:
                   "t^(1/2+alpha) ||w||_inf max/min <= 3")
 
     # order-one band: analytic free-flow decay of the approximate solution
-    params_u = SolverParams(
-        lam=base.lam, delta=base.delta, alpha=alpha, eps0=base.eps0,
-        T=base.T, t_max=base.t_max, grid=SpectralGrid(32768, 11600.0),
-        time_grid_points=base.time_grid_points,
-    )
+    params_u = replace(base, grid=SpectralGrid(32768, 11600.0))
     W_u = make_final_data(config.data_kind, params_u, seed=config.seed, bandwidth=1.0)
     u_times = _sample_times(t_lo, t_hi)
     uapp_sup = [physical_linf(approximate_solution(W_u, t, params_u)) for t in u_times]
@@ -498,21 +471,16 @@ def run_roundtrip(config: ExperimentConfig) -> CampaignResult:
 
 
 def _sweep_cell(args: tuple) -> dict:
-    (eps0, T, lam, num_points, box_length, delta, alpha, time_grid_points,
-     data_kind, seed, bandwidth, tol, max_iter, t_max) = args
-    params = SolverParams(
-        lam=lam, delta=delta, alpha=alpha, eps0=eps0, T=T, t_max=t_max,
-        grid=SpectralGrid(num_points, box_length), time_grid_points=time_grid_points,
-    )
-    W = make_final_data(data_kind, params, seed=seed, bandwidth=bandwidth)
-    g, report = picard_iterate(W, params, max_iter=max_iter, tol=tol)
+    params, config = args
+    W = make_final_data(config.data_kind, params, seed=config.seed, bandwidth=config.bandwidth)
+    g, report = picard_iterate(W, params, max_iter=config.max_iter, tol=config.tol)
     max_ratio = max(report.contraction_ratios) if report.contraction_ratios else 0.0
     return {
-        "eps0": eps0, "T": T, "lam": lam,
+        "eps0": params.eps0, "T": params.T, "lam": params.lam,
         "converged": report.converged,
         "iterates": report.iterates,
         "max_contraction_ratio": max_ratio,
-        "g_xt_norm": xt_norm(g, alpha),
+        "g_xt_norm": xt_norm(g, params.alpha),
     }
 
 
@@ -520,17 +488,10 @@ def run_sweep(config: ExperimentConfig) -> CampaignResult:
     """Contraction region over (eps0, T, lam) cells, run in a worker pool."""
     res = CampaignResult("sweep")
     base = config.params
-    cells = []
-    for eps0 in config.eps0_values:
-        for T in config.T_values:
-            for lam in (1, -1):
-                t_max = max(base.t_max, 10.0 * T)
-                cells.append((
-                    eps0, T, lam, base.grid.num_points, base.grid.box_length,
-                    base.delta, base.alpha, base.time_grid_points,
-                    config.data_kind, config.seed, config.bandwidth,
-                    config.tol, config.max_iter, t_max,
-                ))
+    cells = [
+        (replace(base, eps0=eps0, T=T, lam=lam, t_max=max(base.t_max, 10.0 * T)), config)
+        for eps0 in config.eps0_values for T in config.T_values for lam in (1, -1)
+    ]
     workers = int(os.environ.get("MODWAVE_THREADS", "0")) or min(len(cells), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -12,6 +12,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .campaigns import CAMPAIGNS, run_campaign
@@ -86,13 +87,7 @@ def main(argv=None) -> int:
         else:
             config = parse_config("", output_dir=args.out)
         if args.seed is not None:
-            config = ExperimentConfig(
-                params=config.params, data_kind=config.data_kind, seed=args.seed,
-                bandwidth=config.bandwidth, fit_window=config.fit_window,
-                tol=config.tol, max_iter=config.max_iter,
-                eps0_values=config.eps0_values, T_values=config.T_values,
-                output_dir=config.output_dir,
-            )
+            config = replace(config, seed=args.seed)
     except (ConfigError, OSError) as exc:
         print(json.dumps({"error": "config", "reason": str(exc)}), file=sys.stderr)
         return 2

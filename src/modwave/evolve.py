@@ -13,13 +13,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .profile import FinalData, SolverParams, asymptotic_profile
 from .spectral import (
     FrequencyField,
     NormBundle,
     PhysicalField,
+    _propagator,
     forward_transform,
     free_propagate,
     inverse_transform,
@@ -73,21 +73,24 @@ def _kick(values: np.ndarray, dt: float, lam: int) -> np.ndarray:
     return values * np.exp(-1j * lam * np.abs(values) ** 2 * dt)
 
 
-def _drift(values: np.ndarray, dt: float, grid) -> np.ndarray:
-    xi = grid.frequencies
-    phase = np.exp(-0.5j * dt * xi * xi)
-    spec = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(values)))
-    return np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(phase * spec)))
+def _strang(vals: np.ndarray, dt: float, n: int, xi: np.ndarray, lam: int) -> np.ndarray:
+    """n fused Strang steps on a native-order state (xi in native order too):
+    half kick, (n-1) x (drift + full kick), drift, half kick."""
+    drift = _propagator(xi, dt)
+    vals = _kick(vals, 0.5 * dt, lam)
+    for _ in range(n - 1):
+        vals = _kick(np.fft.ifft(drift * np.fft.fft(vals)), dt, lam)
+    vals = np.fft.ifft(drift * np.fft.fft(vals))
+    return _kick(vals, 0.5 * dt, lam)
 
 
 def strang_step(state: EvolutionState, dt: float, lam: int) -> EvolutionState:
     """Half cubic kick, full free flight, half cubic kick."""
     if dt <= 0:
         raise ValueError(f"time step must be positive, got {dt}")
-    vals = _kick(state.u.values, 0.5 * dt, lam)
-    vals = _drift(vals, dt, state.u.grid)
-    vals = _kick(vals, 0.5 * dt, lam)
-    u = PhysicalField(state.u.grid, vals)
+    grid = state.u.grid
+    vals = _strang(np.fft.ifftshift(state.u.values), dt, 1, grid.native_frequencies, lam)
+    u = PhysicalField(grid, np.fft.fftshift(vals))
     return EvolutionState(
         t=state.t + dt,
         u=u,
@@ -116,7 +119,7 @@ def evolve(
     mass0 = _mass(u0)
 
     states = []
-    vals = u0.values.copy()
+    vals = np.fft.ifftshift(u0.values)  # native order between samples
     t = t0
     steps = 0
     for target in sample_times:
@@ -124,16 +127,10 @@ def evolve(
         if span > 0:
             n = max(1, math.ceil(span / dt_cap))
             dt = span / n
-            # fused Strang sweep: half kick, (n-1) x (drift + full kick), drift, half kick
-            vals = _kick(vals, 0.5 * dt, lam)
-            for _ in range(n - 1):
-                vals = _drift(vals, dt, grid)
-                vals = _kick(vals, dt, lam)
-            vals = _drift(vals, dt, grid)
-            vals = _kick(vals, 0.5 * dt, lam)
+            vals = _strang(vals, dt, n, grid.native_frequencies, lam)
             t = target
             steps += n
-        u = PhysicalField(grid, vals)
+        u = PhysicalField(grid, np.fft.fftshift(vals))
         mass = _mass(u)
         if not np.isfinite(mass):
             raise FloatingPointError(f"evolution produced non-finite values at t = {t}")
@@ -162,34 +159,30 @@ def scattering_deviation(state: EvolutionState, W: FinalData, params: SolverPara
     return norms(FrequencyField(fhat.grid, fhat.values - v.values))
 
 
-def _interp_final_data(W: FinalData, pts: np.ndarray) -> np.ndarray:
-    xi = W.W.grid.frequencies
-    re = CubicSpline(xi, W.W.values.real)
-    im = CubicSpline(xi, W.W.values.imag)
-    return re(pts) + 1j * im(pts)
-
-
 def asymptotic_error(state: EvolutionState, W: FinalData, params: SolverParams) -> float:
-    """Sup-norm distance to the explicit self-similar leading term."""
+    """Sup-norm distance to the explicit self-similar leading term, on the rays x = t*xi_k.
+
+    The free flow factors as U(t) = M_t D_t F M_t with the chirp
+    M_t(y) = e^{i y^2/(2t)}, so u(t, t*xi) = (2*pi*i*t)^{-1/2} e^{i t xi^2/2} G(xi)
+    with G = F[M_t U(-t)u]: the leading term replaces G by the profile v(t).
+    """
     t = state.t
     if t < params.T:
         raise ValueError(f"expansion defined for t >= T = {params.T}, got t = {t}")
     grid = state.u.grid
-    x = grid.x
-    pts = x / t
-    inside = np.abs(pts) <= grid.xi_max
-    mass_outside = grid.dx * np.sum(np.abs(state.u.values[~inside]) ** 2)
+    y = grid.x
+    f = inverse_transform(extract_profile(state)).values
+    # the chirp's local frequency |y|/t must stay inside the xi-grid
+    unresolved = np.abs(y) > t * grid.xi_max
+    mass_outside = grid.dx * np.sum(np.abs(f[unresolved]) ** 2)
     if state.mass > 0 and mass_outside / state.mass > 1e-10:
         raise ValueError(
-            f"x/t leaves the xi-grid where the solution carries mass at t = {t}; "
+            f"the chirp e^(i y^2/2t) is unresolved where the profile carries mass at t = {t}; "
             "box too small for this horizon"
         )
-    w_ray = np.zeros_like(pts, dtype=complex)
-    w_ray[inside] = _interp_final_data(W, pts[inside])
-    log_phase = np.abs(w_ray) ** 2 * np.log(t) / (2.0 * np.pi)
-    phase = np.exp(1j * x * x / (2.0 * t) - 1j * params.lam * log_phase)
-    leading = w_ray * phase * np.exp(-0.25j * np.pi) / np.sqrt(2.0 * np.pi * t)
-    return float(np.max(np.abs(state.u.values - leading)))
+    G = forward_transform(PhysicalField(grid, np.exp(0.5j * y * y / t) * f))
+    v = asymptotic_profile(W, t, params.lam)
+    return float(np.max(np.abs(G.values - v.values))) / np.sqrt(2.0 * np.pi * t)
 
 
 def dispersive_ratio(hhat: FrequencyField, t: float) -> float:

@@ -13,23 +13,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .profile import FinalData, SolverParams, asymptotic_profile
-from .spectral import (
-    FrequencyField,
-    SpectralGrid,
-    forward_transform,
-    free_propagate,
-    inverse_transform,
-    norms,
-    xt_weight,
-)
-from .trilinear import cubic_difference, forcing
+from .profile import FinalData, SolverParams, _profile
+from .spectral import FrequencyField, SpectralGrid, _fft, _ifft, _l2, _propagator, _xt_weights
+from .trilinear import _cubic_difference, _forcing
 
 __all__ = [
     "TimeGrid",
     "ProfileTrajectory",
     "PicardReport",
     "backward_integral",
+    "forcing_integrand",
     "phi_eps",
     "apply_phi",
     "picard_iterate",
@@ -38,6 +31,10 @@ __all__ = [
 ]
 
 BLOWUP_LIMIT = 1e6
+
+# Trajectories are processed BLOCK_ROWS time nodes at a time, which bounds
+# each temporary to 16 x 4096 x 16 B = 1 MiB on the default grid.
+BLOCK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -92,10 +89,6 @@ class ProfileTrajectory:
     def field(self, k: int) -> FrequencyField:
         return FrequencyField(self.grid, self.values[k])
 
-    def __add__(self, other: "ProfileTrajectory") -> "ProfileTrajectory":
-        self._check_compatible(other)
-        return ProfileTrajectory(self.grid, self.time_grid, self.values + other.values)
-
     def __sub__(self, other: "ProfileTrajectory") -> "ProfileTrajectory":
         self._check_compatible(other)
         return ProfileTrajectory(self.grid, self.time_grid, self.values - other.values)
@@ -129,18 +122,16 @@ class PicardReport:
         }
 
 
+def _blocks(count: int):
+    return (slice(lo, min(lo + BLOCK_ROWS, count)) for lo in range(0, count, BLOCK_ROWS))
+
+
 def xt_norm(g: ProfileTrajectory, alpha: float) -> float:
     """Max over nodes of the time-weighted norm bracket."""
-    nodes = g.time_grid.nodes
-    return max(xt_weight(t, g.field(k), alpha) for k, t in enumerate(nodes))
-
-
-def _bracket_norms(traj: ProfileTrajectory) -> np.ndarray:
-    out = np.empty(traj.time_grid.count)
-    for k in range(traj.time_grid.count):
-        b = norms(traj.field(k))
-        out[k] = b.linf + b.l2
-    return out
+    nodes, dxi = g.time_grid.nodes, g.grid.dxi
+    weights = [_xt_weights(nodes[rows], g.values[rows], alpha, dxi)
+               for rows in _blocks(g.time_grid.count)]
+    return float(np.max(np.concatenate(weights)))
 
 
 def estimate_tail(integrand: ProfileTrajectory) -> float:
@@ -151,8 +142,11 @@ def estimate_tail(integrand: ProfileTrajectory) -> float:
     not decreasing over that decade (the fit would be meaningless);
     returns inf when the fitted decay is not integrable.
     """
-    nodes = integrand.time_grid.nodes
-    y = _bracket_norms(integrand)
+    nodes, dxi, vals = integrand.time_grid.nodes, integrand.grid.dxi, integrand.values
+    y = np.concatenate([
+        np.max(np.abs(vals[rows]), axis=-1) + _l2(vals[rows], dxi)
+        for rows in _blocks(integrand.time_grid.count)
+    ])
     if not np.any(y):
         return 0.0
     window = nodes >= nodes[-1] / 10.0
@@ -186,17 +180,40 @@ def backward_integral(integrand: ProfileTrajectory, k: int) -> FrequencyField:
     return FrequencyField(integrand.grid, acc[k], {"tail_estimate": tail})
 
 
-def _forcing_integrand(W: FinalData, params: SolverParams, tg: TimeGrid) -> ProfileTrajectory:
+def _pull_back(vals: np.ndarray, s: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """U(-s) of native-order x samples, one row per node, as monotone frequency rows."""
+    pulled = _fft(vals, grid.dx) * _propagator(grid.native_frequencies, -s)
+    return np.fft.fftshift(pulled, axes=-1)
+
+
+def _require_on(traj: ProfileTrajectory, grid: SpectralGrid, tg: TimeGrid, what: str) -> None:
+    if traj.grid != grid or not np.array_equal(traj.time_grid.nodes, tg.nodes):
+        raise ValueError(f"{what} lives on a different grid")
+
+
+def forcing_integrand(W: FinalData, params: SolverParams, tg: TimeGrid) -> ProfileTrajectory:
+    """The pulled-back forcing at every node: the integrand of Phi_eps."""
+    w = np.fft.ifftshift(W.W.values)
     vals = np.empty((tg.count, params.grid.num_points), complex)
-    for k, s in enumerate(tg.nodes):
-        eps = forcing(W, s, params)
-        vals[k] = free_propagate(forward_transform(eps), -s).values
+    for rows in _blocks(tg.count):
+        s = tg.nodes[rows]
+        vals[rows] = _pull_back(_forcing(w, s, params.lam, params.grid), s, params.grid)
     return ProfileTrajectory(params.grid, tg, vals)
 
 
-def phi_eps(W: FinalData, params: SolverParams, tg: TimeGrid) -> ProfileTrajectory:
-    """The g-independent forcing part: -i * int_t^inf of the pulled-back forcing."""
-    integrand = _forcing_integrand(W, params, tg)
+def phi_eps(
+    W: FinalData,
+    params: SolverParams,
+    tg: TimeGrid,
+    integrand: ProfileTrajectory | None = None,
+) -> ProfileTrajectory:
+    """The g-independent forcing part: -i * int_t^inf of the pulled-back forcing.
+
+    ``integrand`` is forcing_integrand(W, params, tg), computed when not given.
+    """
+    if integrand is None:
+        integrand = forcing_integrand(W, params, tg)
+    _require_on(integrand, params.grid, tg, "forcing integrand")
     acc = _cumulative_backward(integrand.values, tg.nodes)
     return ProfileTrajectory(params.grid, tg, -1j * acc)
 
@@ -208,17 +225,20 @@ def apply_phi(
     phi_eps_cached: ProfileTrajectory,
 ) -> ProfileTrajectory:
     """One application of the full map Phi = Phi_nl + Phi_eps."""
-    tg = g.time_grid
-    lam = params.lam
+    tg, grid, lam = g.time_grid, params.grid, params.lam
+    xi, dx = grid.native_frequencies, grid.dx
+    w = np.fft.ifftshift(W.W.values)
     integrand = np.empty_like(g.values)
-    for k, s in enumerate(tg.nodes):
-        v = asymptotic_profile(W, s, lam)
-        u_app = inverse_transform(free_propagate(v, s))
-        w = inverse_transform(free_propagate(g.field(k), s))
-        n_diff = cubic_difference(u_app, w)
-        integrand[k] = free_propagate(forward_transform(n_diff), -s).values
+    for rows in _blocks(tg.count):
+        s = tg.nodes[rows]
+        prop = _propagator(xi, s)
+        u_app = _ifft(_profile(w, s, lam) * prop, dx)
+        corr = _ifft(np.fft.ifftshift(g.values[rows], axes=-1) * prop, dx)
+        integrand[rows] = _pull_back(_cubic_difference(u_app, corr), s, grid)
     acc = _cumulative_backward(integrand, tg.nodes)
-    return ProfileTrajectory(params.grid, tg, 1j * lam * acc + phi_eps_cached.values)
+    acc *= 1j * lam
+    acc += phi_eps_cached.values
+    return ProfileTrajectory(params.grid, tg, acc)
 
 
 def picard_iterate(
@@ -227,23 +247,25 @@ def picard_iterate(
     max_iter: int = 15,
     tol: float = 1e-9,
     g0: ProfileTrajectory | None = None,
+    integrand: ProfileTrajectory | None = None,
 ) -> tuple[ProfileTrajectory, PicardReport]:
     """Iterate g_{n+1} = Phi(g_n) from g_0 (default 0) until the step shrinks below tol.
 
-    Returns a non-converged report (no exception) when max_iter is hit;
-    raises only on numerical blow-up.
+    ``integrand`` is forcing_integrand(W, params, tg) on the params' time
+    grid, computed when not given.  Returns a non-converged report (no
+    exception) when max_iter is hit; raises only on numerical blow-up.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     tg = TimeGrid.from_params(params)
-    eps_integrand = _forcing_integrand(W, params, tg)
-    cached = ProfileTrajectory(params.grid, tg, -1j * _cumulative_backward(
-        eps_integrand.values, tg.nodes))
+    if integrand is None:
+        integrand = forcing_integrand(W, params, tg)
+    cached = phi_eps(W, params, tg, integrand)
 
     report = PicardReport()
-    if np.any(eps_integrand.values):
+    if np.any(integrand.values):
         try:
-            report.tail_estimate = estimate_tail(eps_integrand)
+            report.tail_estimate = estimate_tail(integrand)
         except ValueError:
             # non-decaying integrand: no valid tail bound, report unbounded
             report.tail_estimate = float("inf")
@@ -251,8 +273,7 @@ def picard_iterate(
     if g0 is None:
         g = ProfileTrajectory.zeros(params.grid, tg)
     else:
-        if g0.grid != params.grid or not np.array_equal(g0.time_grid.nodes, tg.nodes):
-            raise ValueError("starting guess lives on a different grid")
+        _require_on(g0, params.grid, tg, "starting guess")
         g = g0
     for _ in range(max_iter):
         g_next = apply_phi(g, W, params, cached)

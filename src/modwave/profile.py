@@ -134,6 +134,18 @@ def make_final_data(
     return FinalData(W=W, eps0_actual=_size_measure(W))
 
 
+def _profile(w: np.ndarray, t, lam: int) -> np.ndarray:
+    """W e^{-i lam |W|^2 log t/(2 pi)} for a scalar t, one row per entry of a vector t."""
+    log_t = np.log(np.asarray(t, dtype=float))[..., None]
+    return w * np.exp(-1j * lam * np.abs(w) ** 2 * log_t / (2.0 * np.pi))
+
+
+def _profile_rate(v: np.ndarray, t, lam: int) -> np.ndarray:
+    """-(i lam/(2 pi t)) |v|^2 v, the exact time derivative of _profile."""
+    coeff = -1j * lam / (2.0 * np.pi * np.asarray(t, dtype=float)[..., None])
+    return coeff * np.abs(v) ** 2 * v
+
+
 def asymptotic_profile(W: FinalData, t: float, lam: int) -> FrequencyField:
     """v(t, xi) = W(xi) * exp(-i*lam*|W(xi)|^2 * log(t)/(2*pi)).
 
@@ -144,17 +156,14 @@ def asymptotic_profile(W: FinalData, t: float, lam: int) -> FrequencyField:
     """
     if t <= 0:
         raise ValueError(f"profile time must be positive, got {t}")
-    w = W.W.values
-    phase = np.exp(-1j * lam * np.abs(w) ** 2 * np.log(t) / (2.0 * np.pi))
-    return FrequencyField(W.W.grid, w * phase)
+    return FrequencyField(W.W.grid, _profile(W.W.values, t, lam))
 
 
 def profile_time_derivative(v: FrequencyField, t: float, lam: int) -> FrequencyField:
     """Exact time derivative of the profile: -(i*lam/(2*pi*t)) |v|^2 v."""
     if t <= 0:
         raise ValueError(f"profile time must be positive, got {t}")
-    coeff = -1j * lam / (2.0 * np.pi * t)
-    return FrequencyField(v.grid, coeff * np.abs(v.values) ** 2 * v.values)
+    return FrequencyField(v.grid, _profile_rate(v.values, t, lam))
 
 
 def approximate_solution(W: FinalData, t: float, params: SolverParams) -> PhysicalField:

@@ -9,6 +9,12 @@ order.  Transforms carry the continuum normalization
 
 so that on the grid Plancherel reads
 ``||F||_{L2_x} = (2*pi)^{-1/2} ||Fhat||_{L2_xi}`` exactly.
+
+Each operation has one array kernel (underscored) acting along the last
+axis, so a block of time nodes is processed like one field: the transform
+pair in native FFT order (x = 0, xi = 0 first), the xi stencil and norms in
+monotone order, the pointwise propagator phase in either.  The public field
+functions validate and wrap these kernels.
 """
 
 from __future__ import annotations
@@ -31,10 +37,6 @@ __all__ = [
     "physical_linf",
     "xt_weight",
 ]
-
-# Fraction of total |F|^2 mass allowed in the outer 10% of the xi-grid
-# before the finite-difference xi-derivative is flagged as unreliable.
-OUTER_BAND_MASS_LIMIT = 1e-8
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -71,6 +73,11 @@ class SpectralGrid:
     def frequencies(self) -> np.ndarray:
         """Frequency nodes in strictly increasing order, symmetric about 0."""
         return (np.arange(self.num_points) - self.num_points // 2) * self.dxi
+
+    @property
+    def native_frequencies(self) -> np.ndarray:
+        """The frequency nodes in native FFT order: xi = 0 first."""
+        return np.fft.ifftshift(self.frequencies)
 
     @property
     def xi_max(self) -> float:
@@ -120,10 +127,56 @@ class NormBundle:
     dxi_l2: float
     h2: float
 
-    @property
-    def weighted_sum(self) -> float:
-        """linf + l2 + dxi_l2, the bracket of the time-weighted norm."""
-        return self.linf + self.l2 + self.dxi_l2
+
+# ------------------------------------------------------------------ kernels
+
+
+def _fft(values: np.ndarray, dx: float) -> np.ndarray:
+    """x -> xi with the continuum normalization, native order, last axis."""
+    return np.fft.fft(values) * dx
+
+
+def _ifft(values: np.ndarray, dx: float) -> np.ndarray:
+    """xi -> x, the exact inverse of _fft."""
+    return np.fft.ifft(values) / dx
+
+
+def _propagator(xi: np.ndarray, t) -> np.ndarray:
+    """e^{-i t xi^2/2}: shape xi.shape for a scalar t, one row per entry of a vector t."""
+    return np.exp(-0.5j * np.asarray(t, dtype=float)[..., None] * xi * xi)
+
+
+_FD4_EDGE = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
+_FD4_NEXT = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
+
+
+def _fd4(vals: np.ndarray, h: float) -> np.ndarray:
+    """Fourth-order first derivative along the last (monotone) axis:
+    centered inside, one-sided at the ends."""
+    d = np.empty_like(vals)
+    d[..., 2:-2] = (
+        -vals[..., 4:] + 8.0 * vals[..., 3:-1] - 8.0 * vals[..., 1:-3] + vals[..., :-4]
+    ) / (12.0 * h)
+    head, tail = vals[..., :5], vals[..., -1:-6:-1]
+    d[..., 0] = (head @ _FD4_EDGE) / h
+    d[..., 1] = (head @ _FD4_NEXT) / h
+    d[..., -1] = -(tail @ _FD4_EDGE) / h
+    d[..., -2] = -(tail @ _FD4_NEXT) / h
+    return d
+
+
+def _l2(vals: np.ndarray, dxi: float) -> np.ndarray:
+    return np.sqrt(dxi * np.sum(np.abs(vals) ** 2, axis=-1))
+
+
+def _xt_weights(t, vals: np.ndarray, alpha: float, dxi: float) -> np.ndarray:
+    """t^alpha * (sup + L2 + (1+log t)^{-1} * derivative-L2), one per row of vals."""
+    linf = np.max(np.abs(vals), axis=-1)
+    bracket = linf + _l2(vals, dxi) + _l2(_fd4(vals, dxi), dxi) / (1.0 + np.log(t))
+    return t**alpha * bracket
+
+
+# ------------------------------------------------------------ field functions
 
 
 def forward_transform(f: PhysicalField) -> FrequencyField:
@@ -132,70 +185,32 @@ def forward_transform(f: PhysicalField) -> FrequencyField:
     The integer fftshift rotations place x = 0 and xi = 0 correctly, so
     the box-offset phase is handled exactly.
     """
-    vals = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(f.values))) * f.grid.dx
-    return FrequencyField(f.grid, vals)
+    return FrequencyField(f.grid, np.fft.fftshift(_fft(np.fft.ifftshift(f.values), f.grid.dx)))
 
 
 def inverse_transform(F: FrequencyField) -> PhysicalField:
     """Inverse of forward_transform; round trip is exact to machine precision."""
-    vals = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(F.values))) / F.grid.dx
-    return PhysicalField(F.grid, vals)
+    return PhysicalField(F.grid, np.fft.fftshift(_ifft(np.fft.ifftshift(F.values), F.grid.dx)))
 
 
 def free_propagate(F: FrequencyField, t: float) -> FrequencyField:
     """Free Schrodinger flow in frequency space: multiply by e^{-i t xi^2/2}."""
     if not np.isfinite(t):
         raise ValueError(f"propagation time must be finite, got {t}")
-    xi = F.grid.frequencies
-    return FrequencyField(F.grid, F.values * np.exp(-0.5j * t * xi * xi))
-
-
-def _fd4(vals: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order first derivative: centered inside, one-sided at the ends."""
-    d = np.empty_like(vals)
-    d[2:-2] = (-vals[4:] + 8.0 * vals[3:-1] - 8.0 * vals[1:-3] + vals[:-4]) / (12.0 * h)
-    c0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-    c1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-    d[0] = (c0 @ vals[:5]) / h
-    d[1] = (c1 @ vals[:5]) / h
-    d[-1] = -(c0 @ vals[-1:-6:-1]) / h
-    d[-2] = -(c1 @ vals[-1:-6:-1]) / h
-    return d
-
-
-def _outer_band_mass_fraction(F: FrequencyField) -> float:
-    n = F.grid.num_points
-    edge = max(1, n // 20)  # outer 10% of frequencies = 5% at each end
-    power = np.abs(F.values) ** 2
-    total = power.sum()
-    if total == 0.0:
-        return 0.0
-    return float((power[:edge].sum() + power[-edge:].sum()) / total)
+    return FrequencyField(F.grid, F.values * _propagator(F.grid.frequencies, t))
 
 
 def xi_derivative(F: FrequencyField) -> FrequencyField:
-    """d/dxi by a fourth-order stencil; exact on polynomials of degree <= 4.
-
-    Sets ``meta["outer_band_warning"]`` when more than OUTER_BAND_MASS_LIMIT
-    of the field's mass sits in the outer 10% of the xi-grid, where the
-    one-sided closure makes the derivative unreliable.
-    """
-    d = _fd4(F.values, F.grid.dxi)
-    meta = {}
-    if _outer_band_mass_fraction(F) > OUTER_BAND_MASS_LIMIT:
-        meta["outer_band_warning"] = True
-    return FrequencyField(F.grid, d, meta)
+    """d/dxi by a fourth-order stencil; exact on polynomials of degree <= 4."""
+    return FrequencyField(F.grid, _fd4(F.values, F.grid.dxi))
 
 
 def norms(F: FrequencyField) -> NormBundle:
     """Sup, L2, derivative-L2 and H2 norms of a frequency field."""
     dxi = F.grid.dxi
-    linf = float(np.max(np.abs(F.values))) if F.grid.num_points else 0.0
-    l2 = float(np.sqrt(dxi * np.sum(np.abs(F.values) ** 2)))
-    d1 = xi_derivative(F)
-    d2 = xi_derivative(d1)
-    d1_l2 = float(np.sqrt(dxi * np.sum(np.abs(d1.values) ** 2)))
-    d2_l2 = float(np.sqrt(dxi * np.sum(np.abs(d2.values) ** 2)))
+    d1 = _fd4(F.values, dxi)
+    linf = float(np.max(np.abs(F.values)))
+    l2, d1_l2, d2_l2 = (float(_l2(v, dxi)) for v in (F.values, d1, _fd4(d1, dxi)))
     h2 = float(np.sqrt(l2 * l2 + d1_l2 * d1_l2 + d2_l2 * d2_l2))
     return NormBundle(linf=linf, l2=l2, dxi_l2=d1_l2, h2=h2)
 
@@ -212,5 +227,4 @@ def xt_weight(t: float, F: FrequencyField, alpha: float) -> float:
     """t^alpha * (sup + L2 + (1+log t)^{-1} * derivative-L2) at one time."""
     if t < 2.0:
         raise ValueError(f"time weight requires t >= 2, got {t}")
-    b = norms(F)
-    return t**alpha * (b.linf + b.l2 + b.dxi_l2 / (1.0 + np.log(t)))
+    return float(_xt_weights(t, F.values, alpha, F.grid.dxi))

@@ -15,11 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profile import FinalData, SolverParams, asymptotic_profile, profile_time_derivative
+from .profile import FinalData, SolverParams, _profile, _profile_rate, asymptotic_profile
 from .spectral import (
     FrequencyField,
     PhysicalField,
     SpectralGrid,
+    _ifft,
+    _propagator,
     forward_transform,
     free_propagate,
     inverse_transform,
@@ -39,9 +41,9 @@ __all__ = [
 
 ORACLE_MAX_POINTS = 64
 
-# Complex constant fixed once by matching the oracle to the subtraction
-# route on a calibration input (analytically it should be 1).
-_ORACLE_CALIBRATION: complex | None = None
+# Overall constant of the oracle's double integral under the transform
+# normalization in use; oracle_calibration() measures it independently.
+ORACLE_CONSTANT = 1.0 / (2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -128,19 +130,15 @@ def _calibration_input() -> tuple[FrequencyField, float]:
 
 
 def oracle_calibration() -> complex:
-    """Complex constant matching the oracle to the subtraction route.
+    """Complex constant that best matches the oracle to the subtraction route.
 
-    Fitted once on a fixed asymmetric input and then frozen; the fit
-    resolves the overall constant/sign convention of the double-integral
-    kernel without guessing.  Analytically the value is 1.
+    A least-squares fit on a fixed asymmetric input, kept as a check on the
+    derived ORACLE_CONSTANT = 1/(2*pi) that remainder_oracle uses.
     """
-    global _ORACLE_CALIBRATION
-    if _ORACLE_CALIBRATION is None:
-        fhat, s = _calibration_input()
-        target = trilinear_split(fhat, s).remainder.values
-        raw = _oracle_raw(fhat, s)
-        _ORACLE_CALIBRATION = complex(np.vdot(raw, target) / np.vdot(raw, raw))
-    return _ORACLE_CALIBRATION
+    fhat, s = _calibration_input()
+    target = trilinear_split(fhat, s).remainder.values
+    raw = _oracle_raw(fhat, s)
+    return complex(np.vdot(raw, target) / np.vdot(raw, raw))
 
 
 def remainder_oracle(fhat: FrequencyField, s: float) -> FrequencyField:
@@ -157,7 +155,17 @@ def remainder_oracle(fhat: FrequencyField, s: float) -> FrequencyField:
         )
     if not np.any(fhat.values):
         return FrequencyField(fhat.grid, np.zeros_like(fhat.values))
-    return FrequencyField(fhat.grid, oracle_calibration() * _oracle_raw(fhat, s))
+    return FrequencyField(fhat.grid, ORACLE_CONSTANT * _oracle_raw(fhat, s))
+
+
+def _forcing(w: np.ndarray, t, lam: int, grid: SpectralGrid) -> np.ndarray:
+    """Kernel of forcing on native-order W: native-order x samples, one row
+    per entry of a vector t."""
+    prop = _propagator(grid.native_frequencies, t)
+    v = _profile(w, t, lam)
+    u_app = _ifft(v * prop, grid.dx)
+    drive = _ifft(_profile_rate(v, t, lam) * prop, grid.dx)
+    return 1j * drive - lam * np.abs(u_app) ** 2 * u_app
 
 
 def forcing(W: FinalData, t: float, params: SolverParams) -> PhysicalField:
@@ -168,13 +176,8 @@ def forcing(W: FinalData, t: float, params: SolverParams) -> PhysicalField:
     """
     if t <= 0:
         raise ValueError(f"forcing time must be positive, got {t}")
-    lam = params.lam
-    v = asymptotic_profile(W, t, lam)
-    vt = profile_time_derivative(v, t, lam)
-    u_app = inverse_transform(free_propagate(v, t))
-    drive = inverse_transform(free_propagate(vt, t))
-    vals = 1j * drive.values - lam * np.abs(u_app.values) ** 2 * u_app.values
-    return PhysicalField(params.grid, vals)
+    w = np.fft.ifftshift(W.W.values)
+    return PhysicalField(params.grid, np.fft.fftshift(_forcing(w, t, params.lam, params.grid)))
 
 
 def pulled_back_forcing(W: FinalData, t: float, params: SolverParams) -> FrequencyField:
@@ -207,6 +210,17 @@ def forcing_identity_residual(
     return float(np.max(np.abs(lhs.values - rhs)) / scale)
 
 
+def _cubic_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kernel of cubic_difference: pointwise, any shape."""
+    return (
+        2.0 * np.abs(a) ** 2 * b
+        + a * a * np.conj(b)
+        + 2.0 * a * np.abs(b) ** 2
+        + np.conj(a) * b * b
+        + np.abs(b) ** 2 * b
+    )
+
+
 def cubic_difference(a: PhysicalField, b: PhysicalField) -> PhysicalField:
     """|a+b|^2 (a+b) - |a|^2 a via the five-term expansion.
 
@@ -215,12 +229,4 @@ def cubic_difference(a: PhysicalField, b: PhysicalField) -> PhysicalField:
     """
     if a.grid != b.grid:
         raise ValueError("cubic_difference requires fields on the same grid")
-    av, bv = a.values, b.values
-    vals = (
-        2.0 * np.abs(av) ** 2 * bv
-        + av * av * np.conj(bv)
-        + 2.0 * av * np.abs(bv) ** 2
-        + np.conj(av) * bv * bv
-        + np.abs(bv) ** 2 * bv
-    )
-    return PhysicalField(a.grid, vals)
+    return PhysicalField(a.grid, _cubic_difference(a.values, b.values))

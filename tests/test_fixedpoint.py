@@ -18,8 +18,16 @@ from modwave import (
     picard_iterate,
     xt_norm,
 )
-from modwave.fixedpoint import estimate_tail
-from modwave.spectral import forward_transform, free_propagate, inverse_transform, norms, xt_weight
+from modwave import asymptotic_profile, cubic_difference, profile_time_derivative
+from modwave.fixedpoint import BLOCK_ROWS, _cumulative_backward, estimate_tail, forcing_integrand
+from modwave.spectral import (
+    PhysicalField,
+    forward_transform,
+    free_propagate,
+    inverse_transform,
+    norms,
+    xt_weight,
+)
 
 GRID = SpectralGrid(256, 100.0)
 PARAMS = SolverParams(grid=GRID, time_grid_points=65)
@@ -217,3 +225,78 @@ def test_report_to_dict_round_trips():
                      contraction_ratios=[0.01], converged=True, tail_estimate=0.0)
     d = r.to_dict()
     assert d["iterates"] == 3 and d["converged"] is True
+
+
+# ---- node-blocked kernels against the per-node field-wrapper routes
+
+# The blocked routes perform the same float64 operations on every element as
+# the per-node routes; only the rounding of vectorized exp/log/pow and of
+# row-wise reductions may differ in the last bits, which the backward
+# trapezoid sum accumulates over at most a few dozen nodes.
+BLOCKED_RTOL = 64 * np.finfo(np.float64).eps
+
+
+def _forcing_integrand_per_node(W, params, tg):
+    vals = np.empty((tg.count, params.grid.num_points), complex)
+    for k, s in enumerate(tg.nodes):
+        v = asymptotic_profile(W, s, params.lam)
+        vt = profile_time_derivative(v, s, params.lam)
+        u_app = inverse_transform(free_propagate(v, s)).values
+        drive = inverse_transform(free_propagate(vt, s)).values
+        eps = PhysicalField(params.grid, 1j * drive - params.lam * np.abs(u_app) ** 2 * u_app)
+        vals[k] = free_propagate(forward_transform(eps), -s).values
+    return vals
+
+
+def _apply_phi_per_node(g, W, params, phi_eps_cached):
+    integrand = np.empty_like(g.values)
+    for k, s in enumerate(g.time_grid.nodes):
+        v = asymptotic_profile(W, s, params.lam)
+        u_app = inverse_transform(free_propagate(v, s))
+        w = inverse_transform(free_propagate(g.field(k), s))
+        n_diff = cubic_difference(u_app, w)
+        integrand[k] = free_propagate(forward_transform(n_diff), -s).values
+    acc = _cumulative_backward(integrand, g.time_grid.nodes)
+    return 1j * params.lam * acc + phi_eps_cached.values
+
+
+def _xt_norm_per_node(g, alpha):
+    out = []
+    for k, t in enumerate(g.time_grid.nodes):
+        b = norms(g.field(k))
+        out.append(t**alpha * (b.linf + b.l2 + b.dxi_l2 / (1.0 + np.log(t))))
+    return max(out)
+
+
+def _rel_err(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("lam", [1, -1])
+def test_blocked_routes_match_per_node(lam):
+    nodes = 2 * BLOCK_ROWS + 5  # a partial last block
+    assert nodes % BLOCK_ROWS
+    grid = SpectralGrid(64, 40.0)
+    params = SolverParams(lam=lam, grid=grid, time_grid_points=nodes)
+    W = make_final_data("random_bandlimited", params, seed=3, bandwidth=0.5)
+    tg = TimeGrid.from_params(params)
+    rng = np.random.default_rng(17)
+    shape = (nodes, grid.num_points)
+    g = ProfileTrajectory(grid, tg, 1e-3 * (rng.standard_normal(shape)
+                                            + 1j * rng.standard_normal(shape)))
+
+    integrand = forcing_integrand(W, params, tg)
+    assert _rel_err(integrand.values, _forcing_integrand_per_node(W, params, tg)) <= BLOCKED_RTOL
+    cached = phi_eps(W, params, tg, integrand)
+    ref = _apply_phi_per_node(g, W, params, cached)
+    assert _rel_err(apply_phi(g, W, params, cached).values, ref) <= BLOCKED_RTOL
+    ref_norm = _xt_norm_per_node(g, params.alpha)
+    assert abs(xt_norm(g, params.alpha) - ref_norm) <= BLOCKED_RTOL * ref_norm
+
+
+def test_phi_eps_rejects_integrand_on_other_grid():
+    fd = make_final_data("gaussian", PARAMS, bandwidth=0.4)
+    tg = TimeGrid.from_params(PARAMS)
+    other = ProfileTrajectory.zeros(GRID, TimeGrid(np.geomspace(10.0, 1000.0, 33)))
+    with pytest.raises(ValueError, match="different grid"):
+        phi_eps(fd, PARAMS, tg, other)

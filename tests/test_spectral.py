@@ -113,14 +113,6 @@ def test_xi_derivative_exact_on_quartic(grid):
     assert np.max(np.abs(d.values - exact)) <= 1e-7 * np.max(np.abs(exact))
 
 
-def test_xi_derivative_outer_band_flag(grid):
-    xi = grid.frequencies
-    smooth = FrequencyField(grid, np.exp(-(xi**2)))
-    assert "outer_band_warning" not in xi_derivative(smooth).meta
-    flat = FrequencyField(grid, np.ones(grid.num_points))
-    assert xi_derivative(flat).meta.get("outer_band_warning") is True
-
-
 def test_norms_gaussian_closed_form(grid):
     xi = grid.frequencies
     F = FrequencyField(grid, np.exp(-(xi**2)))
