@@ -44,3 +44,32 @@ def test_converged_check_uses_configured_max_iter(monkeypatch):
         assert check["value"] == 16
         assert check["passed"]
         assert "within 20 iterations" in check["detail"]
+
+
+def _without_ratios(real):
+    def one_iterate(*args, **kwargs):
+        g, report = real(*args, **kwargs)
+        report.contraction_ratios = []
+        return g, report
+
+    return one_iterate
+
+
+def test_sweep_fails_when_no_cell_measured(monkeypatch):
+    monkeypatch.setenv("MODWAVE_THREADS", "1")
+    monkeypatch.setattr(campaigns, "picard_iterate", _without_ratios(campaigns.picard_iterate))
+    res = run_campaign("sweep", parse_config(SMALL))
+    header, rows = res.series["sweep"]
+    assert all(r[header.index("max_contraction_ratio")] is None for r in rows)
+    check = checks_by_name(res)["max_contraction_ratio"]
+    assert not check["passed"]
+    assert "0 of 8" in check["detail"]
+
+
+def test_construct_contraction_falls_back_to_probe(monkeypatch):
+    monkeypatch.setattr(campaigns, "picard_iterate", _without_ratios(campaigns.picard_iterate))
+    checks = checks_by_name(run_campaign("construct", parse_config(SMALL)))
+    for tag in ("defocusing", "focusing"):
+        ratio = checks[f"contraction_max_ratio_{tag}"]
+        assert ratio["value"] == checks[f"contraction_probe_{tag}"]["value"]
+        assert "no Picard ratio measured" in ratio["detail"]

@@ -1,4 +1,6 @@
-"""Split-step solver: conservation, order, and scattering diagnostics."""
+"""Forward solvers: conservation, order, and scattering diagnostics."""
+
+import importlib
 
 import numpy as np
 import pytest
@@ -19,7 +21,11 @@ from modwave import (
     state_from_field,
     strang_step,
 )
+from modwave.evolve import _strang
 from modwave.spectral import forward_transform, free_propagate, inverse_transform
+
+# the package exports the function evolve under the submodule's name
+evolve_module = importlib.import_module("modwave.evolve")
 
 GRID = SpectralGrid(256, 60.0)
 PARAMS = SolverParams(grid=GRID)
@@ -64,49 +70,76 @@ def test_strang_second_order():
     assert 1.9 <= order <= 2.1
 
 
-def _evolve_monotone_reference(u0, t0, sample_times, params):
-    """The split-step loop as it ran on monotone-order arrays, four fftshift
-    rotations and a fresh drift phase per step; returns the sampled values."""
-    grid, lam = u0.grid, params.lam
-    dt_cap = min(0.1, 0.5 * grid.dx**2)
+def _strang_monotone_reference(u0, dt, n, lam):
+    """n Strang steps as they ran on monotone-order arrays, four fftshift
+    rotations and a fresh drift phase per step."""
+    xi = u0.grid.frequencies
 
     def kick(vals, dt):
         return vals * np.exp(-1j * lam * np.abs(vals) ** 2 * dt)
 
     def drift(vals, dt):
-        xi = grid.frequencies
         phase = np.exp(-0.5j * dt * xi * xi)
         spec = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(vals)))
         return np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(phase * spec)))
 
-    out, vals, t = [], u0.values.copy(), t0
-    for target in sample_times:
-        n = max(1, int(np.ceil((target - t) / dt_cap)))
-        dt = (target - t) / n
-        vals = kick(vals, 0.5 * dt)
-        for _ in range(n - 1):
-            vals = kick(drift(vals, dt), dt)
-        vals = kick(drift(vals, dt), 0.5 * dt)
-        out.append(vals)
-        t = target
-    return out
+    vals = kick(u0.values, 0.5 * dt)
+    for _ in range(n - 1):
+        vals = kick(drift(vals, dt), dt)
+    return kick(drift(vals, dt), 0.5 * dt)
 
 
 @pytest.mark.parametrize("lam", [1, -1])
 def test_strang_native_order_loop_is_bit_identical(lam):
     # the native-order loop only permutes where the monotone loop rotated,
-    # so every sampled state must agree bit for bit
+    # so every final state must agree bit for bit
     x = GRID.x
     u0 = PhysicalField(GRID, (1.0 + 0.5j * x) * np.exp(-((x - 3.0) ** 2)))
-    params = SolverParams(lam=lam, grid=GRID)
-    times = [0.37, 1.0, 2.5]
-    states = evolve(u0, 0.0, times, params)
-    ref = _evolve_monotone_reference(u0, 0.0, times, params)
-    for state, expected in zip(states, ref):
-        assert np.array_equal(state.u.values, expected)
-    # 0.02 is below the step cap, so the reference takes one step too
+    for dt, n in ((0.37 / 14, 14), (0.02, 1), (0.05, 30)):
+        vals = _strang(np.fft.ifftshift(u0.values), dt, n, GRID.native_frequencies, lam)
+        assert np.array_equal(np.fft.fftshift(vals), _strang_monotone_reference(u0, dt, n, lam))
     one = strang_step(state_from_field(u0, 0.0, lam), 0.02, lam)
-    assert np.array_equal(one.u.values, _evolve_monotone_reference(u0, 0.0, [0.02], params)[0])
+    assert np.array_equal(one.u.values, _strang_monotone_reference(u0, 0.02, 1, lam))
+
+
+def test_strang_converges_to_evolve_at_second_order():
+    # evolve's time error is far below Strang's, so Strang's distance to it
+    # drops ~4x per dt halving; a wrong nonlinearity in either breaks this
+    u0 = gaussian_state().u
+    target = evolve(u0, 0.0, [1.0], PARAMS)[0].u.values
+    dts = [0.1, 0.05, 0.025]
+    start = np.fft.ifftshift(u0.values)
+    errs = [
+        np.max(np.abs(np.fft.fftshift(
+            _strang(start, dt, round(1.0 / dt), GRID.native_frequencies, 1)) - target))
+        for dt in dts
+    ]
+    order = np.polyfit(np.log(dts), np.log(errs), 1)[0]
+    assert 1.9 <= order <= 2.1
+
+
+def test_evolve_conserves_mass_through_rejected_steps(monkeypatch):
+    # the first attempt covers the whole first interval from t0 = 0 and is
+    # too long for amplitude-1 data, so the step control has to reject
+    calls = []
+    rhs = evolve_module._rhs
+    monkeypatch.setattr(evolve_module, "_rhs", lambda *args: calls.append(1) or rhs(*args))
+    u0 = gaussian_state().u
+    states = evolve(u0, 0.0, [0.5, 1.0, 2.0], PARAMS)
+    # every attempt, accepted or not, evaluates 11 right-hand sides
+    assert len(calls) % 11 == 0
+    assert len(calls) // 11 > states[-1].step_count
+    m0 = state_from_field(u0, 0.0, 1).mass
+    assert max(abs(s.mass - m0) for s in states) <= 1e-10 * m0
+
+
+@pytest.mark.parametrize("times", [[1.0], [0.0]])
+def test_evolve_raises_on_non_finite_values(times):
+    # [1.0] fails in the step control, [0.0] (no step) in the sample check
+    u0 = gaussian_state().u
+    u0.values[GRID.num_points // 2] = np.nan  # fields validate only on construction
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        evolve(u0, 0.0, times, PARAMS)
 
 
 def test_linear_limit_matches_free_propagator():
