@@ -2,8 +2,9 @@
 for the one-dimensional cubic Schrodinger equation.
 
 The package builds a solution backward from prescribed final data via a
-contraction fixed point, evolves it forward with a split-step solver, and
-quantifies how well the prescribed long-time profile is realized.
+contraction fixed point, evolves it forward with an interaction-picture
+RK4 solver, and quantifies how well the prescribed long-time profile is
+realized.
 """
 
 from .campaigns import CAMPAIGNS, CampaignResult, run_campaign
@@ -16,7 +17,6 @@ from .evolve import (
     extract_profile,
     scattering_deviation,
     state_from_field,
-    strang_step,
 )
 from .fitting import DecayFit, fit_decay
 from .fixedpoint import (
@@ -57,7 +57,6 @@ from .spectral import (
 )
 from .trilinear import (
     TrilinearSplit,
-    cubic,
     cubic_difference,
     forcing,
     forcing_identity_residual,

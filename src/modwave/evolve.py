@@ -8,7 +8,8 @@ Fourier space and native FFT order, whose equation
 leaves the free flow exact in the phase (Lawson's integrating factor).  The
 right-hand side is small and slowly varying once the solution disperses, so
 classical RK4 under step-doubling error control covers a sample interval in
-a few steps.  Strang splitting (``_strang``, ``strang_step``), which
+a few steps.  The right-hand side is the pulled-back cubic kernel that the
+backward construction also uses.  Strang splitting (``_strang``), which
 alternates the exact pointwise cubic phase rotation with the exact free
 flight, is kept as an independent second-order cross-check.  Diagnostics
 compare the evolving profile against the explicit logarithmically-corrected
@@ -36,11 +37,11 @@ from .spectral import (
     norms,
     physical_linf,
 )
+from .trilinear import _pulled_back_cubic
 
 __all__ = [
     "EvolutionState",
     "state_from_field",
-    "strang_step",
     "evolve",
     "extract_profile",
     "scattering_deviation",
@@ -95,29 +96,6 @@ def _strang(vals: np.ndarray, dt: float, n: int, xi: np.ndarray, lam: int) -> np
     return _kick(vals, 0.5 * dt, lam)
 
 
-def strang_step(state: EvolutionState, dt: float, lam: int) -> EvolutionState:
-    """Half cubic kick, full free flight, half cubic kick."""
-    if dt <= 0:
-        raise ValueError(f"time step must be positive, got {dt}")
-    grid = state.u.grid
-    vals = _strang(np.fft.ifftshift(state.u.values), dt, 1, grid.native_frequencies, lam)
-    u = PhysicalField(grid, np.fft.fftshift(vals))
-    return EvolutionState(
-        t=state.t + dt,
-        u=u,
-        mass=_mass(u.values, grid.dx),
-        energy=_energy(u, lam),
-        step_count=state.step_count + 1,
-    )
-
-
-def _rhs(f: np.ndarray, t: float, xi: np.ndarray, dx: float, lam: int) -> np.ndarray:
-    """df/dt of the native-order profile: -i lam e^{i t xi^2/2} F[|u|^2 u]."""
-    phase = _propagator(xi, t)
-    u = _ifft(phase * f, dx)
-    return -1j * lam * np.conj(phase) * _fft(np.abs(u) ** 2 * u, dx)
-
-
 def _rk4(f, t, h, k1, rhs):
     """One classical RK4 step of size h from (t, f), whose slope k1 is given."""
     k2 = rhs(f + 0.5 * h * k1, t + 0.5 * h)
@@ -146,7 +124,7 @@ def evolve(
     lam, dx, xi = params.lam, grid.dx, grid.native_frequencies
 
     def rhs(f, t):
-        return _rhs(f, t, xi, dx, lam)
+        return -1j * lam * _pulled_back_cubic(f, t, grid)
 
     mass0 = _mass(u0.values, dx)
     f = np.conj(_propagator(xi, t0)) * _fft(np.fft.ifftshift(u0.values), dx)

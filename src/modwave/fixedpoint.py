@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .profile import FinalData, SolverParams, _profile
-from .spectral import FrequencyField, SpectralGrid, _fft, _ifft, _l2, _propagator, _xt_weights
-from .trilinear import _cubic_difference, _forcing
+from .spectral import FrequencyField, SpectralGrid, _l2, _xt_weights
+from .trilinear import _pulled_back_cubic, _pulled_back_forcing
 
 __all__ = [
     "TimeGrid",
@@ -138,9 +138,9 @@ def estimate_tail(integrand: ProfileTrajectory) -> float:
     """Power-law extrapolation of the neglected integral beyond t_max.
 
     Fits ||integrand(s)|| ~ A s^m over the last decade of nodes and
-    integrates the fit from t_max to infinity.  Raises when the norm is
-    not decreasing over that decade (the fit would be meaningless);
-    returns inf when the fitted decay is not integrable.
+    integrates the fit from t_max to infinity.  Returns inf when the norm
+    is not decreasing over that decade (no valid tail bound) or when the
+    fitted decay is not integrable.
     """
     nodes, dxi, vals = integrand.time_grid.nodes, integrand.grid.dxi, integrand.values
     y = np.concatenate([
@@ -152,7 +152,7 @@ def estimate_tail(integrand: ProfileTrajectory) -> float:
     window = nodes >= nodes[-1] / 10.0
     yw, tw = y[window], nodes[window]
     if yw[-1] >= yw[0] or np.any(yw <= 0):
-        raise ValueError("integrand norm is not decreasing over the last decade; tail fit invalid")
+        return float("inf")
     m, logA = np.polyfit(np.log(tw), np.log(yw), 1)
     if m >= -1.0:
         return float("inf")
@@ -172,18 +172,11 @@ def _cumulative_backward(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 def backward_integral(integrand: ProfileTrajectory, k: int) -> FrequencyField:
     """int_{t_k}^{t_max} integrand(s) ds by trapezoid quadrature.
 
-    The tail beyond t_max is reported in ``meta["tail_estimate"]``, never
-    added to the value.
+    The tail beyond t_max (estimate_tail) is reported in
+    ``meta["tail_estimate"]``, never added to the value.
     """
     acc = _cumulative_backward(integrand.values, integrand.time_grid.nodes)
-    tail = estimate_tail(integrand) if np.any(integrand.values) else 0.0
-    return FrequencyField(integrand.grid, acc[k], {"tail_estimate": tail})
-
-
-def _pull_back(vals: np.ndarray, s: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """U(-s) of native-order x samples, one row per node, as monotone frequency rows."""
-    pulled = _fft(vals, grid.dx) * _propagator(grid.native_frequencies, -s)
-    return np.fft.fftshift(pulled, axes=-1)
+    return FrequencyField(integrand.grid, acc[k], {"tail_estimate": estimate_tail(integrand)})
 
 
 def _require_on(traj: ProfileTrajectory, grid: SpectralGrid, tg: TimeGrid, what: str) -> None:
@@ -196,8 +189,8 @@ def forcing_integrand(W: FinalData, params: SolverParams, tg: TimeGrid) -> Profi
     w = np.fft.ifftshift(W.W.values)
     vals = np.empty((tg.count, params.grid.num_points), complex)
     for rows in _blocks(tg.count):
-        s = tg.nodes[rows]
-        vals[rows] = _pull_back(_forcing(w, s, params.lam, params.grid), s, params.grid)
+        pulled = _pulled_back_forcing(w, tg.nodes[rows], params.lam, params.grid)
+        vals[rows] = np.fft.fftshift(pulled, axes=-1)
     return ProfileTrajectory(params.grid, tg, vals)
 
 
@@ -225,16 +218,14 @@ def apply_phi(
     phi_eps_cached: ProfileTrajectory,
 ) -> ProfileTrajectory:
     """One application of the full map Phi = Phi_nl + Phi_eps."""
-    tg, grid, lam = g.time_grid, params.grid, params.lam
-    xi, dx = grid.native_frequencies, grid.dx
+    tg, lam = g.time_grid, params.lam
     w = np.fft.ifftshift(W.W.values)
     integrand = np.empty_like(g.values)
     for rows in _blocks(tg.count):
         s = tg.nodes[rows]
-        prop = _propagator(xi, s)
-        u_app = _ifft(_profile(w, s, lam) * prop, dx)
-        corr = _ifft(np.fft.ifftshift(g.values[rows], axes=-1) * prop, dx)
-        integrand[rows] = _pull_back(_cubic_difference(u_app, corr), s, grid)
+        corr = np.fft.ifftshift(g.values[rows], axes=-1)
+        pulled = _pulled_back_cubic(_profile(w, s, lam), s, params.grid, corr)
+        integrand[rows] = np.fft.fftshift(pulled, axes=-1)
     acc = _cumulative_backward(integrand, tg.nodes)
     acc *= 1j * lam
     acc += phi_eps_cached.values
@@ -262,13 +253,7 @@ def picard_iterate(
         integrand = forcing_integrand(W, params, tg)
     cached = phi_eps(W, params, tg, integrand)
 
-    report = PicardReport()
-    if np.any(integrand.values):
-        try:
-            report.tail_estimate = estimate_tail(integrand)
-        except ValueError:
-            # non-decaying integrand: no valid tail bound, report unbounded
-            report.tail_estimate = float("inf")
+    report = PicardReport(tail_estimate=estimate_tail(integrand))
 
     if g0 is None:
         g = ProfileTrajectory.zeros(params.grid, tg)

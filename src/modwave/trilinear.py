@@ -1,6 +1,8 @@
 """Pulled-back cubic nonlinearity, its resonant/remainder split, and forcing.
 
-The interaction-picture cubic term splits into a pointwise resonant piece
+One array kernel, ``_pulled_back_cubic``, computes U(-s)[|U(s)f|^2 U(s)f] for
+the backward construction, the forcing and the forward solve.  The
+interaction-picture cubic term splits into a pointwise resonant piece
 (i/(2*pi*s))|fhat|^2 fhat plus a remainder that decays integrably in time.  The
 remainder is defined operationally by subtraction (the FFT route is exact
 on the grid); an O(N^3) oscillatory double-integral quadrature provides an
@@ -20,16 +22,15 @@ from .spectral import (
     FrequencyField,
     PhysicalField,
     SpectralGrid,
+    _fft,
     _ifft,
     _propagator,
-    forward_transform,
     free_propagate,
     inverse_transform,
 )
 
 __all__ = [
     "TrilinearSplit",
-    "cubic",
     "pulled_back_cubic",
     "trilinear_split",
     "remainder_oracle",
@@ -55,18 +56,26 @@ class TrilinearSplit:
     s: float
 
 
-def cubic(u: PhysicalField) -> PhysicalField:
-    """Pointwise |u|^2 u (coupling sign applied by callers)."""
-    return PhysicalField(u.grid, np.abs(u.values) ** 2 * u.values)
+def _pulled_back_cubic(
+    a: np.ndarray, s, grid: SpectralGrid, b: np.ndarray | None = None
+) -> np.ndarray:
+    """U(-s)[|A|^2 A] with A = U(s)a, on native-order frequency rows, for a
+    scalar s or one row per entry of a vector s (coupling sign applied by
+    callers).  With b, U(-s)[|A+B|^2 (A+B) - |A|^2 A] with B = U(s)b, by the
+    cancellation-free expansion of _cubic_difference.
+    """
+    prop = _propagator(grid.native_frequencies, s)
+    u = _ifft(a * prop, grid.dx)
+    cube = np.abs(u) ** 2 * u if b is None else _cubic_difference(u, _ifft(b * prop, grid.dx))
+    return np.conj(prop) * _fft(cube, grid.dx)
 
 
 def pulled_back_cubic(fhat: FrequencyField, s: float) -> FrequencyField:
     """i * U(-s)[ (U(s)f) |U(s)f|^2 ] on the frequency side."""
     if s <= 0:
         raise ValueError(f"pullback time must be positive, got {s}")
-    u = inverse_transform(free_propagate(fhat, s))
-    pulled = free_propagate(forward_transform(cubic(u)), -s)
-    return FrequencyField(fhat.grid, 1j * pulled.values)
+    pulled = _pulled_back_cubic(np.fft.ifftshift(fhat.values), s, fhat.grid)
+    return FrequencyField(fhat.grid, 1j * np.fft.fftshift(pulled))
 
 
 def trilinear_split(fhat: FrequencyField, s: float) -> TrilinearSplit:
@@ -158,18 +167,16 @@ def remainder_oracle(fhat: FrequencyField, s: float) -> FrequencyField:
     return FrequencyField(fhat.grid, ORACLE_CONSTANT * _oracle_raw(fhat, s))
 
 
-def _forcing(w: np.ndarray, t, lam: int, grid: SpectralGrid) -> np.ndarray:
-    """Kernel of forcing on native-order W: native-order x samples, one row
-    per entry of a vector t."""
-    prop = _propagator(grid.native_frequencies, t)
+def _pulled_back_forcing(w: np.ndarray, t, lam: int, grid: SpectralGrid) -> np.ndarray:
+    """Kernel of pulled_back_forcing on native-order W: native-order frequency
+    rows, one per entry of a vector t.  The drive term i*dv/dt needs no
+    transform, since U(-t) undoes the free flow it is carried by."""
     v = _profile(w, t, lam)
-    u_app = _ifft(v * prop, grid.dx)
-    drive = _ifft(_profile_rate(v, t, lam) * prop, grid.dx)
-    return 1j * drive - lam * np.abs(u_app) ** 2 * u_app
+    return 1j * _profile_rate(v, t, lam) - lam * _pulled_back_cubic(v, t, grid)
 
 
-def forcing(W: FinalData, t: float, params: SolverParams) -> PhysicalField:
-    """Residual by which the approximate solution fails the cubic equation.
+def pulled_back_forcing(W: FinalData, t: float, params: SolverParams) -> FrequencyField:
+    """Frequency-side interaction-picture forcing: hat of U(-t) applied to it.
 
     Uses the analytic profile time derivative, never numerical
     differencing, so the remainder identity holds to machine precision.
@@ -177,12 +184,14 @@ def forcing(W: FinalData, t: float, params: SolverParams) -> PhysicalField:
     if t <= 0:
         raise ValueError(f"forcing time must be positive, got {t}")
     w = np.fft.ifftshift(W.W.values)
-    return PhysicalField(params.grid, np.fft.fftshift(_forcing(w, t, params.lam, params.grid)))
+    pulled = _pulled_back_forcing(w, t, params.lam, params.grid)
+    return FrequencyField(params.grid, np.fft.fftshift(pulled))
 
 
-def pulled_back_forcing(W: FinalData, t: float, params: SolverParams) -> FrequencyField:
-    """Frequency-side interaction-picture forcing: hat of U(-t) applied to it."""
-    return free_propagate(forward_transform(forcing(W, t, params)), -t)
+def forcing(W: FinalData, t: float, params: SolverParams) -> PhysicalField:
+    """Residual by which the approximate solution fails the cubic equation:
+    U(t) applied to the pulled-back forcing."""
+    return inverse_transform(free_propagate(pulled_back_forcing(W, t, params), t))
 
 
 def forcing_identity_residual(

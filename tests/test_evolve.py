@@ -19,7 +19,6 @@ from modwave import (
     make_final_data,
     scattering_deviation,
     state_from_field,
-    strang_step,
 )
 from modwave.evolve import _strang
 from modwave.spectral import forward_transform, free_propagate, inverse_transform
@@ -38,36 +37,11 @@ def gaussian_state(amp=1.0, lam=1):
 
 
 def test_strang_step_conserves_mass():
-    s = gaussian_state()
-    for _ in range(50):
-        s = strang_step(s, 0.02, 1)
-    s0 = gaussian_state()
-    assert abs(s.mass - s0.mass) <= 1e-12 * s0.mass
-    assert s.step_count == 50
-    assert s.t == pytest.approx(1.0)
-
-
-def test_strang_step_rejects_bad_dt():
-    with pytest.raises(ValueError, match="positive"):
-        strang_step(gaussian_state(), -0.1, 1)
-
-
-def test_strang_second_order():
-    # reference solution at a tiny step; errors drop ~4x per dt halving
-    lam = 1
-    horizon = 1.0
-
-    def solve(dt):
-        s = gaussian_state(lam=lam)
-        n = round(horizon / dt)
-        for _ in range(n):
-            s = strang_step(s, dt, lam)
-        return s.u.values
-
-    ref = solve(1.0 / 1024)
-    errs = [np.max(np.abs(solve(dt) - ref)) for dt in (0.1, 0.05, 0.025)]
-    order = np.polyfit(np.log([0.1, 0.05, 0.025]), np.log(errs), 1)[0]
-    assert 1.9 <= order <= 2.1
+    # both Strang substeps are unitary: 50 steps keep the mass to rounding
+    u0 = gaussian_state().u
+    vals = _strang(np.fft.ifftshift(u0.values), 0.02, 50, GRID.native_frequencies, 1)
+    m0 = state_from_field(u0, 0.0, 1).mass
+    assert abs(evolve_module._mass(vals, GRID.dx) - m0) <= 1e-12 * m0
 
 
 def _strang_monotone_reference(u0, dt, n, lam):
@@ -98,8 +72,6 @@ def test_strang_native_order_loop_is_bit_identical(lam):
     for dt, n in ((0.37 / 14, 14), (0.02, 1), (0.05, 30)):
         vals = _strang(np.fft.ifftshift(u0.values), dt, n, GRID.native_frequencies, lam)
         assert np.array_equal(np.fft.fftshift(vals), _strang_monotone_reference(u0, dt, n, lam))
-    one = strang_step(state_from_field(u0, 0.0, lam), 0.02, lam)
-    assert np.array_equal(one.u.values, _strang_monotone_reference(u0, 0.02, 1, lam))
 
 
 def test_strang_converges_to_evolve_at_second_order():
@@ -122,8 +94,9 @@ def test_evolve_conserves_mass_through_rejected_steps(monkeypatch):
     # the first attempt covers the whole first interval from t0 = 0 and is
     # too long for amplitude-1 data, so the step control has to reject
     calls = []
-    rhs = evolve_module._rhs
-    monkeypatch.setattr(evolve_module, "_rhs", lambda *args: calls.append(1) or rhs(*args))
+    kernel = evolve_module._pulled_back_cubic
+    monkeypatch.setattr(evolve_module, "_pulled_back_cubic",
+                        lambda *args: calls.append(1) or kernel(*args))
     u0 = gaussian_state().u
     states = evolve(u0, 0.0, [0.5, 1.0, 2.0], PARAMS)
     # every attempt, accepted or not, evaluates 11 right-hand sides

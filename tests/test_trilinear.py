@@ -1,5 +1,7 @@
 """Trilinear split, the independent quadrature oracle, and forcing identity."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,16 @@ from modwave import (
     remainder_oracle,
     trilinear_split,
 )
-from modwave.spectral import PhysicalField, forward_transform, norms
-from modwave.trilinear import ORACLE_MAX_POINTS
+from modwave.spectral import (
+    PhysicalField,
+    forward_transform,
+    free_propagate,
+    inverse_transform,
+    norms,
+)
+from modwave.trilinear import ORACLE_MAX_POINTS, _pulled_back_cubic
+
+trilinear = importlib.import_module("modwave.trilinear")
 
 COARSE_GRID = SpectralGrid(64, 60.0)
 COARSE_PARAMS = SolverParams(grid=COARSE_GRID)
@@ -95,6 +105,16 @@ def test_forcing_identity_fft_route():
         assert forcing_identity_residual(fd, t, COARSE_PARAMS, route="fft") <= 1e-10
 
 
+def test_forcing_identity_detects_wrong_drive(monkeypatch):
+    # both sides of the fft route share the cubic kernel, so make sure the
+    # identity still fails when the drive term i*dv/dt is off by 1e-4
+    fd = make_final_data("gaussian", COARSE_PARAMS, bandwidth=0.2)
+    rate = trilinear._profile_rate
+    monkeypatch.setattr(trilinear, "_profile_rate", lambda *args: 1.0001 * rate(*args))
+    for t in (3.0, 12.0, 45.0):
+        assert forcing_identity_residual(fd, t, COARSE_PARAMS, route="fft") > 1e-6
+
+
 def test_forcing_identity_oracle_route():
     fd = make_final_data("gaussian", COARSE_PARAMS, bandwidth=0.2)
     assert forcing_identity_residual(fd, 5.0, COARSE_PARAMS, route="oracle") <= 1e-3
@@ -147,3 +167,42 @@ def test_cubic_difference_no_cancellation():
     # leading term is 2|a|^2 b + a^2 conj(b)
     lead = 2.0 * np.abs(a.values) ** 2 * b.values + a.values**2 * np.conj(b.values)
     assert np.max(np.abs(diff.values - lead)) <= 1e-10 * np.max(np.abs(lead))
+
+
+# ---- the pulled-back cubic kernel against a per-row field-function route
+
+# Both routes perform the same float64 operations on every element; only the
+# rounding of vectorized exp and of the FFTs may differ in the last bits.
+KERNEL_RTOL = 64 * np.finfo(np.float64).eps
+
+
+def _pulled_back_cubic_field_route(a, s, b=None):
+    """U(-s)[|A+B|^2 (A+B) - |A|^2 A] (B = 0 without b) for one monotone row,
+    one validated field function per step."""
+    grid = COARSE_GRID
+    u = inverse_transform(free_propagate(FrequencyField(grid, a), s))
+    if b is None:
+        cube = PhysicalField(grid, np.abs(u.values) ** 2 * u.values)
+    else:
+        cube = cubic_difference(u, inverse_transform(free_propagate(FrequencyField(grid, b), s)))
+    return free_propagate(forward_transform(cube), -s).values
+
+
+@pytest.mark.parametrize("with_b", [False, True])
+@pytest.mark.parametrize("s", [7.0, -7.0, [2.0, 5.5, 13.0], [-13.0, -0.5, 4.0]])
+def test_pulled_back_cubic_kernel_matches_field_route(s, with_b):
+    s_arr = np.asarray(s)
+    rows = s_arr.size
+    shape = s_arr.shape + (COARSE_GRID.num_points,)
+    rng = np.random.default_rng(rows + 10 * with_b)
+    xi = COARSE_GRID.frequencies
+    a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.exp(-xi**2)
+    b = 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) if with_b else None
+    b_native = None if b is None else np.fft.ifftshift(b, axes=-1)
+    got = np.fft.fftshift(
+        _pulled_back_cubic(np.fft.ifftshift(a, axes=-1), s, COARSE_GRID, b_native), axes=-1)
+    a_rows, s_rows = a.reshape(rows, -1), s_arr.reshape(rows)
+    b_rows = [None] * rows if b is None else b.reshape(rows, -1)
+    ref = np.array([_pulled_back_cubic_field_route(a_k, s_k, b_k)
+                    for a_k, s_k, b_k in zip(a_rows, s_rows, b_rows)]).reshape(shape)
+    assert np.max(np.abs(got - ref)) <= KERNEL_RTOL * np.max(np.abs(ref))
