@@ -20,14 +20,17 @@ from .evolve import (
 )
 from .fitting import DecayFit, fit_decay
 from .fixedpoint import (
+    Drive,
     PicardReport,
     ProfileTrajectory,
     TimeGrid,
     apply_phi,
     backward_integral,
+    build_drive,
     contraction_probe,
     phi_eps,
     picard_iterate,
+    xt_distance,
     xt_norm,
 )
 from .profile import (

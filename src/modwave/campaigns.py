@@ -28,10 +28,11 @@ from .fixedpoint import (
     ProfileTrajectory,
     TimeGrid,
     apply_phi,
+    build_drive,
     contraction_probe,
-    forcing_integrand,
     phi_eps,
     picard_iterate,
+    xt_distance,
     xt_norm,
 )
 from .profile import (
@@ -276,15 +277,15 @@ def run_verify_forcing(config: ExperimentConfig) -> CampaignResult:
 
 
 def _fixed_point_checks(res, tag, params, W, config):
-    # the forcing integrand depends on W alone: build it once for every use below
+    # everything Phi takes from W alone: built once for every sweep below
     tg = TimeGrid.from_params(params)
-    integrand = forcing_integrand(W, params, tg)
-    cached = phi_eps(W, params, tg, integrand)
+    drive = build_drive(W, params, tg)
+    cached = drive.phi_eps
     g, report = picard_iterate(W, params, max_iter=config.max_iter, tol=config.tol,
-                               integrand=integrand)
+                               drive=drive)
     alt_start = ProfileTrajectory(params.grid, tg, 2.0 * cached.values)
     # direct Lipschitz probe of the nonlinear part on a perturbed pair
-    probe = contraction_probe(alt_start, g, W, params) if np.any(cached.values) else None
+    probe = contraction_probe(alt_start, g, drive) if np.any(cached.values) else None
     if report.contraction_ratios:
         max_ratio, detail = max(report.contraction_ratios), "all Picard contraction ratios <= 0.5"
     elif probe is not None:
@@ -298,13 +299,13 @@ def _fixed_point_checks(res, tag, params, W, config):
                   report.converged and report.iterates <= config.max_iter,
                   f"step below {config.tol:g} within {config.max_iter} iterations")
 
-    residual = xt_norm(apply_phi(g, W, params, cached) - g, params.alpha)
+    residual = xt_distance(apply_phi(g, drive), g, params.alpha)
     res.add_check(f"fixed_point_residual_{tag}", residual, residual <= 2e-9,
                   "||Phi(g) - g||_XT <= 2e-9")
 
     g_alt, _ = picard_iterate(W, params, max_iter=config.max_iter, tol=config.tol,
-                              g0=alt_start, integrand=integrand)
-    gap = xt_norm(g - g_alt, params.alpha)
+                              g0=alt_start, drive=drive)
+    gap = xt_distance(g, g_alt, params.alpha)
     res.add_check(f"start_independence_{tag}", gap, gap <= 1e-8,
                   "fixed points from two starts agree to 1e-8 in X_T")
 

@@ -3,8 +3,10 @@
 The correction profile g is the fixed point of
 Phi(g)(t) = i*lam * int_t^inf U(-s)(|u|^2 u - |u_app|^2 u_app) ds + Phi_eps(t),
 with u = u_app + U(.)g, solved by Picard iteration from g = 0 on a
-log-spaced time grid truncated at t_max.  The neglected tail is estimated
-from a power-law fit and reported, never silently added.
+log-spaced time grid truncated at t_max.  Everything Phi takes from W alone
+(the propagator phases, the approximate solution and Phi_eps) is tabulated
+once per construction in a Drive.  The neglected tail is estimated from a
+power-law fit and reported, never silently added.
 """
 
 from __future__ import annotations
@@ -13,21 +15,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .profile import FinalData, SolverParams, _profile
+from .profile import FinalData, SolverParams
 from .spectral import FrequencyField, SpectralGrid, _l2, _xt_weights
-from .trilinear import _pulled_back_cubic, _pulled_back_forcing
+from .trilinear import _pull_back, _pulled_back_forcing
 
 __all__ = [
     "TimeGrid",
     "ProfileTrajectory",
     "PicardReport",
+    "Drive",
     "backward_integral",
+    "build_drive",
     "forcing_integrand",
     "phi_eps",
     "apply_phi",
     "picard_iterate",
     "contraction_probe",
     "xt_norm",
+    "xt_distance",
 ]
 
 BLOWUP_LIMIT = 1e6
@@ -89,16 +94,6 @@ class ProfileTrajectory:
     def field(self, k: int) -> FrequencyField:
         return FrequencyField(self.grid, self.values[k])
 
-    def __sub__(self, other: "ProfileTrajectory") -> "ProfileTrajectory":
-        self._check_compatible(other)
-        return ProfileTrajectory(self.grid, self.time_grid, self.values - other.values)
-
-    def _check_compatible(self, other: "ProfileTrajectory") -> None:
-        if self.grid != other.grid or not np.array_equal(
-            self.time_grid.nodes, other.time_grid.nodes
-        ):
-            raise ValueError("trajectories live on different grids")
-
 
 @dataclass
 class PicardReport:
@@ -126,12 +121,22 @@ def _blocks(count: int):
     return (slice(lo, min(lo + BLOCK_ROWS, count)) for lo in range(0, count, BLOCK_ROWS))
 
 
+def _xt_max(traj: ProfileTrajectory, alpha: float, block) -> float:
+    nodes, dxi = traj.time_grid.nodes, traj.grid.dxi
+    weights = [_xt_weights(nodes[rows], block(rows), alpha, dxi)
+               for rows in _blocks(traj.time_grid.count)]
+    return float(np.max(np.concatenate(weights)))
+
+
 def xt_norm(g: ProfileTrajectory, alpha: float) -> float:
     """Max over nodes of the time-weighted norm bracket."""
-    nodes, dxi = g.time_grid.nodes, g.grid.dxi
-    weights = [_xt_weights(nodes[rows], g.values[rows], alpha, dxi)
-               for rows in _blocks(g.time_grid.count)]
-    return float(np.max(np.concatenate(weights)))
+    return _xt_max(g, alpha, lambda rows: g.values[rows])
+
+
+def xt_distance(a: ProfileTrajectory, b: ProfileTrajectory, alpha: float) -> float:
+    """||a - b||_XT, subtracting block by block: a - b is never held whole."""
+    _require_on(b, a.grid, a.time_grid, "the second trajectory")
+    return _xt_max(a, alpha, lambda rows: a.values[rows] - b.values[rows])
 
 
 def estimate_tail(integrand: ProfileTrajectory) -> float:
@@ -161,12 +166,16 @@ def estimate_tail(integrand: ProfileTrajectory) -> float:
 
 
 def _cumulative_backward(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Trapezoid integral from each node to the last, in one backward sweep."""
-    out = np.zeros_like(values)
+    """Trapezoid integral from each node to the last, in one backward sweep
+    that overwrites values row by row; returns values."""
+    upper = values[-1].copy()
+    values[-1] = 0.0
     for k in range(len(nodes) - 2, -1, -1):
         ds = nodes[k + 1] - nodes[k]
-        out[k] = out[k + 1] + 0.5 * ds * (values[k] + values[k + 1])
-    return out
+        lower = values[k].copy()
+        values[k] = values[k + 1] + 0.5 * ds * (lower + upper)
+        upper = lower
+    return values
 
 
 def backward_integral(integrand: ProfileTrajectory, k: int) -> FrequencyField:
@@ -175,13 +184,41 @@ def backward_integral(integrand: ProfileTrajectory, k: int) -> FrequencyField:
     The tail beyond t_max (estimate_tail) is reported in
     ``meta["tail_estimate"]``, never added to the value.
     """
-    acc = _cumulative_backward(integrand.values, integrand.time_grid.nodes)
+    acc = _cumulative_backward(integrand.values.copy(), integrand.time_grid.nodes)
     return FrequencyField(integrand.grid, acc[k], {"tail_estimate": estimate_tail(integrand)})
 
 
 def _require_on(traj: ProfileTrajectory, grid: SpectralGrid, tg: TimeGrid, what: str) -> None:
-    if traj.grid != grid or not np.array_equal(traj.time_grid.nodes, tg.nodes):
-        raise ValueError(f"{what} lives on a different grid")
+    if traj.grid != grid:
+        raise ValueError(f"{what} lives on another grid")
+    if not np.array_equal(traj.time_grid.nodes, tg.nodes):
+        raise ValueError(f"{what} lives on another time grid")
+
+
+@dataclass(frozen=True)
+class Drive:
+    """What the map Phi takes from the final data alone, tabulated once per
+    (W, lam, grid, time grid) by build_drive and read by every sweep."""
+
+    W: FinalData
+    params: SolverParams
+    time_grid: TimeGrid
+    prop: np.ndarray  # native-order propagator rows U(s_k), count x N
+    u_app: np.ndarray  # native-order x-space rows U(s_k) v(s_k), count x N
+    phi_eps: ProfileTrajectory
+    tail_estimate: float
+
+    def require_for(self, W: FinalData, params: SolverParams, tg: TimeGrid) -> None:
+        """Raise ValueError naming the first of grid, time grid, lam and W
+        that differs from what the drive was built for."""
+        for what, same in (
+            ("grid", params.grid == self.params.grid),
+            ("time grid", np.array_equal(tg.nodes, self.time_grid.nodes)),
+            ("lam", params.lam == self.params.lam),
+            ("W", np.array_equal(W.W.values, self.W.W.values)),
+        ):
+            if not same:
+                raise ValueError(f"the drive was built for another {what}")
 
 
 def forcing_integrand(W: FinalData, params: SolverParams, tg: TimeGrid) -> ProfileTrajectory:
@@ -189,47 +226,62 @@ def forcing_integrand(W: FinalData, params: SolverParams, tg: TimeGrid) -> Profi
     w = np.fft.ifftshift(W.W.values)
     vals = np.empty((tg.count, params.grid.num_points), complex)
     for rows in _blocks(tg.count):
-        pulled = _pulled_back_forcing(w, tg.nodes[rows], params.lam, params.grid)
+        _, _, pulled = _pulled_back_forcing(w, tg.nodes[rows], params.lam, params.grid)
         vals[rows] = np.fft.fftshift(pulled, axes=-1)
     return ProfileTrajectory(params.grid, tg, vals)
 
 
-def phi_eps(
-    W: FinalData,
-    params: SolverParams,
-    tg: TimeGrid,
-    integrand: ProfileTrajectory | None = None,
-) -> ProfileTrajectory:
-    """The g-independent forcing part: -i * int_t^inf of the pulled-back forcing.
+def _integrate_forcing(integrand: ProfileTrajectory) -> ProfileTrajectory:
+    """Phi_eps = -i * int_t^{t_max} of the integrand, overwriting it; returns it."""
+    vals = integrand.values
+    _cumulative_backward(vals, integrand.time_grid.nodes)
+    np.multiply(-1j, vals, out=vals)
+    return integrand
 
-    ``integrand`` is forcing_integrand(W, params, tg), computed when not given.
+
+def phi_eps(W: FinalData, params: SolverParams, tg: TimeGrid) -> ProfileTrajectory:
+    """The g-independent forcing part: -i * int_t^inf of the pulled-back forcing."""
+    return _integrate_forcing(forcing_integrand(W, params, tg))
+
+
+def build_drive(W: FinalData, params: SolverParams, tg: TimeGrid) -> Drive:
+    """Tabulate U(s_k), the approximate solution and Phi_eps on the time grid.
+
+    The forcing rows come from the same tables, block by block; the tail is
+    estimated from them before they are integrated, in place, into Phi_eps.
     """
-    if integrand is None:
-        integrand = forcing_integrand(W, params, tg)
-    _require_on(integrand, params.grid, tg, "forcing integrand")
-    acc = _cumulative_backward(integrand.values, tg.nodes)
-    return ProfileTrajectory(params.grid, tg, -1j * acc)
-
-
-def apply_phi(
-    g: ProfileTrajectory,
-    W: FinalData,
-    params: SolverParams,
-    phi_eps_cached: ProfileTrajectory,
-) -> ProfileTrajectory:
-    """One application of the full map Phi = Phi_nl + Phi_eps."""
-    tg, lam = g.time_grid, params.lam
     w = np.fft.ifftshift(W.W.values)
-    integrand = np.empty_like(g.values)
+    shape = (tg.count, params.grid.num_points)
+    prop, u_app, vals = (np.empty(shape, complex) for _ in range(3))
     for rows in _blocks(tg.count):
-        s = tg.nodes[rows]
+        prop[rows], u_app[rows], pulled = _pulled_back_forcing(
+            w, tg.nodes[rows], params.lam, params.grid)
+        vals[rows] = np.fft.fftshift(pulled, axes=-1)
+    integrand = ProfileTrajectory(params.grid, tg, vals)
+    tail = estimate_tail(integrand)
+    return Drive(W, params, tg, prop, u_app, _integrate_forcing(integrand), tail)
+
+
+def _phi_nl(g: ProfileTrajectory, drive: Drive) -> np.ndarray:
+    """The nonlinear part i*lam * int_t^{t_max} U(-s)(|u|^2 u - |u_app|^2 u_app) ds
+    at g, in one new trajectory-sized array."""
+    tg, grid = drive.time_grid, drive.params.grid
+    _require_on(g, grid, tg, "g")
+    out = np.empty_like(g.values)
+    for rows in _blocks(tg.count):
         corr = np.fft.ifftshift(g.values[rows], axes=-1)
-        pulled = _pulled_back_cubic(_profile(w, s, lam), s, params.grid, corr)
-        integrand[rows] = np.fft.fftshift(pulled, axes=-1)
-    acc = _cumulative_backward(integrand, tg.nodes)
-    acc *= 1j * lam
-    acc += phi_eps_cached.values
-    return ProfileTrajectory(params.grid, tg, acc)
+        pulled = _pull_back(drive.u_app[rows], drive.prop[rows], grid, corr)
+        out[rows] = np.fft.fftshift(pulled, axes=-1)
+    _cumulative_backward(out, tg.nodes)
+    out *= 1j * drive.params.lam
+    return out
+
+
+def apply_phi(g: ProfileTrajectory, drive: Drive) -> ProfileTrajectory:
+    """One application of the full map Phi = Phi_nl + Phi_eps."""
+    out = _phi_nl(g, drive)
+    out += drive.phi_eps.values
+    return ProfileTrajectory(drive.params.grid, drive.time_grid, out)
 
 
 def picard_iterate(
@@ -238,22 +290,23 @@ def picard_iterate(
     max_iter: int = 15,
     tol: float = 1e-9,
     g0: ProfileTrajectory | None = None,
-    integrand: ProfileTrajectory | None = None,
+    drive: Drive | None = None,
 ) -> tuple[ProfileTrajectory, PicardReport]:
     """Iterate g_{n+1} = Phi(g_n) from g_0 (default 0) until the step shrinks below tol.
 
-    ``integrand`` is forcing_integrand(W, params, tg) on the params' time
-    grid, computed when not given.  Returns a non-converged report (no
-    exception) when max_iter is hit; raises only on numerical blow-up.
+    ``drive`` is build_drive(W, params, tg) on the params' time grid, built
+    when not given.  Returns a non-converged report (no exception) when
+    max_iter is hit; raises only on numerical blow-up.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     tg = TimeGrid.from_params(params)
-    if integrand is None:
-        integrand = forcing_integrand(W, params, tg)
-    cached = phi_eps(W, params, tg, integrand)
+    if drive is None:
+        drive = build_drive(W, params, tg)
+    else:
+        drive.require_for(W, params, tg)
 
-    report = PicardReport(tail_estimate=estimate_tail(integrand))
+    report = PicardReport(tail_estimate=drive.tail_estimate)
 
     if g0 is None:
         g = ProfileTrajectory.zeros(params.grid, tg)
@@ -261,11 +314,11 @@ def picard_iterate(
         _require_on(g0, params.grid, tg, "starting guess")
         g = g0
     for _ in range(max_iter):
-        g_next = apply_phi(g, W, params, cached)
+        g_next = apply_phi(g, drive)
         size = xt_norm(g_next, params.alpha)
         if not np.isfinite(size) or size > BLOWUP_LIMIT:
             raise FloatingPointError(f"Picard iteration blew up: ||g||_XT = {size:.3g}")
-        dist = xt_norm(g_next - g, params.alpha)
+        dist = xt_distance(g_next, g, params.alpha)
         report.iterates += 1
         report.xt_norms.append(size)
         report.step_distances.append(dist)
@@ -278,19 +331,14 @@ def picard_iterate(
     return g, report
 
 
-def contraction_probe(
-    g1: ProfileTrajectory,
-    g2: ProfileTrajectory,
-    W: FinalData,
-    params: SolverParams,
-) -> float:
+def contraction_probe(g1: ProfileTrajectory, g2: ProfileTrajectory, drive: Drive) -> float:
     """Empirical Lipschitz ratio ||Phi(g1) - Phi(g2)|| / ||g1 - g2|| in X_T.
 
-    The forcing part cancels in the difference, so a zero cache is passed.
+    Phi_eps cancels in the difference, so only the nonlinear part is swept.
     """
     if np.array_equal(g1.values, g2.values):
         raise ValueError("contraction probe requires distinct trajectories")
-    zero = ProfileTrajectory.zeros(params.grid, g1.time_grid)
-    p1 = apply_phi(g1, W, params, zero)
-    p2 = apply_phi(g2, W, params, zero)
-    return xt_norm(p1 - p2, params.alpha) / xt_norm(g1 - g2, params.alpha)
+    grid, tg, alpha = drive.params.grid, drive.time_grid, drive.params.alpha
+    p1 = ProfileTrajectory(grid, tg, _phi_nl(g1, drive))
+    p2 = ProfileTrajectory(grid, tg, _phi_nl(g2, drive))
+    return xt_distance(p1, p2, alpha) / xt_distance(g1, g2, alpha)

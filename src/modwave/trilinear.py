@@ -1,14 +1,15 @@
 """Pulled-back cubic nonlinearity, its resonant/remainder split, and forcing.
 
 One array kernel, ``_pulled_back_cubic``, computes U(-s)[|U(s)f|^2 U(s)f] for
-the backward construction, the forcing and the forward solve.  The
-interaction-picture cubic term splits into a pointwise resonant piece
-(i/(2*pi*s))|fhat|^2 fhat plus a remainder that decays integrably in time.  The
-remainder is defined operationally by subtraction (the FFT route is exact
-on the grid); an O(N^3) oscillatory double-integral quadrature provides an
-independent oracle on coarse grids.  The forcing error of the approximate
-solution equals, up to the coupling sign, exactly that remainder evaluated
-on the explicit profile.
+the backward construction, the forcing and the forward solve; its
+pull-back half, ``_pull_back``, serves callers that tabulate U(s) and U(s)f
+once and sweep them many times.  The interaction-picture cubic term splits
+into a pointwise resonant piece (i/(2*pi*s))|fhat|^2 fhat plus a remainder
+that decays integrably in time.  The remainder is defined operationally by
+subtraction (the FFT route is exact on the grid); an O(N^3) oscillatory
+double-integral quadrature provides an independent oracle on coarse grids.
+The forcing error of the approximate solution equals, up to the coupling
+sign, exactly that remainder evaluated on the explicit profile.
 """
 
 from __future__ import annotations
@@ -65,7 +66,15 @@ def _pulled_back_cubic(
     cancellation-free expansion of _cubic_difference.
     """
     prop = _propagator(grid.native_frequencies, s)
-    u = _ifft(a * prop, grid.dx)
+    return _pull_back(_ifft(a * prop, grid.dx), prop, grid, b)
+
+
+def _pull_back(
+    u: np.ndarray, prop: np.ndarray, grid: SpectralGrid, b: np.ndarray | None = None
+) -> np.ndarray:
+    """The pull-back half of _pulled_back_cubic: U(-s)[|u|^2 u] from x-space
+    rows u = U(s)a and their propagator rows prop = e^{-i s xi^2/2}; with b,
+    U(-s)[|u+B|^2 (u+B) - |u|^2 u] with B = U(s)b."""
     cube = np.abs(u) ** 2 * u if b is None else _cubic_difference(u, _ifft(b * prop, grid.dx))
     return np.conj(prop) * _fft(cube, grid.dx)
 
@@ -167,12 +176,16 @@ def remainder_oracle(fhat: FrequencyField, s: float) -> FrequencyField:
     return FrequencyField(fhat.grid, ORACLE_CONSTANT * _oracle_raw(fhat, s))
 
 
-def _pulled_back_forcing(w: np.ndarray, t, lam: int, grid: SpectralGrid) -> np.ndarray:
-    """Kernel of pulled_back_forcing on native-order W: native-order frequency
-    rows, one per entry of a vector t.  The drive term i*dv/dt needs no
-    transform, since U(-t) undoes the free flow it is carried by."""
+def _pulled_back_forcing(w: np.ndarray, t, lam: int, grid: SpectralGrid):
+    """Kernel of pulled_back_forcing on native-order W, for a scalar t or one
+    row per entry of a vector t: the propagator rows U(t), the x-space rows
+    U(t)v of the approximate solution, and the native-order forcing rows
+    they give.  The drive term i*dv/dt needs no transform, since U(-t)
+    undoes the free flow it is carried by."""
     v = _profile(w, t, lam)
-    return 1j * _profile_rate(v, t, lam) - lam * _pulled_back_cubic(v, t, grid)
+    prop = _propagator(grid.native_frequencies, t)
+    u_app = _ifft(v * prop, grid.dx)
+    return prop, u_app, 1j * _profile_rate(v, t, lam) - lam * _pull_back(u_app, prop, grid)
 
 
 def pulled_back_forcing(W: FinalData, t: float, params: SolverParams) -> FrequencyField:
@@ -184,7 +197,7 @@ def pulled_back_forcing(W: FinalData, t: float, params: SolverParams) -> Frequen
     if t <= 0:
         raise ValueError(f"forcing time must be positive, got {t}")
     w = np.fft.ifftshift(W.W.values)
-    pulled = _pulled_back_forcing(w, t, params.lam, params.grid)
+    _, _, pulled = _pulled_back_forcing(w, t, params.lam, params.grid)
     return FrequencyField(params.grid, np.fft.fftshift(pulled))
 
 

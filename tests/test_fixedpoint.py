@@ -12,14 +12,24 @@ from modwave import (
     TimeGrid,
     apply_phi,
     backward_integral,
+    build_drive,
     contraction_probe,
     make_final_data,
     phi_eps,
     picard_iterate,
+    xt_distance,
     xt_norm,
 )
 from modwave import asymptotic_profile, cubic_difference, profile_time_derivative
-from modwave.fixedpoint import BLOCK_ROWS, _cumulative_backward, estimate_tail, forcing_integrand
+from modwave.fixedpoint import (
+    BLOCK_ROWS,
+    _blocks,
+    _cumulative_backward,
+    estimate_tail,
+    forcing_integrand,
+)
+from modwave.profile import _profile, _profile_rate
+from modwave.trilinear import _pulled_back_cubic
 from modwave.spectral import (
     PhysicalField,
     forward_transform,
@@ -146,14 +156,25 @@ def test_picard_converges_and_reports():
     assert all(r < 1.0 for r in report.contraction_ratios)
     # on this small box the late-time integrand stops decaying (the free
     # wave wraps around), so the honest tail report is unbounded
-    assert report.tail_estimate >= 0.0
+    assert report.tail_estimate == float("inf")
+
+
+def test_picard_reports_finite_tail_of_the_forcing():
+    # a box wide enough to hold the wave up to t_max: the forcing integrand
+    # decays integrably, and the drive's tail is the public route's, exactly
+    params = SolverParams(grid=SpectralGrid(256, 800.0), time_grid_points=65)
+    fd = make_final_data("gaussian", params, bandwidth=0.05)
+    _, report = picard_iterate(fd, params)
+    assert 0.0 < report.tail_estimate < float("inf")
+    tg = TimeGrid.from_params(params)
+    assert report.tail_estimate == estimate_tail(forcing_integrand(fd, params, tg))
 
 
 def test_picard_fixed_point_residual():
     fd = make_final_data("gaussian", PARAMS, bandwidth=0.4)
     g, report = picard_iterate(fd, PARAMS, tol=1e-10)
-    cached = phi_eps(fd, PARAMS, g.time_grid)
-    resid = xt_norm(apply_phi(g, fd, PARAMS, cached) - g, PARAMS.alpha)
+    drive = build_drive(fd, PARAMS, g.time_grid)
+    resid = xt_distance(apply_phi(g, drive), g, PARAMS.alpha)
     assert resid <= 1e-9
 
 
@@ -186,7 +207,7 @@ def test_picard_start_independence():
     warm = phi_eps(fd, PARAMS, tg)
     g0 = ProfileTrajectory(GRID, tg, 2.0 * warm.values)
     g_b, _ = picard_iterate(fd, PARAMS, tol=1e-12, g0=g0)
-    assert xt_norm(g_a - g_b, PARAMS.alpha) <= 1e-8
+    assert xt_distance(g_a, g_b, PARAMS.alpha) <= 1e-8
 
 
 def test_phi_eps_shrinks_with_later_start():
@@ -209,7 +230,7 @@ def test_contraction_probe_small():
     warm = phi_eps(fd, PARAMS, tg)
     g1 = ProfileTrajectory(GRID, tg, warm.values)
     g2 = ProfileTrajectory(GRID, tg, 0.5 * warm.values)
-    ratio = contraction_probe(g1, g2, fd, PARAMS)
+    ratio = contraction_probe(g1, g2, build_drive(fd, PARAMS, tg))
     assert 0.0 < ratio <= 0.5
 
 
@@ -218,7 +239,7 @@ def test_contraction_probe_rejects_equal():
     tg = TimeGrid.from_params(PARAMS)
     g = ProfileTrajectory.zeros(GRID, tg)
     with pytest.raises(ValueError, match="distinct"):
-        contraction_probe(g, g, fd, PARAMS)
+        contraction_probe(g, g, build_drive(fd, PARAMS, tg))
 
 
 def test_report_to_dict_round_trips():
@@ -249,7 +270,7 @@ def _forcing_integrand_per_node(W, params, tg):
     return vals
 
 
-def _apply_phi_per_node(g, W, params, phi_eps_cached):
+def _apply_phi_per_node(g, W, params, phi_eps_traj):
     integrand = np.empty_like(g.values)
     for k, s in enumerate(g.time_grid.nodes):
         v = asymptotic_profile(W, s, params.lam)
@@ -258,7 +279,7 @@ def _apply_phi_per_node(g, W, params, phi_eps_cached):
         n_diff = cubic_difference(u_app, w)
         integrand[k] = free_propagate(forward_transform(n_diff), -s).values
     acc = _cumulative_backward(integrand, g.time_grid.nodes)
-    return 1j * params.lam * acc + phi_eps_cached.values
+    return 1j * params.lam * acc + phi_eps_traj.values
 
 
 def _xt_norm_per_node(g, alpha):
@@ -288,16 +309,133 @@ def test_blocked_routes_match_per_node(lam):
 
     integrand = forcing_integrand(W, params, tg)
     assert _rel_err(integrand.values, _forcing_integrand_per_node(W, params, tg)) <= BLOCKED_RTOL
-    cached = phi_eps(W, params, tg, integrand)
-    ref = _apply_phi_per_node(g, W, params, cached)
-    assert _rel_err(apply_phi(g, W, params, cached).values, ref) <= BLOCKED_RTOL
+    drive = build_drive(W, params, tg)
+    ref = _apply_phi_per_node(g, W, params, drive.phi_eps)
+    assert _rel_err(apply_phi(g, drive).values, ref) <= BLOCKED_RTOL
     ref_norm = _xt_norm_per_node(g, params.alpha)
     assert abs(xt_norm(g, params.alpha) - ref_norm) <= BLOCKED_RTOL * ref_norm
 
 
-def test_phi_eps_rejects_integrand_on_other_grid():
-    fd = make_final_data("gaussian", PARAMS, bandwidth=0.4)
-    tg = TimeGrid.from_params(PARAMS)
+# ---- the drive's tables against recomputing U(s) and the profile in every sweep
+
+def _cumulative_backward_out_of_place(values, nodes):
+    out = np.zeros_like(values)
+    for k in range(len(nodes) - 2, -1, -1):
+        ds = nodes[k + 1] - nodes[k]
+        out[k] = out[k + 1] + 0.5 * ds * (values[k] + values[k + 1])
+    return out
+
+
+def _phi_eps_recomputed(W, params, tg):
+    w = np.fft.ifftshift(W.W.values)
+    vals = np.empty((tg.count, params.grid.num_points), complex)
+    for rows in _blocks(tg.count):
+        s = tg.nodes[rows]
+        v = _profile(w, s, params.lam)
+        pulled = 1j * _profile_rate(v, s, params.lam) - params.lam * _pulled_back_cubic(
+            v, s, params.grid)
+        vals[rows] = np.fft.fftshift(pulled, axes=-1)
+    return -1j * _cumulative_backward_out_of_place(vals, tg.nodes)
+
+
+def _apply_phi_recomputed(g, W, params, phi_eps_values):
+    tg, lam = g.time_grid, params.lam
+    w = np.fft.ifftshift(W.W.values)
+    integrand = np.empty_like(g.values)
+    for rows in _blocks(tg.count):
+        s = tg.nodes[rows]
+        corr = np.fft.ifftshift(g.values[rows], axes=-1)
+        pulled = _pulled_back_cubic(_profile(w, s, lam), s, params.grid, corr)
+        integrand[rows] = np.fft.fftshift(pulled, axes=-1)
+    acc = _cumulative_backward_out_of_place(integrand, tg.nodes)
+    acc *= 1j * lam
+    acc += phi_eps_values
+    return acc
+
+
+@pytest.mark.parametrize("lam", [1, -1])
+def test_drive_sweeps_are_bit_identical_to_recomputing(lam):
+    nodes = 2 * BLOCK_ROWS + 5  # a partial last block
+    grid = SpectralGrid(64, 40.0)
+    params = SolverParams(lam=lam, grid=grid, time_grid_points=nodes)
+    W = make_final_data("random_bandlimited", params, seed=3, bandwidth=0.5)
+    tg = TimeGrid.from_params(params)
+    rng = np.random.default_rng(5)
+    shape = (nodes, grid.num_points)
+    g1, g2 = (ProfileTrajectory(grid, tg, 1e-3 * (rng.standard_normal(shape)
+                                                  + 1j * rng.standard_normal(shape)))
+              for _ in range(2))
+
+    drive = build_drive(W, params, tg)
+    ref_phi_eps = _phi_eps_recomputed(W, params, tg)
+    assert np.array_equal(drive.phi_eps.values, ref_phi_eps)
+    assert np.array_equal(phi_eps(W, params, tg).values, ref_phi_eps)
+    assert np.array_equal(apply_phi(g1, drive).values,
+                          _apply_phi_recomputed(g1, W, params, ref_phi_eps))
+
+    zero = np.zeros(shape, complex)
+    p1 = ProfileTrajectory(grid, tg, _apply_phi_recomputed(g1, W, params, zero))
+    p2 = ProfileTrajectory(grid, tg, _apply_phi_recomputed(g2, W, params, zero))
+    ref_probe = (xt_norm(ProfileTrajectory(grid, tg, p1.values - p2.values), params.alpha)
+                 / xt_norm(ProfileTrajectory(grid, tg, g1.values - g2.values), params.alpha))
+    assert contraction_probe(g1, g2, drive) == ref_probe
+
+
+def test_xt_distance_is_xt_norm_of_the_difference():
+    tg = TimeGrid(np.geomspace(10.0, 1000.0, 2 * BLOCK_ROWS + 5))
+    rng = np.random.default_rng(11)
+    shape = (tg.count, GRID.num_points)
+    a, b = (ProfileTrajectory(GRID, tg, rng.standard_normal(shape)
+                              + 1j * rng.standard_normal(shape)) for _ in range(2))
+    diff = ProfileTrajectory(GRID, tg, a.values - b.values)
+    assert xt_distance(a, b, PARAMS.alpha) == xt_norm(diff, PARAMS.alpha)
     other = ProfileTrajectory.zeros(GRID, TimeGrid(np.geomspace(10.0, 1000.0, 33)))
-    with pytest.raises(ValueError, match="different grid"):
-        phi_eps(fd, PARAMS, tg, other)
+    with pytest.raises(ValueError, match="another time grid"):
+        xt_distance(a, other, PARAMS.alpha)
+
+
+def test_cumulative_backward_overwrites_its_input():
+    tg = TimeGrid(np.geomspace(10.0, 1000.0, 2 * BLOCK_ROWS + 5))
+    traj = synthetic_power_law(-1.1, tg)
+    ref = _cumulative_backward_out_of_place(traj.values, tg.nodes)
+    vals = traj.values.copy()
+    assert _cumulative_backward(vals, tg.nodes) is vals
+    assert np.array_equal(vals, ref)
+
+
+# ---- a drive is used only for what it was built for
+
+OTHER_TG_PARAMS = SolverParams(grid=GRID, time_grid_points=33)
+OTHER_GRID_PARAMS = SolverParams(grid=SpectralGrid(128, 100.0), time_grid_points=65)
+
+
+@pytest.mark.parametrize("mismatch, other", [
+    ("W", PARAMS),
+    ("lam", SolverParams(lam=-1, grid=GRID, time_grid_points=65)),
+    ("grid", OTHER_GRID_PARAMS),
+    ("time grid", OTHER_TG_PARAMS),
+], ids=["W", "lam", "grid", "time-grid"])
+def test_drive_rejects_what_it_was_not_built_for(mismatch, other):
+    fd = make_final_data("gaussian", PARAMS, bandwidth=0.4)
+    other_fd = make_final_data("gaussian", other, bandwidth=0.3 if mismatch == "W" else 0.4)
+    drive = build_drive(other_fd, other, TimeGrid.from_params(other))
+    with pytest.raises(ValueError, match=f"built for another {mismatch}$"):
+        picard_iterate(fd, PARAMS, drive=drive)
+
+
+@pytest.mark.parametrize("other, where", [
+    (OTHER_GRID_PARAMS, "grid"),
+    (OTHER_TG_PARAMS, "time grid"),
+], ids=["grid", "time-grid"])
+def test_drive_rejects_trajectories_living_elsewhere(other, where):
+    fd = make_final_data("gaussian", PARAMS, bandwidth=0.4)
+    drive = build_drive(fd, PARAMS, TimeGrid.from_params(PARAMS))
+    other_tg = TimeGrid.from_params(other)
+    g1 = ProfileTrajectory(other.grid, other_tg, np.ones((other_tg.count, other.grid.num_points)))
+    g2 = ProfileTrajectory.zeros(other.grid, other_tg)
+    with pytest.raises(ValueError, match=f"^g lives on another {where}$"):
+        apply_phi(g1, drive)
+    with pytest.raises(ValueError, match=f"on another {where}$"):
+        contraction_probe(g1, g2, drive)
+    with pytest.raises(ValueError, match=f"^starting guess lives on another {where}$"):
+        picard_iterate(fd, PARAMS, g0=g1, drive=drive)
