@@ -25,7 +25,6 @@ from .fixedpoint import (
     ProfileTrajectory,
     TimeGrid,
     apply_phi,
-    backward_integral,
     build_drive,
     contraction_probe,
     phi_eps,
@@ -41,8 +40,6 @@ from .profile import (
     asymptotic_profile,
     make_final_data,
     profile_time_derivative,
-    read_final_data_csv,
-    write_final_data_csv,
 )
 from .spectral import (
     FrequencyField,

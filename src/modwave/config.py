@@ -1,15 +1,17 @@
 """Plain key = value experiment configuration with strict validation.
 
 Unknown keys are hard errors, every diagnostic carries its line number,
-and constraint violations state the violated mathematical constraint.
+and constraint violations name the key and state the violated constraint:
+every sweep cell and the final-data band are checked here, by the code that
+would refuse them at run time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .profile import FINAL_DATA_KINDS, SolverParams
+from .profile import FINAL_DATA_KINDS, SolverParams, _check_band
 from .spectral import SpectralGrid
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "load_config"]
@@ -80,6 +82,21 @@ class ExperimentConfig:
             raise ConfigError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.tol <= 0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
+        try:
+            _check_band(self.data_kind, self.bandwidth, self.params.grid)
+        except ValueError as exc:
+            raise ConfigError(f"bandwidth = {self.bandwidth}: {exc}") from None
+        self.sweep_params()
+
+    def sweep_params(self) -> list[SolverParams]:
+        """The SolverParams of every sweep cell, nested eps0, T, lam, with
+        t_max raised to 10 T where a cell needs it."""
+        base = self.params
+        try:
+            return [replace(base, eps0=eps0, T=T, lam=lam, t_max=max(base.t_max, 10.0 * T))
+                    for eps0 in self.eps0_values for T in self.T_values for lam in (1, -1)]
+        except ValueError as exc:
+            raise ConfigError(f"a sweep cell of eps0_values x T_values: {exc}") from None
 
 
 def _parse_scalar(key: str, raw: str, line_no: int):

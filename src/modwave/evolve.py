@@ -86,7 +86,7 @@ def _kick(values: np.ndarray, dt: float, lam: int) -> np.ndarray:
 
 
 def _strang(vals: np.ndarray, dt: float, n: int, xi: np.ndarray, lam: int) -> np.ndarray:
-    """n fused Strang steps on a native-order state (xi in native order too):
+    """n fused Strang steps on a state whose nodes have frequencies xi:
     half kick, (n-1) x (drift + full kick), drift, half kick."""
     drift = _propagator(xi, dt)
     vals = _kick(vals, 0.5 * dt, lam)
@@ -121,13 +121,13 @@ def evolve(
     if np.any(np.diff(sample_times) <= 0) or sample_times[0] < t0:
         raise ValueError("sample times must be increasing and start at or after t0")
     grid = u0.grid
-    lam, dx, xi = params.lam, grid.dx, grid.native_frequencies
+    lam, dx, xi = params.lam, grid.dx, grid.frequencies
 
     def rhs(f, t):
         return -1j * lam * _pulled_back_cubic(f, t, grid)
 
     mass0 = _mass(u0.values, dx)
-    f = np.conj(_propagator(xi, t0)) * _fft(np.fft.ifftshift(u0.values), dx)
+    f = np.conj(_propagator(xi, t0)) * _fft(u0.values, dx)
     states = []
     t, h, steps = t0, np.inf, 0
     for target in sample_times:
@@ -148,7 +148,7 @@ def evolve(
                 t = target if last else t + step
                 steps += 1
             h = step * (4.0 if err == 0.0 else min(4.0, max(0.2, 0.9 * (RK_TOL / err) ** 0.2)))
-        vals = np.fft.fftshift(_ifft(_propagator(xi, t) * f, dx))
+        vals = _ifft(_propagator(xi, t) * f, dx)
         mass = _mass(vals, dx)
         if not np.isfinite(mass):
             raise FloatingPointError(f"evolution produced non-finite values at t = {t}")
@@ -178,30 +178,38 @@ def scattering_deviation(state: EvolutionState, W: FinalData, params: SolverPara
     return norms(FrequencyField(fhat.grid, fhat.values - v.values))
 
 
-def asymptotic_error(state: EvolutionState, W: FinalData, params: SolverParams) -> float:
-    """Sup-norm distance to the explicit self-similar leading term, on the rays x = t*xi_k.
+def _on_rays(fhat: FrequencyField, t: float) -> np.ndarray:
+    """G = F[M_t F^{-1} fhat] with the chirp M_t(y) = e^{i y^2/(2t)}.
 
-    The free flow factors as U(t) = M_t D_t F M_t with the chirp
-    M_t(y) = e^{i y^2/(2t)}, so u(t, t*xi) = (2*pi*i*t)^{-1/2} e^{i t xi^2/2} G(xi)
-    with G = F[M_t U(-t)u]: the leading term replaces G by the profile v(t).
+    The free flow factors as U(t) = M_t D_t F M_t, so the free wave of the
+    profile fhat is u(t, t*xi) = (2*pi*i*t)^{-1/2} e^{i t xi^2/2} G(xi) on the
+    rays x = t*xi_k, however far they reach beyond the box.  Raises
+    ValueError where the chirp is unresolved but the profile carries mass.
     """
-    t = state.t
-    if t < params.T:
-        raise ValueError(f"expansion defined for t >= T = {params.T}, got t = {t}")
-    grid = state.u.grid
+    grid = fhat.grid
     y = grid.x
-    f = inverse_transform(extract_profile(state)).values
+    f = inverse_transform(fhat).values
     # the chirp's local frequency |y|/t must stay inside the xi-grid
     unresolved = np.abs(y) > t * grid.xi_max
-    mass_outside = grid.dx * np.sum(np.abs(f[unresolved]) ** 2)
-    if state.mass > 0 and mass_outside / state.mass > 1e-10:
+    mass = np.sum(np.abs(f) ** 2)
+    if mass > 0 and np.sum(np.abs(f[unresolved]) ** 2) / mass > 1e-10:
         raise ValueError(
             f"the chirp e^(i y^2/2t) is unresolved where the profile carries mass at t = {t}; "
             "box too small for this horizon"
         )
-    G = forward_transform(PhysicalField(grid, np.exp(0.5j * y * y / t) * f))
+    return forward_transform(PhysicalField(grid, np.exp(0.5j * y * y / t) * f)).values
+
+
+def asymptotic_error(state: EvolutionState, W: FinalData, params: SolverParams) -> float:
+    """Sup-norm distance to the explicit self-similar leading term, on the rays x = t*xi_k:
+    the leading term replaces G = F[M_t U(-t)u] (see _on_rays) by the profile v(t).
+    """
+    t = state.t
+    if t < params.T:
+        raise ValueError(f"expansion defined for t >= T = {params.T}, got t = {t}")
+    G = _on_rays(extract_profile(state), t)
     v = asymptotic_profile(W, t, params.lam)
-    return float(np.max(np.abs(G.values - v.values))) / np.sqrt(2.0 * np.pi * t)
+    return float(np.max(np.abs(G - v.values))) / np.sqrt(2.0 * np.pi * t)
 
 
 def dispersive_ratio(hhat: FrequencyField, t: float) -> float:

@@ -24,7 +24,6 @@ __all__ = [
     "ProfileTrajectory",
     "PicardReport",
     "Drive",
-    "backward_integral",
     "build_drive",
     "forcing_integrand",
     "phi_eps",
@@ -178,16 +177,6 @@ def _cumulative_backward(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return values
 
 
-def backward_integral(integrand: ProfileTrajectory, k: int) -> FrequencyField:
-    """int_{t_k}^{t_max} integrand(s) ds by trapezoid quadrature.
-
-    The tail beyond t_max (estimate_tail) is reported in
-    ``meta["tail_estimate"]``, never added to the value.
-    """
-    acc = _cumulative_backward(integrand.values.copy(), integrand.time_grid.nodes)
-    return FrequencyField(integrand.grid, acc[k], {"tail_estimate": estimate_tail(integrand)})
-
-
 def _require_on(traj: ProfileTrajectory, grid: SpectralGrid, tg: TimeGrid, what: str) -> None:
     if traj.grid != grid:
         raise ValueError(f"{what} lives on another grid")
@@ -203,8 +192,8 @@ class Drive:
     W: FinalData
     params: SolverParams
     time_grid: TimeGrid
-    prop: np.ndarray  # native-order propagator rows U(s_k), count x N
-    u_app: np.ndarray  # native-order x-space rows U(s_k) v(s_k), count x N
+    prop: np.ndarray  # propagator rows U(s_k), count x N
+    u_app: np.ndarray  # x-space rows U(s_k) v(s_k), count x N
     phi_eps: ProfileTrajectory
     tail_estimate: float
 
@@ -223,11 +212,10 @@ class Drive:
 
 def forcing_integrand(W: FinalData, params: SolverParams, tg: TimeGrid) -> ProfileTrajectory:
     """The pulled-back forcing at every node: the integrand of Phi_eps."""
-    w = np.fft.ifftshift(W.W.values)
     vals = np.empty((tg.count, params.grid.num_points), complex)
     for rows in _blocks(tg.count):
-        _, _, pulled = _pulled_back_forcing(w, tg.nodes[rows], params.lam, params.grid)
-        vals[rows] = np.fft.fftshift(pulled, axes=-1)
+        _, _, vals[rows] = _pulled_back_forcing(W.W.values, tg.nodes[rows], params.lam,
+                                                params.grid)
     return ProfileTrajectory(params.grid, tg, vals)
 
 
@@ -250,13 +238,11 @@ def build_drive(W: FinalData, params: SolverParams, tg: TimeGrid) -> Drive:
     The forcing rows come from the same tables, block by block; the tail is
     estimated from them before they are integrated, in place, into Phi_eps.
     """
-    w = np.fft.ifftshift(W.W.values)
     shape = (tg.count, params.grid.num_points)
     prop, u_app, vals = (np.empty(shape, complex) for _ in range(3))
     for rows in _blocks(tg.count):
-        prop[rows], u_app[rows], pulled = _pulled_back_forcing(
-            w, tg.nodes[rows], params.lam, params.grid)
-        vals[rows] = np.fft.fftshift(pulled, axes=-1)
+        prop[rows], u_app[rows], vals[rows] = _pulled_back_forcing(
+            W.W.values, tg.nodes[rows], params.lam, params.grid)
     integrand = ProfileTrajectory(params.grid, tg, vals)
     tail = estimate_tail(integrand)
     return Drive(W, params, tg, prop, u_app, _integrate_forcing(integrand), tail)
@@ -269,9 +255,7 @@ def _phi_nl(g: ProfileTrajectory, drive: Drive) -> np.ndarray:
     _require_on(g, grid, tg, "g")
     out = np.empty_like(g.values)
     for rows in _blocks(tg.count):
-        corr = np.fft.ifftshift(g.values[rows], axes=-1)
-        pulled = _pull_back(drive.u_app[rows], drive.prop[rows], grid, corr)
-        out[rows] = np.fft.fftshift(pulled, axes=-1)
+        out[rows] = _pull_back(drive.u_app[rows], drive.prop[rows], grid, g.values[rows])
     _cumulative_backward(out, tg.nodes)
     out *= 1j * drive.params.lam
     return out

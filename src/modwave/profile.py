@@ -8,9 +8,7 @@ and rescaled so that ||W||_inf + ||W||_H2 matches the requested size.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -30,8 +28,6 @@ __all__ = [
     "asymptotic_profile",
     "profile_time_derivative",
     "approximate_solution",
-    "write_final_data_csv",
-    "read_final_data_csv",
 ]
 
 FINAL_DATA_KINDS = ("gaussian", "bump", "random_bandlimited")
@@ -103,6 +99,18 @@ def _unit_shape(kind: str, xi: np.ndarray, bandwidth: float, seed: int) -> np.nd
     raise ValueError(f"unknown final-data kind {kind!r}")
 
 
+def _check_band(kind: str, bandwidth: float, grid: SpectralGrid) -> None:
+    """Raise ValueError unless the bandwidth is positive and the data band
+    fits inside 80% of the grid's frequency range."""
+    if not bandwidth > 0:
+        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+    if _band_radius(kind, bandwidth) > 0.8 * grid.xi_max:
+        raise ValueError(
+            f"final-data band (radius ~{_band_radius(kind, bandwidth):.3g}) does not fit "
+            f"inside 80% of the xi-grid (xi_max={grid.xi_max:.3g})"
+        )
+
+
 def _size_measure(W: FrequencyField) -> float:
     b = norms(W)
     return b.linf + b.h2
@@ -120,11 +128,7 @@ def make_final_data(
     if kind not in FINAL_DATA_KINDS:
         raise ValueError(f"unknown final-data kind {kind!r}, expected one of {FINAL_DATA_KINDS}")
     grid = params.grid
-    if _band_radius(kind, bandwidth) > 0.8 * grid.xi_max:
-        raise ValueError(
-            f"final-data band (radius ~{_band_radius(kind, bandwidth):.3g}) does not fit "
-            f"inside 80% of the xi-grid (xi_max={grid.xi_max:.3g})"
-        )
+    _check_band(kind, bandwidth, grid)
     if params.eps0 == 0.0:
         W = FrequencyField(grid, np.zeros(grid.num_points, dtype=np.complex128))
         return FinalData(W=W, eps0_actual=0.0)
@@ -171,27 +175,3 @@ def approximate_solution(W: FinalData, t: float, params: SolverParams) -> Physic
     v = asymptotic_profile(W, t, params.lam)
     return inverse_transform(free_propagate(v, t))
 
-
-def write_final_data_csv(fd: FinalData, path) -> None:
-    """Serialize (xi, Re W, Im W) rows for reproducibility."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["xi", "re_w", "im_w"])
-        for xi, w in zip(fd.W.grid.frequencies, fd.W.values):
-            writer.writerow([repr(float(xi)), repr(float(w.real)), repr(float(w.imag))])
-
-
-def read_final_data_csv(path, grid: SpectralGrid) -> FinalData:
-    """Load final data previously written by write_final_data_csv."""
-    path = Path(path)
-    rows = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header
-        rows = [(float(r[0]), float(r[1]), float(r[2])) for r in reader]
-    if len(rows) != grid.num_points:
-        raise ValueError(f"csv has {len(rows)} rows, grid expects {grid.num_points}")
-    vals = np.array([re + 1j * im for _, re, im in rows])
-    W = FrequencyField(grid, vals)
-    return FinalData(W=W, eps0_actual=_size_measure(W))

@@ -1,8 +1,11 @@
 """Spectral core: periodic-box grids, transforms, propagator, norms.
 
 The spatial box [-L/2, L/2) with N points (N a power of two) is paired
-with the frequency grid xi_k = (k - N/2) * 2*pi/L stored in monotone
-order.  Transforms carry the continuum normalization
+with the frequency grid xi_k = k * 2*pi/L, -N/2 <= k < N/2.  Every array in
+modwave - the grid nodes, field values, trajectory rows and tabulated
+phases - is stored in native FFT order: x = 0 and xi = 0 first, the
+nonnegative nodes ascending, then the negative ones ascending.  Only this
+module knows that layout.  Transforms carry the continuum normalization
 
     Fhat(xi) = int e^{-i x xi} F(x) dx,
     F(x)     = (2*pi)^{-1} int e^{i x xi} Fhat(xi) dxi,
@@ -11,15 +14,17 @@ so that on the grid Plancherel reads
 ``||F||_{L2_x} = (2*pi)^{-1/2} ||Fhat||_{L2_xi}`` exactly.
 
 Each operation has one array kernel (underscored) acting along the last
-axis, so a block of time nodes is processed like one field: the transform
-pair in native FFT order (x = 0, xi = 0 first), the xi stencil and norms in
-monotone order, the pointwise propagator phase in either.  The public field
-functions validate and wrap these kernels.
+axis, so a block of time nodes is processed like one field.  The xi
+stencil, the one kernel that needs neighbours in increasing xi, reads them
+in place: across xi = 0 the row wraps, and the two ends of the xi range sit
+in the middle of the row.  The public field functions validate and wrap
+these kernels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -45,7 +50,7 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Periodic spatial grid with its matched monotone frequency grid."""
+    """Periodic spatial grid with its matched frequency grid, both in FFT order."""
 
     num_points: int
     box_length: float
@@ -66,18 +71,13 @@ class SpectralGrid:
 
     @property
     def x(self) -> np.ndarray:
-        """Spatial nodes, spanning [-box_length/2, box_length/2)."""
-        return (np.arange(self.num_points) - self.num_points // 2) * self.dx
+        """Spatial nodes spanning [-box_length/2, box_length/2), in FFT order."""
+        return np.fft.ifftshift((np.arange(self.num_points) - self.num_points // 2) * self.dx)
 
     @property
     def frequencies(self) -> np.ndarray:
-        """Frequency nodes in strictly increasing order, symmetric about 0."""
-        return (np.arange(self.num_points) - self.num_points // 2) * self.dxi
-
-    @property
-    def native_frequencies(self) -> np.ndarray:
-        """The frequency nodes in native FFT order: xi = 0 first."""
-        return np.fft.ifftshift(self.frequencies)
+        """Frequency nodes, symmetric about 0, in FFT order."""
+        return np.fft.ifftshift((np.arange(self.num_points) - self.num_points // 2) * self.dxi)
 
     @property
     def xi_max(self) -> float:
@@ -108,11 +108,10 @@ class PhysicalField:
 
 @dataclass(frozen=True)
 class FrequencyField:
-    """Complex samples of a function of xi, in monotone xi order."""
+    """Complex samples of a function of xi on a SpectralGrid."""
 
     grid: SpectralGrid
     values: np.ndarray
-    meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", _validate_values(self.grid, self.values))
@@ -132,7 +131,7 @@ class NormBundle:
 
 
 def _fft(values: np.ndarray, dx: float) -> np.ndarray:
-    """x -> xi with the continuum normalization, native order, last axis."""
+    """x -> xi with the continuum normalization, along the last axis."""
     return np.fft.fft(values) * dx
 
 
@@ -151,17 +150,25 @@ _FD4_NEXT = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
 
 
 def _fd4(vals: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order first derivative along the last (monotone) axis:
-    centered inside, one-sided at the ends."""
+    """Fourth-order first derivative along the last axis: centered, also
+    across xi = 0 where the row wraps, and one-sided at the ends of the xi
+    range, -xi_max and xi_max - dxi, which sit in the middle of the row."""
+    mid, at = vals.shape[-1] // 2, partial(np.take, vals, axis=-1, mode="wrap")
     d = np.empty_like(vals)
     d[..., 2:-2] = (
         -vals[..., 4:] + 8.0 * vals[..., 3:-1] - 8.0 * vals[..., 1:-3] + vals[..., :-4]
     ) / (12.0 * h)
-    head, tail = vals[..., :5], vals[..., -1:-6:-1]
-    d[..., 0] = (head @ _FD4_EDGE) / h
-    d[..., 1] = (head @ _FD4_NEXT) / h
-    d[..., -1] = -(tail @ _FD4_EDGE) / h
-    d[..., -2] = -(tail @ _FD4_NEXT) / h
+    wrap = np.array([-2, -1, 0, 1])  # the columns whose neighbours wrap
+    d[..., wrap] = (
+        -at(wrap + 2) + 8.0 * at(wrap + 1) - 8.0 * at(wrap - 1) + at(wrap - 2)
+    ) / (12.0 * h)
+    # the tail through a reversed view, so that the matmul rounds exactly as
+    # on a row stored in increasing xi order
+    head, tail = at(mid + np.arange(5)), at(mid - 5 + np.arange(5))[..., ::-1]
+    d[..., mid] = (head @ _FD4_EDGE) / h
+    d[..., mid + 1] = (head @ _FD4_NEXT) / h
+    d[..., mid - 1] = -(tail @ _FD4_EDGE) / h
+    d[..., mid - 2] = -(tail @ _FD4_NEXT) / h
     return d
 
 
@@ -182,15 +189,14 @@ def _xt_weights(t, vals: np.ndarray, alpha: float, dxi: float) -> np.ndarray:
 def forward_transform(f: PhysicalField) -> FrequencyField:
     """Continuum-normalized transform of the periodic extension of f.
 
-    The integer fftshift rotations place x = 0 and xi = 0 correctly, so
-    the box-offset phase is handled exactly.
+    x = 0 and xi = 0 sit at index 0, so there is no box-offset phase.
     """
-    return FrequencyField(f.grid, np.fft.fftshift(_fft(np.fft.ifftshift(f.values), f.grid.dx)))
+    return FrequencyField(f.grid, _fft(f.values, f.grid.dx))
 
 
 def inverse_transform(F: FrequencyField) -> PhysicalField:
     """Inverse of forward_transform; round trip is exact to machine precision."""
-    return PhysicalField(F.grid, np.fft.fftshift(_ifft(np.fft.ifftshift(F.values), F.grid.dx)))
+    return PhysicalField(F.grid, _ifft(F.values, F.grid.dx))
 
 
 def free_propagate(F: FrequencyField, t: float) -> FrequencyField:

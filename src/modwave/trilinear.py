@@ -60,12 +60,12 @@ class TrilinearSplit:
 def _pulled_back_cubic(
     a: np.ndarray, s, grid: SpectralGrid, b: np.ndarray | None = None
 ) -> np.ndarray:
-    """U(-s)[|A|^2 A] with A = U(s)a, on native-order frequency rows, for a
-    scalar s or one row per entry of a vector s (coupling sign applied by
-    callers).  With b, U(-s)[|A+B|^2 (A+B) - |A|^2 A] with B = U(s)b, by the
+    """U(-s)[|A|^2 A] with A = U(s)a, on frequency rows, for a scalar s or
+    one row per entry of a vector s (coupling sign applied by callers).
+    With b, U(-s)[|A+B|^2 (A+B) - |A|^2 A] with B = U(s)b, by the
     cancellation-free expansion of _cubic_difference.
     """
-    prop = _propagator(grid.native_frequencies, s)
+    prop = _propagator(grid.frequencies, s)
     return _pull_back(_ifft(a * prop, grid.dx), prop, grid, b)
 
 
@@ -83,8 +83,7 @@ def pulled_back_cubic(fhat: FrequencyField, s: float) -> FrequencyField:
     """i * U(-s)[ (U(s)f) |U(s)f|^2 ] on the frequency side."""
     if s <= 0:
         raise ValueError(f"pullback time must be positive, got {s}")
-    pulled = _pulled_back_cubic(np.fft.ifftshift(fhat.values), s, fhat.grid)
-    return FrequencyField(fhat.grid, 1j * np.fft.fftshift(pulled))
+    return FrequencyField(fhat.grid, 1j * _pulled_back_cubic(fhat.values, s, fhat.grid))
 
 
 def trilinear_split(fhat: FrequencyField, s: float) -> TrilinearSplit:
@@ -120,7 +119,7 @@ def _oracle_raw(fhat: FrequencyField, s: float) -> np.ndarray:
 
     idx = np.arange(n)
     # shifted[m, j] = f(x_j - eta'_m) with periodic wraparound
-    shifted = f[(idx[None, :] - idx[:, None] + n // 2) % n]
+    shifted = f[(idx[None, :] - idx[:, None]) % n]
 
     # kernel[m, l] = exp(-i eta'_m sigma'_l / s) - 1
     kernel = np.exp(-1j * np.outer(x, x) / s) - 1.0
@@ -133,7 +132,7 @@ def _oracle_raw(fhat: FrequencyField, s: float) -> np.ndarray:
     fconj = np.conj(f)
     for m in range(n):
         prod = shifted[m][None, :] * fconj[None, :] * shifted  # (l, x)
-        corr = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(prod, axes=1), axis=1), axes=1) * dx
+        corr = np.fft.fft(prod, axis=1) * dx
         # reinstate the e^{i xi (eta' + sigma')} phase removed by the shift
         phase = np.exp(1j * np.outer(x[m] + x, xi))  # (l, k)
         out += kernel[m] @ (corr * phase)
@@ -177,13 +176,13 @@ def remainder_oracle(fhat: FrequencyField, s: float) -> FrequencyField:
 
 
 def _pulled_back_forcing(w: np.ndarray, t, lam: int, grid: SpectralGrid):
-    """Kernel of pulled_back_forcing on native-order W, for a scalar t or one
-    row per entry of a vector t: the propagator rows U(t), the x-space rows
-    U(t)v of the approximate solution, and the native-order forcing rows
-    they give.  The drive term i*dv/dt needs no transform, since U(-t)
-    undoes the free flow it is carried by."""
+    """Kernel of pulled_back_forcing on the values w of W, for a scalar t or
+    one row per entry of a vector t: the propagator rows U(t), the x-space
+    rows U(t)v of the approximate solution, and the forcing rows they give.
+    The drive term i*dv/dt needs no transform, since U(-t) undoes the free
+    flow it is carried by."""
     v = _profile(w, t, lam)
-    prop = _propagator(grid.native_frequencies, t)
+    prop = _propagator(grid.frequencies, t)
     u_app = _ifft(v * prop, grid.dx)
     return prop, u_app, 1j * _profile_rate(v, t, lam) - lam * _pull_back(u_app, prop, grid)
 
@@ -196,9 +195,8 @@ def pulled_back_forcing(W: FinalData, t: float, params: SolverParams) -> Frequen
     """
     if t <= 0:
         raise ValueError(f"forcing time must be positive, got {t}")
-    w = np.fft.ifftshift(W.W.values)
-    _, _, pulled = _pulled_back_forcing(w, t, params.lam, params.grid)
-    return FrequencyField(params.grid, np.fft.fftshift(pulled))
+    _, _, pulled = _pulled_back_forcing(W.W.values, t, params.lam, params.grid)
+    return FrequencyField(params.grid, pulled)
 
 
 def forcing(W: FinalData, t: float, params: SolverParams) -> PhysicalField:

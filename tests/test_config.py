@@ -103,6 +103,36 @@ def test_empty_list_rejected():
         parse_config("eps0_values = ,\n")
 
 
+@pytest.mark.parametrize("text, match", [
+    ("T_values = 10, 1.0\n", r"T_values: T must be at least 2, got 1\.0"),
+    ("eps0_values = -0.05\n", r"eps0_values x T_values: eps0 must be nonnegative, got -0\.05"),
+], ids=["T", "eps0"])
+def test_invalid_sweep_cell_rejected(text, match):
+    # the sweep builds these cells only after parsing; refuse them at parse time
+    with pytest.raises(ConfigError, match=match):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("bandwidth = 0\n", "bandwidth = 0.0: bandwidth must be positive"),
+    ("bandwidth = -1\n", "bandwidth = -1.0: bandwidth must be positive"),
+    ("bandwidth = 20\n", "bandwidth = 20.0: final-data band .* does not fit"),
+    ("num_points = 64\nbox_length = 1000\nbandwidth = 0.2\n", "bandwidth = 0.2: .*does not fit"),
+], ids=["zero", "negative", "too-wide", "coarse-grid"])
+def test_invalid_bandwidth_rejected(text, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config(text)
+
+
+def test_sweep_params_are_the_cells():
+    cfg = parse_config("t_max = 150\nT_values = 10, 20\neps0_values = 0.05\n")
+    cells = cfg.sweep_params()
+    assert [(p.eps0, p.T, p.lam, p.t_max) for p in cells] == [
+        (0.05, 10.0, 1, 150.0), (0.05, 10.0, -1, 150.0),
+        (0.05, 20.0, 1, 200.0), (0.05, 20.0, -1, 200.0),
+    ]
+
+
 def test_load_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("eps0 = 0.01\nseed = 3\n")

@@ -12,6 +12,7 @@ from modwave import (
     SpectralGrid,
     approximate_solution,
     asymptotic_error,
+    asymptotic_profile,
     dispersive_ratio,
     evolve,
     extract_profile,
@@ -39,15 +40,16 @@ def gaussian_state(amp=1.0, lam=1):
 def test_strang_step_conserves_mass():
     # both Strang substeps are unitary: 50 steps keep the mass to rounding
     u0 = gaussian_state().u
-    vals = _strang(np.fft.ifftshift(u0.values), 0.02, 50, GRID.native_frequencies, 1)
+    vals = _strang(u0.values, 0.02, 50, GRID.frequencies, 1)
     m0 = state_from_field(u0, 0.0, 1).mass
     assert abs(evolve_module._mass(vals, GRID.dx) - m0) <= 1e-12 * m0
 
 
 def _strang_monotone_reference(u0, dt, n, lam):
-    """n Strang steps as they ran on monotone-order arrays, four fftshift
-    rotations and a fresh drift phase per step."""
-    xi = u0.grid.frequencies
+    """n Strang steps as they ran on arrays in increasing x and xi order,
+    four fftshift rotations and a fresh drift phase per step; returns the
+    state in increasing x order."""
+    xi = np.fft.fftshift(u0.grid.frequencies)
 
     def kick(vals, dt):
         return vals * np.exp(-1j * lam * np.abs(vals) ** 2 * dt)
@@ -57,7 +59,7 @@ def _strang_monotone_reference(u0, dt, n, lam):
         spec = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(vals)))
         return np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(phase * spec)))
 
-    vals = kick(u0.values, 0.5 * dt)
+    vals = kick(np.fft.fftshift(u0.values), 0.5 * dt)
     for _ in range(n - 1):
         vals = kick(drift(vals, dt), dt)
     return kick(drift(vals, dt), 0.5 * dt)
@@ -65,12 +67,12 @@ def _strang_monotone_reference(u0, dt, n, lam):
 
 @pytest.mark.parametrize("lam", [1, -1])
 def test_strang_native_order_loop_is_bit_identical(lam):
-    # the native-order loop only permutes where the monotone loop rotated,
-    # so every final state must agree bit for bit
+    # the FFT-order loop only permutes where the increasing-order loop
+    # rotated, so every final state must agree bit for bit
     x = GRID.x
     u0 = PhysicalField(GRID, (1.0 + 0.5j * x) * np.exp(-((x - 3.0) ** 2)))
     for dt, n in ((0.37 / 14, 14), (0.02, 1), (0.05, 30)):
-        vals = _strang(np.fft.ifftshift(u0.values), dt, n, GRID.native_frequencies, lam)
+        vals = _strang(u0.values, dt, n, GRID.frequencies, lam)
         assert np.array_equal(np.fft.fftshift(vals), _strang_monotone_reference(u0, dt, n, lam))
 
 
@@ -80,10 +82,8 @@ def test_strang_converges_to_evolve_at_second_order():
     u0 = gaussian_state().u
     target = evolve(u0, 0.0, [1.0], PARAMS)[0].u.values
     dts = [0.1, 0.05, 0.025]
-    start = np.fft.ifftshift(u0.values)
     errs = [
-        np.max(np.abs(np.fft.fftshift(
-            _strang(start, dt, round(1.0 / dt), GRID.native_frequencies, 1)) - target))
+        np.max(np.abs(_strang(u0.values, dt, round(1.0 / dt), GRID.frequencies, 1) - target))
         for dt in dts
     ]
     order = np.polyfit(np.log(dts), np.log(errs), 1)[0]
@@ -184,6 +184,17 @@ def test_asymptotic_error_decays_for_explicit_solution():
     amp = np.max(np.abs(approximate_solution(fd, 50.0, params).values))
     assert errs[0] <= 0.3 * amp
     assert errs[1] < errs[0]
+
+
+def test_ray_samples_match_the_wave_while_the_box_holds_it():
+    # |u_app(t, t xi_k)| = |G(xi_k)| / sqrt(2 pi t): where the box holds the
+    # free wave (t * band radius < L/2), the sup on the rays is the sup on x
+    params = SolverParams(grid=SpectralGrid(4096, 800.0))
+    fd = make_final_data("gaussian", params, bandwidth=0.3)
+    for t in (10.0, 50.0, 200.0):
+        on_x = np.max(np.abs(approximate_solution(fd, t, params).values))
+        G = evolve_module._on_rays(asymptotic_profile(fd, t, params.lam), t)
+        assert abs(np.max(np.abs(G)) / np.sqrt(2.0 * np.pi * t) - on_x) <= 1e-12 * on_x
 
 
 def test_asymptotic_error_coverage_abort():

@@ -1,4 +1,4 @@
-"""Final data families, profile phase, and serialization round trips."""
+"""Final data families and the profile phase."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,6 @@ from modwave import (
     make_final_data,
     norms,
     profile_time_derivative,
-    read_final_data_csv,
-    write_final_data_csv,
 )
 
 GRID = SpectralGrid(512, 100.0)
@@ -130,19 +128,3 @@ def test_profile_h2_grows_like_log_squared():
     p = np.polyfit(np.log(np.log(ts)), np.log(h2), 1)[0]
     assert 1.5 <= p <= 2.5
 
-
-def test_csv_round_trip(tmp_path):
-    fd = make_final_data("random_bandlimited", PARAMS, seed=4)
-    path = tmp_path / "w.csv"
-    write_final_data_csv(fd, path)
-    back = read_final_data_csv(path, GRID)
-    assert np.array_equal(back.W.values, fd.W.values)
-    assert back.eps0_actual == pytest.approx(fd.eps0_actual, rel=1e-12)
-
-
-def test_csv_grid_mismatch(tmp_path):
-    fd = make_final_data("gaussian", PARAMS)
-    path = tmp_path / "w.csv"
-    write_final_data_csv(fd, path)
-    with pytest.raises(ValueError, match="rows"):
-        read_final_data_csv(path, SpectralGrid(256, 100.0))

@@ -1,8 +1,12 @@
 """Transform, propagator, derivative, and norm checks against closed forms."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import modwave
 from modwave import (
     FrequencyField,
     PhysicalField,
@@ -16,6 +20,7 @@ from modwave import (
     xi_derivative,
     xt_weight,
 )
+from modwave.spectral import _fd4
 
 
 @pytest.fixture
@@ -42,9 +47,23 @@ def test_grid_rejects_bad_box():
 def test_grid_spacings(grid):
     assert grid.dx == pytest.approx(80.0 / 1024)
     assert grid.dxi == pytest.approx(2.0 * np.pi / 80.0)
-    assert grid.x[grid.num_points // 2] == 0.0
-    assert grid.frequencies[grid.num_points // 2] == 0.0
-    assert np.all(np.diff(grid.frequencies) > 0)
+    # FFT order: x = 0 and xi = 0 first, and the nodes are the increasing
+    # grids (k - N/2) * spacing rotated by N/2, bit for bit
+    assert grid.x[0] == grid.frequencies[0] == 0.0
+    k = np.arange(grid.num_points) - grid.num_points // 2
+    assert np.array_equal(np.fft.fftshift(grid.x), k * grid.dx)
+    assert np.array_equal(np.fft.fftshift(grid.frequencies), k * grid.dxi)
+
+
+def test_only_spectral_knows_the_array_layout():
+    # every other module works on arrays in the one layout the grid defines
+    pattern = re.compile(r"fftshift|ifftshift|native_frequencies")
+    sources = sorted(Path(modwave.__file__).parent.glob("*.py"))
+    assert any(path.name == "spectral.py" for path in sources)
+    offenders = [f"{path.name}:{n}" for path in sources if path.name != "spectral.py"
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if pattern.search(line)]
+    assert offenders == []
 
 
 def test_field_rejects_wrong_length(grid):
@@ -111,6 +130,32 @@ def test_xi_derivative_exact_on_quartic(grid):
     d = xi_derivative(F)
     exact = 4.0 * xi**3 - 4.0 * xi + 0.5
     assert np.max(np.abs(d.values - exact)) <= 1e-7 * np.max(np.abs(exact))
+
+
+def _fd4_increasing_order(vals, h):
+    """The fourth-order stencil on rows stored in increasing xi order."""
+    edge = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
+    after = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
+    d = np.empty_like(vals)
+    d[..., 2:-2] = (
+        -vals[..., 4:] + 8.0 * vals[..., 3:-1] - 8.0 * vals[..., 1:-3] + vals[..., :-4]
+    ) / (12.0 * h)
+    head, tail = vals[..., :5], vals[..., -1:-6:-1]
+    d[..., 0], d[..., 1] = (head @ edge) / h, (head @ after) / h
+    d[..., -1], d[..., -2] = -(tail @ edge) / h, -(tail @ after) / h
+    return d
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 4096])
+@pytest.mark.parametrize("rows", [(), (3,), (16,)])
+def test_fd4_in_fft_order_is_the_increasing_order_stencil(n, rows):
+    # the layout changes where the stencil reads its neighbours, not a bit
+    # of the derivative
+    rng = np.random.default_rng(n + len(rows))
+    shape = rows + (n,)
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ref = _fd4_increasing_order(np.fft.fftshift(vals, axes=-1), 0.37)
+    assert np.array_equal(np.fft.fftshift(_fd4(vals, 0.37), axes=-1), ref)
 
 
 def test_norms_gaussian_closed_form(grid):
