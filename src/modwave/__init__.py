@@ -16,7 +16,6 @@ from .evolve import (
     evolve,
     extract_profile,
     scattering_deviation,
-    state_from_field,
 )
 from .fitting import DecayFit, fit_decay
 from .fixedpoint import (
@@ -27,7 +26,6 @@ from .fixedpoint import (
     apply_phi,
     build_drive,
     contraction_probe,
-    phi_eps,
     picard_iterate,
     xt_distance,
     xt_norm,
@@ -39,7 +37,6 @@ from .profile import (
     approximate_solution,
     asymptotic_profile,
     make_final_data,
-    profile_time_derivative,
 )
 from .spectral import (
     FrequencyField,
@@ -52,8 +49,6 @@ from .spectral import (
     norms,
     physical_l2,
     physical_linf,
-    xi_derivative,
-    xt_weight,
 )
 from .trilinear import (
     TrilinearSplit,

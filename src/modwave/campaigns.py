@@ -27,11 +27,9 @@ from .evolve import (
 from .fitting import fit_decay
 from .fixedpoint import (
     ProfileTrajectory,
-    TimeGrid,
     apply_phi,
     build_drive,
     contraction_probe,
-    phi_eps,
     picard_iterate,
     xt_distance,
     xt_norm,
@@ -265,9 +263,8 @@ def run_verify_forcing(config: ExperimentConfig) -> CampaignResult:
     res.add_check("forcing_cubic_scaling", ratio, abs(ratio / 8.0 - 1.0) <= 0.10,
                   "halving eps0 divides the forcing by 8 +- 10%")
 
-    tg = TimeGrid.from_params(params)
-    phi_full = xt_norm(phi_eps(W, params, tg), params.alpha)
-    phi_half = xt_norm(phi_eps(W_half, half, tg), half.alpha)
+    phi_full = xt_norm(build_drive(W, params).phi_eps, params.alpha)
+    phi_half = xt_norm(build_drive(W_half, half).phi_eps, half.alpha)
     phi_ratio = phi_full / phi_half
     res.add_check("phi_eps_cubic_scaling", phi_ratio, abs(phi_ratio / 8.0 - 1.0) <= 0.10,
                   "halving eps0 divides ||Phi_eps||_XT by 8 +- 10%")
@@ -279,12 +276,10 @@ def run_verify_forcing(config: ExperimentConfig) -> CampaignResult:
 
 def _fixed_point_checks(res, tag, params, W, config):
     # everything Phi takes from W alone: built once for every sweep below
-    tg = TimeGrid.from_params(params)
-    drive = build_drive(W, params, tg)
+    drive = build_drive(W, params)
     cached = drive.phi_eps
-    g, report = picard_iterate(W, params, max_iter=config.max_iter, tol=config.tol,
-                               drive=drive)
-    alt_start = ProfileTrajectory(params.grid, tg, 2.0 * cached.values)
+    g, report = picard_iterate(drive, config.max_iter, config.tol)
+    alt_start = ProfileTrajectory(params.grid, drive.time_grid, 2.0 * cached.values)
     # direct Lipschitz probe of the nonlinear part on a perturbed pair
     probe = contraction_probe(alt_start, g, drive) if np.any(cached.values) else None
     if report.contraction_ratios:
@@ -304,8 +299,7 @@ def _fixed_point_checks(res, tag, params, W, config):
     res.add_check(f"fixed_point_residual_{tag}", residual, residual <= 2e-9,
                   "||Phi(g) - g||_XT <= 2e-9")
 
-    g_alt, _ = picard_iterate(W, params, max_iter=config.max_iter, tol=config.tol,
-                              g0=alt_start, drive=drive)
+    g_alt, _ = picard_iterate(drive, config.max_iter, config.tol, g0=alt_start)
     gap = xt_distance(g, g_alt, params.alpha)
     res.add_check(f"start_independence_{tag}", gap, gap <= 1e-8,
                   "fixed points from two starts agree to 1e-8 in X_T")
@@ -359,7 +353,7 @@ def _construct_and_evolve(res, tag, config, params, bandwidth, times):
     nonlinear share max|u - U(t - T)u_T| / max|u| at the last sample.
     """
     W = make_final_data(config.data_kind, params, seed=config.seed, bandwidth=bandwidth)
-    g, report = picard_iterate(W, params, max_iter=config.max_iter, tol=config.tol)
+    g, report = picard_iterate(build_drive(W, params), config.max_iter, config.tol)
     res.extras[f"picard_report_{tag}"] = report.to_dict()
     if not report.converged:
         res.add_check("construction_converged", report.iterates, False,
@@ -493,7 +487,7 @@ def run_roundtrip(config: ExperimentConfig) -> CampaignResult:
 def _sweep_cell(args: tuple) -> dict:
     params, config = args
     W = make_final_data(config.data_kind, params, seed=config.seed, bandwidth=config.bandwidth)
-    g, report = picard_iterate(W, params, max_iter=config.max_iter, tol=config.tol)
+    g, report = picard_iterate(build_drive(W, params), config.max_iter, config.tol)
     # a run that stops after one iterate measures no contraction ratio
     ratios = report.contraction_ratios
     return {
@@ -505,11 +499,23 @@ def _sweep_cell(args: tuple) -> dict:
     }
 
 
+def _requested_workers() -> int:
+    """MODWAVE_THREADS as a worker count, 0 (the default) for one per CPU."""
+    raw = os.environ.get("MODWAVE_THREADS", "0")
+    try:
+        requested = int(raw)
+    except ValueError:
+        requested = -1
+    if requested < 0:
+        raise ValueError(f"MODWAVE_THREADS must be a non-negative integer, got {raw!r}")
+    return requested
+
+
 def run_sweep(config: ExperimentConfig) -> CampaignResult:
     """Contraction region over (eps0, T, lam) cells, run in a worker pool."""
     res = CampaignResult("sweep")
     cells = [(params, config) for params in config.sweep_params()]
-    workers = int(os.environ.get("MODWAVE_THREADS", "0")) or min(len(cells), os.cpu_count() or 1)
+    workers = min(len(cells), _requested_workers() or os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))

@@ -41,7 +41,6 @@ from .trilinear import _pulled_back_cubic
 
 __all__ = [
     "EvolutionState",
-    "state_from_field",
     "evolve",
     "extract_profile",
     "scattering_deviation",
@@ -74,11 +73,6 @@ def _energy(u: PhysicalField, lam: int) -> float:
     ux = inverse_transform(FrequencyField(u.grid, 1j * xi * uhat.values))
     dens = 0.5 * np.abs(ux.values) ** 2 + 0.5 * lam * np.abs(u.values) ** 4
     return float(u.grid.dx * np.sum(dens))
-
-
-def state_from_field(u: PhysicalField, t: float, lam: int) -> EvolutionState:
-    return EvolutionState(t=t, u=u, mass=_mass(u.values, u.grid.dx), energy=_energy(u, lam),
-                          step_count=0)
 
 
 def _kick(values: np.ndarray, dt: float, lam: int) -> np.ndarray:

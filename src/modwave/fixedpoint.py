@@ -5,8 +5,10 @@ Phi(g)(t) = i*lam * int_t^inf U(-s)(|u|^2 u - |u_app|^2 u_app) ds + Phi_eps(t),
 with u = u_app + U(.)g, solved by Picard iteration from g = 0 on a
 log-spaced time grid truncated at t_max.  Everything Phi takes from W alone
 (the propagator phases, the approximate solution and Phi_eps) is tabulated
-once per construction in a Drive.  The neglected tail is estimated from a
-power-law fit and reported, never silently added.
+once per construction by build_drive(W, params), the one way into the map;
+apply_phi, picard_iterate and contraction_probe take only the Drive.  The
+neglected tail is estimated from a power-law fit and reported, never
+silently added.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ __all__ = [
     "PicardReport",
     "Drive",
     "build_drive",
-    "forcing_integrand",
-    "phi_eps",
     "apply_phi",
     "picard_iterate",
     "contraction_probe",
@@ -187,9 +187,8 @@ def _require_on(traj: ProfileTrajectory, grid: SpectralGrid, tg: TimeGrid, what:
 @dataclass(frozen=True)
 class Drive:
     """What the map Phi takes from the final data alone, tabulated once per
-    (W, lam, grid, time grid) by build_drive and read by every sweep."""
+    (W, params) by build_drive and read by every sweep."""
 
-    W: FinalData
     params: SolverParams
     time_grid: TimeGrid
     prop: np.ndarray  # propagator rows U(s_k), count x N
@@ -197,55 +196,27 @@ class Drive:
     phi_eps: ProfileTrajectory
     tail_estimate: float
 
-    def require_for(self, W: FinalData, params: SolverParams, tg: TimeGrid) -> None:
-        """Raise ValueError naming the first of grid, time grid, lam and W
-        that differs from what the drive was built for."""
-        for what, same in (
-            ("grid", params.grid == self.params.grid),
-            ("time grid", np.array_equal(tg.nodes, self.time_grid.nodes)),
-            ("lam", params.lam == self.params.lam),
-            ("W", np.array_equal(W.W.values, self.W.W.values)),
-        ):
-            if not same:
-                raise ValueError(f"the drive was built for another {what}")
 
+def build_drive(W: FinalData, params: SolverParams) -> Drive:
+    """Tabulate U(s_k), the approximate solution and Phi_eps on the params'
+    time grid: the one way into the backward map.
 
-def forcing_integrand(W: FinalData, params: SolverParams, tg: TimeGrid) -> ProfileTrajectory:
-    """The pulled-back forcing at every node: the integrand of Phi_eps."""
-    vals = np.empty((tg.count, params.grid.num_points), complex)
-    for rows in _blocks(tg.count):
-        _, _, vals[rows] = _pulled_back_forcing(W.W.values, tg.nodes[rows], params.lam,
-                                                params.grid)
-    return ProfileTrajectory(params.grid, tg, vals)
-
-
-def _integrate_forcing(integrand: ProfileTrajectory) -> ProfileTrajectory:
-    """Phi_eps = -i * int_t^{t_max} of the integrand, overwriting it; returns it."""
-    vals = integrand.values
-    _cumulative_backward(vals, integrand.time_grid.nodes)
-    np.multiply(-1j, vals, out=vals)
-    return integrand
-
-
-def phi_eps(W: FinalData, params: SolverParams, tg: TimeGrid) -> ProfileTrajectory:
-    """The g-independent forcing part: -i * int_t^inf of the pulled-back forcing."""
-    return _integrate_forcing(forcing_integrand(W, params, tg))
-
-
-def build_drive(W: FinalData, params: SolverParams, tg: TimeGrid) -> Drive:
-    """Tabulate U(s_k), the approximate solution and Phi_eps on the time grid.
-
-    The forcing rows come from the same tables, block by block; the tail is
-    estimated from them before they are integrated, in place, into Phi_eps.
+    The pulled-back forcing rows come from the same tables, block by block;
+    the tail is estimated from them before they are integrated, in place,
+    into Phi_eps = -i * int_t^{t_max} of the forcing.
     """
+    tg = TimeGrid.from_params(params)
     shape = (tg.count, params.grid.num_points)
     prop, u_app, vals = (np.empty(shape, complex) for _ in range(3))
     for rows in _blocks(tg.count):
         prop[rows], u_app[rows], vals[rows] = _pulled_back_forcing(
             W.W.values, tg.nodes[rows], params.lam, params.grid)
-    integrand = ProfileTrajectory(params.grid, tg, vals)
-    tail = estimate_tail(integrand)
-    return Drive(W, params, tg, prop, u_app, _integrate_forcing(integrand), tail)
+    # the forcing rows, until they are integrated in place into Phi_eps
+    phi_eps = ProfileTrajectory(params.grid, tg, vals)
+    tail = estimate_tail(phi_eps)
+    _cumulative_backward(vals, tg.nodes)
+    np.multiply(-1j, vals, out=vals)
+    return Drive(params, tg, prop, u_app, phi_eps, tail)
 
 
 def _phi_nl(g: ProfileTrajectory, drive: Drive) -> np.ndarray:
@@ -269,40 +240,33 @@ def apply_phi(g: ProfileTrajectory, drive: Drive) -> ProfileTrajectory:
 
 
 def picard_iterate(
-    W: FinalData,
-    params: SolverParams,
+    drive: Drive,
     max_iter: int = 15,
     tol: float = 1e-9,
     g0: ProfileTrajectory | None = None,
-    drive: Drive | None = None,
 ) -> tuple[ProfileTrajectory, PicardReport]:
     """Iterate g_{n+1} = Phi(g_n) from g_0 (default 0) until the step shrinks below tol.
 
-    ``drive`` is build_drive(W, params, tg) on the params' time grid, built
-    when not given.  Returns a non-converged report (no exception) when
-    max_iter is hit; raises only on numerical blow-up.
+    Phi is the map of ``drive``, which build_drive tabulated from W.  Returns
+    a non-converged report (no exception) when max_iter is hit; raises only
+    on numerical blow-up.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    tg = TimeGrid.from_params(params)
-    if drive is None:
-        drive = build_drive(W, params, tg)
-    else:
-        drive.require_for(W, params, tg)
-
+    grid, tg, alpha = drive.params.grid, drive.time_grid, drive.params.alpha
     report = PicardReport(tail_estimate=drive.tail_estimate)
 
     if g0 is None:
-        g = ProfileTrajectory.zeros(params.grid, tg)
+        g = ProfileTrajectory.zeros(grid, tg)
     else:
-        _require_on(g0, params.grid, tg, "starting guess")
+        _require_on(g0, grid, tg, "starting guess")
         g = g0
     for _ in range(max_iter):
         g_next = apply_phi(g, drive)
-        size = xt_norm(g_next, params.alpha)
+        size = xt_norm(g_next, alpha)
         if not np.isfinite(size) or size > BLOWUP_LIMIT:
             raise FloatingPointError(f"Picard iteration blew up: ||g||_XT = {size:.3g}")
-        dist = xt_distance(g_next, g, params.alpha)
+        dist = xt_distance(g_next, g, alpha)
         report.iterates += 1
         report.xt_norms.append(size)
         report.step_distances.append(dist)

@@ -26,7 +26,6 @@ __all__ = [
     "FinalData",
     "make_final_data",
     "asymptotic_profile",
-    "profile_time_derivative",
     "approximate_solution",
 ]
 
@@ -161,13 +160,6 @@ def asymptotic_profile(W: FinalData, t: float, lam: int) -> FrequencyField:
     if t <= 0:
         raise ValueError(f"profile time must be positive, got {t}")
     return FrequencyField(W.W.grid, _profile(W.W.values, t, lam))
-
-
-def profile_time_derivative(v: FrequencyField, t: float, lam: int) -> FrequencyField:
-    """Exact time derivative of the profile: -(i*lam/(2*pi*t)) |v|^2 v."""
-    if t <= 0:
-        raise ValueError(f"profile time must be positive, got {t}")
-    return FrequencyField(v.grid, _profile_rate(v.values, t, lam))
 
 
 def approximate_solution(W: FinalData, t: float, params: SolverParams) -> PhysicalField:

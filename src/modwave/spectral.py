@@ -36,11 +36,9 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "free_propagate",
-    "xi_derivative",
     "norms",
     "physical_l2",
     "physical_linf",
-    "xt_weight",
 ]
 
 
@@ -206,11 +204,6 @@ def free_propagate(F: FrequencyField, t: float) -> FrequencyField:
     return FrequencyField(F.grid, F.values * _propagator(F.grid.frequencies, t))
 
 
-def xi_derivative(F: FrequencyField) -> FrequencyField:
-    """d/dxi by a fourth-order stencil; exact on polynomials of degree <= 4."""
-    return FrequencyField(F.grid, _fd4(F.values, F.grid.dxi))
-
-
 def norms(F: FrequencyField) -> NormBundle:
     """Sup, L2, derivative-L2 and H2 norms of a frequency field."""
     dxi = F.grid.dxi
@@ -227,10 +220,3 @@ def physical_l2(f: PhysicalField) -> float:
 
 def physical_linf(f: PhysicalField) -> float:
     return float(np.max(np.abs(f.values)))
-
-
-def xt_weight(t: float, F: FrequencyField, alpha: float) -> float:
-    """t^alpha * (sup + L2 + (1+log t)^{-1} * derivative-L2) at one time."""
-    if t < 2.0:
-        raise ValueError(f"time weight requires t >= 2, got {t}")
-    return float(_xt_weights(t, F.values, alpha, F.grid.dxi))

@@ -1,5 +1,9 @@
 """Campaign-level checks on small grids: the sweep and the construct verdicts."""
 
+import os
+
+import pytest
+
 from modwave import campaigns, parse_config, run_campaign
 
 SMALL = (
@@ -73,3 +77,58 @@ def test_construct_contraction_falls_back_to_probe(monkeypatch):
         ratio = checks[f"contraction_max_ratio_{tag}"]
         assert ratio["value"] == checks[f"contraction_probe_{tag}"]["value"]
         assert "no Picard ratio measured" in ratio["detail"]
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def _canned_cell(args):
+    params, _ = args
+    return {"eps0": params.eps0, "T": params.T, "lam": params.lam, "converged": True,
+            "iterates": 3, "max_contraction_ratio": 0.1, "g_xt_norm": 1.0}
+
+
+@pytest.mark.parametrize("threads, cpus, pool", [
+    ("64", 2, [8]),  # capped at the 8 cells: no idle workers are forked
+    ("3", 2, [3]),
+    ("1", 2, []),  # serial, no pool
+    (None, 2, [2]),  # unset and 0: one worker per CPU
+    ("0", 32, [8]),
+    (None, 1, []),
+], ids=["64", "3", "1", "unset", "0-many-cpus", "unset-one-cpu"])
+def test_sweep_worker_count(monkeypatch, threads, cpus, pool):
+    if threads is None:
+        monkeypatch.delenv("MODWAVE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("MODWAVE_THREADS", threads)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(campaigns, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(campaigns, "_sweep_cell", _canned_cell)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    res = run_campaign("sweep", parse_config(SMALL))
+    assert _RecordingPool.sizes == pool
+    assert len(res.series["sweep"][1]) == 8
+
+
+@pytest.mark.parametrize("threads", ["-2", "abc", "2.5", ""])
+def test_sweep_refuses_invalid_thread_count(monkeypatch, threads):
+    monkeypatch.setenv("MODWAVE_THREADS", threads)
+    monkeypatch.setattr(campaigns, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(campaigns, "_sweep_cell", _canned_cell)
+    with pytest.raises(ValueError, match="MODWAVE_THREADS must be a non-negative integer"):
+        run_campaign("sweep", parse_config(SMALL))

@@ -19,7 +19,6 @@ from modwave import (
     forcing,
     make_final_data,
     scattering_deviation,
-    state_from_field,
 )
 from modwave.evolve import _strang
 from modwave.spectral import forward_transform, free_propagate, inverse_transform
@@ -34,14 +33,19 @@ PARAMS = SolverParams(grid=GRID)
 def gaussian_state(amp=1.0, lam=1):
     x = GRID.x
     u = PhysicalField(GRID, amp * np.exp(-(x**2)) + 0.0j)
-    return state_from_field(u, 0.0, lam)
+    return _state(u, 0.0, SolverParams(lam=lam, grid=GRID))
+
+
+def _state(u, t, params):
+    """The state of u at t as evolve reports it: sampled at t0 = t, no step."""
+    return evolve(u, t, [t], params)[0]
 
 
 def test_strang_step_conserves_mass():
     # both Strang substeps are unitary: 50 steps keep the mass to rounding
     u0 = gaussian_state().u
     vals = _strang(u0.values, 0.02, 50, GRID.frequencies, 1)
-    m0 = state_from_field(u0, 0.0, 1).mass
+    m0 = _state(u0, 0.0, PARAMS).mass
     assert abs(evolve_module._mass(vals, GRID.dx) - m0) <= 1e-12 * m0
 
 
@@ -102,7 +106,7 @@ def test_evolve_conserves_mass_through_rejected_steps(monkeypatch):
     # every attempt, accepted or not, evaluates 11 right-hand sides
     assert len(calls) % 11 == 0
     assert len(calls) // 11 > states[-1].step_count
-    m0 = state_from_field(u0, 0.0, 1).mass
+    m0 = _state(u0, 0.0, PARAMS).mass
     assert max(abs(s.mass - m0) for s in states) <= 1e-10 * m0
 
 
@@ -130,11 +134,11 @@ def test_evolve_samples_and_conserves():
     u0 = gaussian_state().u
     states = evolve(u0, 0.0, [0.5, 1.0, 2.0], PARAMS)
     assert [s.t for s in states] == [0.5, 1.0, 2.0]
-    m0 = state_from_field(u0, 0.0, 1).mass
+    m0 = _state(u0, 0.0, PARAMS).mass
     for s in states:
         assert abs(s.mass - m0) <= 1e-10 * m0
     # splitting conserves mass exactly but energy only to O(dt^2)
-    e0 = state_from_field(u0, 0.0, 1).energy
+    e0 = _state(u0, 0.0, PARAMS).energy
     assert abs(states[-1].energy - e0) <= 1e-3 * abs(e0)
 
 
@@ -149,7 +153,7 @@ def test_evolve_rejects_bad_sample_times():
 def test_extract_profile_inverts_free_flow():
     fhat = forward_transform(gaussian_state().u)
     u_t = inverse_transform(free_propagate(fhat, 3.0))
-    state = state_from_field(u_t, 3.0, 1)
+    state = _state(u_t, 3.0, PARAMS)
     back = extract_profile(state)
     assert np.max(np.abs(back.values - fhat.values)) <= 1e-12 * np.max(np.abs(fhat.values))
 
@@ -159,7 +163,7 @@ def test_scattering_deviation_zero_for_exact_profile():
     fd = make_final_data("gaussian", params, bandwidth=0.3)
     t = 20.0
     u = approximate_solution(fd, t, params)
-    state = state_from_field(u, t, params.lam)
+    state = _state(u, t, params)
     dev = scattering_deviation(state, fd, params)
     assert dev.linf <= 1e-14
 
@@ -167,7 +171,7 @@ def test_scattering_deviation_zero_for_exact_profile():
 def test_scattering_deviation_rejects_early_time():
     fd = make_final_data("gaussian", PARAMS, bandwidth=0.3)
     u = approximate_solution(fd, 20.0, PARAMS)
-    state = state_from_field(u, 5.0, PARAMS.lam)
+    state = _state(u, 5.0, PARAMS)
     with pytest.raises(ValueError, match="t >= T"):
         scattering_deviation(state, fd, PARAMS)
 
@@ -180,7 +184,7 @@ def test_asymptotic_error_decays_for_explicit_solution():
     errs = []
     for t in (50.0, 200.0):
         u = approximate_solution(fd, t, params)
-        errs.append(asymptotic_error(state_from_field(u, t, params.lam), fd, params))
+        errs.append(asymptotic_error(_state(u, t, params), fd, params))
     amp = np.max(np.abs(approximate_solution(fd, 50.0, params).values))
     assert errs[0] <= 0.3 * amp
     assert errs[1] < errs[0]
@@ -203,7 +207,7 @@ def test_asymptotic_error_coverage_abort():
     fd = make_final_data("gaussian", params, bandwidth=0.02)
     x = params.grid.x
     u = PhysicalField(params.grid, np.exp(-(((x - 300.0) / 10.0) ** 2)) + 0.0j)
-    state = state_from_field(u, 100.0, params.lam)
+    state = _state(u, 100.0, params)
     with pytest.raises(ValueError, match="box too small"):
         asymptotic_error(state, fd, params)
 

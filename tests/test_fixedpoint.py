@@ -14,19 +14,12 @@ from modwave import (
     build_drive,
     contraction_probe,
     make_final_data,
-    phi_eps,
     picard_iterate,
     xt_distance,
     xt_norm,
 )
-from modwave import asymptotic_profile, cubic_difference, profile_time_derivative
-from modwave.fixedpoint import (
-    BLOCK_ROWS,
-    _blocks,
-    _cumulative_backward,
-    estimate_tail,
-    forcing_integrand,
-)
+from modwave import asymptotic_profile, cubic_difference
+from modwave.fixedpoint import BLOCK_ROWS, _blocks, _cumulative_backward, estimate_tail
 from modwave.profile import _profile, _profile_rate
 from modwave.trilinear import _pulled_back_cubic
 from modwave.spectral import (
@@ -34,8 +27,8 @@ from modwave.spectral import (
     forward_transform,
     free_propagate,
     inverse_transform,
+    _xt_weights,
     norms,
-    xt_weight,
 )
 
 GRID = SpectralGrid(256, 100.0)
@@ -126,7 +119,7 @@ def test_xt_norm_synthetic():
     traj = synthetic_power_law(0.0, tg)
     alpha = PARAMS.alpha
     expected = max(
-        xt_weight(t, traj.field(k), alpha) for k, t in enumerate(tg.nodes)
+        float(_xt_weights(t, traj.values[k], alpha, GRID.dxi)) for k, t in enumerate(tg.nodes)
     )
     assert xt_norm(traj, alpha) == expected
 
@@ -139,14 +132,14 @@ def test_trajectory_shape_mismatch():
 
 def test_phi_eps_vanishes_at_final_time():
     fd = make_final_data("gaussian", PARAMS, bandwidth=0.4)
-    traj = phi_eps(fd, PARAMS, TimeGrid.from_params(PARAMS))
+    traj = build_drive(fd, PARAMS).phi_eps
     assert not np.any(traj.values[-1])
     assert np.any(traj.values[0])
 
 
 def test_picard_converges_and_reports():
     fd = make_final_data("gaussian", PARAMS, bandwidth=0.4)
-    g, report = picard_iterate(fd, PARAMS, max_iter=15, tol=1e-9)
+    g, report = picard_iterate(build_drive(fd, PARAMS), max_iter=15, tol=1e-9)
     assert report.converged
     assert report.iterates <= 15
     assert report.step_distances[-1] <= 1e-9
@@ -158,19 +151,22 @@ def test_picard_converges_and_reports():
 
 def test_picard_reports_finite_tail_of_the_forcing():
     # a box wide enough to hold the wave up to t_max: the forcing integrand
-    # decays integrably, and the drive's tail is the public route's, exactly
+    # decays integrably, and the drive's tail is the per-node field route's,
+    # exactly
     params = SolverParams(grid=SpectralGrid(256, 800.0), time_grid_points=65)
     fd = make_final_data("gaussian", params, bandwidth=0.05)
-    _, report = picard_iterate(fd, params)
+    drive = build_drive(fd, params)
+    _, report = picard_iterate(drive)
     assert 0.0 < report.tail_estimate < float("inf")
-    tg = TimeGrid.from_params(params)
-    assert report.tail_estimate == estimate_tail(forcing_integrand(fd, params, tg))
+    tg = drive.time_grid
+    integrand = _forcing_integrand_per_node(fd, params, tg)
+    assert report.tail_estimate == estimate_tail(ProfileTrajectory(params.grid, tg, integrand))
 
 
 def test_picard_fixed_point_residual():
     fd = make_final_data("gaussian", PARAMS, bandwidth=0.4)
-    g, report = picard_iterate(fd, PARAMS, tol=1e-10)
-    drive = build_drive(fd, PARAMS, g.time_grid)
+    drive = build_drive(fd, PARAMS)
+    g, report = picard_iterate(drive, tol=1e-10)
     resid = xt_distance(apply_phi(g, drive), g, PARAMS.alpha)
     assert resid <= 1e-9
 
@@ -178,7 +174,7 @@ def test_picard_fixed_point_residual():
 def test_picard_zero_data_zero_solution():
     zero_params = SolverParams(eps0=0.0, grid=GRID, time_grid_points=65)
     fd = make_final_data("gaussian", zero_params)
-    g, report = picard_iterate(fd, zero_params)
+    g, report = picard_iterate(build_drive(fd, zero_params))
     assert report.converged
     assert not np.any(g.values)
     assert report.tail_estimate == 0.0
@@ -186,7 +182,7 @@ def test_picard_zero_data_zero_solution():
 
 def test_picard_non_convergence_reported_not_raised():
     fd = make_final_data("gaussian", PARAMS, bandwidth=0.4)
-    g, report = picard_iterate(fd, PARAMS, max_iter=1, tol=1e-30)
+    g, report = picard_iterate(build_drive(fd, PARAMS), max_iter=1, tol=1e-30)
     assert not report.converged
     assert report.iterates == 1
 
@@ -194,16 +190,15 @@ def test_picard_non_convergence_reported_not_raised():
 def test_picard_rejects_bad_tolerance():
     fd = make_final_data("gaussian", PARAMS, bandwidth=0.4)
     with pytest.raises(ValueError, match="tolerance"):
-        picard_iterate(fd, PARAMS, tol=0.0)
+        picard_iterate(build_drive(fd, PARAMS), tol=0.0)
 
 
 def test_picard_start_independence():
     fd = make_final_data("gaussian", PARAMS, bandwidth=0.4)
-    g_a, _ = picard_iterate(fd, PARAMS, tol=1e-12)
-    tg = TimeGrid.from_params(PARAMS)
-    warm = phi_eps(fd, PARAMS, tg)
-    g0 = ProfileTrajectory(GRID, tg, 2.0 * warm.values)
-    g_b, _ = picard_iterate(fd, PARAMS, tol=1e-12, g0=g0)
+    drive = build_drive(fd, PARAMS)
+    g_a, _ = picard_iterate(drive, tol=1e-12)
+    g0 = ProfileTrajectory(GRID, drive.time_grid, 2.0 * drive.phi_eps.values)
+    g_b, _ = picard_iterate(drive, tol=1e-12, g0=g0)
     assert xt_distance(g_a, g_b, PARAMS.alpha) <= 1e-8
 
 
@@ -215,7 +210,7 @@ def test_phi_eps_shrinks_with_later_start():
     for T in (10.0, 40.0):
         params = SolverParams(T=T, t_max=100.0 * T, grid=grid, time_grid_points=65)
         fd = make_final_data("gaussian", params, bandwidth=0.03)
-        traj = phi_eps(fd, params, TimeGrid.from_params(params))
+        traj = build_drive(fd, params).phi_eps
         sizes[T] = xt_norm(traj, params.alpha)
     bound = 4.0 ** ((PARAMS.alpha - PARAMS.delta) / 2.0) * 1.25
     assert sizes[40.0] / sizes[10.0] <= bound
@@ -223,20 +218,20 @@ def test_phi_eps_shrinks_with_later_start():
 
 def test_contraction_probe_small():
     fd = make_final_data("gaussian", PARAMS, bandwidth=0.4)
-    tg = TimeGrid.from_params(PARAMS)
-    warm = phi_eps(fd, PARAMS, tg)
-    g1 = ProfileTrajectory(GRID, tg, warm.values)
-    g2 = ProfileTrajectory(GRID, tg, 0.5 * warm.values)
-    ratio = contraction_probe(g1, g2, build_drive(fd, PARAMS, tg))
+    drive = build_drive(fd, PARAMS)
+    warm = drive.phi_eps
+    g1 = ProfileTrajectory(GRID, drive.time_grid, warm.values)
+    g2 = ProfileTrajectory(GRID, drive.time_grid, 0.5 * warm.values)
+    ratio = contraction_probe(g1, g2, drive)
     assert 0.0 < ratio <= 0.5
 
 
 def test_contraction_probe_rejects_equal():
     fd = make_final_data("gaussian", PARAMS, bandwidth=0.4)
-    tg = TimeGrid.from_params(PARAMS)
-    g = ProfileTrajectory.zeros(GRID, tg)
+    drive = build_drive(fd, PARAMS)
+    g = ProfileTrajectory.zeros(GRID, drive.time_grid)
     with pytest.raises(ValueError, match="distinct"):
-        contraction_probe(g, g, build_drive(fd, PARAMS, tg))
+        contraction_probe(g, g, drive)
 
 
 def test_report_to_dict_round_trips():
@@ -259,7 +254,7 @@ def _forcing_integrand_per_node(W, params, tg):
     vals = np.empty((tg.count, params.grid.num_points), complex)
     for k, s in enumerate(tg.nodes):
         v = asymptotic_profile(W, s, params.lam)
-        vt = profile_time_derivative(v, s, params.lam)
+        vt = FrequencyField(params.grid, _profile_rate(v.values, s, params.lam))
         u_app = inverse_transform(free_propagate(v, s)).values
         drive = inverse_transform(free_propagate(vt, s)).values
         eps = PhysicalField(params.grid, 1j * drive - params.lam * np.abs(u_app) ** 2 * u_app)
@@ -298,15 +293,15 @@ def test_blocked_routes_match_per_node(lam):
     grid = SpectralGrid(64, 40.0)
     params = SolverParams(lam=lam, grid=grid, time_grid_points=nodes)
     W = make_final_data("random_bandlimited", params, seed=3, bandwidth=0.5)
-    tg = TimeGrid.from_params(params)
+    drive = build_drive(W, params)
+    tg = drive.time_grid
     rng = np.random.default_rng(17)
     shape = (nodes, grid.num_points)
     g = ProfileTrajectory(grid, tg, 1e-3 * (rng.standard_normal(shape)
                                             + 1j * rng.standard_normal(shape)))
 
-    integrand = forcing_integrand(W, params, tg)
-    assert _rel_err(integrand.values, _forcing_integrand_per_node(W, params, tg)) <= BLOCKED_RTOL
-    drive = build_drive(W, params, tg)
+    ref_phi_eps = -1j * _cumulative_backward(_forcing_integrand_per_node(W, params, tg), tg.nodes)
+    assert _rel_err(drive.phi_eps.values, ref_phi_eps) <= BLOCKED_RTOL
     ref = _apply_phi_per_node(g, W, params, drive.phi_eps)
     assert _rel_err(apply_phi(g, drive).values, ref) <= BLOCKED_RTOL
     ref_norm = _xt_norm_per_node(g, params.alpha)
@@ -352,17 +347,16 @@ def test_drive_sweeps_are_bit_identical_to_recomputing(lam):
     grid = SpectralGrid(64, 40.0)
     params = SolverParams(lam=lam, grid=grid, time_grid_points=nodes)
     W = make_final_data("random_bandlimited", params, seed=3, bandwidth=0.5)
-    tg = TimeGrid.from_params(params)
+    drive = build_drive(W, params)
+    tg = drive.time_grid
     rng = np.random.default_rng(5)
     shape = (nodes, grid.num_points)
     g1, g2 = (ProfileTrajectory(grid, tg, 1e-3 * (rng.standard_normal(shape)
                                                   + 1j * rng.standard_normal(shape)))
               for _ in range(2))
 
-    drive = build_drive(W, params, tg)
     ref_phi_eps = _phi_eps_recomputed(W, params, tg)
     assert np.array_equal(drive.phi_eps.values, ref_phi_eps)
-    assert np.array_equal(phi_eps(W, params, tg).values, ref_phi_eps)
     assert np.array_equal(apply_phi(g1, drive).values,
                           _apply_phi_recomputed(g1, W, params, ref_phi_eps))
 
@@ -396,24 +390,10 @@ def test_cumulative_backward_overwrites_its_input():
     assert np.array_equal(vals, ref)
 
 
-# ---- a drive is used only for what it was built for
+# ---- a drive serves only trajectories on its own grid and time grid
 
 OTHER_TG_PARAMS = SolverParams(grid=GRID, time_grid_points=33)
 OTHER_GRID_PARAMS = SolverParams(grid=SpectralGrid(128, 100.0), time_grid_points=65)
-
-
-@pytest.mark.parametrize("mismatch, other", [
-    ("W", PARAMS),
-    ("lam", SolverParams(lam=-1, grid=GRID, time_grid_points=65)),
-    ("grid", OTHER_GRID_PARAMS),
-    ("time grid", OTHER_TG_PARAMS),
-], ids=["W", "lam", "grid", "time-grid"])
-def test_drive_rejects_what_it_was_not_built_for(mismatch, other):
-    fd = make_final_data("gaussian", PARAMS, bandwidth=0.4)
-    other_fd = make_final_data("gaussian", other, bandwidth=0.3 if mismatch == "W" else 0.4)
-    drive = build_drive(other_fd, other, TimeGrid.from_params(other))
-    with pytest.raises(ValueError, match=f"built for another {mismatch}$"):
-        picard_iterate(fd, PARAMS, drive=drive)
 
 
 @pytest.mark.parametrize("other, where", [
@@ -422,7 +402,7 @@ def test_drive_rejects_what_it_was_not_built_for(mismatch, other):
 ], ids=["grid", "time-grid"])
 def test_drive_rejects_trajectories_living_elsewhere(other, where):
     fd = make_final_data("gaussian", PARAMS, bandwidth=0.4)
-    drive = build_drive(fd, PARAMS, TimeGrid.from_params(PARAMS))
+    drive = build_drive(fd, PARAMS)
     other_tg = TimeGrid.from_params(other)
     g1 = ProfileTrajectory(other.grid, other_tg, np.ones((other_tg.count, other.grid.num_points)))
     g2 = ProfileTrajectory.zeros(other.grid, other_tg)
@@ -431,4 +411,4 @@ def test_drive_rejects_trajectories_living_elsewhere(other, where):
     with pytest.raises(ValueError, match=f"on another {where}$"):
         contraction_probe(g1, g2, drive)
     with pytest.raises(ValueError, match=f"^starting guess lives on another {where}$"):
-        picard_iterate(fd, PARAMS, g0=g1, drive=drive)
+        picard_iterate(drive, g0=g1)
