@@ -1,0 +1,255 @@
+"""Write a bench record: end-to-end times, per-layer times and work counts of
+one or more modwave checkouts, measured on this machine.
+
+    python3 benchmarks/record_bench.py --out BENCH_<n>.json parent=../parent change=.
+
+For each LABEL=PATH checkout it records:
+
+- each of the six campaigns on the default config (an empty config file),
+  run --repeats times in a fresh process through that checkout's
+  ``perfbench/child.py`` (``perfbench/run.py``'s ``run_child``, with
+  MODWAVE_THREADS unset): median and minimum of wall_s, cpu_s, peak_rss_mb
+  and setup_s, as ``perfbench/run.py`` defines them;
+- the Tier-1 suite, run --repeats times: median and minimum wall time;
+- per-layer times on the default grid (N = 4096, 129 nodes, default
+  gaussian data), one warm-up and --repeats timed calls each, in a fresh
+  process of this script on the checkout's sources: the transform pair and
+  the pulled-back cubic over one trajectory, one apply_phi sweep, xt_norm,
+  and evolve from T to 2T;
+- the work counts of one serial (MODWAVE_THREADS=1) in-process construct,
+  traced by ``perfbench/tracer.py``: apply_phi, xt_norm, xt_distance,
+  _fft and _ifft calls, Picard calls and iterates.
+
+The checkouts take turns, in alternating order, so drift of a shared
+machine falls on both.  Nothing under ``perfbench/`` is changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy
+
+CAMPAIGNS = ("verify-spectral", "verify-dispersive", "verify-forcing", "construct",
+             "roundtrip", "sweep")
+E2E = ("wall_s", "cpu_s", "peak_rss_mb", "setup_s")
+
+
+def _summary(samples: list) -> dict:
+    return {"median": statistics.median(samples), "min": min(samples), "samples": samples}
+
+
+def _perfbench_run(root: Path, label: str):
+    """The checkout's perfbench/run.py as a module of its own."""
+    sys.path.insert(0, str(root / "perfbench"))  # run.py imports its tracer by name
+    spec = importlib.util.spec_from_file_location(f"perfbench_run_{label}",
+                                                  root / "perfbench" / "run.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _git_sha(root: Path) -> str:
+    sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
+                         text=True, check=True).stdout.strip()
+    dirty = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+                           cwd=root, capture_output=True, text=True, check=True).stdout
+    return sha + (" (with uncommitted changes)" if dirty.strip() else "")
+
+
+def _campaign_run(run, campaign: str, cfg_path: Path) -> dict:
+    out = Path(tempfile.mkdtemp(dir=cfg_path.parent))
+    try:
+        proc = run.run_child(campaign, cfg_path, out)
+    finally:
+        shutil.rmtree(out)
+    if proc.code != 0 or "end" not in proc.report:
+        raise RuntimeError(f"{campaign} exited {proc.code} without finishing")
+    return {name: getattr(proc, name) for name in E2E}
+
+
+def _suite_run(root: Path) -> tuple[float, str]:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("MODWAVE_THREADS", None)
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "--continue-on-collection-errors"], cwd=root, env=env,
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    last = done.stdout.strip().splitlines()[-1]
+    if done.returncode != 0:
+        raise RuntimeError(f"the suite failed in {root}: {last}")
+    return wall, last
+
+
+def _in_checkout(root: Path, mode: str, repeats: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                                        str(root / "perfbench")]))
+    env["MODWAVE_THREADS"] = "1"
+    done = subprocess.run([sys.executable, __file__, mode, "--repeats", str(repeats)],
+                          cwd=root, env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+# ------------------------------------------------- in one checkout's process
+
+
+def layer_times(repeats: int) -> dict:
+    """Per-layer times on the default grid, seconds per call."""
+    from modwave import (ProfileTrajectory, apply_phi, asymptotic_profile, build_drive,
+                         evolve, free_propagate, inverse_transform, make_final_data,
+                         parse_config, picard_iterate, xt_norm)
+    from modwave.spectral import FrequencyField, _fft, _ifft
+    from modwave.trilinear import _pulled_back_cubic
+
+    config = parse_config("")
+    params = config.params
+    grid, dx = params.grid, params.grid.dx
+    W = make_final_data(config.data_kind, params, seed=config.seed, bandwidth=config.bandwidth)
+    drive = build_drive(W, params)
+    nodes = drive.time_grid.nodes
+    g = ProfileTrajectory(grid, drive.time_grid, 2.0 * drive.phi_eps.values)
+    fixed, _ = picard_iterate(drive, config.max_iter, config.tol)
+    profile_T = asymptotic_profile(W, params.T, params.lam).values + fixed.values[0]
+    u_T = inverse_transform(free_propagate(FrequencyField(grid, profile_T), params.T))
+
+    layers = {
+        "transform_pair": lambda: _ifft(_fft(drive.u_app, dx), dx),
+        "pulled_back_cubic": lambda: _pulled_back_cubic(g.values, nodes, grid),
+        "apply_phi": lambda: apply_phi(g, drive),
+        "xt_norm": lambda: xt_norm(g, params.alpha),
+        "evolve": lambda: evolve(u_T, params.T, [2.0 * params.T], params),
+    }
+    out = {}
+    for name, call in layers.items():
+        call()
+        samples = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            call()
+            samples.append(time.perf_counter() - start)
+        out[name] = _summary(samples)
+    return out
+
+
+def construct_counts() -> dict:
+    """Work counts of one serial in-process construct on the default config."""
+    import modwave
+    from tracer import Tracer  # perfbench/tracer.py
+
+    tracer = Tracer()
+    tracer.install()
+    calls = {"_fft": 0, "_ifft": 0}
+    namespaces = [vars(m) for m in vars(modwave).values() if type(m) is type(modwave)]
+    for name in calls:
+        real = getattr(modwave.spectral, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for ns in namespaces:
+            if ns.get(name) is real:
+                ns[name] = counted
+
+    result = modwave.run_campaign("construct", modwave.parse_config(""))
+    if not result.passed:
+        raise RuntimeError("construct failed on the default config")
+    spans = tracer.summary()["spans"]
+
+    def span(key, index=0):
+        return spans.get(f"fixedpoint.{key}", [0, 0.0, 0.0, 0])[index]
+
+    return {
+        "apply_phi_calls": span("apply_phi"),
+        "xt_norm_calls": span("xt_norm"),
+        "xt_distance_calls": span("xt_distance"),
+        "picard_calls": span("picard_iterate"),
+        "picard_iterates": span("picard_iterate", 3),
+        "fft_calls": calls["_fft"],
+        "ifft_calls": calls["_ifft"],
+    }
+
+
+# ---------------------------------------------------------------------- main
+
+
+def record(checkouts: dict, repeats: int) -> dict:
+    runs = {label: _perfbench_run(root, label) for label, root in checkouts.items()}
+    work = Path(tempfile.mkdtemp())
+    cfg_path = work / "default.cfg"
+    cfg_path.write_text("")  # every key at its default
+    e2e = {label: {c: {m: [] for m in E2E} for c in CAMPAIGNS} for label in checkouts}
+    suite = {label: [] for label in checkouts}
+    suite_result = {}
+    try:
+        for rep in range(repeats):
+            labels = list(checkouts)[::(-1) ** rep]
+            for label in labels:
+                for campaign in CAMPAIGNS:
+                    for metric, value in _campaign_run(runs[label], campaign, cfg_path).items():
+                        e2e[label][campaign][metric].append(value)
+                wall, suite_result[label] = _suite_run(checkouts[label])
+                suite[label].append(wall)
+                print(f"repeat {rep + 1}/{repeats} {label}: suite {wall:.2f} s", file=sys.stderr)
+    finally:
+        shutil.rmtree(work)
+
+    commits = {}
+    for label, root in checkouts.items():
+        commits[label] = {
+            "git_sha": _git_sha(root),
+            "campaigns_default_config": {
+                c: {m: _summary(v) for m, v in e2e[label][c].items()} for c in CAMPAIGNS},
+            "tier1_suite": {"wall_s": _summary(suite[label]), "result": suite_result[label]},
+            "layers_default_grid_s": _in_checkout(root, "--layers", repeats),
+            "construct_counts_serial": _in_checkout(root, "--counts", repeats),
+        }
+    return {
+        "what": __doc__.split("\n\n")[0].replace("\n", " "),
+        "repeats": repeats,
+        "provenance": {
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "platform": platform.platform(),
+            "machine": platform.machine(),
+        },
+        "commits": commits,
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("checkouts", nargs="*", metavar="LABEL=PATH")
+    parser.add_argument("--out", type=Path)
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--layers", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--counts", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.layers or args.counts:
+        print(json.dumps(layer_times(args.repeats) if args.layers else construct_counts()))
+        return 0
+    if not args.checkouts or args.out is None or args.repeats < 5:
+        parser.error("give --out, at least one LABEL=PATH and --repeats >= 5")
+    checkouts = {}
+    for item in args.checkouts:
+        label, _, path = item.partition("=")
+        checkouts[label] = Path(path).resolve()
+    args.out.write_text(json.dumps(record(checkouts, args.repeats), indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -92,6 +92,28 @@ def _sample_times(lo: float, hi: float, n: int = 17) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
+def _requested_workers() -> int:
+    """MODWAVE_THREADS as a worker count, 0 (the default) for one per CPU."""
+    raw = os.environ.get("MODWAVE_THREADS", "0")
+    try:
+        requested = int(raw)
+    except ValueError:
+        requested = -1
+    if requested < 0:
+        raise ValueError(f"MODWAVE_THREADS must be a non-negative integer, got {raw!r}")
+    return requested
+
+
+def _pool_map(fn, cells: list) -> list:
+    """[fn(c) for c in cells], on min(len(cells), MODWAVE_THREADS or one per CPU)
+    worker processes; serially in this process when that is one worker."""
+    workers = min(len(cells), _requested_workers() or os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, cells))
+    return [fn(c) for c in cells]
+
+
 # ---------------------------------------------------------------- spectral
 
 
@@ -308,20 +330,27 @@ def _fixed_point_checks(res, tag, params, W, config):
         res.add_check(f"contraction_probe_{tag}", probe, probe <= 0.5,
                       "Lipschitz ratio of Phi on a test pair <= 0.5")
     res.extras[f"picard_report_{tag}"] = report.to_dict()
-    res.extras[f"g_xt_norm_{tag}"] = xt_norm(g, params.alpha)
+    res.extras[f"g_xt_norm_{tag}"] = report.xt_norms[-1]
+
+
+def _construct_sign(args: tuple) -> CampaignResult:
+    """The fixed-point checks of one coupling sign, in a result of their own."""
+    lam, config = args
+    params = replace(config.params, lam=lam)
+    W = make_final_data(config.data_kind, params, seed=config.seed, bandwidth=config.bandwidth)
+    res = CampaignResult("construct")
+    _fixed_point_checks(res, "focusing" if lam == -1 else "defocusing", params, W, config)
+    return res
 
 
 def run_construct(config: ExperimentConfig) -> CampaignResult:
     """Backward fixed point at both coupling signs: contraction, convergence,
-    residual, and independence of the starting guess."""
+    residual, and independence of the starting guess.  The two signs share
+    nothing but the config, so they run in the worker pool."""
     res = CampaignResult("construct")
-    base = config.params
-    for lam in (1, -1):
-        params = replace(base, lam=lam)
-        W = make_final_data(config.data_kind, params, seed=config.seed,
-                            bandwidth=config.bandwidth)
-        tag = "focusing" if lam == -1 else "defocusing"
-        _fixed_point_checks(res, tag, params, W, config)
+    for part in _pool_map(_construct_sign, [(1, config), (-1, config)]):
+        res.checks += part.checks
+        res.extras.update(part.extras)
     return res
 
 
@@ -487,7 +516,7 @@ def run_roundtrip(config: ExperimentConfig) -> CampaignResult:
 def _sweep_cell(args: tuple) -> dict:
     params, config = args
     W = make_final_data(config.data_kind, params, seed=config.seed, bandwidth=config.bandwidth)
-    g, report = picard_iterate(build_drive(W, params), config.max_iter, config.tol)
+    _, report = picard_iterate(build_drive(W, params), config.max_iter, config.tol)
     # a run that stops after one iterate measures no contraction ratio
     ratios = report.contraction_ratios
     return {
@@ -495,32 +524,14 @@ def _sweep_cell(args: tuple) -> dict:
         "converged": report.converged,
         "iterates": report.iterates,
         "max_contraction_ratio": max(ratios) if ratios else None,
-        "g_xt_norm": xt_norm(g, params.alpha),
+        "g_xt_norm": report.xt_norms[-1],
     }
-
-
-def _requested_workers() -> int:
-    """MODWAVE_THREADS as a worker count, 0 (the default) for one per CPU."""
-    raw = os.environ.get("MODWAVE_THREADS", "0")
-    try:
-        requested = int(raw)
-    except ValueError:
-        requested = -1
-    if requested < 0:
-        raise ValueError(f"MODWAVE_THREADS must be a non-negative integer, got {raw!r}")
-    return requested
 
 
 def run_sweep(config: ExperimentConfig) -> CampaignResult:
     """Contraction region over (eps0, T, lam) cells, run in a worker pool."""
     res = CampaignResult("sweep")
-    cells = [(params, config) for params in config.sweep_params()]
-    workers = min(len(cells), _requested_workers() or os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
-    else:
-        rows = [_sweep_cell(c) for c in cells]
+    rows = _pool_map(_sweep_cell, [(params, config) for params in config.sweep_params()])
     rows.sort(key=lambda r: (r["eps0"], r["T"], r["lam"]))
 
     all_conv = all(r["converged"] for r in rows)

@@ -247,26 +247,29 @@ def picard_iterate(
 ) -> tuple[ProfileTrajectory, PicardReport]:
     """Iterate g_{n+1} = Phi(g_n) from g_0 (default 0) until the step shrinks below tol.
 
-    Phi is the map of ``drive``, which build_drive tabulated from W.  Returns
-    a non-converged report (no exception) when max_iter is hit; raises only
-    on numerical blow-up.
+    Phi is the map of ``drive``, which build_drive tabulated from W.  From
+    g_0 = 0 the first iterate is Phi(0) = Phi_eps, taken from the drive
+    without a sweep.  Returns a non-converged report (no exception) when
+    max_iter is hit; raises only on numerical blow-up.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    grid, tg, alpha = drive.params.grid, drive.time_grid, drive.params.alpha
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    alpha = drive.params.alpha
     report = PicardReport(tail_estimate=drive.tail_estimate)
 
-    if g0 is None:
-        g = ProfileTrajectory.zeros(grid, tg)
-    else:
-        _require_on(g0, grid, tg, "starting guess")
-        g = g0
+    if g0 is not None:
+        _require_on(g0, drive.params.grid, drive.time_grid, "starting guess")
+    g = g0
     for _ in range(max_iter):
-        g_next = apply_phi(g, drive)
+        # the nonlinear part vanishes at 0, so Phi(0) is Phi_eps itself, which
+        # nothing writes to; its step from 0 is its own size
+        g_next = drive.phi_eps if g is None else apply_phi(g, drive)
         size = xt_norm(g_next, alpha)
         if not np.isfinite(size) or size > BLOWUP_LIMIT:
             raise FloatingPointError(f"Picard iteration blew up: ||g||_XT = {size:.3g}")
-        dist = xt_distance(g_next, g, alpha)
+        dist = size if g is None else xt_distance(g_next, g, alpha)
         report.iterates += 1
         report.xt_norms.append(size)
         report.step_distances.append(dist)

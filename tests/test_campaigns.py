@@ -1,10 +1,12 @@
 """Campaign-level checks on small grids: the sweep and the construct verdicts."""
 
+import json
 import os
 
 import pytest
 
 from modwave import campaigns, parse_config, run_campaign
+from modwave.cli import main
 
 SMALL = (
     "num_points = 256\n"
@@ -33,6 +35,8 @@ def test_sweep_serial(monkeypatch):
 
 
 def test_converged_check_uses_configured_max_iter(monkeypatch):
+    # serial: a monkeypatch reaches pool workers only under the fork start method
+    monkeypatch.setenv("MODWAVE_THREADS", "1")
     real = campaigns.picard_iterate
 
     def sixteen_iterates(*args, **kwargs):
@@ -71,6 +75,7 @@ def test_sweep_fails_when_no_cell_measured(monkeypatch):
 
 
 def test_construct_contraction_falls_back_to_probe(monkeypatch):
+    monkeypatch.setenv("MODWAVE_THREADS", "1")
     monkeypatch.setattr(campaigns, "picard_iterate", _without_ratios(campaigns.picard_iterate))
     checks = checks_by_name(run_campaign("construct", parse_config(SMALL)))
     for tag in ("defocusing", "focusing"):
@@ -132,3 +137,62 @@ def test_sweep_refuses_invalid_thread_count(monkeypatch, threads):
     monkeypatch.setattr(campaigns, "_sweep_cell", _canned_cell)
     with pytest.raises(ValueError, match="MODWAVE_THREADS must be a non-negative integer"):
         run_campaign("sweep", parse_config(SMALL))
+
+
+def _canned_sign(args):
+    lam, _ = args
+    res = campaigns.CampaignResult("construct")
+    res.add_check(f"lam_{lam}", lam, True, "canned")
+    res.extras[f"lam_{lam}"] = lam
+    return res
+
+
+@pytest.mark.parametrize("threads, cpus, pool", [
+    ("64", 2, [2]),  # capped at the two signs
+    ("1", 2, []),
+    (None, 1, []),
+], ids=["64", "1", "unset-one-cpu"])
+def test_construct_worker_count(monkeypatch, threads, cpus, pool):
+    if threads is None:
+        monkeypatch.delenv("MODWAVE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("MODWAVE_THREADS", threads)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(campaigns, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(campaigns, "_construct_sign", _canned_sign)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    res = run_campaign("construct", parse_config(SMALL))
+    assert _RecordingPool.sizes == pool
+    # merged in lam order, defocusing first
+    assert [c["name"] for c in res.checks] == ["lam_1", "lam_-1"]
+    assert list(res.extras) == ["lam_1", "lam_-1"]
+
+
+def test_construct_refuses_invalid_thread_count(monkeypatch):
+    monkeypatch.setenv("MODWAVE_THREADS", "abc")
+    monkeypatch.setattr(campaigns, "ProcessPoolExecutor", _RecordingPool)
+    with pytest.raises(ValueError, match="MODWAVE_THREADS must be a non-negative integer"):
+        run_campaign("construct", parse_config(SMALL))
+
+
+def test_construct_same_on_pool_and_serial(monkeypatch):
+    results = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MODWAVE_THREADS", threads)
+        results[threads] = run_campaign("construct", parse_config(SMALL))
+    assert results["2"].checks == results["1"].checks
+    assert results["2"].extras == results["1"].extras
+
+
+def test_construct_blowup_in_a_worker_exits_two(monkeypatch, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL + "eps0 = 20\n")
+    reasons = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MODWAVE_THREADS", threads)
+        assert main(["construct", "--config", str(cfg), "--out", str(tmp_path / threads)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "runtime"
+        reasons[threads] = err["reason"]
+    assert reasons["2"] == reasons["1"]
+    assert reasons["1"].startswith("FloatingPointError: Picard iteration blew up")

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from modwave.cli import main
 
 SMALL_SPECTRAL = "num_points = 512\nbox_length = 100\n"

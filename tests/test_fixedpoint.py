@@ -18,7 +18,7 @@ from modwave import (
     xt_distance,
     xt_norm,
 )
-from modwave import asymptotic_profile, cubic_difference
+from modwave import asymptotic_profile, cubic_difference, fixedpoint
 from modwave.fixedpoint import BLOCK_ROWS, _blocks, _cumulative_backward, estimate_tail
 from modwave.profile import _profile, _profile_rate
 from modwave.trilinear import _pulled_back_cubic
@@ -191,6 +191,28 @@ def test_picard_rejects_bad_tolerance():
     fd = make_final_data("gaussian", PARAMS, bandwidth=0.4)
     with pytest.raises(ValueError, match="tolerance"):
         picard_iterate(build_drive(fd, PARAMS), tol=0.0)
+    with pytest.raises(ValueError, match="max_iter"):
+        picard_iterate(build_drive(fd, PARAMS), max_iter=0)
+
+
+@pytest.mark.parametrize("lam, eps0", [(1, 0.05), (-1, 0.05), (1, 0.0)],
+                         ids=["defocusing", "focusing", "zero-data"])
+def test_picard_from_zero_starts_at_phi_eps(monkeypatch, lam, eps0):
+    # Phi(0) = Phi_eps: the start from 0 skips one sweep and changes nothing
+    params = SolverParams(lam=lam, eps0=eps0, grid=GRID, time_grid_points=65)
+    drive = build_drive(make_final_data("gaussian", params, bandwidth=0.4), params)
+    g_swept, swept = picard_iterate(drive, g0=ProfileTrajectory.zeros(GRID, drive.time_grid))
+    real, sweeps = fixedpoint.apply_phi, []
+
+    def counted(*args):
+        sweeps.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(fixedpoint, "apply_phi", counted)
+    g, report = picard_iterate(drive)
+    assert np.array_equal(g.values, g_swept.values)
+    assert report.to_dict() == swept.to_dict()
+    assert len(sweeps) == report.iterates - 1
 
 
 def test_picard_start_independence():

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from modwave import (
-    FinalData,
-    FrequencyField,
     SolverParams,
     SpectralGrid,
     asymptotic_profile,

@@ -1,5 +1,6 @@
 """Transform, propagator, derivative, and norm checks against closed forms."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -74,6 +75,32 @@ def test_every_all_entry_exists():
              for module in [importlib.import_module(f"modwave.{name}")]
              for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)]
     assert stale == []
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    # a name re-exported through __all__ counts as read
+    read |= {elt.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+             for elt in node.value.elts}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_unused_imports():
+    # no linter runs, so an import a change leaves behind would go unnoticed;
+    # the package __init__ imports only to re-export
+    sources = [*Path(modwave.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    sources = [path for path in sources if path.name != "__init__.py"]
+    assert {"campaigns.py", "test_spectral.py"} <= {path.name for path in sources}
+    assert [line for path in sorted(sources) for line in _unused_imports(path)] == []
 
 
 def test_field_rejects_wrong_length(grid):
