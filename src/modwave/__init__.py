@@ -32,7 +32,6 @@ from .fixedpoint import (
 )
 from .profile import (
     FINAL_DATA_KINDS,
-    FinalData,
     SolverParams,
     approximate_solution,
     asymptotic_profile,
@@ -51,15 +50,11 @@ from .spectral import (
     physical_linf,
 )
 from .trilinear import (
-    TrilinearSplit,
-    cubic_difference,
-    forcing,
     forcing_identity_residual,
     oracle_calibration,
-    pulled_back_cubic,
     pulled_back_forcing,
+    remainder,
     remainder_oracle,
-    trilinear_split,
 )
 
 __version__ = "0.1.0"

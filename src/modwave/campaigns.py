@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .fixedpoint import (
     xt_norm,
 )
 from .profile import (
-    FinalData,
     SolverParams,
     _unit_shape,
     approximate_solution,
@@ -56,8 +55,8 @@ from .spectral import (
 from .trilinear import (
     forcing_identity_residual,
     pulled_back_forcing,
+    remainder,
     remainder_oracle,
-    trilinear_split,
 )
 
 __all__ = ["CampaignResult", "CAMPAIGNS", "run_campaign"]
@@ -161,13 +160,14 @@ def run_verify_spectral(config: ExperimentConfig) -> CampaignResult:
 
 _DISPERSIVE_GRID = SpectralGrid(4096, 4096.0)
 _DISPERSIVE_TIMES = (1.0, 10.0, 100.0, 1000.0)
+_DISPERSIVE_PROFILES = 100
 
 
-def _dispersive_sup(seed: int, n_profiles: int) -> float:
+def _dispersive_sup(seed: int) -> float:
     grid = _DISPERSIVE_GRID
     xi = grid.frequencies
     sup = 0.0
-    for k in range(n_profiles):
+    for k in range(_DISPERSIVE_PROFILES):
         shape = _unit_shape("random_bandlimited", xi, 0.5, seed + k)
         hhat = FrequencyField(grid, shape)
         for t in _DISPERSIVE_TIMES:
@@ -175,12 +175,12 @@ def _dispersive_sup(seed: int, n_profiles: int) -> float:
     return sup
 
 
-def run_verify_dispersive(config: ExperimentConfig, n_profiles: int = 100) -> CampaignResult:
+def run_verify_dispersive(config: ExperimentConfig) -> CampaignResult:
     """Uniform dispersive constant over random band-limited data, plus the
     stationary-phase error rate of the free evolution."""
     res = CampaignResult("verify-dispersive")
-    sup_a = _dispersive_sup(config.seed, n_profiles)
-    sup_b = _dispersive_sup(config.seed + 10_000, n_profiles)
+    sup_a = _dispersive_sup(config.seed)
+    sup_b = _dispersive_sup(config.seed + 10_000)
     res.add_check("dispersive_sup", max(sup_a, sup_b), max(sup_a, sup_b) <= 1.0,
                   "measured constant uniformly <= 1.0")
     stability = abs(sup_a - sup_b) / sup_a
@@ -204,7 +204,7 @@ def run_verify_dispersive(config: ExperimentConfig, n_profiles: int = 100) -> Ca
         )
         errs.append(float(np.max(np.abs(u.values - leading))))
     fit = fit_decay(times, errs)
-    res.fits["stationary_phase_error"] = fit.to_dict()
+    res.fits["stationary_phase_error"] = asdict(fit)
     res.add_check("stationary_phase_slope", fit.slope, fit.slope <= -0.70,
                   "fitted decay slope <= -0.70")
     res.series["stationary_phase_error"] = (
@@ -216,7 +216,7 @@ def run_verify_dispersive(config: ExperimentConfig, n_profiles: int = 100) -> Ca
 # ----------------------------------------------------------------- forcing
 
 
-def _coarse_setup(config: ExperimentConfig) -> tuple[SolverParams, FinalData]:
+def _coarse_setup(config: ExperimentConfig) -> tuple[SolverParams, FrequencyField]:
     cparams = replace(config.params, grid=SpectralGrid(64, 60.0))
     # bandwidth 0.2 keeps the freely spread wave inside the box up to t = 50
     # while the datum still fits the 64-point frequency band
@@ -236,7 +236,7 @@ def run_verify_forcing(config: ExperimentConfig) -> CampaignResult:
     # remainder oracle agreement on the coarse grid
     for t in (5.0, 50.0):
         v = asymptotic_profile(Wc, t, cparams.lam)
-        fft_rem = trilinear_split(v, t).remainder.values
+        fft_rem = remainder(v, t).values
         orc_rem = remainder_oracle(v, t).values
         rel = float(np.max(np.abs(fft_rem - orc_rem)) / np.max(np.abs(fft_rem)))
         res.add_check(f"oracle_rel_error_t{int(t)}", rel, rel <= 1e-3,
@@ -247,10 +247,10 @@ def run_verify_forcing(config: ExperimentConfig) -> CampaignResult:
     r_sup = []
     for s in times:
         v = asymptotic_profile(W, s, params.lam)
-        r_sup.append(norms(trilinear_split(v, s).remainder).linf)
+        r_sup.append(norms(remainder(v, s)).linf)
     fit_r = fit_decay(times, r_sup)
     bound = -(1.0 + params.delta) + 0.15
-    res.fits["remainder_decay"] = fit_r.to_dict()
+    res.fits["remainder_decay"] = asdict(fit_r)
     res.add_check("remainder_slope", fit_r.slope, fit_r.slope <= bound,
                   f"fitted slope <= {bound:.2f}")
 
@@ -268,7 +268,7 @@ def run_verify_forcing(config: ExperimentConfig) -> CampaignResult:
     # forcing decay with the (1+log t)^6 correction divided out
     eps_sup = [norms(pulled_back_forcing(W, t, params)).linf for t in times]
     fit_e = fit_decay(times, eps_sup, log_correction_power=6)
-    res.fits["forcing_decay"] = fit_e.to_dict()
+    res.fits["forcing_decay"] = asdict(fit_e)
     res.add_check("forcing_decay_slope", fit_e.slope, fit_e.slope <= bound,
                   f"log-corrected slope <= {bound:.2f}")
     res.series["forcing_decay"] = (
@@ -329,7 +329,7 @@ def _fixed_point_checks(res, tag, params, W, config):
     if probe is not None:
         res.add_check(f"contraction_probe_{tag}", probe, probe <= 0.5,
                       "Lipschitz ratio of Phi on a test pair <= 0.5")
-    res.extras[f"picard_report_{tag}"] = report.to_dict()
+    res.extras[f"picard_report_{tag}"] = asdict(report)
     res.extras[f"g_xt_norm_{tag}"] = report.xt_norms[-1]
 
 
@@ -383,7 +383,7 @@ def _construct_and_evolve(res, tag, config, params, bandwidth, times):
     """
     W = make_final_data(config.data_kind, params, seed=config.seed, bandwidth=bandwidth)
     g, report = picard_iterate(build_drive(W, params), config.max_iter, config.tol)
-    res.extras[f"picard_report_{tag}"] = report.to_dict()
+    res.extras[f"picard_report_{tag}"] = asdict(report)
     if not report.converged:
         res.add_check("construction_converged", report.iterates, False,
                       "backward construction must converge before the forward run")
@@ -434,9 +434,7 @@ def run_roundtrip(config: ExperimentConfig) -> CampaignResult:
 
     weighted, masses, energies = [], [], []
     for state in states_a:
-        t = state.t
-        dev = scattering_deviation(state, W_a, params_a)
-        weighted.append(t**alpha * (dev.linf + dev.l2 + dev.dxi_l2 / (1.0 + np.log(t))))
+        weighted.append(scattering_deviation(state, W_a, params_a))
         masses.append(state.mass)
         energies.append(state.energy)
 
@@ -444,7 +442,7 @@ def run_roundtrip(config: ExperimentConfig) -> CampaignResult:
     res.add_check("mainbound_ratio", ratio, ratio <= 3.0,
                   "weighted deviation max/min <= 3 across the run")
     fit_main = fit_decay(times, weighted)
-    res.fits["mainbound_trend"] = fit_main.to_dict()
+    res.fits["mainbound_trend"] = asdict(fit_main)
     res.add_check("mainbound_trend_slope", fit_main.slope, fit_main.slope <= 0.1,
                   "weighted deviation trend slope <= 0.1")
 
@@ -471,7 +469,7 @@ def run_roundtrip(config: ExperimentConfig) -> CampaignResult:
         w_weighted.append(state.t ** (0.5 + alpha) * w_sup)
 
     fit_err = fit_decay(times, errs)
-    res.fits["asymptotic_error"] = fit_err.to_dict()
+    res.fits["asymptotic_error"] = asdict(fit_err)
     err_bound = -min(0.5 + alpha, 0.75) + 0.1
     res.add_check("asymptotic_error_slope", fit_err.slope, fit_err.slope <= err_bound,
                   f"fitted slope <= {err_bound:.2f}")
@@ -490,7 +488,7 @@ def run_roundtrip(config: ExperimentConfig) -> CampaignResult:
         / np.sqrt(2.0 * np.pi * t) for t in u_times
     ]
     fit_uapp = fit_decay(u_times, uapp_sup)
-    res.fits["uapp_decay"] = fit_uapp.to_dict()
+    res.fits["uapp_decay"] = asdict(fit_uapp)
     res.add_check("uapp_decay_slope", fit_uapp.slope,
                   -0.55 <= fit_uapp.slope <= -0.45, "slope in [-0.55, -0.45]")
 

@@ -2,7 +2,8 @@
 
 Writes a versioned results.json (named checks, fits, extras) plus one CSV
 per recorded time series.  Exit codes: 0 all checks pass, 1 a check
-failed, 2 runtime error; failures carry a machine-readable reason.
+failed, 2 configuration or runtime error (writing the results included);
+failures carry a machine-readable reason.
 """
 
 from __future__ import annotations
@@ -82,10 +83,7 @@ def write_results(result, out_dir: Path, config: ExperimentConfig) -> Path:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.config is not None:
-            config = load_config(args.config, output_dir=args.out)
-        else:
-            config = parse_config("", output_dir=args.out)
+        config = parse_config("") if args.config is None else load_config(args.config)
         if args.seed is not None:
             config = replace(config, seed=args.seed)
     except (ConfigError, OSError) as exc:
@@ -94,12 +92,11 @@ def main(argv=None) -> int:
 
     try:
         result = run_campaign(args.campaign, config)
+        json_path = write_results(result, args.out, config)
     except Exception as exc:  # runtime failures become a structured exit 2
         print(json.dumps({"error": "runtime", "reason": f"{type(exc).__name__}: {exc}"}),
               file=sys.stderr)
         return 2
-
-    json_path = write_results(result, args.out, config)
     for check in result.checks:
         status = "PASS" if check["passed"] else "FAIL"
         print(f"{status} {result.name}:{check['name']} value={check['value']:.6g} "

@@ -8,7 +8,7 @@ would refuse them at run time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .profile import FINAL_DATA_KINDS, SolverParams, _check_band
@@ -54,18 +54,18 @@ _DEFAULTS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully validated run configuration."""
+    """Fully validated run configuration; parse_config fills every field,
+    from _DEFAULTS where the text leaves a key out."""
 
     params: SolverParams
-    data_kind: str = "gaussian"
-    seed: int = 0
-    bandwidth: float = 1.0
-    fit_window: tuple = (10.0, 1000.0)
-    tol: float = 1e-9
-    max_iter: int = 15
-    eps0_values: tuple = (0.05, 0.025)
-    T_values: tuple = (10.0, 20.0)
-    output_dir: Path = field(default_factory=lambda: Path("."))
+    data_kind: str
+    seed: int
+    bandwidth: float
+    fit_window: tuple
+    tol: float
+    max_iter: int
+    eps0_values: tuple
+    T_values: tuple
 
     def __post_init__(self):
         lo, hi = self.fit_window
@@ -115,7 +115,7 @@ def _parse_scalar(key: str, raw: str, line_no: int):
         raise ConfigError(f"line {line_no}: cannot parse {key} = {raw!r}: {exc}") from None
 
 
-def parse_config(text: str, output_dir=None) -> ExperimentConfig:
+def parse_config(text: str) -> ExperimentConfig:
     """Parse key = value lines ('#' starts a comment) into a validated config.
 
     An empty file yields all defaults.  Unknown keys, duplicate keys, and
@@ -164,9 +164,13 @@ def parse_config(text: str, output_dir=None) -> ExperimentConfig:
         max_iter=values["max_iter"],
         eps0_values=values["eps0_values"],
         T_values=values["T_values"],
-        output_dir=Path(output_dir) if output_dir is not None else Path("."),
     )
 
 
-def load_config(path, output_dir=None) -> ExperimentConfig:
-    return parse_config(Path(path).read_text(), output_dir=output_dir)
+def load_config(path) -> ExperimentConfig:
+    """parse_config on the text of the file at path, which must be UTF-8."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    return parse_config(text)

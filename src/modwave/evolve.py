@@ -23,14 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profile import FinalData, SolverParams, asymptotic_profile
+from .profile import SolverParams, asymptotic_profile
 from .spectral import (
     FrequencyField,
-    NormBundle,
     PhysicalField,
     _fft,
     _ifft,
     _propagator,
+    _xt_weights,
     forward_transform,
     free_propagate,
     inverse_transform,
@@ -163,13 +163,15 @@ def extract_profile(state: EvolutionState) -> FrequencyField:
     return free_propagate(forward_transform(state.u), -state.t)
 
 
-def scattering_deviation(state: EvolutionState, W: FinalData, params: SolverParams) -> NormBundle:
-    """Norms of the difference between the evolved profile and the explicit one."""
-    if state.t < params.T:
-        raise ValueError(f"deviation defined for t >= T = {params.T}, got t = {state.t}")
+def scattering_deviation(state: EvolutionState, W: FrequencyField, params: SolverParams) -> float:
+    """X_T weight t^alpha (sup + L2 + (1+log t)^{-1} d/dxi-L2) of the difference
+    between the evolved profile and the explicit one."""
+    t = state.t
+    if t < params.T:
+        raise ValueError(f"deviation defined for t >= T = {params.T}, got t = {t}")
     fhat = extract_profile(state)
-    v = asymptotic_profile(W, state.t, params.lam)
-    return norms(FrequencyField(fhat.grid, fhat.values - v.values))
+    v = asymptotic_profile(W, t, params.lam)
+    return float(_xt_weights(t, fhat.values - v.values, params.alpha, fhat.grid.dxi))
 
 
 def _on_rays(fhat: FrequencyField, t: float) -> np.ndarray:
@@ -194,7 +196,7 @@ def _on_rays(fhat: FrequencyField, t: float) -> np.ndarray:
     return forward_transform(PhysicalField(grid, np.exp(0.5j * y * y / t) * f)).values
 
 
-def asymptotic_error(state: EvolutionState, W: FinalData, params: SolverParams) -> float:
+def asymptotic_error(state: EvolutionState, W: FrequencyField, params: SolverParams) -> float:
     """Sup-norm distance to the explicit self-similar leading term, on the rays x = t*xi_k:
     the leading term replaces G = F[M_t U(-t)u] (see _on_rays) by the profile v(t).
     """

@@ -25,15 +25,6 @@ class DecayFit:
         if self.n_points < 3:
             raise ValueError(f"fit needs at least 3 points, got {self.n_points}")
 
-    def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "n_points": self.n_points,
-            "log_correction_power": self.log_correction_power,
-        }
-
 
 def fit_decay(times, values, log_correction_power: int = 0) -> DecayFit:
     """Fit log(value) - p*log(1+log t) against log t by ordinary least squares.

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .profile import FinalData, SolverParams
+from .profile import SolverParams
 from .spectral import FrequencyField, SpectralGrid, _l2, _xt_weights
 from .trilinear import _pull_back, _pulled_back_forcing
 
@@ -86,13 +86,6 @@ class ProfileTrajectory:
                 f"{self.time_grid.count} nodes x {self.grid.num_points} points"
             )
 
-    @classmethod
-    def zeros(cls, grid: SpectralGrid, time_grid: TimeGrid) -> "ProfileTrajectory":
-        return cls(grid, time_grid, np.zeros((time_grid.count, grid.num_points), complex))
-
-    def field(self, k: int) -> FrequencyField:
-        return FrequencyField(self.grid, self.values[k])
-
 
 @dataclass
 class PicardReport:
@@ -104,16 +97,6 @@ class PicardReport:
     contraction_ratios: list = field(default_factory=list)
     converged: bool = False
     tail_estimate: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "iterates": self.iterates,
-            "xt_norms": self.xt_norms,
-            "step_distances": self.step_distances,
-            "contraction_ratios": self.contraction_ratios,
-            "converged": self.converged,
-            "tail_estimate": self.tail_estimate,
-        }
 
 
 def _blocks(count: int):
@@ -197,7 +180,7 @@ class Drive:
     tail_estimate: float
 
 
-def build_drive(W: FinalData, params: SolverParams) -> Drive:
+def build_drive(W: FrequencyField, params: SolverParams) -> Drive:
     """Tabulate U(s_k), the approximate solution and Phi_eps on the params'
     time grid: the one way into the backward map.
 
@@ -210,7 +193,7 @@ def build_drive(W: FinalData, params: SolverParams) -> Drive:
     prop, u_app, vals = (np.empty(shape, complex) for _ in range(3))
     for rows in _blocks(tg.count):
         prop[rows], u_app[rows], vals[rows] = _pulled_back_forcing(
-            W.W.values, tg.nodes[rows], params.lam, params.grid)
+            W.values, tg.nodes[rows], params.lam, params.grid)
     # the forcing rows, until they are integrated in place into Phi_eps
     phi_eps = ProfileTrajectory(params.grid, tg, vals)
     tail = estimate_tail(phi_eps)

@@ -23,7 +23,6 @@ from .spectral import (
 
 __all__ = [
     "SolverParams",
-    "FinalData",
     "make_final_data",
     "asymptotic_profile",
     "approximate_solution",
@@ -61,14 +60,6 @@ class SolverParams:
             raise ValueError(f"t_max must be at least 10*T, got t_max={self.t_max}, T={self.T}")
         if self.time_grid_points < 3:
             raise ValueError(f"time_grid_points must be at least 3, got {self.time_grid_points}")
-
-
-@dataclass(frozen=True)
-class FinalData:
-    """Prescribed scattering datum W with its measured size."""
-
-    W: FrequencyField
-    eps0_actual: float
 
 
 def _band_radius(kind: str, bandwidth: float) -> float:
@@ -117,8 +108,8 @@ def _size_measure(W: FrequencyField) -> float:
 
 def make_final_data(
     kind: str, params: SolverParams, seed: int = 0, bandwidth: float = 1.0
-) -> FinalData:
-    """Build final data of the requested family, scaled to size params.eps0.
+) -> FrequencyField:
+    """Build the final datum W of the requested family, scaled to size params.eps0.
 
     The size is ||W||_inf + ||W||_H2; scaling is linear so one rescale is
     exact and the construction is idempotent under re-measurement.  The
@@ -129,12 +120,10 @@ def make_final_data(
     grid = params.grid
     _check_band(kind, bandwidth, grid)
     if params.eps0 == 0.0:
-        W = FrequencyField(grid, np.zeros(grid.num_points, dtype=np.complex128))
-        return FinalData(W=W, eps0_actual=0.0)
+        return FrequencyField(grid, np.zeros(grid.num_points, dtype=np.complex128))
     unit = FrequencyField(grid, _unit_shape(kind, grid.frequencies, bandwidth, seed))
     scale = params.eps0 / _size_measure(unit)
-    W = FrequencyField(grid, scale * unit.values)
-    return FinalData(W=W, eps0_actual=_size_measure(W))
+    return FrequencyField(grid, scale * unit.values)
 
 
 def _profile(w: np.ndarray, t, lam: int) -> np.ndarray:
@@ -149,7 +138,7 @@ def _profile_rate(v: np.ndarray, t, lam: int) -> np.ndarray:
     return coeff * np.abs(v) ** 2 * v
 
 
-def asymptotic_profile(W: FinalData, t: float, lam: int) -> FrequencyField:
+def asymptotic_profile(W: FrequencyField, t: float, lam: int) -> FrequencyField:
     """v(t, xi) = W(xi) * exp(-i*lam*|W(xi)|^2 * log(t)/(2*pi)).
 
     |v| = |W| for all t.  The 1/(2*pi) in the logarithmic phase matches
@@ -159,10 +148,10 @@ def asymptotic_profile(W: FinalData, t: float, lam: int) -> FrequencyField:
     """
     if t <= 0:
         raise ValueError(f"profile time must be positive, got {t}")
-    return FrequencyField(W.W.grid, _profile(W.W.values, t, lam))
+    return FrequencyField(W.grid, _profile(W.values, t, lam))
 
 
-def approximate_solution(W: FinalData, t: float, params: SolverParams) -> PhysicalField:
+def approximate_solution(W: FrequencyField, t: float, params: SolverParams) -> PhysicalField:
     """Free evolution of the profile: the x-space carrier of the long-range phase."""
     v = asymptotic_profile(W, t, params.lam)
     return inverse_transform(free_propagate(v, t))

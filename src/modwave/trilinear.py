@@ -14,31 +14,24 @@ sign, exactly that remainder evaluated on the explicit profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .profile import FinalData, SolverParams, _profile, _profile_rate, asymptotic_profile
+from .profile import SolverParams, _profile, _profile_rate, asymptotic_profile
 from .spectral import (
     FrequencyField,
-    PhysicalField,
     SpectralGrid,
     _fft,
     _ifft,
     _propagator,
-    free_propagate,
     inverse_transform,
 )
 
 __all__ = [
-    "TrilinearSplit",
-    "pulled_back_cubic",
-    "trilinear_split",
+    "remainder",
     "remainder_oracle",
     "oracle_calibration",
-    "forcing",
+    "pulled_back_forcing",
     "forcing_identity_residual",
-    "cubic_difference",
 ]
 
 ORACLE_MAX_POINTS = 64
@@ -48,25 +41,11 @@ ORACLE_MAX_POINTS = 64
 ORACLE_CONSTANT = 1.0 / (2.0 * np.pi)
 
 
-@dataclass(frozen=True)
-class TrilinearSplit:
-    """Resonant leading term plus remainder of the pulled-back cubic at time s."""
-
-    leading: FrequencyField
-    remainder: FrequencyField
-    s: float
-
-
-def _pulled_back_cubic(
-    a: np.ndarray, s, grid: SpectralGrid, b: np.ndarray | None = None
-) -> np.ndarray:
+def _pulled_back_cubic(a: np.ndarray, s, grid: SpectralGrid) -> np.ndarray:
     """U(-s)[|A|^2 A] with A = U(s)a, on frequency rows, for a scalar s or
-    one row per entry of a vector s (coupling sign applied by callers).
-    With b, U(-s)[|A+B|^2 (A+B) - |A|^2 A] with B = U(s)b, by the
-    cancellation-free expansion of _cubic_difference.
-    """
+    one row per entry of a vector s (coupling sign applied by callers)."""
     prop = _propagator(grid.frequencies, s)
-    return _pull_back(_ifft(a * prop, grid.dx), prop, grid, b)
+    return _pull_back(_ifft(a * prop, grid.dx), prop, grid)
 
 
 def _pull_back(
@@ -74,32 +53,26 @@ def _pull_back(
 ) -> np.ndarray:
     """The pull-back half of _pulled_back_cubic: U(-s)[|u|^2 u] from x-space
     rows u = U(s)a and their propagator rows prop = e^{-i s xi^2/2}; with b,
-    U(-s)[|u+B|^2 (u+B) - |u|^2 u] with B = U(s)b."""
+    U(-s)[|u+B|^2 (u+B) - |u|^2 u] with B = U(s)b, by the cancellation-free
+    expansion of _cubic_difference."""
     cube = np.abs(u) ** 2 * u if b is None else _cubic_difference(u, _ifft(b * prop, grid.dx))
     return np.conj(prop) * _fft(cube, grid.dx)
 
 
-def pulled_back_cubic(fhat: FrequencyField, s: float) -> FrequencyField:
-    """i * U(-s)[ (U(s)f) |U(s)f|^2 ] on the frequency side."""
-    if s <= 0:
-        raise ValueError(f"pullback time must be positive, got {s}")
-    return FrequencyField(fhat.grid, 1j * _pulled_back_cubic(fhat.values, s, fhat.grid))
-
-
-def trilinear_split(fhat: FrequencyField, s: float) -> TrilinearSplit:
-    """Split the pulled-back cubic into (i/(2*pi*s))|fhat|^2 fhat plus remainder.
+def remainder(fhat: FrequencyField, s: float) -> FrequencyField:
+    """The pulled-back cubic i * U(-s)[|U(s)f|^2 U(s)f] less its resonant
+    leading term (i/(2*pi*s))|fhat|^2 fhat.
 
     The 1/(2*pi) is forced by the transform normalization in use: the
     stationary-phase limit of the frequency-side cubic convolution carries
     one factor (2*pi)^{-2} from the two products and one 2*pi/s from the
     phase pairing.
     """
-    full = pulled_back_cubic(fhat, s)
-    leading = FrequencyField(
-        fhat.grid, (1j / (2.0 * np.pi * s)) * np.abs(fhat.values) ** 2 * fhat.values
-    )
-    remainder = FrequencyField(fhat.grid, full.values - leading.values)
-    return TrilinearSplit(leading=leading, remainder=remainder, s=s)
+    if s <= 0:
+        raise ValueError(f"pullback time must be positive, got {s}")
+    f = fhat.values
+    full = 1j * _pulled_back_cubic(f, s, fhat.grid)
+    return FrequencyField(fhat.grid, full - (1j / (2.0 * np.pi * s)) * np.abs(f) ** 2 * f)
 
 
 def _oracle_raw(fhat: FrequencyField, s: float) -> np.ndarray:
@@ -153,7 +126,7 @@ def oracle_calibration() -> complex:
     derived ORACLE_CONSTANT = 1/(2*pi) that remainder_oracle uses.
     """
     fhat, s = _calibration_input()
-    target = trilinear_split(fhat, s).remainder.values
+    target = remainder(fhat, s).values
     raw = _oracle_raw(fhat, s)
     return complex(np.vdot(raw, target) / np.vdot(raw, raw))
 
@@ -187,7 +160,7 @@ def _pulled_back_forcing(w: np.ndarray, t, lam: int, grid: SpectralGrid):
     return prop, u_app, 1j * _profile_rate(v, t, lam) - lam * _pull_back(u_app, prop, grid)
 
 
-def pulled_back_forcing(W: FinalData, t: float, params: SolverParams) -> FrequencyField:
+def pulled_back_forcing(W: FrequencyField, t: float, params: SolverParams) -> FrequencyField:
     """Frequency-side interaction-picture forcing: hat of U(-t) applied to it.
 
     Uses the analytic profile time derivative, never numerical
@@ -195,18 +168,12 @@ def pulled_back_forcing(W: FinalData, t: float, params: SolverParams) -> Frequen
     """
     if t <= 0:
         raise ValueError(f"forcing time must be positive, got {t}")
-    _, _, pulled = _pulled_back_forcing(W.W.values, t, params.lam, params.grid)
+    _, _, pulled = _pulled_back_forcing(W.values, t, params.lam, params.grid)
     return FrequencyField(params.grid, pulled)
 
 
-def forcing(W: FinalData, t: float, params: SolverParams) -> PhysicalField:
-    """Residual by which the approximate solution fails the cubic equation:
-    U(t) applied to the pulled-back forcing."""
-    return inverse_transform(free_propagate(pulled_back_forcing(W, t, params), t))
-
-
 def forcing_identity_residual(
-    W: FinalData, t: float, params: SolverParams, route: str = "fft"
+    W: FrequencyField, t: float, params: SolverParams, route: str = "fft"
 ) -> float:
     """Relative sup-norm residual of the forcing/remainder identity.
 
@@ -219,10 +186,7 @@ def forcing_identity_residual(
         raise ValueError(f"route must be 'fft' or 'oracle', got {route!r}")
     lhs = pulled_back_forcing(W, t, params)
     v = asymptotic_profile(W, t, params.lam)
-    if route == "fft":
-        rem = trilinear_split(v, t).remainder
-    else:
-        rem = remainder_oracle(v, t)
+    rem = remainder(v, t) if route == "fft" else remainder_oracle(v, t)
     rhs = 1j * params.lam * rem.values
     scale = float(np.max(np.abs(rhs)))
     if scale == 0.0:
@@ -231,7 +195,11 @@ def forcing_identity_residual(
 
 
 def _cubic_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kernel of cubic_difference: pointwise, any shape."""
+    """|a+b|^2 (a+b) - |a|^2 a via the five-term expansion, pointwise, any shape.
+
+    The expansion is linear-to-cubic in b, so there is no catastrophic
+    cancellation when |b| << |a|.
+    """
     return (
         2.0 * np.abs(a) ** 2 * b
         + a * a * np.conj(b)
@@ -240,13 +208,3 @@ def _cubic_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         + np.abs(b) ** 2 * b
     )
 
-
-def cubic_difference(a: PhysicalField, b: PhysicalField) -> PhysicalField:
-    """|a+b|^2 (a+b) - |a|^2 a via the five-term expansion.
-
-    The expansion is linear-to-cubic in b, so there is no catastrophic
-    cancellation when |b| << |a|.
-    """
-    if a.grid != b.grid:
-        raise ValueError("cubic_difference requires fields on the same grid")
-    return PhysicalField(a.grid, _cubic_difference(a.values, b.values))

@@ -97,3 +97,25 @@ def test_defaults_used_without_config(tmp_path):
     assert code == 0
     payload = json.loads((out / "results.json").read_text())
     assert payload["params"]["num_points"] == 4096
+
+
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    # --out below a regular file cannot be created: a runtime error, not a traceback
+    blocker = tmp_path / "f"
+    blocker.touch()
+    code = main(["verify-spectral", "--out", str(blocker / "sub")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "runtime"
+    assert "NotADirectoryError" in err["reason"]
+
+
+def test_undecodable_config_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfe")
+    code = main(["verify-spectral", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert not (tmp_path / "out").exists()
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert str(cfg) in err["reason"]

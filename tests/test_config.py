@@ -136,7 +136,6 @@ def test_sweep_params_are_the_cells():
 def test_load_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("eps0 = 0.01\nseed = 3\n")
-    cfg = load_config(path, output_dir=tmp_path)
+    cfg = load_config(path)
     assert cfg.params.eps0 == 0.01
     assert cfg.seed == 3
-    assert cfg.output_dir == tmp_path

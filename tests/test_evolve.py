@@ -16,8 +16,8 @@ from modwave import (
     dispersive_ratio,
     evolve,
     extract_profile,
-    forcing,
     make_final_data,
+    pulled_back_forcing,
     scattering_deviation,
 )
 from modwave.evolve import _strang
@@ -164,8 +164,7 @@ def test_scattering_deviation_zero_for_exact_profile():
     t = 20.0
     u = approximate_solution(fd, t, params)
     state = _state(u, t, params)
-    dev = scattering_deviation(state, fd, params)
-    assert dev.linf <= 1e-14
+    assert scattering_deviation(state, fd, params) <= 1e-14
 
 
 def test_scattering_deviation_rejects_early_time():
@@ -188,6 +187,26 @@ def test_asymptotic_error_decays_for_explicit_solution():
     amp = np.max(np.abs(approximate_solution(fd, 50.0, params).values))
     assert errs[0] <= 0.3 * amp
     assert errs[1] < errs[0]
+
+
+def test_asymptotic_error_matches_closed_form():
+    # for gaussian W = a e^{-xi^2/b^2}, G = F[M_t F^{-1} W] is
+    # (a b / (2 sqrt(pi))) sqrt(pi/c) e^{-xi^2/(4c)} with c = b^2/4 - i/(2t)
+    # (principal root); the free wave of W has profile W, so its expansion
+    # error is max|G - v(t)| / sqrt(2 pi t) with v the explicit profile
+    params = SolverParams(grid=SpectralGrid(4096, 800.0))
+    b = 0.3
+    W = make_final_data("gaussian", params, bandwidth=b)
+    a, xi = W.values[0].real, params.grid.frequencies
+    for t in (10.0, 50.0, 200.0):
+        c = b * b / 4.0 - 0.5j / t
+        G = a * b / (2.0 * np.sqrt(np.pi)) * np.sqrt(np.pi / c) * np.exp(-xi * xi / (4.0 * c))
+        rays = evolve_module._on_rays(W, t)
+        assert np.max(np.abs(rays - G)) <= 1e-12 * np.max(np.abs(G))
+        state = _state(inverse_transform(free_propagate(W, t)), t, params)
+        v = asymptotic_profile(W, t, params.lam).values
+        ref = np.max(np.abs(G - v)) / np.sqrt(2.0 * np.pi * t)
+        assert abs(asymptotic_error(state, W, params) - ref) <= 1e-12 * ref
 
 
 def test_ray_samples_match_the_wave_while_the_box_holds_it():
@@ -246,6 +265,6 @@ def test_approximate_solution_satisfies_forced_equation():
     uhat = forward_transform(u)
     uxx = inverse_transform(FrequencyField(params.grid, -(xi**2) * uhat.values))
     lhs = 1j * ut + 0.5 * uxx.values - params.lam * np.abs(u.values) ** 2 * u.values
-    rhs = forcing(fd, t, params).values
+    rhs = inverse_transform(free_propagate(pulled_back_forcing(fd, t, params), t)).values
     scale = np.max(np.abs(u.values))
     assert np.max(np.abs(lhs - rhs)) <= 1e-5 * scale

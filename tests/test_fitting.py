@@ -1,5 +1,7 @@
 """Decay-rate fits on synthetic series."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -69,8 +71,9 @@ def test_decayfit_validation():
         DecayFit(slope=-1.0, intercept=0.0, r_squared=0.9, n_points=2)
 
 
-def test_to_dict():
+def test_fit_serializes_with_asdict():
+    # the fits of results.json carry exactly these keys
     fit = fit_decay(np.geomspace(2, 20, 5), np.geomspace(2, 20, 5) ** -2.0)
-    d = fit.to_dict()
+    d = asdict(fit)
     assert set(d) == {"slope", "intercept", "r_squared", "n_points", "log_correction_power"}
     assert d["slope"] == pytest.approx(-2.0, abs=1e-12)

@@ -1,5 +1,7 @@
 """Time grid, backward quadrature, norm growth, and the Picard iteration."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -18,12 +20,14 @@ from modwave import (
     xt_distance,
     xt_norm,
 )
-from modwave import asymptotic_profile, cubic_difference, fixedpoint
+from modwave import asymptotic_profile, fixedpoint
 from modwave.fixedpoint import BLOCK_ROWS, _blocks, _cumulative_backward, estimate_tail
 from modwave.profile import _profile, _profile_rate
-from modwave.trilinear import _pulled_back_cubic
+from modwave.trilinear import _cubic_difference, _pull_back, _pulled_back_cubic
 from modwave.spectral import (
     PhysicalField,
+    _ifft,
+    _propagator,
     forward_transform,
     free_propagate,
     inverse_transform,
@@ -33,6 +37,10 @@ from modwave.spectral import (
 
 GRID = SpectralGrid(256, 100.0)
 PARAMS = SolverParams(grid=GRID, time_grid_points=65)
+
+
+def zero_trajectory(grid, tg):
+    return ProfileTrajectory(grid, tg, np.zeros((tg.count, grid.num_points), complex))
 
 
 def test_time_grid_validation():
@@ -201,7 +209,7 @@ def test_picard_from_zero_starts_at_phi_eps(monkeypatch, lam, eps0):
     # Phi(0) = Phi_eps: the start from 0 skips one sweep and changes nothing
     params = SolverParams(lam=lam, eps0=eps0, grid=GRID, time_grid_points=65)
     drive = build_drive(make_final_data("gaussian", params, bandwidth=0.4), params)
-    g_swept, swept = picard_iterate(drive, g0=ProfileTrajectory.zeros(GRID, drive.time_grid))
+    g_swept, swept = picard_iterate(drive, g0=zero_trajectory(GRID, drive.time_grid))
     real, sweeps = fixedpoint.apply_phi, []
 
     def counted(*args):
@@ -211,7 +219,7 @@ def test_picard_from_zero_starts_at_phi_eps(monkeypatch, lam, eps0):
     monkeypatch.setattr(fixedpoint, "apply_phi", counted)
     g, report = picard_iterate(drive)
     assert np.array_equal(g.values, g_swept.values)
-    assert report.to_dict() == swept.to_dict()
+    assert asdict(report) == asdict(swept)
     assert len(sweeps) == report.iterates - 1
 
 
@@ -251,15 +259,18 @@ def test_contraction_probe_small():
 def test_contraction_probe_rejects_equal():
     fd = make_final_data("gaussian", PARAMS, bandwidth=0.4)
     drive = build_drive(fd, PARAMS)
-    g = ProfileTrajectory.zeros(GRID, drive.time_grid)
+    g = zero_trajectory(GRID, drive.time_grid)
     with pytest.raises(ValueError, match="distinct"):
         contraction_probe(g, g, drive)
 
 
-def test_report_to_dict_round_trips():
+def test_report_serializes_with_asdict():
+    # the picard_report_* extras of results.json carry exactly these keys
     r = PicardReport(iterates=3, xt_norms=[1.0], step_distances=[0.1],
                      contraction_ratios=[0.01], converged=True, tail_estimate=0.0)
-    d = r.to_dict()
+    d = asdict(r)
+    assert list(d) == ["iterates", "xt_norms", "step_distances", "contraction_ratios",
+                       "converged", "tail_estimate"]
     assert d["iterates"] == 3 and d["converged"] is True
 
 
@@ -289,8 +300,8 @@ def _apply_phi_per_node(g, W, params, phi_eps_traj):
     for k, s in enumerate(g.time_grid.nodes):
         v = asymptotic_profile(W, s, params.lam)
         u_app = inverse_transform(free_propagate(v, s))
-        w = inverse_transform(free_propagate(g.field(k), s))
-        n_diff = cubic_difference(u_app, w)
+        w = inverse_transform(free_propagate(FrequencyField(g.grid, g.values[k]), s))
+        n_diff = PhysicalField(g.grid, _cubic_difference(u_app.values, w.values))
         integrand[k] = free_propagate(forward_transform(n_diff), -s).values
     acc = _cumulative_backward(integrand, g.time_grid.nodes)
     return 1j * params.lam * acc + phi_eps_traj.values
@@ -299,7 +310,7 @@ def _apply_phi_per_node(g, W, params, phi_eps_traj):
 def _xt_norm_per_node(g, alpha):
     out = []
     for k, t in enumerate(g.time_grid.nodes):
-        b = norms(g.field(k))
+        b = norms(FrequencyField(g.grid, g.values[k]))
         out.append(t**alpha * (b.linf + b.l2 + b.dxi_l2 / (1.0 + np.log(t))))
     return max(out)
 
@@ -344,7 +355,7 @@ def _phi_eps_recomputed(W, params, tg):
     vals = np.empty((tg.count, params.grid.num_points), complex)
     for rows in _blocks(tg.count):
         s = tg.nodes[rows]
-        v = _profile(W.W.values, s, params.lam)
+        v = _profile(W.values, s, params.lam)
         vals[rows] = 1j * _profile_rate(v, s, params.lam) - params.lam * _pulled_back_cubic(
             v, s, params.grid)
     return -1j * _cumulative_backward_out_of_place(vals, tg.nodes)
@@ -355,8 +366,9 @@ def _apply_phi_recomputed(g, W, params, phi_eps_values):
     integrand = np.empty_like(g.values)
     for rows in _blocks(tg.count):
         s = tg.nodes[rows]
-        integrand[rows] = _pulled_back_cubic(_profile(W.W.values, s, lam), s, params.grid,
-                                             g.values[rows])
+        prop = _propagator(params.grid.frequencies, s)
+        u_app = _ifft(_profile(W.values, s, lam) * prop, params.grid.dx)
+        integrand[rows] = _pull_back(u_app, prop, params.grid, g.values[rows])
     acc = _cumulative_backward_out_of_place(integrand, tg.nodes)
     acc *= 1j * lam
     acc += phi_eps_values
@@ -398,7 +410,7 @@ def test_xt_distance_is_xt_norm_of_the_difference():
                               + 1j * rng.standard_normal(shape)) for _ in range(2))
     diff = ProfileTrajectory(GRID, tg, a.values - b.values)
     assert xt_distance(a, b, PARAMS.alpha) == xt_norm(diff, PARAMS.alpha)
-    other = ProfileTrajectory.zeros(GRID, TimeGrid(np.geomspace(10.0, 1000.0, 33)))
+    other = zero_trajectory(GRID, TimeGrid(np.geomspace(10.0, 1000.0, 33)))
     with pytest.raises(ValueError, match="another time grid"):
         xt_distance(a, other, PARAMS.alpha)
 
@@ -427,7 +439,7 @@ def test_drive_rejects_trajectories_living_elsewhere(other, where):
     drive = build_drive(fd, PARAMS)
     other_tg = TimeGrid.from_params(other)
     g1 = ProfileTrajectory(other.grid, other_tg, np.ones((other_tg.count, other.grid.num_points)))
-    g2 = ProfileTrajectory.zeros(other.grid, other_tg)
+    g2 = zero_trajectory(other.grid, other_tg)
     with pytest.raises(ValueError, match=f"^g lives on another {where}$"):
         apply_phi(g1, drive)
     with pytest.raises(ValueError, match=f"on another {where}$"):

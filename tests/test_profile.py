@@ -30,23 +30,21 @@ def test_params_validation():
 @pytest.mark.parametrize("kind", ["gaussian", "bump", "random_bandlimited"])
 def test_final_data_size(kind):
     fd = make_final_data(kind, PARAMS, seed=2)
-    assert fd.eps0_actual == pytest.approx(PARAMS.eps0, rel=1e-12)
-    b = norms(fd.W)
+    b = norms(fd)
     assert b.linf + b.h2 == pytest.approx(PARAMS.eps0, rel=1e-12)
 
 
 def test_final_data_deterministic():
     a = make_final_data("random_bandlimited", PARAMS, seed=9)
     b = make_final_data("random_bandlimited", PARAMS, seed=9)
-    assert np.array_equal(a.W.values, b.W.values)
+    assert np.array_equal(a.values, b.values)
     c = make_final_data("random_bandlimited", PARAMS, seed=10)
-    assert not np.array_equal(a.W.values, c.W.values)
+    assert not np.array_equal(a.values, c.values)
 
 
 def test_final_data_zero_size():
     fd = make_final_data("gaussian", SolverParams(eps0=0.0, grid=GRID))
-    assert fd.eps0_actual == 0.0
-    assert not np.any(fd.W.values)
+    assert not np.any(fd.values)
 
 
 def test_final_data_unknown_kind():
@@ -63,27 +61,27 @@ def test_final_data_band_must_fit():
 def test_bump_compact_support():
     fd = make_final_data("bump", PARAMS, bandwidth=0.5)
     xi = GRID.frequencies
-    assert np.all(fd.W.values[np.abs(xi) >= 1.0] == 0.0)
+    assert np.all(fd.values[np.abs(xi) >= 1.0] == 0.0)
 
 
 def test_profile_modulus_preserved():
     fd = make_final_data("gaussian", PARAMS)
     for t in (2.0, 50.0, 900.0):
         v = asymptotic_profile(fd, t, lam=1)
-        assert np.max(np.abs(np.abs(v.values) - np.abs(fd.W.values))) <= 1e-14
+        assert np.max(np.abs(np.abs(v.values) - np.abs(fd.values))) <= 1e-14
 
 
 def test_profile_phase_at_unit_time():
     fd = make_final_data("gaussian", PARAMS)
     v = asymptotic_profile(fd, 1.0, lam=1)
-    assert np.max(np.abs(v.values - fd.W.values)) == 0.0
+    assert np.max(np.abs(v.values - fd.values)) == 0.0
 
 
 def test_profile_phase_closed_form():
     fd = make_final_data("gaussian", PARAMS)
     t, lam = 25.0, -1
     v = asymptotic_profile(fd, t, lam)
-    w = fd.W.values
+    w = fd.values
     exact = w * np.exp(-1j * lam * np.abs(w) ** 2 * np.log(t) / (2.0 * np.pi))
     assert np.max(np.abs(v.values - exact)) <= 1e-15
 

@@ -77,6 +77,39 @@ def test_every_all_entry_exists():
     assert stale == []
 
 
+# Public names that no production module reads, each with its reason.
+PUBLIC_WITHOUT_READER = {
+    # the independent fit that checks ORACLE_CONSTANT; only tests run it
+    "trilinear.oracle_calibration",
+}
+
+
+def _production_reads(tree):
+    """Names loaded and attributes read in tree, outside annotations."""
+    annotations = [node.annotation for node in ast.walk(tree)
+                   if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation]
+    annotations += [node.returns for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns]
+    skip = {id(sub) for ann in annotations for sub in ast.walk(ann)}
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+             and isinstance(node.ctx, ast.Load) and id(node) not in skip}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+               and isinstance(node.ctx, ast.Load) and id(node) not in skip})
+
+
+def test_every_public_name_has_a_production_reader():
+    # a public name only tests read is surface to keep for nothing; the
+    # package __init__ imports only to re-export, so it reads nothing
+    sources = [path for path in Path(modwave.__file__).parent.glob("*.py")
+               if path.name != "__init__.py"]
+    read = set().union(*(_production_reads(ast.parse(path.read_text())) for path in sources))
+    unread = [f"{path.stem}.{entry}" for path in sorted(sources)
+              for entry in getattr(importlib.import_module(f"modwave.{path.stem}"), "__all__", ())
+              if entry not in read]
+    assert sorted(set(unread) - PUBLIC_WITHOUT_READER) == []
+    assert PUBLIC_WITHOUT_READER <= set(unread)
+
+
 def _unused_imports(path):
     tree = ast.parse(path.read_text())
     imported = {}

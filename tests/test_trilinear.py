@@ -9,23 +9,28 @@ from modwave import (
     FrequencyField,
     SolverParams,
     SpectralGrid,
-    cubic_difference,
-    forcing,
     forcing_identity_residual,
     make_final_data,
     oracle_calibration,
-    pulled_back_cubic,
+    pulled_back_forcing,
+    remainder,
     remainder_oracle,
-    trilinear_split,
 )
 from modwave.spectral import (
     PhysicalField,
+    _ifft,
+    _propagator,
     forward_transform,
     free_propagate,
     inverse_transform,
     norms,
 )
-from modwave.trilinear import ORACLE_MAX_POINTS, _pulled_back_cubic
+from modwave.trilinear import (
+    ORACLE_MAX_POINTS,
+    _cubic_difference,
+    _pull_back,
+    _pulled_back_cubic,
+)
 
 trilinear = importlib.import_module("modwave.trilinear")
 
@@ -40,28 +45,37 @@ def sample_field(grid, seed=0, width=1.0):
     return FrequencyField(grid, amp * np.exp(-((xi / width) ** 2)) * (1.0 + 0.3j * xi))
 
 
+def leading_term(f, s):
+    """The resonant term (i/(2 pi s))|f|^2 f in closed form."""
+    return (1j / (2.0 * np.pi * s)) * np.abs(f.values) ** 2 * f.values
+
+
 def test_split_reassembles_exactly():
     f = sample_field(COARSE_GRID, seed=1)
     s = 5.0
-    split = trilinear_split(f, s)
-    full = pulled_back_cubic(f, s)
-    recon = split.leading.values + split.remainder.values
-    assert np.max(np.abs(recon - full.values)) <= 1e-15 * np.max(np.abs(full.values))
+    full = 1j * _pulled_back_cubic(f.values, s, COARSE_GRID)
+    recon = leading_term(f, s) + remainder(f, s).values
+    assert np.max(np.abs(recon - full)) <= 1e-15 * np.max(np.abs(full))
 
 
 def test_leading_term_closed_form():
+    # the remainder subtracts exactly the closed-form leading term
     f = sample_field(COARSE_GRID, seed=2)
     s = 7.0
-    split = trilinear_split(f, s)
-    exact = (1j / (2.0 * np.pi * s)) * np.abs(f.values) ** 2 * f.values
-    assert np.array_equal(split.leading.values, exact)
+    full = 1j * _pulled_back_cubic(f.values, s, COARSE_GRID)
+    assert np.array_equal(remainder(f, s).values, full - leading_term(f, s))
+
+
+def test_remainder_rejects_nonpositive_time():
+    with pytest.raises(ValueError, match="positive"):
+        remainder(sample_field(COARSE_GRID), 0.0)
 
 
 def test_remainder_smaller_than_leading_at_late_time():
     f = sample_field(COARSE_GRID, seed=3, width=0.4)
     s = 40.0
-    split = trilinear_split(f, s)
-    assert norms(split.remainder).l2 < 0.5 * norms(split.leading).l2
+    lead = FrequencyField(COARSE_GRID, leading_term(f, s))
+    assert norms(remainder(f, s)).l2 < 0.5 * norms(lead).l2
 
 
 def test_oracle_calibration_is_inverse_two_pi():
@@ -72,7 +86,7 @@ def test_oracle_calibration_is_inverse_two_pi():
 def test_oracle_matches_fft_remainder():
     f = sample_field(COARSE_GRID, seed=4, width=0.25)
     for s in (5.0, 20.0):
-        fft_rem = trilinear_split(f, s).remainder
+        fft_rem = remainder(f, s)
         orc = remainder_oracle(f, s)
         scale = np.max(np.abs(fft_rem.values))
         assert np.max(np.abs(orc.values - fft_rem.values)) <= 1e-3 * scale
@@ -132,10 +146,13 @@ def test_forcing_cubic_homogeneity():
     params = SolverParams(grid=COARSE_GRID)
     half = SolverParams(eps0=params.eps0 / 2.0, grid=COARSE_GRID)
     t = 10.0
-    f_full = forcing(make_final_data("gaussian", params, bandwidth=0.2), t, params)
-    f_half = forcing(make_final_data("gaussian", half, bandwidth=0.2), t, half)
-    r_full = np.max(np.abs(f_full.values))
-    r_half = np.max(np.abs(f_half.values))
+
+    def forcing_sup(p):
+        # the forcing field is U(t) applied to the pulled-back forcing
+        W = make_final_data("gaussian", p, bandwidth=0.2)
+        return np.max(np.abs(inverse_transform(free_propagate(pulled_back_forcing(W, t, p), t)).values))
+
+    r_full, r_half = forcing_sup(params), forcing_sup(half)
     # |W| enters the log phase too, so homogeneity is only approximate; the
     # cubic power dominates at these sizes
     assert r_full / r_half == pytest.approx(8.0, rel=0.05)
@@ -150,23 +167,20 @@ def test_invalid_route():
 def test_cubic_difference_matches_direct():
     rng = np.random.default_rng(11)
     n = COARSE_GRID.num_points
-    a = PhysicalField(COARSE_GRID, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    b = PhysicalField(COARSE_GRID, 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
-    diff = cubic_difference(a, b)
-    ab = a.values + b.values
-    direct = np.abs(ab) ** 2 * ab - np.abs(a.values) ** 2 * a.values
-    assert np.max(np.abs(diff.values - direct)) <= 1e-12 * np.max(np.abs(direct))
+    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    b = 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    direct = np.abs(a + b) ** 2 * (a + b) - np.abs(a) ** 2 * a
+    assert np.max(np.abs(_cubic_difference(a, b) - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
 def test_cubic_difference_no_cancellation():
     # with |b| ~ 1e-12 |a| the expansion keeps full relative accuracy
     x = COARSE_GRID.x
-    a = PhysicalField(COARSE_GRID, np.exp(-(x**2)) + 0.0j)
-    b = PhysicalField(COARSE_GRID, 1e-12 * np.exp(-(x**2)) * (1.0 + 1j))
-    diff = cubic_difference(a, b)
+    a = np.exp(-(x**2)) + 0.0j
+    b = 1e-12 * np.exp(-(x**2)) * (1.0 + 1j)
     # leading term is 2|a|^2 b + a^2 conj(b)
-    lead = 2.0 * np.abs(a.values) ** 2 * b.values + a.values**2 * np.conj(b.values)
-    assert np.max(np.abs(diff.values - lead)) <= 1e-10 * np.max(np.abs(lead))
+    lead = 2.0 * np.abs(a) ** 2 * b + a**2 * np.conj(b)
+    assert np.max(np.abs(_cubic_difference(a, b) - lead)) <= 1e-10 * np.max(np.abs(lead))
 
 
 # ---- the pulled-back cubic kernel against a per-row field-function route
@@ -184,7 +198,8 @@ def _pulled_back_cubic_field_route(a, s, b=None):
     if b is None:
         cube = PhysicalField(grid, np.abs(u.values) ** 2 * u.values)
     else:
-        cube = cubic_difference(u, inverse_transform(free_propagate(FrequencyField(grid, b), s)))
+        w = inverse_transform(free_propagate(FrequencyField(grid, b), s))
+        cube = PhysicalField(grid, _cubic_difference(u.values, w.values))
     return free_propagate(forward_transform(cube), -s).values
 
 
@@ -198,7 +213,11 @@ def test_pulled_back_cubic_kernel_matches_field_route(s, with_b):
     xi = COARSE_GRID.frequencies
     a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.exp(-xi**2)
     b = 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) if with_b else None
-    got = _pulled_back_cubic(a, s, COARSE_GRID, b)
+    if b is None:
+        got = _pulled_back_cubic(a, s, COARSE_GRID)
+    else:
+        prop = _propagator(xi, s)
+        got = _pull_back(_ifft(a * prop, COARSE_GRID.dx), prop, COARSE_GRID, b)
     a_rows, s_rows = a.reshape(rows, -1), s_arr.reshape(rows)
     b_rows = [None] * rows if b is None else b.reshape(rows, -1)
     ref = np.array([_pulled_back_cubic_field_route(a_k, s_k, b_k)
