@@ -16,9 +16,16 @@ For each LABEL=PATH checkout it records:
   process of this script on the checkout's sources: the transform pair and
   the pulled-back cubic over one trajectory, one apply_phi sweep, xt_norm,
   and evolve from T to 2T;
-- the work counts of one serial (MODWAVE_THREADS=1) in-process construct,
-  traced by ``perfbench/tracer.py``: apply_phi, xt_norm, xt_distance,
-  _fft and _ifft calls, Picard calls and iterates.
+- the work counts of one serial (MODWAVE_THREADS=1) in-process construct
+  and of one roundtrip, each on the default config in a process of its own,
+  traced by ``perfbench/tracer.py``: apply_phi, xt_norm, xt_distance and
+  Picard calls and iterates.  The tracer sees only public functions, so the
+  private kernels are counted here by name, in calls and in the N-point
+  rows they return: _fft, _ifft, _propagator and _phi_nl, the nonlinear
+  sweep behind apply_phi and contraction_probe.
+  Picard's count covers picard_iterate alone; construct's second start,
+  which continues from an image the probe already swept, runs through the
+  private loop _picard and shows in _phi_nl.
 
 The checkouts take turns, in alternating order, so drift of a shared
 machine falls on both.  Nothing under ``perfbench/`` is changed.
@@ -44,6 +51,7 @@ import numpy
 CAMPAIGNS = ("verify-spectral", "verify-dispersive", "verify-forcing", "construct",
              "roundtrip", "sweep")
 E2E = ("wall_s", "cpu_s", "peak_rss_mb", "setup_s")
+COUNTED = ("construct", "roundtrip")  # the campaigns whose work counts are recorded
 
 
 def _summary(samples: list) -> dict:
@@ -93,12 +101,12 @@ def _suite_run(root: Path) -> tuple[float, str]:
     return wall, last
 
 
-def _in_checkout(root: Path, mode: str, repeats: int) -> dict:
+def _in_checkout(root: Path, *args: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
                                                         str(root / "perfbench")]))
     env["MODWAVE_THREADS"] = "1"
-    done = subprocess.run([sys.executable, __file__, mode, "--repeats", str(repeats)],
-                          cwd=root, env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, __file__, *args], cwd=root, env=env,
+                          capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
 
@@ -143,29 +151,37 @@ def layer_times(repeats: int) -> dict:
     return out
 
 
-def construct_counts() -> dict:
-    """Work counts of one serial in-process construct on the default config."""
+# The private kernels counted by name, with the module that defines them.
+KERNELS = {"_fft": "spectral", "_ifft": "spectral", "_propagator": "spectral",
+           "_phi_nl": "fixedpoint"}
+
+
+def work_counts(campaign: str) -> dict:
+    """Work counts of one serial in-process campaign on the default config."""
     import modwave
     from tracer import Tracer  # perfbench/tracer.py
 
     tracer = Tracer()
     tracer.install()
-    calls = {"_fft": 0, "_ifft": 0}
-    namespaces = [vars(m) for m in vars(modwave).values() if type(m) is type(modwave)]
-    for name in calls:
-        real = getattr(modwave.spectral, name)
+    calls, rows = dict.fromkeys(KERNELS, 0), dict.fromkeys(KERNELS, 0)
+    # every module of the package: modwave.evolve, for one, is the function
+    namespaces = [vars(m) for n, m in sys.modules.items() if n.partition(".")[0] == "modwave"]
+    for name, module in KERNELS.items():
+        real = getattr(sys.modules[f"modwave.{module}"], name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
+            out = _real(*args, **kwargs)
             calls[_name] += 1
-            return _real(*args, **kwargs)
+            rows[_name] += out.size // out.shape[-1]  # N-point rows
+            return out
 
         for ns in namespaces:
             if ns.get(name) is real:
                 ns[name] = counted
 
-    result = modwave.run_campaign("construct", modwave.parse_config(""))
+    result = modwave.run_campaign(campaign, modwave.parse_config(""))
     if not result.passed:
-        raise RuntimeError("construct failed on the default config")
+        raise RuntimeError(f"{campaign} failed on the default config")
     spans = tracer.summary()["spans"]
 
     def span(key, index=0):
@@ -177,8 +193,8 @@ def construct_counts() -> dict:
         "xt_distance_calls": span("xt_distance"),
         "picard_calls": span("picard_iterate"),
         "picard_iterates": span("picard_iterate", 3),
-        "fft_calls": calls["_fft"],
-        "ifft_calls": calls["_ifft"],
+        **{f"{name.lstrip('_')}_{what}": counts[name]
+           for name in KERNELS for what, counts in (("calls", calls), ("rows", rows))},
     }
 
 
@@ -186,6 +202,7 @@ def construct_counts() -> dict:
 
 
 def record(checkouts: dict, repeats: int) -> dict:
+    shas = {label: _git_sha(root) for label, root in checkouts.items()}  # before the runs
     runs = {label: _perfbench_run(root, label) for label, root in checkouts.items()}
     work = Path(tempfile.mkdtemp())
     cfg_path = work / "default.cfg"
@@ -209,12 +226,12 @@ def record(checkouts: dict, repeats: int) -> dict:
     commits = {}
     for label, root in checkouts.items():
         commits[label] = {
-            "git_sha": _git_sha(root),
+            "git_sha": shas[label],
             "campaigns_default_config": {
                 c: {m: _summary(v) for m, v in e2e[label][c].items()} for c in CAMPAIGNS},
             "tier1_suite": {"wall_s": _summary(suite[label]), "result": suite_result[label]},
-            "layers_default_grid_s": _in_checkout(root, "--layers", repeats),
-            "construct_counts_serial": _in_checkout(root, "--counts", repeats),
+            "layers_default_grid_s": _in_checkout(root, "--layers", "--repeats", str(repeats)),
+            "counts_serial": {c: _in_checkout(root, "--counts", c) for c in COUNTED},
         }
     return {
         "what": __doc__.split("\n\n")[0].replace("\n", " "),
@@ -236,10 +253,10 @@ def main() -> int:
     parser.add_argument("--out", type=Path)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--layers", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--counts", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--counts", choices=COUNTED, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.layers or args.counts:
-        print(json.dumps(layer_times(args.repeats) if args.layers else construct_counts()))
+        print(json.dumps(layer_times(args.repeats) if args.layers else work_counts(args.counts)))
         return 0
     if not args.checkouts or args.out is None or args.repeats < 5:
         parser.error("give --out, at least one LABEL=PATH and --repeats >= 5")

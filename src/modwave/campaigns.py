@@ -27,6 +27,7 @@ from .evolve import (
 from .fitting import fit_decay
 from .fixedpoint import (
     ProfileTrajectory,
+    _picard,
     apply_phi,
     build_drive,
     contraction_probe,
@@ -302,8 +303,14 @@ def _fixed_point_checks(res, tag, params, W, config):
     cached = drive.phi_eps
     g, report = picard_iterate(drive, config.max_iter, config.tol)
     alt_start = ProfileTrajectory(params.grid, drive.time_grid, 2.0 * cached.values)
-    # direct Lipschitz probe of the nonlinear part on a perturbed pair
-    probe = contraction_probe(alt_start, g, drive) if np.any(cached.values) else None
+    # Phi at the second start and at the fixed point, each swept once: the
+    # direct Lipschitz probe compares them, the residual reads Phi(g), and
+    # Phi(alt_start) is the second start's first iterate.  Each is popped
+    # for its reader, so that none is held through later sweeps.
+    if np.any(cached.values):
+        probe, *images = contraction_probe(alt_start, g, drive)
+    else:
+        probe, images = None, [apply_phi(alt_start, drive), apply_phi(g, drive)]
     if report.contraction_ratios:
         max_ratio, detail = max(report.contraction_ratios), "all Picard contraction ratios <= 0.5"
     elif probe is not None:
@@ -317,11 +324,11 @@ def _fixed_point_checks(res, tag, params, W, config):
                   report.converged and report.iterates <= config.max_iter,
                   f"step below {config.tol:g} within {config.max_iter} iterations")
 
-    residual = xt_distance(apply_phi(g, drive), g, params.alpha)
+    residual = xt_distance(images.pop(), g, params.alpha)
     res.add_check(f"fixed_point_residual_{tag}", residual, residual <= 2e-9,
                   "||Phi(g) - g||_XT <= 2e-9")
 
-    g_alt, _ = picard_iterate(drive, config.max_iter, config.tol, g0=alt_start)
+    g_alt, _ = _picard(drive, config.max_iter, config.tol, alt_start, images.pop())
     gap = xt_distance(g, g_alt, params.alpha)
     res.add_check(f"start_independence_{tag}", gap, gap <= 1e-8,
                   "fixed points from two starts agree to 1e-8 in X_T")

@@ -9,7 +9,8 @@ leaves the free flow exact in the phase (Lawson's integrating factor).  The
 right-hand side is small and slowly varying once the solution disperses, so
 classical RK4 under step-doubling error control covers a sample interval in
 a few steps.  The right-hand side is the pulled-back cubic kernel that the
-backward construction also uses.  Strang splitting (``_strang``), which
+backward construction also uses, with one propagator per distinct stage
+time of a step attempt.  Strang splitting (``_strang``), which
 alternates the exact pointwise cubic phase rotation with the exact free
 flight, is kept as an independent second-order cross-check.  Diagnostics
 compare the evolving profile against the explicit logarithmically-corrected
@@ -37,7 +38,7 @@ from .spectral import (
     norms,
     physical_linf,
 )
-from .trilinear import _pulled_back_cubic
+from .trilinear import _pull_back
 
 __all__ = [
     "EvolutionState",
@@ -116,16 +117,29 @@ def evolve(
         raise ValueError("sample times must be increasing and start at or after t0")
     grid = u0.grid
     lam, dx, xi = params.lam, grid.dx, grid.frequencies
+    props = {}  # e^{-i s xi^2/2} by the float s, for the stage times in use
 
-    def rhs(f, t):
-        return -1j * lam * _pulled_back_cubic(f, t, grid)
+    def propagator(s):
+        if s not in props:
+            props[s] = _propagator(xi, s)
+        return props[s]
+
+    def rhs(f, s):
+        # the pulled-back cubic of trilinear._pulled_back_cubic, with one
+        # propagator per distinct stage time
+        prop = propagator(s)
+        return -1j * lam * _pull_back(_ifft(f * prop, dx), prop, grid)
 
     mass0 = _mass(u0.values, dx)
-    f = np.conj(_propagator(xi, t0)) * _fft(u0.values, dx)
+    f = np.conj(propagator(t0)) * _fft(u0.values, dx)
     states = []
     t, h, steps = t0, np.inf, 0
     for target in sample_times:
         while t < target:
+            # an attempt's 11 right-hand sides fall on at most 6 distinct
+            # times; of the previous attempt's, only t, where this one
+            # starts, can recur
+            props = {t: props[t]} if t in props else {}
             last = h >= target - t
             step = target - t if last else h
             k1 = rhs(f, t)
@@ -142,7 +156,7 @@ def evolve(
                 t = target if last else t + step
                 steps += 1
             h = step * (4.0 if err == 0.0 else min(4.0, max(0.2, 0.9 * (RK_TOL / err) ** 0.2)))
-        vals = _ifft(_propagator(xi, t) * f, dx)
+        vals = _ifft(propagator(t) * f, dx)
         mass = _mass(vals, dx)
         if not np.isfinite(mass):
             raise FloatingPointError(f"evolution produced non-finite values at t = {t}")

@@ -24,7 +24,7 @@ these kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -67,19 +67,30 @@ class SpectralGrid:
     def dxi(self) -> float:
         return 2.0 * np.pi / self.box_length
 
-    @property
-    def x(self) -> np.ndarray:
-        """Spatial nodes spanning [-box_length/2, box_length/2), in FFT order."""
-        return np.fft.ifftshift((np.arange(self.num_points) - self.num_points // 2) * self.dx)
+    def _nodes(self, spacing: float) -> np.ndarray:
+        nodes = np.fft.ifftshift((np.arange(self.num_points) - self.num_points // 2) * spacing)
+        nodes.flags.writeable = False
+        return nodes
 
-    @property
+    @cached_property
+    def x(self) -> np.ndarray:
+        """Spatial nodes spanning [-box_length/2, box_length/2), in FFT order;
+        built once per grid, read-only."""
+        return self._nodes(self.dx)
+
+    @cached_property
     def frequencies(self) -> np.ndarray:
-        """Frequency nodes, symmetric about 0, in FFT order."""
-        return np.fft.ifftshift((np.arange(self.num_points) - self.num_points // 2) * self.dxi)
+        """Frequency nodes, symmetric about 0, in FFT order; built once per
+        grid, read-only."""
+        return self._nodes(self.dxi)
 
     @property
     def xi_max(self) -> float:
         return np.pi * self.num_points / self.box_length
+
+    def __getstate__(self):
+        # the node arrays are rebuilt, read-only, on first use after unpickling
+        return {"num_points": self.num_points, "box_length": self.box_length}
 
 
 def _validate_values(grid: SpectralGrid, values) -> np.ndarray:
@@ -130,12 +141,16 @@ class NormBundle:
 
 def _fft(values: np.ndarray, dx: float) -> np.ndarray:
     """x -> xi with the continuum normalization, along the last axis."""
-    return np.fft.fft(values) * dx
+    out = np.fft.fft(values)
+    out *= dx
+    return out
 
 
 def _ifft(values: np.ndarray, dx: float) -> np.ndarray:
     """xi -> x, the exact inverse of _fft."""
-    return np.fft.ifft(values) / dx
+    out = np.fft.ifft(values)
+    out /= dx
+    return out
 
 
 def _propagator(xi: np.ndarray, t) -> np.ndarray:
@@ -145,39 +160,59 @@ def _propagator(xi: np.ndarray, t) -> np.ndarray:
 
 _FD4_EDGE = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _FD4_NEXT = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
+# The one-sided outputs sit at mid + _EDGE_AT, mid = N/2 being -xi_max.  Each
+# reads the five columns mid + _EDGE_FROM inward from its end of the xi range
+# with the weights _EDGE_W; the two at the upper end are negated.
+_EDGE_AT = np.array([0, 1, -1, -2])
+_EDGE_FROM = np.array([[0, 1, 2, 3, 4]] * 2 + [[-1, -2, -3, -4, -5]] * 2)
+_EDGE_W = np.array([_FD4_EDGE, _FD4_NEXT, _FD4_EDGE, _FD4_NEXT])
+_WRAP = np.array([-2, -1, 0, 1])  # the columns whose neighbours wrap
 
 
 def _fd4(vals: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order first derivative along the last axis: centered, also
     across xi = 0 where the row wraps, and one-sided at the ends of the xi
-    range, -xi_max and xi_max - dxi, which sit in the middle of the row."""
+    range, -xi_max and xi_max - dxi, which sit in the middle of the row.
+
+    The centered stencil is (-v[k+2] + 8 v[k+1] - 8 v[k-1] + v[k-2]) / 12h,
+    evaluated left to right in place, its first sum as 8 v[k+1] - v[k+2],
+    which IEEE arithmetic rounds identically; each one-sided stencil is
+    summed term by term from its end inward, which, unlike a matmul, rounds
+    the same whatever the operands' memory layout.
+    """
     mid, at = vals.shape[-1] // 2, partial(np.take, vals, axis=-1, mode="wrap")
     d = np.empty_like(vals)
-    d[..., 2:-2] = (
-        -vals[..., 4:] + 8.0 * vals[..., 3:-1] - 8.0 * vals[..., 1:-3] + vals[..., :-4]
+    inner = d[..., 2:-2]
+    np.multiply(vals[..., 3:-1], 8.0, out=inner)
+    inner -= vals[..., 4:]
+    inner -= 8.0 * vals[..., 1:-3]
+    inner += vals[..., :-4]
+    inner /= 12.0 * h
+    d[..., _WRAP] = (
+        -at(_WRAP + 2) + 8.0 * at(_WRAP + 1) - 8.0 * at(_WRAP - 1) + at(_WRAP - 2)
     ) / (12.0 * h)
-    wrap = np.array([-2, -1, 0, 1])  # the columns whose neighbours wrap
-    d[..., wrap] = (
-        -at(wrap + 2) + 8.0 * at(wrap + 1) - 8.0 * at(wrap - 1) + at(wrap - 2)
-    ) / (12.0 * h)
-    # the tail through a reversed view, so that the matmul rounds exactly as
-    # on a row stored in increasing xi order
-    head, tail = at(mid + np.arange(5)), at(mid - 5 + np.arange(5))[..., ::-1]
-    d[..., mid] = (head @ _FD4_EDGE) / h
-    d[..., mid + 1] = (head @ _FD4_NEXT) / h
-    d[..., mid - 1] = -(tail @ _FD4_EDGE) / h
-    d[..., mid - 2] = -(tail @ _FD4_NEXT) / h
+    cols = at(mid + _EDGE_FROM)
+    edge = _EDGE_W[:, 0] * cols[..., 0]
+    for k in range(1, 5):
+        edge += _EDGE_W[:, k] * cols[..., k]
+    np.negative(edge[..., 2:], out=edge[..., 2:])
+    edge /= h
+    d[..., mid + _EDGE_AT] = edge
     return d
 
 
-def _l2(vals: np.ndarray, dxi: float) -> np.ndarray:
-    return np.sqrt(dxi * np.sum(np.abs(vals) ** 2, axis=-1))
+def _l2(mod: np.ndarray, dxi: float) -> np.ndarray:
+    """L2 norm along the last axis of a field whose modulus is mod, which
+    it squares in place."""
+    mod *= mod
+    return np.sqrt(dxi * np.sum(mod, axis=-1))
 
 
 def _xt_weights(t, vals: np.ndarray, alpha: float, dxi: float) -> np.ndarray:
     """t^alpha * (sup + L2 + (1+log t)^{-1} * derivative-L2), one per row of vals."""
-    linf = np.max(np.abs(vals), axis=-1)
-    bracket = linf + _l2(vals, dxi) + _l2(_fd4(vals, dxi), dxi) / (1.0 + np.log(t))
+    mod = np.abs(vals)
+    linf = np.max(mod, axis=-1)
+    bracket = linf + _l2(mod, dxi) + _l2(np.abs(_fd4(vals, dxi)), dxi) / (1.0 + np.log(t))
     return t**alpha * bracket
 
 
@@ -208,8 +243,9 @@ def norms(F: FrequencyField) -> NormBundle:
     """Sup, L2, derivative-L2 and H2 norms of a frequency field."""
     dxi = F.grid.dxi
     d1 = _fd4(F.values, dxi)
-    linf = float(np.max(np.abs(F.values)))
-    l2, d1_l2, d2_l2 = (float(_l2(v, dxi)) for v in (F.values, d1, _fd4(d1, dxi)))
+    mod = np.abs(F.values)
+    linf = float(np.max(mod))
+    l2, d1_l2, d2_l2 = (float(_l2(m, dxi)) for m in (mod, np.abs(d1), np.abs(_fd4(d1, dxi))))
     h2 = float(np.sqrt(l2 * l2 + d1_l2 * d1_l2 + d2_l2 * d2_l2))
     return NormBundle(linf=linf, l2=l2, dxi_l2=d1_l2, h2=h2)
 

@@ -1,13 +1,16 @@
 """Pulled-back cubic nonlinearity, its resonant/remainder split, and forcing.
 
-One array kernel, ``_pulled_back_cubic``, computes U(-s)[|U(s)f|^2 U(s)f] for
-the backward construction, the forcing and the forward solve; its
-pull-back half, ``_pull_back``, serves callers that tabulate U(s) and U(s)f
-once and sweep them many times.  The interaction-picture cubic term splits
-into a pointwise resonant piece (i/(2*pi*s))|fhat|^2 fhat plus a remainder
-that decays integrably in time.  The remainder is defined operationally by
-subtraction (the FFT route is exact on the grid); an O(N^3) oscillatory
-double-integral quadrature provides an independent oracle on coarse grids.
+One array kernel computes U(-s)[|U(s)f|^2 U(s)f] for the backward
+construction, the forcing and the forward solve: ``_pulled_back_cubic``
+propagates and hands over to its pull-back half, ``_pull_back``, which the
+callers that hold U(s) already call directly - the construction, which
+tabulates U(s) and U(s)f once and sweeps them many times, and the forward
+solve, whose right-hand sides share U(s) at repeated stage times.  The
+interaction-picture cubic term splits into a pointwise resonant piece
+(i/(2*pi*s))|fhat|^2 fhat plus a remainder that decays integrably in time.
+The remainder is defined operationally by subtraction (the FFT route is
+exact on the grid); an O(N^3) oscillatory double-integral quadrature
+provides an independent oracle on coarse grids.
 The forcing error of the approximate solution equals, up to the coupling
 sign, exactly that remainder evaluated on the explicit profile.
 """
@@ -56,7 +59,10 @@ def _pull_back(
     U(-s)[|u+B|^2 (u+B) - |u|^2 u] with B = U(s)b, by the cancellation-free
     expansion of _cubic_difference."""
     cube = np.abs(u) ** 2 * u if b is None else _cubic_difference(u, _ifft(b * prop, grid.dx))
-    return np.conj(prop) * _fft(cube, grid.dx)
+    out = _fft(cube, grid.dx)
+    # in place, with the operands in the order of np.conj(prop) * out: the
+    # SIMD complex product is not bitwise commutative
+    return np.multiply(np.conj(prop), out, out=out)
 
 
 def remainder(fhat: FrequencyField, s: float) -> FrequencyField:
@@ -198,13 +204,26 @@ def _cubic_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """|a+b|^2 (a+b) - |a|^2 a via the five-term expansion, pointwise, any shape.
 
     The expansion is linear-to-cubic in b, so there is no catastrophic
-    cancellation when |b| << |a|.
+    cancellation when |b| << |a|.  The terms
+    2|a|^2 b + a^2 conj(b) + 2a|b|^2 + conj(a) b^2 + |b|^2 b are formed and
+    added left to right, in place, through one complex scratch array.
     """
-    return (
-        2.0 * np.abs(a) ** 2 * b
-        + a * a * np.conj(b)
-        + 2.0 * a * np.abs(b) ** 2
-        + np.conj(a) * b * b
-        + np.abs(b) ** 2 * b
-    )
-
+    b2 = np.abs(b)
+    b2 *= b2
+    a2 = np.abs(a)
+    a2 *= a2
+    a2 *= 2.0
+    out = a2 * b
+    term = a * a
+    term *= np.conj(b)
+    out += term
+    np.multiply(2.0, a, out=term)
+    term *= b2
+    out += term
+    np.conj(a, out=term)
+    term *= b
+    term *= b
+    out += term
+    np.multiply(b2, b, out=term)
+    out += term
+    return out

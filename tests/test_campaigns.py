@@ -2,10 +2,24 @@
 
 import json
 import os
+from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
-from modwave import campaigns, parse_config, run_campaign
+from modwave import (
+    ProfileTrajectory,
+    apply_phi,
+    build_drive,
+    campaigns,
+    contraction_probe,
+    fixedpoint,
+    make_final_data,
+    parse_config,
+    picard_iterate,
+    run_campaign,
+    xt_distance,
+)
 from modwave.cli import main
 
 SMALL = (
@@ -82,6 +96,71 @@ def test_construct_contraction_falls_back_to_probe(monkeypatch):
         ratio = checks[f"contraction_max_ratio_{tag}"]
         assert ratio["value"] == checks[f"contraction_probe_{tag}"]["value"]
         assert "no Picard ratio measured" in ratio["detail"]
+
+
+def _fixed_point_checks_resweeping(res, tag, params, W, config):
+    """_fixed_point_checks with every image of Phi swept where it is read:
+    the probe, apply_phi(g) for the residual, then Picard from 2 Phi_eps.
+    Returns the iterates of that second start."""
+    drive = build_drive(W, params)
+    cached = drive.phi_eps
+    g, report = picard_iterate(drive, config.max_iter, config.tol)
+    alt_start = ProfileTrajectory(params.grid, drive.time_grid, 2.0 * cached.values)
+    probe = contraction_probe(alt_start, g, drive)[0] if np.any(cached.values) else None
+    if report.contraction_ratios:
+        max_ratio, detail = max(report.contraction_ratios), "all Picard contraction ratios <= 0.5"
+    elif probe is not None:
+        max_ratio, detail = probe, "no Picard ratio measured (one iterate); probe <= 0.5"
+    else:
+        max_ratio, detail = 0.0, ("zero forcing: the fixed point is g = 0, where the "
+                                  "cubic map's Lipschitz constant is 0")
+    res.add_check(f"contraction_max_ratio_{tag}", max_ratio, max_ratio <= 0.5, detail)
+    res.add_check(f"converged_{tag}", report.iterates,
+                  report.converged and report.iterates <= config.max_iter,
+                  f"step below {config.tol:g} within {config.max_iter} iterations")
+    residual = xt_distance(apply_phi(g, drive), g, params.alpha)
+    res.add_check(f"fixed_point_residual_{tag}", residual, residual <= 2e-9,
+                  "||Phi(g) - g||_XT <= 2e-9")
+    g_alt, alt_report = picard_iterate(drive, config.max_iter, config.tol, g0=alt_start)
+    gap = xt_distance(g, g_alt, params.alpha)
+    res.add_check(f"start_independence_{tag}", gap, gap <= 1e-8,
+                  "fixed points from two starts agree to 1e-8 in X_T")
+    if probe is not None:
+        res.add_check(f"contraction_probe_{tag}", probe, probe <= 0.5,
+                      "Lipschitz ratio of Phi on a test pair <= 0.5")
+    res.extras[f"picard_report_{tag}"] = asdict(report)
+    res.extras[f"g_xt_norm_{tag}"] = report.xt_norms[-1]
+    return alt_report.iterates
+
+
+@pytest.mark.parametrize("lam, extra, second_stops_at_once", [
+    (1, "", False),
+    (-1, "", False),
+    (1, "max_iter = 1\n", True),
+    (1, "tol = 1.0\n", True),  # above ||Phi_eps||_XT, asserted below
+    (1, "eps0 = 0\n", True),  # zero data: no probe
+], ids=["defocusing", "focusing", "max-iter-1", "tol-above-phi-eps", "zero-data"])
+def test_construct_sweeps_each_probe_image_once(monkeypatch, lam, extra, second_stops_at_once):
+    config = parse_config(SMALL + extra)
+    params = replace(config.params, lam=lam)
+    W = make_final_data(config.data_kind, params, seed=config.seed, bandwidth=config.bandwidth)
+    real, sweeps = fixedpoint._phi_nl, []
+    monkeypatch.setattr(fixedpoint, "_phi_nl", lambda *args: sweeps.append(1) or real(*args))
+    ref = campaigns.CampaignResult("construct")
+    alt_iterates = _fixed_point_checks_resweeping(ref, "sign", params, W, config)
+    resweeps = len(sweeps)
+    sweeps.clear()
+    res = campaigns.CampaignResult("construct")
+    campaigns._fixed_point_checks(res, "sign", params, W, config)
+
+    assert res.checks == ref.checks
+    assert res.extras == ref.extras
+    report = res.extras["picard_report_sign"]
+    assert len(sweeps) == (report["iterates"] - 1) + 2 + (alt_iterates - 1)
+    assert resweeps - len(sweeps) == (2 if params.eps0 else 0)
+    assert (alt_iterates == 1) == second_stops_at_once
+    if config.tol == 1.0:
+        assert report["xt_norms"][0] < config.tol  # ||Phi_eps||_XT
 
 
 class _RecordingPool:

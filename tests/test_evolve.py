@@ -21,7 +21,15 @@ from modwave import (
     scattering_deviation,
 )
 from modwave.evolve import _strang
-from modwave.spectral import forward_transform, free_propagate, inverse_transform
+from modwave.spectral import (
+    _fft,
+    _ifft,
+    _propagator,
+    forward_transform,
+    free_propagate,
+    inverse_transform,
+)
+from modwave.trilinear import _pulled_back_cubic
 
 # the package exports the function evolve under the submodule's name
 evolve_module = importlib.import_module("modwave.evolve")
@@ -97,17 +105,64 @@ def test_strang_converges_to_evolve_at_second_order():
 def test_evolve_conserves_mass_through_rejected_steps(monkeypatch):
     # the first attempt covers the whole first interval from t0 = 0 and is
     # too long for amplitude-1 data, so the step control has to reject
-    calls = []
-    kernel = evolve_module._pulled_back_cubic
-    monkeypatch.setattr(evolve_module, "_pulled_back_cubic",
-                        lambda *args: calls.append(1) or kernel(*args))
     u0 = gaussian_state().u
-    states = evolve(u0, 0.0, [0.5, 1.0, 2.0], PARAMS)
+    rhs_calls, prop_calls = [], []
+    pull_back, propagator = evolve_module._pull_back, evolve_module._propagator
+    monkeypatch.setattr(evolve_module, "_pull_back",
+                        lambda *args: rhs_calls.append(1) or pull_back(*args))
+    monkeypatch.setattr(evolve_module, "_propagator",
+                        lambda *args: prop_calls.append(1) or propagator(*args))
+    times = [0.5, 1.0, 2.0]
+    states = evolve(u0, 0.0, times, PARAMS)
     # every attempt, accepted or not, evaluates 11 right-hand sides
-    assert len(calls) % 11 == 0
-    assert len(calls) // 11 > states[-1].step_count
+    assert len(rhs_calls) % 11 == 0
+    attempts = len(rhs_calls) // 11
+    assert attempts > states[-1].step_count
+    # on at most 6 distinct stage times, one propagator each; the others
+    # are the one at t0 and one per sample
+    assert len(prop_calls) <= 1 + len(times) + 6 * attempts
     m0 = _state(u0, 0.0, PARAMS).mass
     assert max(abs(s.mass - m0) for s in states) <= 1e-10 * m0
+
+
+def _evolve_without_memo(u0, t0, sample_times, params):
+    """evolve's RK4 loop with a fresh propagator for every right-hand side;
+    returns the sampled solution values."""
+    grid, lam, dx, xi = u0.grid, params.lam, u0.grid.dx, u0.grid.frequencies
+    tol = evolve_module.RK_TOL
+
+    def rhs(f, t):
+        return -1j * lam * _pulled_back_cubic(f, t, grid)
+
+    f = np.conj(_propagator(xi, t0)) * _fft(u0.values, dx)
+    t, h, out = t0, np.inf, []
+    for target in sample_times:
+        while t < target:
+            last = h >= target - t
+            step = target - t if last else h
+            k1 = rhs(f, t)
+            full = evolve_module._rk4(f, t, step, k1, rhs)
+            mid = evolve_module._rk4(f, t, 0.5 * step, k1, rhs)
+            two = evolve_module._rk4(mid, t + 0.5 * step, 0.5 * step,
+                                     rhs(mid, t + 0.5 * step), rhs)
+            diff = two - full
+            err = float(np.max(np.abs(diff)) / (15.0 * np.max(np.abs(two))))
+            if err <= tol:
+                f = two + diff / 15.0
+                t = target if last else t + step
+            h = step * (4.0 if err == 0.0 else min(4.0, max(0.2, 0.9 * (tol / err) ** 0.2)))
+        out.append(_ifft(_propagator(xi, t) * f, dx))
+    return out
+
+
+@pytest.mark.parametrize("lam", [1, -1])
+def test_evolve_stage_time_memo_changes_no_bit(lam):
+    params = SolverParams(lam=lam, grid=GRID)
+    u0 = gaussian_state(lam=lam).u
+    times = [0.5, 1.0, 2.0]
+    states = evolve(u0, 0.0, times, params)
+    for state, ref in zip(states, _evolve_without_memo(u0, 0.0, times, params), strict=True):
+        assert np.array_equal(state.u.values, ref)
 
 
 @pytest.mark.parametrize("times", [[1.0], [0.0]])

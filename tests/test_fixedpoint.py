@@ -252,8 +252,11 @@ def test_contraction_probe_small():
     warm = drive.phi_eps
     g1 = ProfileTrajectory(GRID, drive.time_grid, warm.values)
     g2 = ProfileTrajectory(GRID, drive.time_grid, 0.5 * warm.values)
-    ratio = contraction_probe(g1, g2, drive)
+    ratio, phi1, phi2 = contraction_probe(g1, g2, drive)
     assert 0.0 < ratio <= 0.5
+    # the images it swept are the map's, bit for bit
+    assert np.array_equal(phi1.values, apply_phi(g1, drive).values)
+    assert np.array_equal(phi2.values, apply_phi(g2, drive).values)
 
 
 def test_contraction_probe_rejects_equal():
@@ -399,7 +402,30 @@ def test_drive_sweeps_are_bit_identical_to_recomputing(lam):
     p2 = ProfileTrajectory(grid, tg, _apply_phi_recomputed(g2, W, params, zero))
     ref_probe = (xt_norm(ProfileTrajectory(grid, tg, p1.values - p2.values), params.alpha)
                  / xt_norm(ProfileTrajectory(grid, tg, g1.values - g2.values), params.alpha))
-    assert contraction_probe(g1, g2, drive) == ref_probe
+    assert contraction_probe(g1, g2, drive)[0] == ref_probe
+
+
+def test_block_size_changes_no_bit(monkeypatch):
+    # a box that holds the wave to t_max, so the tail compared is finite, and
+    # 65 nodes, which none of the block sizes 3, 4 and 16 divides
+    params = SolverParams(grid=SpectralGrid(256, 800.0), time_grid_points=65)
+    W = make_final_data("gaussian", params, bandwidth=0.05)
+    tg = TimeGrid.from_params(params)
+    rng = np.random.default_rng(13)
+    shape = (tg.count, params.grid.num_points)
+    g, h = (ProfileTrajectory(params.grid, tg, 1e-3 * (rng.standard_normal(shape)
+                                                       + 1j * rng.standard_normal(shape)))
+            for _ in range(2))
+    runs = []
+    for rows in (1, 3, 4, 16, tg.count):
+        monkeypatch.setattr(fixedpoint, "BLOCK_ROWS", rows)
+        drive = build_drive(W, params)
+        runs.append([drive.prop, drive.u_app, drive.phi_eps.values, drive.tail_estimate,
+                     apply_phi(g, drive).values, xt_norm(g, params.alpha),
+                     xt_distance(g, h, params.alpha)])
+    assert 0.0 < runs[0][3] < float("inf")
+    for run in runs[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(runs[0], run))
 
 
 def test_xt_distance_is_xt_norm_of_the_difference():

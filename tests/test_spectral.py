@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import pickle
 import pkgutil
 import re
 from pathlib import Path
@@ -54,6 +55,21 @@ def test_grid_spacings(grid):
     k = np.arange(grid.num_points) - grid.num_points // 2
     assert np.array_equal(np.fft.fftshift(grid.x), k * grid.dx)
     assert np.array_equal(np.fft.fftshift(grid.frequencies), k * grid.dxi)
+
+
+def test_grid_nodes_are_built_once_and_read_only(grid):
+    assert grid.x is grid.x
+    assert grid.frequencies is grid.frequencies
+    for nodes in (grid.x, grid.frequencies):
+        with pytest.raises(ValueError, match="read-only"):
+            nodes[1] = 0.0
+    # pool workers receive grids by pickle: the copy is the same grid, and
+    # its nodes are rebuilt, equal and again read-only
+    copy = pickle.loads(pickle.dumps(grid))
+    assert copy == grid
+    assert hash(copy) == hash(grid)
+    assert np.array_equal(copy.frequencies, grid.frequencies)
+    assert not copy.frequencies.flags.writeable
 
 
 def test_only_spectral_knows_the_array_layout():
@@ -202,16 +218,24 @@ def test_xi_derivative_exact_on_quartic(grid):
 
 
 def _fd4_increasing_order(vals, h):
-    """The fourth-order stencil on rows stored in increasing xi order."""
+    """The fourth-order stencil on rows stored in increasing xi order, each
+    one-sided end stencil summed term by term from the end inward."""
     edge = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
     after = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
     d = np.empty_like(vals)
     d[..., 2:-2] = (
         -vals[..., 4:] + 8.0 * vals[..., 3:-1] - 8.0 * vals[..., 1:-3] + vals[..., :-4]
     ) / (12.0 * h)
+
+    def one_sided(cols, weights):
+        acc = weights[0] * cols[..., 0]
+        for k in range(1, 5):
+            acc = acc + weights[k] * cols[..., k]
+        return acc
+
     head, tail = vals[..., :5], vals[..., -1:-6:-1]
-    d[..., 0], d[..., 1] = (head @ edge) / h, (head @ after) / h
-    d[..., -1], d[..., -2] = -(tail @ edge) / h, -(tail @ after) / h
+    d[..., 0], d[..., 1] = one_sided(head, edge) / h, one_sided(head, after) / h
+    d[..., -1], d[..., -2] = -one_sided(tail, edge) / h, -one_sided(tail, after) / h
     return d
 
 
