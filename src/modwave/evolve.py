@@ -185,7 +185,7 @@ def scattering_deviation(state: EvolutionState, W: FrequencyField, params: Solve
         raise ValueError(f"deviation defined for t >= T = {params.T}, got t = {t}")
     fhat = extract_profile(state)
     v = asymptotic_profile(W, t, params.lam)
-    return float(_xt_weights(t, fhat.values - v.values, params.alpha, fhat.grid.dxi))
+    return float(_xt_weights(t, fhat.values - v.values, params.alpha, fhat.grid))
 
 
 def _on_rays(fhat: FrequencyField, t: float) -> np.ndarray:

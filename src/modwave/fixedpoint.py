@@ -106,8 +106,8 @@ def _blocks(count: int):
 
 
 def _xt_max(traj: ProfileTrajectory, alpha: float, block) -> float:
-    nodes, dxi = traj.time_grid.nodes, traj.grid.dxi
-    weights = [_xt_weights(nodes[rows], block(rows), alpha, dxi)
+    nodes = traj.time_grid.nodes
+    weights = [_xt_weights(nodes[rows], block(rows), alpha, traj.grid)
                for rows in _blocks(traj.time_grid.count)]
     return float(np.max(np.concatenate(weights)))
 

@@ -14,17 +14,14 @@ so that on the grid Plancherel reads
 ``||F||_{L2_x} = (2*pi)^{-1/2} ||Fhat||_{L2_xi}`` exactly.
 
 Each operation has one array kernel (underscored) acting along the last
-axis, so a block of time nodes is processed like one field.  The xi
-stencil, the one kernel that needs neighbours in increasing xi, reads them
-in place: across xi = 0 the row wraps, and the two ends of the xi range sit
-in the middle of the row.  The public field functions validate and wrap
-these kernels.
+axis, so a block of time nodes is processed like one field.  The public
+field functions validate and wrap these kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -149,56 +146,13 @@ def _fft(values: np.ndarray, dx: float) -> np.ndarray:
 def _ifft(values: np.ndarray, dx: float) -> np.ndarray:
     """xi -> x, the exact inverse of _fft."""
     out = np.fft.ifft(values)
-    out /= dx
+    out *= 1.0 / dx
     return out
 
 
 def _propagator(xi: np.ndarray, t) -> np.ndarray:
     """e^{-i t xi^2/2}: shape xi.shape for a scalar t, one row per entry of a vector t."""
     return np.exp(-0.5j * np.asarray(t, dtype=float)[..., None] * xi * xi)
-
-
-_FD4_EDGE = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-_FD4_NEXT = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-# The one-sided outputs sit at mid + _EDGE_AT, mid = N/2 being -xi_max.  Each
-# reads the five columns mid + _EDGE_FROM inward from its end of the xi range
-# with the weights _EDGE_W; the two at the upper end are negated.
-_EDGE_AT = np.array([0, 1, -1, -2])
-_EDGE_FROM = np.array([[0, 1, 2, 3, 4]] * 2 + [[-1, -2, -3, -4, -5]] * 2)
-_EDGE_W = np.array([_FD4_EDGE, _FD4_NEXT, _FD4_EDGE, _FD4_NEXT])
-_WRAP = np.array([-2, -1, 0, 1])  # the columns whose neighbours wrap
-
-
-def _fd4(vals: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order first derivative along the last axis: centered, also
-    across xi = 0 where the row wraps, and one-sided at the ends of the xi
-    range, -xi_max and xi_max - dxi, which sit in the middle of the row.
-
-    The centered stencil is (-v[k+2] + 8 v[k+1] - 8 v[k-1] + v[k-2]) / 12h,
-    evaluated left to right in place, its first sum as 8 v[k+1] - v[k+2],
-    which IEEE arithmetic rounds identically; each one-sided stencil is
-    summed term by term from its end inward, which, unlike a matmul, rounds
-    the same whatever the operands' memory layout.
-    """
-    mid, at = vals.shape[-1] // 2, partial(np.take, vals, axis=-1, mode="wrap")
-    d = np.empty_like(vals)
-    inner = d[..., 2:-2]
-    np.multiply(vals[..., 3:-1], 8.0, out=inner)
-    inner -= vals[..., 4:]
-    inner -= 8.0 * vals[..., 1:-3]
-    inner += vals[..., :-4]
-    inner /= 12.0 * h
-    d[..., _WRAP] = (
-        -at(_WRAP + 2) + 8.0 * at(_WRAP + 1) - 8.0 * at(_WRAP - 1) + at(_WRAP - 2)
-    ) / (12.0 * h)
-    cols = at(mid + _EDGE_FROM)
-    edge = _EDGE_W[:, 0] * cols[..., 0]
-    for k in range(1, 5):
-        edge += _EDGE_W[:, k] * cols[..., k]
-    np.negative(edge[..., 2:], out=edge[..., 2:])
-    edge /= h
-    d[..., mid + _EDGE_AT] = edge
-    return d
 
 
 def _l2(mod: np.ndarray, dxi: float) -> np.ndarray:
@@ -208,11 +162,20 @@ def _l2(mod: np.ndarray, dxi: float) -> np.ndarray:
     return np.sqrt(dxi * np.sum(mod, axis=-1))
 
 
-def _xt_weights(t, vals: np.ndarray, alpha: float, dxi: float) -> np.ndarray:
+def _dxi_l2(vals: np.ndarray, grid: SpectralGrid, order: int) -> np.ndarray:
+    """L2 norm of the order-th xi derivative, one per row of vals, through
+    Plancherel: ||d_xi^k hhat||_L2 = sqrt(2 pi) ||x^k h||_L2, exact for the
+    trigonometric interpolant."""
+    h = _ifft(vals, grid.dx)
+    h *= grid.x**order
+    return np.sqrt(2.0 * np.pi) * _l2(np.abs(h), grid.dx)
+
+
+def _xt_weights(t, vals: np.ndarray, alpha: float, grid: SpectralGrid) -> np.ndarray:
     """t^alpha * (sup + L2 + (1+log t)^{-1} * derivative-L2), one per row of vals."""
     mod = np.abs(vals)
     linf = np.max(mod, axis=-1)
-    bracket = linf + _l2(mod, dxi) + _l2(np.abs(_fd4(vals, dxi)), dxi) / (1.0 + np.log(t))
+    bracket = linf + _l2(mod, grid.dxi) + _dxi_l2(vals, grid, 1) / (1.0 + np.log(t))
     return t**alpha * bracket
 
 
@@ -241,11 +204,10 @@ def free_propagate(F: FrequencyField, t: float) -> FrequencyField:
 
 def norms(F: FrequencyField) -> NormBundle:
     """Sup, L2, derivative-L2 and H2 norms of a frequency field."""
-    dxi = F.grid.dxi
-    d1 = _fd4(F.values, dxi)
     mod = np.abs(F.values)
     linf = float(np.max(mod))
-    l2, d1_l2, d2_l2 = (float(_l2(m, dxi)) for m in (mod, np.abs(d1), np.abs(_fd4(d1, dxi))))
+    l2 = float(_l2(mod, F.grid.dxi))
+    d1_l2, d2_l2 = (float(_dxi_l2(F.values, F.grid, k)) for k in (1, 2))
     h2 = float(np.sqrt(l2 * l2 + d1_l2 * d1_l2 + d2_l2 * d2_l2))
     return NormBundle(linf=linf, l2=l2, dxi_l2=d1_l2, h2=h2)
 

@@ -127,7 +127,7 @@ def test_xt_norm_synthetic():
     traj = synthetic_power_law(0.0, tg)
     alpha = PARAMS.alpha
     expected = max(
-        float(_xt_weights(t, traj.values[k], alpha, GRID.dxi)) for k, t in enumerate(tg.nodes)
+        float(_xt_weights(t, traj.values[k], alpha, GRID)) for k, t in enumerate(tg.nodes)
     )
     assert xt_norm(traj, alpha) == expected
 

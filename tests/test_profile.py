@@ -1,5 +1,7 @@
 """Final data families and the profile phase."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,25 @@ def test_final_data_deterministic():
     assert np.array_equal(a.values, b.values)
     c = make_final_data("random_bandlimited", PARAMS, seed=10)
     assert not np.array_equal(a.values, c.values)
+
+
+def _gaussian_w_on_nodes(grid):
+    """W's samples with each node's index in units of 2 pi / 400, the
+    finest frequency spacing of the grids compared below."""
+    W = make_final_data("gaussian", replace(PARAMS, grid=grid), seed=0, bandwidth=1.0)
+    k = np.rint(grid.frequencies / grid.dxi).astype(int) * round(400.0 / grid.box_length)
+    return k, W.values
+
+
+@pytest.mark.parametrize("n, box", [(4096, 200.0), (8192, 400.0), (512, 100.0)])
+def test_final_data_is_grid_independent(n, box):
+    # the H2 norm that scales W to eps0 is exact for the trigonometric
+    # interpolant, so W agrees on the nodes that two grids share
+    k_ref, w_ref = _gaussian_w_on_nodes(SpectralGrid(4096, 200.0))
+    k, w = _gaussian_w_on_nodes(SpectralGrid(n, box))
+    shared, i_ref, i = np.intersect1d(k_ref, k, return_indices=True)
+    assert shared.size == min(n, 4096)
+    assert np.max(np.abs(w[i] - w_ref[i_ref])) <= 1e-14 * np.max(np.abs(w_ref))
 
 
 def test_final_data_zero_size():

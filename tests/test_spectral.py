@@ -22,7 +22,7 @@ from modwave import (
     physical_l2,
     physical_linf,
 )
-from modwave.spectral import _fd4, _xt_weights
+from modwave.spectral import _xt_weights
 
 
 @pytest.fixture
@@ -210,57 +210,20 @@ def test_propagator_inverse(grid):
     assert np.max(np.abs(back.values - F.values)) <= 1e-12 * np.max(np.abs(F.values))
 
 
-def test_xi_derivative_exact_on_quartic(grid):
-    xi = grid.frequencies
-    d = _fd4(xi**4 - 2.0 * xi**2 + 0.5 * xi, grid.dxi)
-    exact = 4.0 * xi**3 - 4.0 * xi + 0.5
-    assert np.max(np.abs(d - exact)) <= 1e-7 * np.max(np.abs(exact))
-
-
-def _fd4_increasing_order(vals, h):
-    """The fourth-order stencil on rows stored in increasing xi order, each
-    one-sided end stencil summed term by term from the end inward."""
-    edge = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-    after = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-    d = np.empty_like(vals)
-    d[..., 2:-2] = (
-        -vals[..., 4:] + 8.0 * vals[..., 3:-1] - 8.0 * vals[..., 1:-3] + vals[..., :-4]
-    ) / (12.0 * h)
-
-    def one_sided(cols, weights):
-        acc = weights[0] * cols[..., 0]
-        for k in range(1, 5):
-            acc = acc + weights[k] * cols[..., k]
-        return acc
-
-    head, tail = vals[..., :5], vals[..., -1:-6:-1]
-    d[..., 0], d[..., 1] = one_sided(head, edge) / h, one_sided(head, after) / h
-    d[..., -1], d[..., -2] = -one_sided(tail, edge) / h, -one_sided(tail, after) / h
-    return d
-
-
-@pytest.mark.parametrize("n", [8, 16, 64, 4096])
-@pytest.mark.parametrize("rows", [(), (3,), (16,)])
-def test_fd4_in_fft_order_is_the_increasing_order_stencil(n, rows):
-    # the layout changes where the stencil reads its neighbours, not a bit
-    # of the derivative
-    rng = np.random.default_rng(n + len(rows))
-    shape = rows + (n,)
-    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    ref = _fd4_increasing_order(np.fft.fftshift(vals, axes=-1), 0.37)
-    assert np.array_equal(np.fft.fftshift(_fd4(vals, 0.37), axes=-1), ref)
-
-
 def test_norms_gaussian_closed_form(grid):
+    # e^{-(xi-a)^2 + i b xi}: ||.||_L2 = (pi/2)^{1/4}, its derivative norms
+    # (pi/2)^{1/4} sqrt(1+b^2) and, for H2, (pi/2)^{1/4} sqrt(b^4+7b^2+5).
+    # They go through Plancherel, exact for the trigonometric interpolant, so
+    # only the Gaussian's tails beyond the grid are left out.
     xi = grid.frequencies
-    F = FrequencyField(grid, np.exp(-(xi**2)))
-    b = norms(F)
-    assert b.linf == pytest.approx(1.0)
-    # ||e^{-xi^2}||_L2 = (pi/2)^{1/4}
-    assert b.l2 == pytest.approx((np.pi / 2.0) ** 0.25, rel=1e-10)
-    # ||d/dxi e^{-xi^2}||_L2 = (pi/2)^{1/4}; finite differences at this
-    # spacing carry an O(dxi^4) error near 2e-5
-    assert b.dxi_l2 == pytest.approx((np.pi / 2.0) ** 0.25, rel=1e-4)
+    root = (np.pi / 2.0) ** 0.25
+    for a, b in [(0.0, 0.0), (1.5, 0.0), (0.0, 6.0), (-2.0, -9.0)]:
+        n = norms(FrequencyField(grid, np.exp(-((xi - a) ** 2) + 1j * b * xi)))
+        # the peak at xi = a is within dxi/2 of a node
+        assert np.exp(-(grid.dxi**2) / 4.0) <= n.linf <= 1.0, (a, b)
+        assert n.l2 == pytest.approx(root, rel=1e-10), (a, b)
+        assert n.dxi_l2 == pytest.approx(root * np.sqrt(1.0 + b**2), rel=1e-12), (a, b)
+        assert n.h2 == pytest.approx(root * np.sqrt(b**4 + 7.0 * b**2 + 5.0), rel=1e-12), (a, b)
 
 
 def test_xt_weight_formula(grid):
@@ -269,4 +232,4 @@ def test_xt_weight_formula(grid):
     b = norms(F)
     t, alpha = 10.0, 0.1
     expected = t**alpha * (b.linf + b.l2 + b.dxi_l2 / (1.0 + np.log(t)))
-    assert _xt_weights(t, F.values, alpha, grid.dxi) == pytest.approx(expected, rel=1e-14)
+    assert _xt_weights(t, F.values, alpha, grid) == pytest.approx(expected, rel=1e-14)
