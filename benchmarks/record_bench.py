@@ -19,13 +19,15 @@ For each LABEL=PATH checkout it records:
 - the work counts of one serial (MODWAVE_THREADS=1) in-process construct
   and of one roundtrip, each on the default config in a process of its own,
   traced by ``perfbench/tracer.py``: apply_phi, xt_norm, xt_distance and
-  Picard calls and iterates.  The tracer sees only public functions, so the
-  private kernels are counted here by name, in calls and in the N-point
-  rows they return: _fft, _ifft, _propagator and _phi_nl, the nonlinear
-  sweep behind apply_phi and contraction_probe.
-  Picard's count covers picard_iterate alone; construct's second start,
-  which continues from an image the probe already swept, runs through the
-  private loop _picard and shows in _phi_nl.
+  Picard calls and iterates.  Where apply_phi is the map's only sweep, its
+  calls count every sweep, construct's probe images and second start
+  included; Picard's count covers picard_iterate alone, since that second
+  start runs through the private loop _picard.  The tracer sees only public
+  functions, so the private kernels are counted here by name, in calls and
+  in the N-point rows they return: _fft, _ifft, _propagator and _phi_nl,
+  the sweep that older checkouts ran behind apply_phi and
+  contraction_probe.  A kernel the checkout does not define is left out of
+  its counts.
 
 The checkouts take turns, in alternating order, so drift of a shared
 machine falls on both.  Nothing under ``perfbench/`` is changed.
@@ -151,7 +153,8 @@ def layer_times(repeats: int) -> dict:
     return out
 
 
-# The private kernels counted by name, with the module that defines them.
+# The private kernels counted by name, with the module that defines them;
+# _phi_nl exists only in older checkouts.
 KERNELS = {"_fft": "spectral", "_ifft": "spectral", "_propagator": "spectral",
            "_phi_nl": "fixedpoint"}
 
@@ -163,11 +166,14 @@ def work_counts(campaign: str) -> dict:
 
     tracer = Tracer()
     tracer.install()
-    calls, rows = dict.fromkeys(KERNELS, 0), dict.fromkeys(KERNELS, 0)
+    calls, rows = {}, {}
     # every module of the package: modwave.evolve, for one, is the function
     namespaces = [vars(m) for n, m in sys.modules.items() if n.partition(".")[0] == "modwave"]
     for name, module in KERNELS.items():
-        real = getattr(sys.modules[f"modwave.{module}"], name)
+        real = getattr(sys.modules[f"modwave.{module}"], name, None)
+        if real is None:
+            continue  # not defined in this checkout
+        calls[name] = rows[name] = 0
 
         def counted(*args, _name=name, _real=real, **kwargs):
             out = _real(*args, **kwargs)
@@ -194,7 +200,7 @@ def work_counts(campaign: str) -> dict:
         "picard_calls": span("picard_iterate"),
         "picard_iterates": span("picard_iterate", 3),
         **{f"{name.lstrip('_')}_{what}": counts[name]
-           for name in KERNELS for what, counts in (("calls", calls), ("rows", rows))},
+           for name in calls for what, counts in (("calls", calls), ("rows", rows))},
     }
 
 

@@ -25,7 +25,6 @@ from .fixedpoint import (
     TimeGrid,
     apply_phi,
     build_drive,
-    contraction_probe,
     picard_iterate,
     xt_distance,
     xt_norm,

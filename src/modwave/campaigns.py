@@ -30,7 +30,6 @@ from .fixedpoint import (
     _picard,
     apply_phi,
     build_drive,
-    contraction_probe,
     picard_iterate,
     xt_distance,
     xt_norm,
@@ -307,10 +306,11 @@ def _fixed_point_checks(res, tag, params, W, config):
     # direct Lipschitz probe compares them, the residual reads Phi(g), and
     # Phi(alt_start) is the second start's first iterate.  Each is popped
     # for its reader, so that none is held through later sweeps.
+    images = [apply_phi(alt_start, drive), apply_phi(g, drive)]
+    probe = None
     if np.any(cached.values):
-        probe, *images = contraction_probe(alt_start, g, drive)
-    else:
-        probe, images = None, [apply_phi(alt_start, drive), apply_phi(g, drive)]
+        probe = (xt_distance(*images, params.alpha)
+                 / xt_distance(alt_start, g, params.alpha))
     if report.contraction_ratios:
         max_ratio, detail = max(report.contraction_ratios), "all Picard contraction ratios <= 0.5"
     elif probe is not None:

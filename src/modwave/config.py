@@ -8,6 +8,7 @@ would refuse them at run time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -99,14 +100,21 @@ class ExperimentConfig:
             raise ConfigError(f"a sweep cell of eps0_values x T_values: {exc}") from None
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _parse_scalar(key: str, raw: str, line_no: int):
     try:
         if key in _INT_KEYS:
             return int(raw)
         if key in _FLOAT_KEYS:
-            return float(raw)
+            return _finite(raw)
         if key in _LIST_KEYS:
-            vals = tuple(float(p) for p in raw.split(",") if p.strip())
+            vals = tuple(_finite(p) for p in raw.split(",") if p.strip())
             if not vals:
                 raise ValueError("empty list")
             return vals

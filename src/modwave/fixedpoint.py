@@ -6,8 +6,8 @@ with u = u_app + U(.)g, solved by Picard iteration from g = 0 on a
 log-spaced time grid truncated at t_max.  Everything Phi takes from W alone
 (the propagator phases, the approximate solution and Phi_eps) is tabulated
 once per construction by build_drive(W, params), the one way into the map;
-apply_phi, picard_iterate and contraction_probe take only the Drive.  The
-neglected tail is estimated from a power-law fit and reported, never
+apply_phi, the one sweep of the map, and picard_iterate take only the Drive.
+The neglected tail is estimated from a power-law fit and reported, never
 silently added.
 """
 
@@ -29,7 +29,6 @@ __all__ = [
     "build_drive",
     "apply_phi",
     "picard_iterate",
-    "contraction_probe",
     "xt_norm",
     "xt_distance",
 ]
@@ -203,9 +202,10 @@ def build_drive(W: FrequencyField, params: SolverParams) -> Drive:
     return Drive(params, tg, prop, u_app, phi_eps, tail)
 
 
-def _phi_nl(g: ProfileTrajectory, drive: Drive) -> np.ndarray:
-    """The nonlinear part i*lam * int_t^{t_max} U(-s)(|u|^2 u - |u_app|^2 u_app) ds
-    at g, in one new trajectory-sized array."""
+def apply_phi(g: ProfileTrajectory, drive: Drive) -> ProfileTrajectory:
+    """One application of the map Phi: the nonlinear part
+    i*lam * int_t^{t_max} U(-s)(|u|^2 u - |u_app|^2 u_app) ds at g, then Phi_eps,
+    in one new trajectory-sized array."""
     tg, grid = drive.time_grid, drive.params.grid
     _require_on(g, grid, tg, "g")
     out = np.empty_like(g.values)
@@ -213,39 +213,27 @@ def _phi_nl(g: ProfileTrajectory, drive: Drive) -> np.ndarray:
         out[rows] = _pull_back(drive.u_app[rows], drive.prop[rows], grid, g.values[rows])
     _cumulative_backward(out, tg.nodes)
     out *= 1j * drive.params.lam
-    return out
-
-
-def apply_phi(g: ProfileTrajectory, drive: Drive) -> ProfileTrajectory:
-    """One application of the full map Phi = Phi_nl + Phi_eps."""
-    out = _phi_nl(g, drive)
     out += drive.phi_eps.values
-    return ProfileTrajectory(drive.params.grid, drive.time_grid, out)
+    return ProfileTrajectory(grid, tg, out)
 
 
 def picard_iterate(
-    drive: Drive,
-    max_iter: int = 15,
-    tol: float = 1e-9,
-    g0: ProfileTrajectory | None = None,
+    drive: Drive, max_iter: int = 15, tol: float = 1e-9
 ) -> tuple[ProfileTrajectory, PicardReport]:
-    """Iterate g_{n+1} = Phi(g_n) from g_0 (default 0) until the step shrinks below tol.
+    """Iterate g_{n+1} = Phi(g_n) from g_0 = 0 until the step shrinks below tol.
 
-    Phi is the map of ``drive``, which build_drive tabulated from W.  From
-    g_0 = 0 the first iterate is Phi(0) = Phi_eps, taken from the drive
-    without a sweep.  Returns a non-converged report (no exception) when
-    max_iter is hit; raises only on numerical blow-up.
+    Phi is the map of ``drive``, which build_drive tabulated from W.  The
+    first iterate is Phi(0) = Phi_eps, taken from the drive without a sweep.
+    Returns a non-converged report (no exception) when max_iter is hit;
+    raises only on numerical blow-up.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if g0 is None:
-        # the nonlinear part vanishes at 0, so Phi(0) is Phi_eps itself, which
-        # nothing writes to
-        return _picard(drive, max_iter, tol, None, drive.phi_eps)
-    _require_on(g0, drive.params.grid, drive.time_grid, "starting guess")
-    return _picard(drive, max_iter, tol, g0, apply_phi(g0, drive))
+    # the nonlinear part vanishes at 0, so Phi(0) is Phi_eps itself, which
+    # nothing writes to
+    return _picard(drive, max_iter, tol, None, drive.phi_eps)
 
 
 def _picard(drive: Drive, max_iter: int, tol: float, g: ProfileTrajectory | None,
@@ -272,23 +260,3 @@ def _picard(drive: Drive, max_iter: int, tol: float, g: ProfileTrajectory | None
             report.converged = True
             break
     return g, report
-
-
-def contraction_probe(
-    g1: ProfileTrajectory, g2: ProfileTrajectory, drive: Drive
-) -> tuple[float, ProfileTrajectory, ProfileTrajectory]:
-    """Empirical Lipschitz ratio ||Phi(g1) - Phi(g2)|| / ||g1 - g2|| in X_T,
-    returned with Phi(g1) and Phi(g2), so that a caller needing either map
-    image does not sweep again.
-
-    Phi_eps cancels in the difference, so the ratio is taken on the nonlinear
-    parts before Phi_eps is added to each in place, as apply_phi adds it.
-    """
-    if np.array_equal(g1.values, g2.values):
-        raise ValueError("contraction probe requires distinct trajectories")
-    grid, tg, alpha = drive.params.grid, drive.time_grid, drive.params.alpha
-    p1, p2 = (ProfileTrajectory(grid, tg, _phi_nl(g, drive)) for g in (g1, g2))
-    ratio = xt_distance(p1, p2, alpha) / xt_distance(g1, g2, alpha)
-    for p in (p1, p2):
-        p.values[...] += drive.phi_eps.values
-    return ratio, p1, p2

@@ -57,7 +57,7 @@ def _pull_back(
     """The pull-back half of _pulled_back_cubic: U(-s)[|u|^2 u] from x-space
     rows u = U(s)a and their propagator rows prop = e^{-i s xi^2/2}; with b,
     U(-s)[|u+B|^2 (u+B) - |u|^2 u] with B = U(s)b, by the cancellation-free
-    expansion of _cubic_difference."""
+    two-term identity of _cubic_difference."""
     cube = np.abs(u) ** 2 * u if b is None else _cubic_difference(u, _ifft(b * prop, grid.dx))
     out = _fft(cube, grid.dx)
     # in place, with the operands in the order of np.conj(prop) * out: the
@@ -201,29 +201,12 @@ def forcing_identity_residual(
 
 
 def _cubic_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|a+b|^2 (a+b) - |a|^2 a via the five-term expansion, pointwise, any shape.
+    """|a+b|^2 (a+b) - |a|^2 a = |a+b|^2 b + (2 Re(conj(a) b) + |b|^2) a,
+    pointwise, any shape.
 
-    The expansion is linear-to-cubic in b, so there is no catastrophic
-    cancellation when |b| << |a|.  The terms
-    2|a|^2 b + a^2 conj(b) + 2a|b|^2 + conj(a) b^2 + |b|^2 b are formed and
-    added left to right, in place, through one complex scratch array.
+    Both terms are linear to cubic in b, so there is no catastrophic
+    cancellation when |b| << |a|.
     """
-    b2 = np.abs(b)
-    b2 *= b2
-    a2 = np.abs(a)
-    a2 *= a2
-    a2 *= 2.0
-    out = a2 * b
-    term = a * a
-    term *= np.conj(b)
-    out += term
-    np.multiply(2.0, a, out=term)
-    term *= b2
-    out += term
-    np.conj(a, out=term)
-    term *= b
-    term *= b
-    out += term
-    np.multiply(b2, b, out=term)
-    out += term
+    out = np.abs(a + b) ** 2 * b
+    out += (2.0 * (a.real * b.real + a.imag * b.imag) + np.abs(b) ** 2) * a
     return out

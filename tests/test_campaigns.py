@@ -9,10 +9,8 @@ import pytest
 
 from modwave import (
     ProfileTrajectory,
-    apply_phi,
     build_drive,
     campaigns,
-    contraction_probe,
     fixedpoint,
     make_final_data,
     parse_config,
@@ -100,13 +98,17 @@ def test_construct_contraction_falls_back_to_probe(monkeypatch):
 
 def _fixed_point_checks_resweeping(res, tag, params, W, config):
     """_fixed_point_checks with every image of Phi swept where it is read:
-    the probe, apply_phi(g) for the residual, then Picard from 2 Phi_eps.
+    the probe's two, apply_phi(g) for the residual, then Picard from 2 Phi_eps.
+    Sweeps through campaigns.apply_phi, so that a patch there counts them.
     Returns the iterates of that second start."""
     drive = build_drive(W, params)
     cached = drive.phi_eps
     g, report = picard_iterate(drive, config.max_iter, config.tol)
     alt_start = ProfileTrajectory(params.grid, drive.time_grid, 2.0 * cached.values)
-    probe = contraction_probe(alt_start, g, drive)[0] if np.any(cached.values) else None
+    probe = None
+    if np.any(cached.values):
+        images = [campaigns.apply_phi(alt_start, drive), campaigns.apply_phi(g, drive)]
+        probe = xt_distance(*images, params.alpha) / xt_distance(alt_start, g, params.alpha)
     if report.contraction_ratios:
         max_ratio, detail = max(report.contraction_ratios), "all Picard contraction ratios <= 0.5"
     elif probe is not None:
@@ -118,10 +120,11 @@ def _fixed_point_checks_resweeping(res, tag, params, W, config):
     res.add_check(f"converged_{tag}", report.iterates,
                   report.converged and report.iterates <= config.max_iter,
                   f"step below {config.tol:g} within {config.max_iter} iterations")
-    residual = xt_distance(apply_phi(g, drive), g, params.alpha)
+    residual = xt_distance(campaigns.apply_phi(g, drive), g, params.alpha)
     res.add_check(f"fixed_point_residual_{tag}", residual, residual <= 2e-9,
                   "||Phi(g) - g||_XT <= 2e-9")
-    g_alt, alt_report = picard_iterate(drive, config.max_iter, config.tol, g0=alt_start)
+    g_alt, alt_report = fixedpoint._picard(drive, config.max_iter, config.tol, alt_start,
+                                           campaigns.apply_phi(alt_start, drive))
     gap = xt_distance(g, g_alt, params.alpha)
     res.add_check(f"start_independence_{tag}", gap, gap <= 1e-8,
                   "fixed points from two starts agree to 1e-8 in X_T")
@@ -144,8 +147,9 @@ def test_construct_sweeps_each_probe_image_once(monkeypatch, lam, extra, second_
     config = parse_config(SMALL + extra)
     params = replace(config.params, lam=lam)
     W = make_final_data(config.data_kind, params, seed=config.seed, bandwidth=config.bandwidth)
-    real, sweeps = fixedpoint._phi_nl, []
-    monkeypatch.setattr(fixedpoint, "_phi_nl", lambda *args: sweeps.append(1) or real(*args))
+    real, sweeps = fixedpoint.apply_phi, []
+    for module in (fixedpoint, campaigns):
+        monkeypatch.setattr(module, "apply_phi", lambda *args: sweeps.append(1) or real(*args))
     ref = campaigns.CampaignResult("construct")
     alt_iterates = _fixed_point_checks_resweeping(ref, "sign", params, W, config)
     resweeps = len(sweeps)

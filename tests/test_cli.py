@@ -68,6 +68,15 @@ def test_bad_config_exits_two(tmp_path, capsys):
     assert "unknown key" in err["reason"]
 
 
+def test_non_finite_config_value_exits_two(tmp_path, capsys):
+    code, payload, _ = run_cli(tmp_path, "construct", SMALL_CONSTRUCT + "tol = nan\n")
+    assert code == 2
+    assert payload is None
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert "tol" in err["reason"]
+
+
 def test_missing_config_file_exits_two(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["verify-spectral", "--config", str(tmp_path / "nope.cfg"),

@@ -98,6 +98,18 @@ def test_bad_tol_and_max_iter():
         parse_config("max_iter = 0\n")
 
 
+@pytest.mark.parametrize("text, key", [
+    ("eps0 = nan\n", "eps0"),
+    ("tol = nan\n", "tol"),
+    ("t_max = inf\n", "t_max"),
+    ("T_values = 10, nan\n", "T_values"),
+    ("eps0_values = 0.05, inf\n", "eps0_values"),
+], ids=["eps0-nan", "tol-nan", "t_max-inf", "T_values-nan", "eps0_values-inf"])
+def test_non_finite_value_rejected(text, key):
+    with pytest.raises(ConfigError, match=f"line 1: cannot parse {key} = .*not a finite number"):
+        parse_config(text)
+
+
 def test_empty_list_rejected():
     with pytest.raises(ConfigError, match="cannot parse"):
         parse_config("eps0_values = ,\n")

@@ -14,14 +14,14 @@ from modwave import (
     TimeGrid,
     apply_phi,
     build_drive,
-    contraction_probe,
     make_final_data,
     picard_iterate,
     xt_distance,
     xt_norm,
 )
 from modwave import asymptotic_profile, fixedpoint
-from modwave.fixedpoint import BLOCK_ROWS, _blocks, _cumulative_backward, estimate_tail
+from modwave.fixedpoint import (BLOCK_ROWS, _blocks, _cumulative_backward, _picard,
+                                 estimate_tail)
 from modwave.profile import _profile, _profile_rate
 from modwave.trilinear import _cubic_difference, _pull_back, _pulled_back_cubic
 from modwave.spectral import (
@@ -209,7 +209,8 @@ def test_picard_from_zero_starts_at_phi_eps(monkeypatch, lam, eps0):
     # Phi(0) = Phi_eps: the start from 0 skips one sweep and changes nothing
     params = SolverParams(lam=lam, eps0=eps0, grid=GRID, time_grid_points=65)
     drive = build_drive(make_final_data("gaussian", params, bandwidth=0.4), params)
-    g_swept, swept = picard_iterate(drive, g0=zero_trajectory(GRID, drive.time_grid))
+    zero = zero_trajectory(GRID, drive.time_grid)
+    g_swept, swept = _picard(drive, 15, 1e-9, zero, apply_phi(zero, drive))
     real, sweeps = fixedpoint.apply_phi, []
 
     def counted(*args):
@@ -228,7 +229,7 @@ def test_picard_start_independence():
     drive = build_drive(fd, PARAMS)
     g_a, _ = picard_iterate(drive, tol=1e-12)
     g0 = ProfileTrajectory(GRID, drive.time_grid, 2.0 * drive.phi_eps.values)
-    g_b, _ = picard_iterate(drive, tol=1e-12, g0=g0)
+    g_b, _ = _picard(drive, 15, 1e-12, g0, apply_phi(g0, drive))
     assert xt_distance(g_a, g_b, PARAMS.alpha) <= 1e-8
 
 
@@ -244,27 +245,6 @@ def test_phi_eps_shrinks_with_later_start():
         sizes[T] = xt_norm(traj, params.alpha)
     bound = 4.0 ** ((PARAMS.alpha - PARAMS.delta) / 2.0) * 1.25
     assert sizes[40.0] / sizes[10.0] <= bound
-
-
-def test_contraction_probe_small():
-    fd = make_final_data("gaussian", PARAMS, bandwidth=0.4)
-    drive = build_drive(fd, PARAMS)
-    warm = drive.phi_eps
-    g1 = ProfileTrajectory(GRID, drive.time_grid, warm.values)
-    g2 = ProfileTrajectory(GRID, drive.time_grid, 0.5 * warm.values)
-    ratio, phi1, phi2 = contraction_probe(g1, g2, drive)
-    assert 0.0 < ratio <= 0.5
-    # the images it swept are the map's, bit for bit
-    assert np.array_equal(phi1.values, apply_phi(g1, drive).values)
-    assert np.array_equal(phi2.values, apply_phi(g2, drive).values)
-
-
-def test_contraction_probe_rejects_equal():
-    fd = make_final_data("gaussian", PARAMS, bandwidth=0.4)
-    drive = build_drive(fd, PARAMS)
-    g = zero_trajectory(GRID, drive.time_grid)
-    with pytest.raises(ValueError, match="distinct"):
-        contraction_probe(g, g, drive)
 
 
 def test_report_serializes_with_asdict():
@@ -388,21 +368,13 @@ def test_drive_sweeps_are_bit_identical_to_recomputing(lam):
     tg = drive.time_grid
     rng = np.random.default_rng(5)
     shape = (nodes, grid.num_points)
-    g1, g2 = (ProfileTrajectory(grid, tg, 1e-3 * (rng.standard_normal(shape)
-                                                  + 1j * rng.standard_normal(shape)))
-              for _ in range(2))
+    g = ProfileTrajectory(grid, tg, 1e-3 * (rng.standard_normal(shape)
+                                            + 1j * rng.standard_normal(shape)))
 
     ref_phi_eps = _phi_eps_recomputed(W, params, tg)
     assert np.array_equal(drive.phi_eps.values, ref_phi_eps)
-    assert np.array_equal(apply_phi(g1, drive).values,
-                          _apply_phi_recomputed(g1, W, params, ref_phi_eps))
-
-    zero = np.zeros(shape, complex)
-    p1 = ProfileTrajectory(grid, tg, _apply_phi_recomputed(g1, W, params, zero))
-    p2 = ProfileTrajectory(grid, tg, _apply_phi_recomputed(g2, W, params, zero))
-    ref_probe = (xt_norm(ProfileTrajectory(grid, tg, p1.values - p2.values), params.alpha)
-                 / xt_norm(ProfileTrajectory(grid, tg, g1.values - g2.values), params.alpha))
-    assert contraction_probe(g1, g2, drive)[0] == ref_probe
+    assert np.array_equal(apply_phi(g, drive).values,
+                          _apply_phi_recomputed(g, W, params, ref_phi_eps))
 
 
 def test_block_size_changes_no_bit(monkeypatch):
@@ -464,11 +436,6 @@ def test_drive_rejects_trajectories_living_elsewhere(other, where):
     fd = make_final_data("gaussian", PARAMS, bandwidth=0.4)
     drive = build_drive(fd, PARAMS)
     other_tg = TimeGrid.from_params(other)
-    g1 = ProfileTrajectory(other.grid, other_tg, np.ones((other_tg.count, other.grid.num_points)))
-    g2 = zero_trajectory(other.grid, other_tg)
+    g = ProfileTrajectory(other.grid, other_tg, np.ones((other_tg.count, other.grid.num_points)))
     with pytest.raises(ValueError, match=f"^g lives on another {where}$"):
-        apply_phi(g1, drive)
-    with pytest.raises(ValueError, match=f"on another {where}$"):
-        contraction_probe(g1, g2, drive)
-    with pytest.raises(ValueError, match=f"^starting guess lives on another {where}$"):
-        picard_iterate(drive, g0=g1)
+        apply_phi(g, drive)
