@@ -13,9 +13,11 @@ For each LABEL=PATH checkout it records:
 - the Tier-1 suite, run --repeats times: median and minimum wall time;
 - per-layer times on the default grid (N = 4096, 129 nodes, default
   gaussian data), one warm-up and --repeats timed calls each, in a fresh
-  process of this script on the checkout's sources: the transform pair and
-  the pulled-back cubic over one trajectory, one apply_phi sweep, xt_norm,
-  and evolve from T to 2T;
+  process of this script on the checkout's sources: build_drive, the
+  transform pair and the pulled-back cubic over one trajectory, one
+  apply_phi sweep, xt_norm, and evolve from T to 2T; build_drive once more
+  on the random band-limited seed-1 datum of perfbench's sweep workload,
+  which is nonzero on 127 of the 4096 points;
 - the work counts of one serial (MODWAVE_THREADS=1) in-process construct
   and of one roundtrip, each on the default config in a process of its own,
   traced by ``perfbench/tracer.py``: apply_phi, xt_norm, xt_distance and
@@ -127,6 +129,7 @@ def layer_times(repeats: int) -> dict:
     params = config.params
     grid, dx = params.grid, params.grid.dx
     W = make_final_data(config.data_kind, params, seed=config.seed, bandwidth=config.bandwidth)
+    W_sweep = make_final_data("random_bandlimited", params, seed=1, bandwidth=config.bandwidth)
     drive = build_drive(W, params)
     nodes = drive.time_grid.nodes
     g = ProfileTrajectory(grid, drive.time_grid, 2.0 * drive.phi_eps.values)
@@ -135,6 +138,8 @@ def layer_times(repeats: int) -> dict:
     u_T = inverse_transform(free_propagate(FrequencyField(grid, profile_T), params.T))
 
     layers = {
+        "build_drive": lambda: build_drive(W, params),
+        "build_drive_random_bandlimited_seed1": lambda: build_drive(W_sweep, params),
         "transform_pair": lambda: _ifft(_fft(drive.u_app, dx), dx),
         "pulled_back_cubic": lambda: _pulled_back_cubic(g.values, nodes, grid),
         "apply_phi": lambda: apply_phi(g, drive),

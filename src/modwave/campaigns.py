@@ -372,7 +372,7 @@ def _strang_cross_check() -> tuple[float, float]:
     horizon = 1.0
 
     def final_state(dt):
-        return _strang(u0.values, dt, round(horizon / dt), grid.frequencies, 1)
+        return _strang(u0.values, dt, round(horizon / dt), grid, 1)
 
     ref = final_state(1.0 / 1024.0)
     dts = np.array([0.1, 0.05, 0.025])

@@ -1,7 +1,8 @@
 """Command-line experiment runner: `modwave <campaign> --config <path>`.
 
-Writes a versioned results.json (named checks, fits, extras) plus one CSV
-per recorded time series.  Exit codes: 0 all checks pass, 1 a check
+Writes a versioned results.json (named checks, fits, extras, and the
+provenance of the run: python and numpy versions and the git sha of the
+checkout) plus one CSV per recorded time series.  Exit codes: 0 all checks pass, 1 a check
 failed, 2 configuration or runtime error (writing the results included);
 failures carry a machine-readable reason.
 """
@@ -11,17 +12,23 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import platform
 import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from .campaigns import CAMPAIGNS, run_campaign
 from .config import ConfigError, ExperimentConfig, load_config, parse_config
 
 __all__ = ["main", "write_results"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+# The checkout this package was imported from, when it runs from source.
+CHECKOUT = Path(__file__).resolve().parents[2]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,6 +46,26 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the configured random seed")
     return parser
+
+
+def _git_sha(root: Path) -> str:
+    """The commit checked out at root, read from its .git files without
+    starting a process; "unavailable" outside a checkout."""
+    git = root / ".git"
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head  # a detached HEAD holds the sha itself
+        ref = head[len("ref: "):]
+        if (git / ref).is_file():
+            return (git / ref).read_text().strip()
+        for line in (git / "packed-refs").read_text().splitlines():
+            sha, _, name = line.partition(" ")
+            if name == ref:
+                return sha
+    except OSError:
+        pass
+    return "unavailable"
 
 
 def write_results(result, out_dir: Path, config: ExperimentConfig) -> Path:
@@ -67,6 +94,11 @@ def write_results(result, out_dir: Path, config: ExperimentConfig) -> Path:
         "fits": result.fits,
         "extras": result.extras,
         "series_files": {},
+        "provenance": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "git_sha": _git_sha(CHECKOUT),
+        },
     }
     for series_name, (header, rows) in result.series.items():
         csv_path = out_dir / f"{result.name}_{series_name}.csv"

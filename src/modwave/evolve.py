@@ -28,6 +28,7 @@ from .profile import SolverParams, asymptotic_profile
 from .spectral import (
     FrequencyField,
     PhysicalField,
+    SpectralGrid,
     _fft,
     _ifft,
     _propagator,
@@ -80,10 +81,10 @@ def _kick(values: np.ndarray, dt: float, lam: int) -> np.ndarray:
     return values * np.exp(-1j * lam * np.abs(values) ** 2 * dt)
 
 
-def _strang(vals: np.ndarray, dt: float, n: int, xi: np.ndarray, lam: int) -> np.ndarray:
-    """n fused Strang steps on a state whose nodes have frequencies xi:
+def _strang(vals: np.ndarray, dt: float, n: int, grid: SpectralGrid, lam: int) -> np.ndarray:
+    """n fused Strang steps on x-space values vals sampled on grid:
     half kick, (n-1) x (drift + full kick), drift, half kick."""
-    drift = _propagator(xi, dt)
+    drift = _propagator(grid, dt)
     vals = _kick(vals, 0.5 * dt, lam)
     for _ in range(n - 1):
         vals = _kick(np.fft.ifft(drift * np.fft.fft(vals)), dt, lam)
@@ -116,12 +117,12 @@ def evolve(
     if np.any(np.diff(sample_times) <= 0) or sample_times[0] < t0:
         raise ValueError("sample times must be increasing and start at or after t0")
     grid = u0.grid
-    lam, dx, xi = params.lam, grid.dx, grid.frequencies
+    lam, dx = params.lam, grid.dx
     props = {}  # e^{-i s xi^2/2} by the float s, for the stage times in use
 
     def propagator(s):
         if s not in props:
-            props[s] = _propagator(xi, s)
+            props[s] = _propagator(grid, s)
         return props[s]
 
     def rhs(f, s):

@@ -127,9 +127,17 @@ def make_final_data(
 
 
 def _profile(w: np.ndarray, t, lam: int) -> np.ndarray:
-    """W e^{-i lam |W|^2 log t/(2 pi)} for a scalar t, one row per entry of a vector t."""
+    """W e^{-i lam |W|^2 log t/(2 pi)} for a scalar t, one row per entry of a vector t.
+
+    The log phase is evaluated on the support of W alone, where W is
+    nonzero; elsewhere v is exactly 0.
+    """
     log_t = np.log(np.asarray(t, dtype=float))[..., None]
-    return w * np.exp(-1j * lam * np.abs(w) ** 2 * log_t / (2.0 * np.pi))
+    support = np.flatnonzero(w)
+    ws = w[support]
+    out = np.zeros(log_t.shape[:-1] + w.shape, dtype=np.complex128)
+    out[..., support] = ws * np.exp(-1j * lam * np.abs(ws) ** 2 * log_t / (2.0 * np.pi))
+    return out
 
 
 def _profile_rate(v: np.ndarray, t, lam: int) -> np.ndarray:

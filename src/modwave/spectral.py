@@ -13,6 +13,10 @@ module knows that layout.  Transforms carry the continuum normalization
 so that on the grid Plancherel reads
 ``||F||_{L2_x} = (2*pi)^{-1/2} ||Fhat||_{L2_xi}`` exactly.
 
+Since xi_{N-k} = -xi_k exactly in this layout, each propagator row
+e^{-i t xi^2/2} is computed on its nonnegative half, the columns 0..N/2, and
+mirrored into the rest.
+
 Each operation has one array kernel (underscored) acting along the last
 axis, so a block of time nodes is processed like one field.  The public
 field functions validate and wrap these kernels.
@@ -150,9 +154,18 @@ def _ifft(values: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _propagator(xi: np.ndarray, t) -> np.ndarray:
-    """e^{-i t xi^2/2}: shape xi.shape for a scalar t, one row per entry of a vector t."""
-    return np.exp(-0.5j * np.asarray(t, dtype=float)[..., None] * xi * xi)
+def _propagator(grid: SpectralGrid, t) -> np.ndarray:
+    """e^{-i t xi^2/2} on the grid's frequencies: one N-point row for a scalar
+    t, one row per entry of a vector t.  The phase is evaluated on the
+    columns 0..N/2 alone; columns N/2+1..N-1 copy columns N/2-1..1, which
+    hold the same bits."""
+    half = grid.num_points // 2
+    xi = grid.frequencies[: half + 1]
+    t = np.asarray(t, dtype=float)[..., None]
+    out = np.empty(t.shape[:-1] + (grid.num_points,), dtype=np.complex128)
+    np.exp(-0.5j * t * xi * xi, out=out[..., : half + 1])
+    out[..., half + 1 :] = out[..., half - 1 : 0 : -1]
+    return out
 
 
 def _l2(mod: np.ndarray, dxi: float) -> np.ndarray:
@@ -199,7 +212,7 @@ def free_propagate(F: FrequencyField, t: float) -> FrequencyField:
     """Free Schrodinger flow in frequency space: multiply by e^{-i t xi^2/2}."""
     if not np.isfinite(t):
         raise ValueError(f"propagation time must be finite, got {t}")
-    return FrequencyField(F.grid, F.values * _propagator(F.grid.frequencies, t))
+    return FrequencyField(F.grid, F.values * _propagator(F.grid, t))
 
 
 def norms(F: FrequencyField) -> NormBundle:

@@ -47,7 +47,7 @@ ORACLE_CONSTANT = 1.0 / (2.0 * np.pi)
 def _pulled_back_cubic(a: np.ndarray, s, grid: SpectralGrid) -> np.ndarray:
     """U(-s)[|A|^2 A] with A = U(s)a, on frequency rows, for a scalar s or
     one row per entry of a vector s (coupling sign applied by callers)."""
-    prop = _propagator(grid.frequencies, s)
+    prop = _propagator(grid, s)
     return _pull_back(_ifft(a * prop, grid.dx), prop, grid)
 
 
@@ -159,11 +159,16 @@ def _pulled_back_forcing(w: np.ndarray, t, lam: int, grid: SpectralGrid):
     one row per entry of a vector t: the propagator rows U(t), the x-space
     rows U(t)v of the approximate solution, and the forcing rows they give.
     The drive term i*dv/dt needs no transform, since U(-t) undoes the free
-    flow it is carried by."""
+    flow it is carried by, and is added on the support of W alone, where v
+    is nonzero."""
     v = _profile(w, t, lam)
-    prop = _propagator(grid.frequencies, t)
+    prop = _propagator(grid, t)
     u_app = _ifft(v * prop, grid.dx)
-    return prop, u_app, 1j * _profile_rate(v, t, lam) - lam * _pull_back(u_app, prop, grid)
+    forcing = _pull_back(u_app, prop, grid)
+    forcing *= -lam
+    support = np.flatnonzero(w)
+    forcing[..., support] += 1j * _profile_rate(v[..., support], t, lam)
+    return prop, u_app, forcing
 
 
 def pulled_back_forcing(W: FrequencyField, t: float, params: SolverParams) -> FrequencyField:

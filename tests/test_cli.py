@@ -1,8 +1,13 @@
 """Command-line entry point: exit codes, results schema, and determinism."""
 
 import json
+import platform
+import shutil
+import subprocess
 
-from modwave.cli import main
+import numpy as np
+
+from modwave.cli import CHECKOUT, _git_sha, main
 
 SMALL_SPECTRAL = "num_points = 512\nbox_length = 100\n"
 SMALL_CONSTRUCT = (
@@ -28,12 +33,44 @@ def test_verify_spectral_passes(tmp_path, capsys):
     code, payload, _ = run_cli(tmp_path, "verify-spectral", SMALL_SPECTRAL)
     assert code == 0
     assert payload["passed"] is True
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["campaign"] == "verify-spectral"
     names = {c["name"] for c in payload["checks"]}
     assert {"roundtrip_error", "plancherel_error"} <= names
     lines = capsys.readouterr().out.splitlines()
     assert any(line.startswith("PASS verify-spectral:roundtrip_error") for line in lines)
+
+
+def test_results_carry_provenance(tmp_path):
+    _, payload, _ = run_cli(tmp_path, "verify-spectral", SMALL_SPECTRAL)
+    prov = payload["provenance"]
+    assert prov["python"] == platform.python_version()
+    assert prov["numpy"] == np.__version__
+    if not (CHECKOUT / ".git").is_dir():
+        assert prov["git_sha"] == "unavailable"
+    elif shutil.which("git"):
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=CHECKOUT,
+                              capture_output=True, text=True)
+        if head.returncode == 0:
+            assert prov["git_sha"] == head.stdout.strip()
+
+
+def test_git_sha_read_from_checkout_files(tmp_path):
+    git = tmp_path / ".git"
+    (git / "refs" / "heads").mkdir(parents=True)
+    assert _git_sha(tmp_path) == "unavailable"  # no HEAD
+    assert _git_sha(tmp_path / "elsewhere") == "unavailable"  # no .git
+    detached, packed, loose = ("1" * 40, "2" * 40, "3" * 40)
+    (git / "HEAD").write_text(detached + "\n")
+    assert _git_sha(tmp_path) == detached
+    (git / "HEAD").write_text("ref: refs/heads/main\n")
+    assert _git_sha(tmp_path) == "unavailable"  # a branch with no commit
+    (git / "packed-refs").write_text(
+        f"# pack-refs with: peeled fully-peeled sorted\n{'4' * 40} refs/heads/other\n"
+        f"{packed} refs/heads/main\n")
+    assert _git_sha(tmp_path) == packed
+    (git / "refs" / "heads" / "main").write_text(loose + "\n")
+    assert _git_sha(tmp_path) == loose
 
 
 def test_construct_zero_data(tmp_path):

@@ -349,7 +349,7 @@ def _apply_phi_recomputed(g, W, params, phi_eps_values):
     integrand = np.empty_like(g.values)
     for rows in _blocks(tg.count):
         s = tg.nodes[rows]
-        prop = _propagator(params.grid.frequencies, s)
+        prop = _propagator(params.grid, s)
         u_app = _ifft(_profile(W.values, s, lam) * prop, params.grid.dx)
         integrand[rows] = _pull_back(u_app, prop, params.grid, g.values[rows])
     acc = _cumulative_backward_out_of_place(integrand, tg.nodes)

@@ -12,7 +12,7 @@ from modwave import (
     make_final_data,
     norms,
 )
-from modwave.profile import _profile_rate
+from modwave.profile import _profile, _profile_rate
 
 GRID = SpectralGrid(512, 100.0)
 PARAMS = SolverParams(grid=GRID)
@@ -145,3 +145,21 @@ def test_profile_h2_grows_like_log_squared():
     p = np.polyfit(np.log(np.log(ts)), np.log(h2), 1)[0]
     assert 1.5 <= p <= 2.5
 
+
+@pytest.mark.parametrize("lam", [1, -1])
+@pytest.mark.parametrize("zeros", ["some", "none", "all"])
+def test_profile_on_support_matches_dense_phase(zeros, lam):
+    # the phase is evaluated where W is nonzero; v must equal the formula
+    # evaluated at every node, its exact zeros included
+    rng = np.random.default_rng(4)
+    n = GRID.num_points
+    w = {"some": make_final_data("random_bandlimited", PARAMS, seed=1).values,
+         "none": rng.standard_normal(n) + 1j * rng.standard_normal(n),
+         "all": np.zeros(n, dtype=complex)}[zeros]
+    assert (0 < np.count_nonzero(w) < n) == (zeros == "some")
+    for t in (10.0, 0.5, np.geomspace(2.0, 1e5, 17)):
+        log_t = np.log(np.asarray(t, dtype=float))[..., None]
+        dense = w * np.exp(-1j * lam * np.abs(w) ** 2 * log_t / (2.0 * np.pi))
+        got = _profile(w, t, lam)
+        assert got.shape == dense.shape
+        assert np.array_equal(got, dense)

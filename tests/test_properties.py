@@ -80,7 +80,7 @@ def test_pulled_back_cubic_difference_is_difference_of_cubes(grid, seed, s, rati
     rng = np.random.default_rng(seed)
     shape = (len(s), grid.num_points)
     a, b = _complex(rng, shape), _complex(rng, shape, ratio)
-    prop = _propagator(grid.frequencies, s)
+    prop = _propagator(grid, s)
     got = _pull_back(_ifft(a * prop, grid.dx), prop, grid, b)
     full, base = _pulled_back_cubic(a + b, s, grid), _pulled_back_cubic(a, s, grid)
     scale = max(np.max(np.abs(full)), np.max(np.abs(base)))

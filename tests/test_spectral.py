@@ -22,7 +22,7 @@ from modwave import (
     physical_l2,
     physical_linf,
 )
-from modwave.spectral import _xt_weights
+from modwave.spectral import _propagator, _xt_weights
 
 
 @pytest.fixture
@@ -202,6 +202,19 @@ def test_propagator_group_law(grid):
     twice = free_propagate(free_propagate(F, 0.7), 0.3)
     scale = np.max(np.abs(F.values))
     assert np.max(np.abs(once.values - twice.values)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64, 4096])
+def test_propagator_mirrored_half_matches_dense_phase(n):
+    # only the columns 0..N/2 are evaluated; the mirrored rest must hold the
+    # very values the phase gives there
+    g = SpectralGrid(n, 200.0)
+    xi = g.frequencies
+    for t in (0.0, 0.37, -3.0, 1e5, np.geomspace(1e-3, 1e5, 33), [-1e5, -7.5, 0.0, 2.0]):
+        dense = np.exp(-0.5j * np.asarray(t, dtype=float)[..., None] * xi * xi)
+        got = _propagator(g, t)
+        assert got.shape == dense.shape
+        assert np.array_equal(got, dense)
 
 
 def test_propagator_inverse(grid):

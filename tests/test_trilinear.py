@@ -174,13 +174,23 @@ def test_cubic_difference_matches_direct():
 
 
 def test_cubic_difference_no_cancellation():
-    # with |b| ~ 1e-12 |a| the expansion keeps full relative accuracy
+    # a complex a whose phase turns against b's, so that every product of
+    # real and imaginary parts counts
     x = COARSE_GRID.x
-    a = np.exp(-(x**2)) + 0.0j
-    b = 1e-12 * np.exp(-(x**2)) * (1.0 + 1j)
+    a = np.exp(-(x**2) + 0.7j * x)
+    # with |b| ~ 1e-12 |a| the expansion keeps full relative accuracy; the
     # leading term is 2|a|^2 b + a^2 conj(b)
+    b = 1e-12 * np.exp(-(x**2)) * (1.0 + 1j)
     lead = 2.0 * np.abs(a) ** 2 * b + a**2 * np.conj(b)
     assert np.max(np.abs(_cubic_difference(a, b) - lead)) <= 1e-10 * np.max(np.abs(lead))
+    # with |b| ~ 1e-3 |a| the terms quadratic and cubic in b count too:
+    # against the direct difference in extended precision, whose
+    # cancellation costs far less than the 1e-12 bound
+    b = 1e-3 * np.exp(-(x**2)) * (1.0 + 1j)
+    aa, bb = a.astype(np.clongdouble), b.astype(np.clongdouble)
+    ref = np.abs(aa + bb) ** 2 * (aa + bb) - np.abs(aa) ** 2 * aa
+    err = np.max(np.abs(_cubic_difference(a, b) - ref))
+    assert err <= 1e-12 * np.max(np.abs(ref))
 
 
 # ---- the pulled-back cubic kernel against a per-row field-function route
@@ -216,7 +226,7 @@ def test_pulled_back_cubic_kernel_matches_field_route(s, with_b):
     if b is None:
         got = _pulled_back_cubic(a, s, COARSE_GRID)
     else:
-        prop = _propagator(xi, s)
+        prop = _propagator(COARSE_GRID, s)
         got = _pull_back(_ifft(a * prop, COARSE_GRID.dx), prop, COARSE_GRID, b)
     a_rows, s_rows = a.reshape(rows, -1), s_arr.reshape(rows)
     b_rows = [None] * rows if b is None else b.reshape(rows, -1)
