@@ -3,6 +3,11 @@ one or more modwave checkouts, measured on this machine.
 
     python3 benchmarks/record_bench.py --out BENCH_<n>.json parent=../parent change=.
 
+This script is the only layer timer.  To time the layers of one checkout
+alone, from its root:
+
+    PYTHONPATH=src python3 benchmarks/record_bench.py --layers --repeats 5
+
 For each LABEL=PATH checkout it records:
 
 - each of the six campaigns on the default config (an empty config file),
@@ -11,28 +16,28 @@ For each LABEL=PATH checkout it records:
   MODWAVE_THREADS unset): median and minimum of wall_s, cpu_s, peak_rss_mb
   and setup_s, as ``perfbench/run.py`` defines them;
 - the Tier-1 suite, run --repeats times: median and minimum wall time;
-- per-layer times on the default grid (N = 4096, 129 nodes, default
-  gaussian data), one warm-up and --repeats timed calls each, in a fresh
-  process of this script on the checkout's sources: build_drive, the
-  transform pair and the pulled-back cubic over one trajectory, one
-  apply_phi sweep, xt_norm, and evolve from T to 2T; build_drive once more
-  on the random band-limited seed-1 datum of perfbench's sweep workload,
-  which is nonzero on 127 of the 4096 points;
+- per-layer times, one sample per repeat, each from a fresh serial process
+  of this script on the checkout's sources that makes one warm-up and one
+  timed call per layer.  On the default grid (N = 4096, 129 nodes, default
+  gaussian data): build_drive, the transform pair and the pulled-back cubic
+  over one trajectory, one apply_phi sweep, xt_norm, xt_distance, and
+  evolve from T to 2T; build_drive once more on the random band-limited
+  seed-1 datum of perfbench's sweep workload, which is nonzero on 127 of
+  the 4096 points; and evolve on roundtrip's dispersive regime (N = 4096,
+  L = 800, gaussian band 0.06, 25 samples from t = 10 to 1000);
 - the work counts of one serial (MODWAVE_THREADS=1) in-process construct
   and of one roundtrip, each on the default config in a process of its own,
   traced by ``perfbench/tracer.py``: apply_phi, xt_norm, xt_distance and
-  Picard calls and iterates.  Where apply_phi is the map's only sweep, its
+  Picard calls and iterates.  apply_phi is the map's only sweep, so its
   calls count every sweep, construct's probe images and second start
   included; Picard's count covers picard_iterate alone, since that second
   start runs through the private loop _picard.  The tracer sees only public
-  functions, so the private kernels are counted here by name, in calls and
-  in the N-point rows they return: _fft, _ifft, _propagator and _phi_nl,
-  the sweep that older checkouts ran behind apply_phi and
-  contraction_probe.  A kernel the checkout does not define is left out of
-  its counts.
+  functions, so the private kernels _fft, _ifft and _propagator are counted
+  here by name, in calls and in the N-point rows they return.  A kernel the
+  checkout does not define is left out of its counts.
 
-The checkouts take turns, in alternating order, so drift of a shared
-machine falls on both.  Nothing under ``perfbench/`` is changed.
+The checkouts take turns within each repeat, in alternating order, so drift
+of a shared machine falls on both.  Nothing under ``perfbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy
@@ -118,10 +124,12 @@ def _in_checkout(root: Path, *args: str) -> dict:
 
 
 def layer_times(repeats: int) -> dict:
-    """Per-layer times on the default grid, seconds per call."""
-    from modwave import (ProfileTrajectory, apply_phi, asymptotic_profile, build_drive,
-                         evolve, free_propagate, inverse_transform, make_final_data,
-                         parse_config, picard_iterate, xt_norm)
+    """Per-layer times, seconds per call: the default grid's layers, then
+    evolve on roundtrip's dispersive regime."""
+    from modwave import (ProfileTrajectory, SpectralGrid, apply_phi, approximate_solution,
+                         asymptotic_profile, build_drive, evolve, free_propagate,
+                         inverse_transform, make_final_data, parse_config, picard_iterate,
+                         xt_distance, xt_norm)
     from modwave.spectral import FrequencyField, _fft, _ifft
     from modwave.trilinear import _pulled_back_cubic
 
@@ -136,6 +144,11 @@ def layer_times(repeats: int) -> dict:
     fixed, _ = picard_iterate(drive, config.max_iter, config.tol)
     profile_T = asymptotic_profile(W, params.T, params.lam).values + fixed.values[0]
     u_T = inverse_transform(free_propagate(FrequencyField(grid, profile_T), params.T))
+    dispersive = replace(params, t_max=10_000.0, grid=SpectralGrid(4096, 800.0),
+                         time_grid_points=193)
+    W_dispersive = make_final_data("gaussian", dispersive, seed=0, bandwidth=0.06)
+    u_dispersive = approximate_solution(W_dispersive, dispersive.T, dispersive)
+    dispersive_times = numpy.geomspace(10.0, 1000.0, 25)
 
     layers = {
         "build_drive": lambda: build_drive(W, params),
@@ -144,7 +157,10 @@ def layer_times(repeats: int) -> dict:
         "pulled_back_cubic": lambda: _pulled_back_cubic(g.values, nodes, grid),
         "apply_phi": lambda: apply_phi(g, drive),
         "xt_norm": lambda: xt_norm(g, params.alpha),
+        "xt_distance": lambda: xt_distance(g, drive.phi_eps, params.alpha),
         "evolve": lambda: evolve(u_T, params.T, [2.0 * params.T], params),
+        "evolve_dispersive": lambda: evolve(u_dispersive, dispersive.T, dispersive_times,
+                                            dispersive),
     }
     out = {}
     for name, call in layers.items():
@@ -158,10 +174,8 @@ def layer_times(repeats: int) -> dict:
     return out
 
 
-# The private kernels counted by name, with the module that defines them;
-# _phi_nl exists only in older checkouts.
-KERNELS = {"_fft": "spectral", "_ifft": "spectral", "_propagator": "spectral",
-           "_phi_nl": "fixedpoint"}
+# The private kernels counted by name, with the module that defines them.
+KERNELS = {"_fft": "spectral", "_ifft": "spectral", "_propagator": "spectral"}
 
 
 def work_counts(campaign: str) -> dict:
@@ -221,6 +235,7 @@ def record(checkouts: dict, repeats: int) -> dict:
     e2e = {label: {c: {m: [] for m in E2E} for c in CAMPAIGNS} for label in checkouts}
     suite = {label: [] for label in checkouts}
     suite_result = {}
+    layers = {label: {} for label in checkouts}
     try:
         for rep in range(repeats):
             labels = list(checkouts)[::(-1) ** rep]
@@ -230,6 +245,9 @@ def record(checkouts: dict, repeats: int) -> dict:
                         e2e[label][campaign][metric].append(value)
                 wall, suite_result[label] = _suite_run(checkouts[label])
                 suite[label].append(wall)
+                sample = _in_checkout(checkouts[label], "--layers", "--repeats", "1")
+                for name, times in sample.items():
+                    layers[label].setdefault(name, []).extend(times["samples"])
                 print(f"repeat {rep + 1}/{repeats} {label}: suite {wall:.2f} s", file=sys.stderr)
     finally:
         shutil.rmtree(work)
@@ -241,7 +259,7 @@ def record(checkouts: dict, repeats: int) -> dict:
             "campaigns_default_config": {
                 c: {m: _summary(v) for m, v in e2e[label][c].items()} for c in CAMPAIGNS},
             "tier1_suite": {"wall_s": _summary(suite[label]), "result": suite_result[label]},
-            "layers_default_grid_s": _in_checkout(root, "--layers", "--repeats", str(repeats)),
+            "layers_s": {name: _summary(v) for name, v in layers[label].items()},
             "counts_serial": {c: _in_checkout(root, "--counts", c) for c in COUNTED},
         }
     return {
@@ -259,11 +277,13 @@ def record(checkouts: dict, repeats: int) -> dict:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkouts", nargs="*", metavar="LABEL=PATH")
     parser.add_argument("--out", type=Path)
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--layers", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--layers", action="store_true",
+                        help="print this checkout's per-layer times as JSON (run with "
+                             "PYTHONPATH=src from its root) instead of writing a record")
     parser.add_argument("--counts", choices=COUNTED, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.layers or args.counts:

@@ -50,7 +50,6 @@ from .spectral import (
 )
 from .trilinear import (
     forcing_identity_residual,
-    oracle_calibration,
     pulled_back_forcing,
     remainder,
     remainder_oracle,

@@ -53,9 +53,13 @@ def _git_sha(root: Path) -> str:
     starting a process; "unavailable" outside a checkout."""
     git = root / ".git"
     try:
+        if git.is_file():  # a linked worktree: "gitdir: <its own git dir>"
+            git = root / git.read_text().strip().removeprefix("gitdir: ")
         head = (git / "HEAD").read_text().strip()
         if not head.startswith("ref: "):
             return head  # a detached HEAD holds the sha itself
+        if (git / "commondir").is_file():  # a worktree's refs live in the main git dir
+            git = git / (git / "commondir").read_text().strip()
         ref = head[len("ref: "):]
         if (git / ref).is_file():
             return (git / ref).read_text().strip()

@@ -22,41 +22,10 @@ class ConfigError(ValueError):
     """Raised on malformed or inconsistent configuration text."""
 
 
-_INT_KEYS = {"lam", "num_points", "time_grid_points", "seed", "max_iter"}
-_FLOAT_KEYS = {
-    "delta", "alpha", "eps0", "T", "t_max", "box_length", "bandwidth",
-    "fit_t_min", "fit_t_max", "tol",
-}
-_STR_KEYS = {"data_kind"}
-_LIST_KEYS = {"eps0_values", "T_values"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _LIST_KEYS
-
-_DEFAULTS = {
-    "lam": 1,
-    "delta": 0.2,
-    "alpha": 0.1,
-    "eps0": 0.05,
-    "T": 10.0,
-    "t_max": 1000.0,
-    "num_points": 4096,
-    "box_length": 200.0,
-    "time_grid_points": 129,
-    "data_kind": "gaussian",
-    "seed": 0,
-    "bandwidth": 1.0,
-    "fit_t_min": None,
-    "fit_t_max": None,
-    "tol": 1e-9,
-    "max_iter": 15,
-    "eps0_values": (0.05, 0.025),
-    "T_values": (10.0, 20.0),
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully validated run configuration; parse_config fills every field,
-    from _DEFAULTS where the text leaves a key out."""
+    from the defaults of _KEYS where the text leaves a key out."""
 
     params: SolverParams
     data_kind: str
@@ -107,20 +76,38 @@ def _finite(raw: str) -> float:
     return value
 
 
-def _parse_scalar(key: str, raw: str, line_no: int):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return _finite(raw)
-        if key in _LIST_KEYS:
-            vals = tuple(_finite(p) for p in raw.split(",") if p.strip())
-            if not vals:
-                raise ValueError("empty list")
-            return vals
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"line {line_no}: cannot parse {key} = {raw!r}: {exc}") from None
+def _finite_list(raw: str) -> tuple:
+    vals = tuple(_finite(p) for p in raw.split(",") if p.strip())
+    if not vals:
+        raise ValueError("empty list")
+    return vals
+
+
+_SOLVER = SolverParams()
+
+# Every key with its parser and its default.  The solver keys and the grid
+# default to the fields of SolverParams(), which parse_config rebuilds.
+_KEYS = {
+    "lam": (int, _SOLVER.lam),
+    "delta": (_finite, _SOLVER.delta),
+    "alpha": (_finite, _SOLVER.alpha),
+    "eps0": (_finite, _SOLVER.eps0),
+    "T": (_finite, _SOLVER.T),
+    "t_max": (_finite, _SOLVER.t_max),
+    "time_grid_points": (int, _SOLVER.time_grid_points),
+    "num_points": (int, _SOLVER.grid.num_points),
+    "box_length": (_finite, _SOLVER.grid.box_length),
+    "data_kind": (str, "gaussian"),
+    "seed": (int, 0),
+    "bandwidth": (_finite, 1.0),
+    "fit_t_min": (_finite, None),
+    "fit_t_max": (_finite, None),
+    "tol": (_finite, 1e-9),
+    "max_iter": (int, 15),
+    "eps0_values": (_finite_list, (0.05, 0.025)),
+    "T_values": (_finite_list, (10.0, 20.0)),
+}
+_SOLVER_KEYS = ("lam", "delta", "alpha", "eps0", "T", "t_max", "time_grid_points")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -129,7 +116,7 @@ def parse_config(text: str) -> ExperimentConfig:
     An empty file yields all defaults.  Unknown keys, duplicate keys, and
     unparsable values are errors that carry the offending line number.
     """
-    values = dict(_DEFAULTS)
+    values = {key: default for key, (_, default) in _KEYS.items()}
     seen = set()
     for line_no, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -138,25 +125,19 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in body:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {body!r}")
         key, raw = (part.strip() for part in body.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"line {line_no}: duplicate key {key!r}")
         seen.add(key)
-        values[key] = _parse_scalar(key, raw, line_no)
+        try:
+            values[key] = _KEYS[key][0](raw)
+        except ValueError as exc:
+            raise ConfigError(f"line {line_no}: cannot parse {key} = {raw!r}: {exc}") from None
 
     try:
         grid = SpectralGrid(values["num_points"], values["box_length"])
-        params = SolverParams(
-            lam=values["lam"],
-            delta=values["delta"],
-            alpha=values["alpha"],
-            eps0=values["eps0"],
-            T=values["T"],
-            t_max=values["t_max"],
-            grid=grid,
-            time_grid_points=values["time_grid_points"],
-        )
+        params = SolverParams(grid=grid, **{key: values[key] for key in _SOLVER_KEYS})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

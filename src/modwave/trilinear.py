@@ -32,7 +32,6 @@ from .spectral import (
 __all__ = [
     "remainder",
     "remainder_oracle",
-    "oracle_calibration",
     "pulled_back_forcing",
     "forcing_identity_residual",
 ]
@@ -40,7 +39,8 @@ __all__ = [
 ORACLE_MAX_POINTS = 64
 
 # Overall constant of the oracle's double integral under the transform
-# normalization in use; oracle_calibration() measures it independently.
+# normalization in use; tests/test_trilinear.py measures it independently
+# (test_oracle_calibration_is_inverse_two_pi).
 ORACLE_CONSTANT = 1.0 / (2.0 * np.pi)
 
 
@@ -116,25 +116,6 @@ def _oracle_raw(fhat: FrequencyField, s: float) -> np.ndarray:
         phase = np.exp(1j * np.outer(x[m] + x, xi))  # (l, k)
         out += kernel[m] @ (corr * phase)
     return (1j / s) * dx * dx * out
-
-
-def _calibration_input() -> tuple[FrequencyField, float]:
-    grid = SpectralGrid(ORACLE_MAX_POINTS, 32.0)
-    xi = grid.frequencies
-    vals = 0.4 * np.exp(-3.0 * (xi - 0.3) ** 2) * (1.0 + 0.2j * xi)
-    return FrequencyField(grid, vals), 7.0
-
-
-def oracle_calibration() -> complex:
-    """Complex constant that best matches the oracle to the subtraction route.
-
-    A least-squares fit on a fixed asymmetric input, kept as a check on the
-    derived ORACLE_CONSTANT = 1/(2*pi) that remainder_oracle uses.
-    """
-    fhat, s = _calibration_input()
-    target = remainder(fhat, s).values
-    raw = _oracle_raw(fhat, s)
-    return complex(np.vdot(raw, target) / np.vdot(raw, raw))
 
 
 def remainder_oracle(fhat: FrequencyField, s: float) -> FrequencyField:

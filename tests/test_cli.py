@@ -46,7 +46,7 @@ def test_results_carry_provenance(tmp_path):
     prov = payload["provenance"]
     assert prov["python"] == platform.python_version()
     assert prov["numpy"] == np.__version__
-    if not (CHECKOUT / ".git").is_dir():
+    if not (CHECKOUT / ".git").exists():
         assert prov["git_sha"] == "unavailable"
     elif shutil.which("git"):
         head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=CHECKOUT,
@@ -165,3 +165,25 @@ def test_undecodable_config_exits_two(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "config"
     assert str(cfg) in err["reason"]
+
+
+def test_git_sha_read_in_a_linked_worktree(tmp_path):
+    # a worktree's .git is a file naming its own git dir, which holds HEAD
+    # and names through commondir the main git dir, which holds the refs
+    main_git = tmp_path / "main" / ".git"
+    own = main_git / "worktrees" / "wt"
+    own.mkdir(parents=True)
+    (own / "commondir").write_text("../..\n")
+    checkout = tmp_path / "wt"
+    checkout.mkdir()
+    (checkout / ".git").write_text(f"gitdir: {own}\n")
+    detached, packed, loose = ("5" * 40, "6" * 40, "7" * 40)
+    (own / "HEAD").write_text(detached + "\n")
+    assert _git_sha(checkout) == detached
+    (own / "HEAD").write_text("ref: refs/heads/feature\n")
+    assert _git_sha(checkout) == "unavailable"  # a branch with no commit
+    (main_git / "packed-refs").write_text(f"{packed} refs/heads/feature\n")
+    assert _git_sha(checkout) == packed
+    (main_git / "refs" / "heads").mkdir(parents=True)
+    (main_git / "refs" / "heads" / "feature").write_text(loose + "\n")
+    assert _git_sha(checkout) == loose

@@ -15,8 +15,12 @@ def test_empty_config_gives_defaults():
     assert cfg.params.t_max == 1000.0
     assert cfg.params.grid.num_points == 4096
     assert cfg.params.grid.box_length == 200.0
+    assert cfg.params.time_grid_points == 129
     assert cfg.data_kind == "gaussian"
     assert cfg.seed == 0
+    assert cfg.bandwidth == 1.0
+    assert cfg.tol == 1e-9
+    assert cfg.max_iter == 15
     assert cfg.fit_window == (10.0, 1000.0)
     assert cfg.eps0_values == (0.05, 0.025)
     assert cfg.T_values == (10.0, 20.0)

@@ -93,13 +93,6 @@ def test_every_all_entry_exists():
     assert stale == []
 
 
-# Public names that no production module reads, each with its reason.
-PUBLIC_WITHOUT_READER = {
-    # the independent fit that checks ORACLE_CONSTANT; only tests run it
-    "trilinear.oracle_calibration",
-}
-
-
 def _production_reads(tree):
     """Names loaded and attributes read in tree, outside annotations."""
     annotations = [node.annotation for node in ast.walk(tree)
@@ -122,8 +115,7 @@ def test_every_public_name_has_a_production_reader():
     unread = [f"{path.stem}.{entry}" for path in sorted(sources)
               for entry in getattr(importlib.import_module(f"modwave.{path.stem}"), "__all__", ())
               if entry not in read]
-    assert sorted(set(unread) - PUBLIC_WITHOUT_READER) == []
-    assert PUBLIC_WITHOUT_READER <= set(unread)
+    assert unread == []
 
 
 def _unused_imports(path):
@@ -143,13 +135,30 @@ def _unused_imports(path):
     return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
 
 
+BENCHMARKS = Path(__file__).parents[1] / "benchmarks"
+
+
 def test_no_unused_imports():
     # no linter runs, so an import a change leaves behind would go unnoticed;
     # the package __init__ imports only to re-export
-    sources = [*Path(modwave.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    sources = [*Path(modwave.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py"),
+               *BENCHMARKS.glob("*.py")]
     sources = [path for path in sources if path.name != "__init__.py"]
-    assert {"campaigns.py", "test_spectral.py"} <= {path.name for path in sources}
+    assert {"campaigns.py", "test_spectral.py", "record_bench.py"} <= {p.name for p in sources}
     assert [line for path in sorted(sources) for line in _unused_imports(path)] == []
+
+
+def test_bench_imports_exist():
+    # the suite never runs the bench harness, so a rename in modwave would
+    # otherwise first break the next bench record
+    tree = ast.parse((BENCHMARKS / "record_bench.py").read_text())
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module
+                and node.module.partition(".")[0] == "modwave" for alias in node.names]
+    assert {"modwave", "modwave.spectral", "modwave.trilinear"} <= {m for m, _ in imported}
+    missing = [f"{module}.{name}" for module, name in imported
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
 
 
 def test_field_rejects_wrong_length(grid):

@@ -11,7 +11,6 @@ from modwave import (
     SpectralGrid,
     forcing_identity_residual,
     make_final_data,
-    oracle_calibration,
     pulled_back_forcing,
     remainder,
     remainder_oracle,
@@ -28,6 +27,7 @@ from modwave.spectral import (
 from modwave.trilinear import (
     ORACLE_MAX_POINTS,
     _cubic_difference,
+    _oracle_raw,
     _pull_back,
     _pulled_back_cubic,
 )
@@ -79,7 +79,16 @@ def test_remainder_smaller_than_leading_at_late_time():
 
 
 def test_oracle_calibration_is_inverse_two_pi():
-    cal = oracle_calibration()
+    # the complex constant that best matches the oracle's raw double integral
+    # to the subtraction route, fitted by least squares on a fixed asymmetric
+    # input: an independent check on the derived ORACLE_CONSTANT = 1/(2 pi)
+    grid = SpectralGrid(ORACLE_MAX_POINTS, 32.0)
+    xi = grid.frequencies
+    fhat = FrequencyField(grid, 0.4 * np.exp(-3.0 * (xi - 0.3) ** 2) * (1.0 + 0.2j * xi))
+    s = 7.0
+    target = remainder(fhat, s).values
+    raw = _oracle_raw(fhat, s)
+    cal = complex(np.vdot(raw, target) / np.vdot(raw, raw))
     assert abs(2.0 * np.pi * cal - 1.0) <= 1e-6
 
 
