@@ -17,14 +17,15 @@ For each LABEL=PATH checkout it records:
   and setup_s, as ``perfbench/run.py`` defines them;
 - the Tier-1 suite, run --repeats times: median and minimum wall time;
 - per-layer times, one sample per repeat, each from a fresh serial process
-  of this script on the checkout's sources that makes one warm-up and one
-  timed call per layer.  On the default grid (N = 4096, 129 nodes, default
-  gaussian data): build_drive, the transform pair and the pulled-back cubic
-  over one trajectory, one apply_phi sweep, xt_norm, xt_distance, and
-  evolve from T to 2T; build_drive once more on the random band-limited
-  seed-1 datum of perfbench's sweep workload, which is nonzero on 127 of
-  the 4096 points; and evolve on roundtrip's dispersive regime (N = 4096,
-  L = 800, gaussian band 0.06, 25 samples from t = 10 to 1000);
+  of this script on the checkout's sources that makes one warm-up and
+  LAYER_CALLS (5) timed calls per layer, whose median is the sample.  On
+  the default grid (N = 4096, 129 nodes, default gaussian data):
+  build_drive, the transform pair and the pulled-back cubic over one
+  trajectory, one apply_phi sweep, xt_norm, xt_distance, and evolve from T
+  to 2T; build_drive once more on the random band-limited seed-1 datum of
+  perfbench's sweep workload, which is nonzero on 127 of the 4096 points;
+  and evolve on roundtrip's dispersive regime (N = 4096, L = 800, gaussian
+  band 0.06, 25 samples from t = 10 to 1000);
 - the work counts of one serial (MODWAVE_THREADS=1) in-process construct
   and of one roundtrip, each on the default config in a process of its own,
   traced by ``perfbench/tracer.py``: apply_phi, xt_norm, xt_distance and
@@ -62,6 +63,7 @@ CAMPAIGNS = ("verify-spectral", "verify-dispersive", "verify-forcing", "construc
              "roundtrip", "sweep")
 E2E = ("wall_s", "cpu_s", "peak_rss_mb", "setup_s")
 COUNTED = ("construct", "roundtrip")  # the campaigns whose work counts are recorded
+LAYER_CALLS = 5  # timed calls per layer in each layer process
 
 
 def _summary(samples: list) -> dict:
@@ -245,9 +247,10 @@ def record(checkouts: dict, repeats: int) -> dict:
                         e2e[label][campaign][metric].append(value)
                 wall, suite_result[label] = _suite_run(checkouts[label])
                 suite[label].append(wall)
-                sample = _in_checkout(checkouts[label], "--layers", "--repeats", "1")
+                sample = _in_checkout(checkouts[label], "--layers", "--repeats",
+                                      str(LAYER_CALLS))
                 for name, times in sample.items():
-                    layers[label].setdefault(name, []).extend(times["samples"])
+                    layers[label].setdefault(name, []).append(times["median"])
                 print(f"repeat {rep + 1}/{repeats} {label}: suite {wall:.2f} s", file=sys.stderr)
     finally:
         shutil.rmtree(work)

@@ -409,39 +409,23 @@ def _construct_and_evolve(res, tag, config, params, bandwidth, times):
     return W, states
 
 
-def run_roundtrip(config: ExperimentConfig) -> CampaignResult:
-    """Construct the solution backward, evolve it forward, verify the
-    weighted main bound, the pointwise expansion, and solver hygiene.
-
-    Three regimes are needed because one grid cannot cover them all:
-
-    - A very narrow band on a wide box keeps the remainder in its slowly
-      decaying regime across the whole window, so the weighted deviation
-      saturates its bound (the flatness check is meaningful) and the box
-      covers the rays x/t for the full horizon.
-    - A moderately narrow band reaches the dispersive regime inside the
-      window, which the pointwise expansion and correction decay need.
-    - The free-evolution sup-norm decay of the approximate solution needs
-      an order-one band.  It is analytic in time, so no evolution is run:
-      the sup is read on the rays x = t*xi_k through the chirp factorization
-      (evolve._on_rays), which needs only a grid that holds the profile.
-    """
+def _roundtrip_narrow(config: ExperimentConfig) -> CampaignResult:
+    """A very narrow band on a wide box: the weighted main bound, and mass and
+    energy conservation.  The remainder stays in its slowly decaying regime
+    across the whole window, so the weighted deviation saturates its bound
+    (the flatness check is meaningful), and the box covers the rays x/t for
+    the full horizon."""
     res = CampaignResult("roundtrip")
-    base = config.params
-    alpha = base.alpha
-    t_lo, t_hi = config.fit_window
-    times = _sample_times(t_lo, t_hi, n=25)
-
-    # narrow-band run: main weighted bound plus conservation hygiene
-    params_a = replace(base, t_max=100_000.0, grid=SpectralGrid(4096, 9600.0),
-                       time_grid_points=257)
-    W_a, states_a = _construct_and_evolve(res, "narrow", config, params_a, 0.008, times)
-    if states_a is None:
+    times = _sample_times(*config.fit_window, n=25)
+    params = replace(config.params, t_max=100_000.0, grid=SpectralGrid(4096, 9600.0),
+                     time_grid_points=257)
+    W, states = _construct_and_evolve(res, "narrow", config, params, 0.008, times)
+    if states is None:
         return res
 
     weighted, masses, energies = [], [], []
-    for state in states_a:
-        weighted.append(scattering_deviation(state, W_a, params_a))
+    for state in states:
+        weighted.append(scattering_deviation(state, W, params))
         masses.append(state.mass)
         energies.append(state.energy)
 
@@ -460,41 +444,57 @@ def run_roundtrip(config: ExperimentConfig) -> CampaignResult:
     energy_drift = max(abs(e - e0) / abs(e0) for e in energies)
     res.add_check("energy_drift", energy_drift, energy_drift <= 1e-6,
                   "relative drift <= 1e-6")
+    res.series["roundtrip"] = {"t": [float(t) for t in times], "weighted_deviation": weighted,
+                               "mass": masses, "energy": energies}
+    return res
 
-    # dispersive-regime run: pointwise expansion and correction decay
-    params_b = replace(base, t_max=10_000.0, grid=SpectralGrid(4096, 800.0),
-                       time_grid_points=193)
-    W_b, states_b = _construct_and_evolve(res, "dispersive", config, params_b, 0.06, times)
-    if states_b is None:
+
+def _roundtrip_dispersive(config: ExperimentConfig) -> CampaignResult:
+    """A moderately narrow band, which reaches the dispersive regime inside the
+    window: the pointwise expansion and the decay of the correction."""
+    res = CampaignResult("roundtrip")
+    times = _sample_times(*config.fit_window, n=25)
+    params = replace(config.params, t_max=10_000.0, grid=SpectralGrid(4096, 800.0),
+                     time_grid_points=193)
+    W, states = _construct_and_evolve(res, "dispersive", config, params, 0.06, times)
+    if states is None:
         return res
 
     errs, w_weighted = [], []
-    for state in states_b:
-        errs.append(asymptotic_error(state, W_b, params_b))
-        u_app = approximate_solution(W_b, state.t, params_b)
+    for state in states:
+        errs.append(asymptotic_error(state, W, params))
+        u_app = approximate_solution(W, state.t, params)
         w_sup = float(np.max(np.abs(state.u.values - u_app.values)))
-        w_weighted.append(state.t ** (0.5 + alpha) * w_sup)
+        w_weighted.append(state.t ** (0.5 + params.alpha) * w_sup)
 
     fit_err = fit_decay(times, errs)
     res.fits["asymptotic_error"] = asdict(fit_err)
-    err_bound = -min(0.5 + alpha, 0.75) + 0.1
+    err_bound = -min(0.5 + params.alpha, 0.75) + 0.1
     res.add_check("asymptotic_error_slope", fit_err.slope, fit_err.slope <= err_bound,
                   f"fitted slope <= {err_bound:.2f}")
 
     w_ratio = max(w_weighted) / min(w_weighted)
     res.add_check("correction_weighted_ratio", w_ratio, w_ratio <= 3.0,
                   "t^(1/2+alpha) ||w||_inf max/min <= 3")
+    res.series["roundtrip"] = {"asymptotic_error": errs, "w_weighted": w_weighted}
+    return res
 
-    # order-one band: analytic free-flow decay of the approximate solution,
-    # max over the rays of |u_app(t, t xi)| = |G(xi)| / sqrt(2 pi t)
-    params_u = replace(base, grid=SpectralGrid(4096, 200.0))
-    W_u = make_final_data(config.data_kind, params_u, seed=config.seed, bandwidth=1.0)
-    u_times = _sample_times(t_lo, t_hi)
+
+def _roundtrip_free(config: ExperimentConfig) -> CampaignResult:
+    """An order-one band: the free-flow sup decay of the approximate solution,
+    then the Strang cross-check of the forward solver.  The decay is analytic
+    in time, so no evolution is run: the sup is read on the rays x = t*xi_k
+    through the chirp factorization (evolve._on_rays), max |u_app(t, t xi)| =
+    |G(xi)| / sqrt(2 pi t), which needs only a grid that holds the profile."""
+    res = CampaignResult("roundtrip")
+    params = replace(config.params, grid=SpectralGrid(4096, 200.0))
+    W = make_final_data(config.data_kind, params, seed=config.seed, bandwidth=1.0)
+    times = _sample_times(*config.fit_window)
     uapp_sup = [
-        float(np.max(np.abs(_on_rays(asymptotic_profile(W_u, t, params_u.lam), t))))
-        / np.sqrt(2.0 * np.pi * t) for t in u_times
+        float(np.max(np.abs(_on_rays(asymptotic_profile(W, t, params.lam), t))))
+        / np.sqrt(2.0 * np.pi * t) for t in times
     ]
-    fit_uapp = fit_decay(u_times, uapp_sup)
+    fit_uapp = fit_decay(times, uapp_sup)
     res.fits["uapp_decay"] = asdict(fit_uapp)
     res.add_check("uapp_decay_slope", fit_uapp.slope,
                   -0.55 <= fit_uapp.slope <= -0.45, "slope in [-0.55, -0.45]")
@@ -503,15 +503,51 @@ def run_roundtrip(config: ExperimentConfig) -> CampaignResult:
     res.add_check("strang_order", order, 1.9 <= order <= 2.1, "time order 2.0 +- 0.1")
     res.add_check("evolve_matches_strang", gap, gap <= 1e-6,
                   "sup |evolve - Strang at dt = 1/1024| <= 1e-6 on an amplitude-1 Gaussian")
-
-    res.series["roundtrip"] = (
-        ["t", "weighted_deviation", "asymptotic_error", "w_weighted", "mass", "energy"],
-        [[float(t), wd, er, ww, m, e] for t, wd, er, ww, m, e in
-         zip(times, weighted, errs, w_weighted, masses, energies)],
-    )
     res.series["uapp_decay"] = (
-        ["t", "uapp_sup"], [[float(t), s] for t, s in zip(u_times, uapp_sup)]
+        ["t", "uapp_sup"], [[float(t), s] for t, s in zip(times, uapp_sup)]
     )
+    return res
+
+
+def _roundtrip_part(args: tuple) -> CampaignResult:
+    part, config = args
+    return part(config)
+
+
+_ROUNDTRIP_COLUMNS = ("t", "weighted_deviation", "asymptotic_error", "w_weighted", "mass",
+                      "energy")
+
+
+def run_roundtrip(config: ExperimentConfig) -> CampaignResult:
+    """Construct the solution backward, evolve it forward, verify the
+    weighted main bound, the pointwise expansion, and solver hygiene.
+
+    Three regimes are needed because one grid cannot cover them all: a very
+    narrow band for the main bound (_roundtrip_narrow), a moderately narrow
+    one for the dispersive expansion (_roundtrip_dispersive) and an order-one
+    band for the free decay (_roundtrip_free).  They share nothing but the
+    config, so they run in the worker pool, and their checks, fits, extras
+    and series are merged in that order.  The ``roundtrip`` series zips the
+    two evolved regimes' columns.  A regime whose construction does not
+    converge ends the merge: its failed ``construction_converged`` check is
+    the last check, and the later regimes, computed alongside it, are
+    dropped.  So a run whose narrow construction fails still spends the
+    time of the other two regimes, serially too, and reports only that
+    failure.
+    """
+    res = CampaignResult("roundtrip")
+    columns = {}
+    regimes = (_roundtrip_narrow, _roundtrip_dispersive, _roundtrip_free)
+    for part in _pool_map(_roundtrip_part, [(regime, config) for regime in regimes]):
+        res.checks += part.checks
+        res.fits.update(part.fits)
+        res.extras.update(part.extras)
+        if any(c["name"] == "construction_converged" for c in part.checks):
+            return res
+        columns.update(part.series.pop("roundtrip", {}))
+        res.series.update(part.series)
+    rows = [list(row) for row in zip(*(columns[c] for c in _ROUNDTRIP_COLUMNS))]
+    res.series = {"roundtrip": (list(_ROUNDTRIP_COLUMNS), rows), **res.series}
     return res
 
 

@@ -1,4 +1,4 @@
-"""Campaign-level checks on small grids: the sweep and the construct verdicts."""
+"""Campaign-level checks on small grids: the sweep, construct and roundtrip verdicts."""
 
 import json
 import os
@@ -279,3 +279,112 @@ def test_construct_blowup_in_a_worker_exits_two(monkeypatch, tmp_path, capsys):
         reasons[threads] = err["reason"]
     assert reasons["2"] == reasons["1"]
     assert reasons["1"].startswith("FloatingPointError: Picard iteration blew up")
+
+
+def _canned_regime(tag, series, converged=True):
+    def part(config):
+        res = campaigns.CampaignResult("roundtrip")
+        res.extras[f"picard_report_{tag}"] = tag
+        if not converged:
+            res.add_check("construction_converged", 15, False, "canned")
+            return res
+        res.add_check(f"check_{tag}", 1.0, True, "canned")
+        res.fits[f"fit_{tag}"] = tag
+        res.series.update(series)
+        return res
+
+    return part
+
+
+_CANNED_SERIES = {
+    "narrow": {"roundtrip": {"t": [10.0, 20.0], "weighted_deviation": [1, 2],
+                             "mass": [3, 4], "energy": [5, 6]}},
+    "dispersive": {"roundtrip": {"asymptotic_error": [7, 8], "w_weighted": [9, 10]}},
+    "free": {"uapp_decay": (["t", "uapp_sup"], [[10.0, 0.5]])},
+}
+
+
+def _patch_regimes(monkeypatch, unconverged=()):
+    for tag, series in _CANNED_SERIES.items():
+        monkeypatch.setattr(campaigns, f"_roundtrip_{tag}",
+                            _canned_regime(tag, series, tag not in unconverged))
+
+
+@pytest.mark.parametrize("threads, cpus, pool", [
+    ("64", 2, [3]),  # capped at the three regimes
+    ("1", 2, []),
+    (None, 1, []),
+], ids=["64", "1", "unset-one-cpu"])
+def test_roundtrip_worker_count_and_merge_order(monkeypatch, threads, cpus, pool):
+    if threads is None:
+        monkeypatch.delenv("MODWAVE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("MODWAVE_THREADS", threads)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(campaigns, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    _patch_regimes(monkeypatch)
+    res = run_campaign("roundtrip", parse_config(SMALL))
+    assert _RecordingPool.sizes == pool
+    tags = ["narrow", "dispersive", "free"]
+    assert [c["name"] for c in res.checks] == [f"check_{t}" for t in tags]
+    assert list(res.fits) == [f"fit_{t}" for t in tags]
+    assert list(res.extras) == [f"picard_report_{t}" for t in tags]
+    assert list(res.series) == ["roundtrip", "uapp_decay"]
+    assert res.series["roundtrip"] == (
+        ["t", "weighted_deviation", "asymptotic_error", "w_weighted", "mass", "energy"],
+        [[10.0, 1, 7, 9, 3, 5], [20.0, 2, 8, 10, 4, 6]],
+    )
+    assert res.series["uapp_decay"] == _CANNED_SERIES["free"]["uapp_decay"]
+
+
+@pytest.mark.parametrize("unconverged, merged", [
+    (("narrow",), ["narrow"]),
+    (("narrow", "dispersive"), ["narrow"]),
+    (("dispersive",), ["narrow", "dispersive"]),
+], ids=["narrow", "both", "dispersive"])
+def test_roundtrip_stops_after_unconverged_construction(monkeypatch, unconverged, merged):
+    monkeypatch.setenv("MODWAVE_THREADS", "1")
+    _patch_regimes(monkeypatch, unconverged)
+    res = run_campaign("roundtrip", parse_config(SMALL))
+    assert [c["name"] for c in res.checks] == (
+        [f"check_{t}" for t in merged[:-1]] + ["construction_converged"])
+    assert list(res.fits) == [f"fit_{t}" for t in merged[:-1]]
+    assert list(res.extras) == [f"picard_report_{t}" for t in merged]
+    assert res.series == {}
+
+
+def test_roundtrip_unconverged_narrow_construction_ends_the_run(monkeypatch):
+    monkeypatch.setenv("MODWAVE_THREADS", "1")
+    monkeypatch.setattr(campaigns, "picard_iterate",
+                        lambda *args: (None, fixedpoint.PicardReport(iterates=15)))
+    res = run_campaign("roundtrip", parse_config(SMALL))
+    assert res.checks == [{"name": "construction_converged", "value": 15.0, "passed": False,
+                           "detail": "backward construction must converge before the "
+                                     "forward run"}]
+    assert list(res.extras) == ["picard_report_narrow"]
+    assert res.fits == {} and res.series == {}
+
+
+def test_roundtrip_same_on_pool_and_serial(monkeypatch):
+    results = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MODWAVE_THREADS", threads)
+        results[threads] = run_campaign("roundtrip", parse_config(SMALL))
+    assert asdict(results["2"]) == asdict(results["1"])
+    assert list(results["1"].series) == ["roundtrip", "uapp_decay"]
+
+
+def test_roundtrip_error_in_a_worker_exits_two(monkeypatch, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL + "data_kind = random_bandlimited\n")
+    reasons = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MODWAVE_THREADS", threads)
+        assert main(["roundtrip", "--config", str(cfg), "--out", str(tmp_path / threads)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "runtime"
+        reasons[threads] = err["reason"]
+    assert reasons["2"] == reasons["1"]
+    assert reasons["1"].startswith("ValueError: the chirp e^(i y^2/2t) is unresolved")
+    assert "at t = 10.0" in reasons["1"]
