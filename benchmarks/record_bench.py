@@ -27,15 +27,14 @@ For each LABEL=PATH checkout it records:
   and evolve on roundtrip's dispersive regime (N = 4096, L = 800, gaussian
   band 0.06, 25 samples from t = 10 to 1000);
 - the work counts of one serial (MODWAVE_THREADS=1) in-process construct
-  and of one roundtrip, each on the default config in a process of its own,
-  traced by ``perfbench/tracer.py``: apply_phi, xt_norm, xt_distance and
-  Picard calls and iterates.  apply_phi is the map's only sweep, so its
-  calls count every sweep, construct's probe images and second start
-  included; Picard's count covers picard_iterate alone, since that second
-  start runs through the private loop _picard.  The tracer sees only public
-  functions, so the private kernels _fft, _ifft and _propagator are counted
-  here by name, in calls and in the N-point rows they return.  A kernel the
-  checkout does not define is left out of its counts.
+  and of one roundtrip, each on the default config in a process of its own.
+  Every count is taken one way, by wrapping the function by name in each
+  modwave module that holds it: calls of apply_phi, xt_norm and xt_distance;
+  calls of the Picard loop _picard and the iterates it reports; calls of
+  the kernels _fft, _ifft and _propagator and the N-point rows they return.
+  apply_phi is the map's only sweep, so its calls count every sweep, and
+  _picard runs both of construct's starts, picard_iterate's and the second.
+  A function the checkout does not define is left out of its counts.
 
 The checkouts take turns within each repeat, in alternating order, so drift
 of a shared machine falls on both.  Nothing under ``perfbench/`` is changed.
@@ -114,9 +113,7 @@ def _suite_run(root: Path) -> tuple[float, str]:
 
 
 def _in_checkout(root: Path, *args: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
-                                                        str(root / "perfbench")]))
-    env["MODWAVE_THREADS"] = "1"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), MODWAVE_THREADS="1")
     done = subprocess.run([sys.executable, __file__, *args], cwd=root, env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
@@ -176,30 +173,43 @@ def layer_times(repeats: int) -> dict:
     return out
 
 
-# The private kernels counted by name, with the module that defines them.
-KERNELS = {"_fft": "spectral", "_ifft": "spectral", "_propagator": "spectral"}
+def _rows(out) -> int:
+    return out.size // out.shape[-1]  # N-point rows
+
+
+# The functions counted by name: the module that defines them, and the name
+# and measure of what each call adds to a second count beside the calls.
+COUNTED_FUNCTIONS = {
+    "apply_phi": ("fixedpoint", None, None),
+    "xt_norm": ("fixedpoint", None, None),
+    "xt_distance": ("fixedpoint", None, None),
+    "_picard": ("fixedpoint", "iterates", lambda out: out[1].iterates),
+    "_fft": ("spectral", "rows", _rows),
+    "_ifft": ("spectral", "rows", _rows),
+    "_propagator": ("spectral", "rows", _rows),
+}
 
 
 def work_counts(campaign: str) -> dict:
     """Work counts of one serial in-process campaign on the default config."""
     import modwave
-    from tracer import Tracer  # perfbench/tracer.py
 
-    tracer = Tracer()
-    tracer.install()
-    calls, rows = {}, {}
+    counts = {}
     # every module of the package: modwave.evolve, for one, is the function
     namespaces = [vars(m) for n, m in sys.modules.items() if n.partition(".")[0] == "modwave"]
-    for name, module in KERNELS.items():
+    for name, (module, what, measure) in COUNTED_FUNCTIONS.items():
         real = getattr(sys.modules[f"modwave.{module}"], name, None)
         if real is None:
             continue  # not defined in this checkout
-        calls[name] = rows[name] = 0
+        key = name.lstrip("_")
+        calls, more = f"{key}_calls", what and f"{key}_{what}"
+        counts.update({key: 0 for key in (calls, more) if key})
 
-        def counted(*args, _name=name, _real=real, **kwargs):
+        def counted(*args, _real=real, _calls=calls, _more=more, _measure=measure, **kwargs):
             out = _real(*args, **kwargs)
-            calls[_name] += 1
-            rows[_name] += out.size // out.shape[-1]  # N-point rows
+            counts[_calls] += 1
+            if _more:
+                counts[_more] += _measure(out)
             return out
 
         for ns in namespaces:
@@ -209,20 +219,7 @@ def work_counts(campaign: str) -> dict:
     result = modwave.run_campaign(campaign, modwave.parse_config(""))
     if not result.passed:
         raise RuntimeError(f"{campaign} failed on the default config")
-    spans = tracer.summary()["spans"]
-
-    def span(key, index=0):
-        return spans.get(f"fixedpoint.{key}", [0, 0.0, 0.0, 0])[index]
-
-    return {
-        "apply_phi_calls": span("apply_phi"),
-        "xt_norm_calls": span("xt_norm"),
-        "xt_distance_calls": span("xt_distance"),
-        "picard_calls": span("picard_iterate"),
-        "picard_iterates": span("picard_iterate", 3),
-        **{f"{name.lstrip('_')}_{what}": counts[name]
-           for name in calls for what, counts in (("calls", calls), ("rows", rows))},
-    }
+    return counts
 
 
 # ---------------------------------------------------------------------- main

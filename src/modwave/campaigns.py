@@ -113,6 +113,18 @@ def _pool_map(fn, cells: list) -> list:
     return [fn(c) for c in cells]
 
 
+def _merged(name: str, parts: list) -> CampaignResult:
+    """One result with each part's checks appended and its fits, series and
+    extras updated, in part order."""
+    res = CampaignResult(name)
+    for part in parts:
+        res.checks += part.checks
+        res.fits.update(part.fits)
+        res.series.update(part.series)
+        res.extras.update(part.extras)
+    return res
+
+
 # ---------------------------------------------------------------- spectral
 
 
@@ -169,9 +181,7 @@ def _dispersive_sup(seed: int) -> float:
     sup = 0.0
     for k in range(_DISPERSIVE_PROFILES):
         shape = _unit_shape("random_bandlimited", xi, 0.5, seed + k)
-        hhat = FrequencyField(grid, shape)
-        for t in _DISPERSIVE_TIMES:
-            sup = max(sup, dispersive_ratio(hhat, t))
+        sup = max(sup, *dispersive_ratio(FrequencyField(grid, shape), _DISPERSIVE_TIMES))
     return sup
 
 
@@ -354,11 +364,7 @@ def run_construct(config: ExperimentConfig) -> CampaignResult:
     """Backward fixed point at both coupling signs: contraction, convergence,
     residual, and independence of the starting guess.  The two signs share
     nothing but the config, so they run in the worker pool."""
-    res = CampaignResult("construct")
-    for part in _pool_map(_construct_sign, [(1, config), (-1, config)]):
-        res.checks += part.checks
-        res.extras.update(part.extras)
-    return res
+    return _merged("construct", _pool_map(_construct_sign, [(1, config), (-1, config)]))
 
 
 # --------------------------------------------------------------- roundtrip
@@ -392,7 +398,7 @@ def _construct_and_evolve(res, tag, config, params, bandwidth, times):
     g, report = picard_iterate(build_drive(W, params), config.max_iter, config.tol)
     res.extras[f"picard_report_{tag}"] = asdict(report)
     if not report.converged:
-        res.add_check("construction_converged", report.iterates, False,
+        res.add_check(f"construction_converged_{tag}", report.iterates, False,
                       "backward construction must converge before the forward run")
         return W, None
     fhat_T = FrequencyField(
@@ -444,8 +450,10 @@ def _roundtrip_narrow(config: ExperimentConfig) -> CampaignResult:
     energy_drift = max(abs(e - e0) / abs(e0) for e in energies)
     res.add_check("energy_drift", energy_drift, energy_drift <= 1e-6,
                   "relative drift <= 1e-6")
-    res.series["roundtrip"] = {"t": [float(t) for t in times], "weighted_deviation": weighted,
-                               "mass": masses, "energy": energies}
+    res.series["narrow"] = (
+        ["t", "weighted_deviation", "mass", "energy"],
+        [[float(t), w, m, e] for t, w, m, e in zip(times, weighted, masses, energies)],
+    )
     return res
 
 
@@ -476,7 +484,10 @@ def _roundtrip_dispersive(config: ExperimentConfig) -> CampaignResult:
     w_ratio = max(w_weighted) / min(w_weighted)
     res.add_check("correction_weighted_ratio", w_ratio, w_ratio <= 3.0,
                   "t^(1/2+alpha) ||w||_inf max/min <= 3")
-    res.series["roundtrip"] = {"asymptotic_error": errs, "w_weighted": w_weighted}
+    res.series["dispersive"] = (
+        ["t", "asymptotic_error", "w_weighted"],
+        [[float(t), e, w] for t, e, w in zip(times, errs, w_weighted)],
+    )
     return res
 
 
@@ -514,10 +525,6 @@ def _roundtrip_part(args: tuple) -> CampaignResult:
     return part(config)
 
 
-_ROUNDTRIP_COLUMNS = ("t", "weighted_deviation", "asymptotic_error", "w_weighted", "mass",
-                      "energy")
-
-
 def run_roundtrip(config: ExperimentConfig) -> CampaignResult:
     """Construct the solution backward, evolve it forward, verify the
     weighted main bound, the pointwise expansion, and solver hygiene.
@@ -526,29 +533,12 @@ def run_roundtrip(config: ExperimentConfig) -> CampaignResult:
     narrow band for the main bound (_roundtrip_narrow), a moderately narrow
     one for the dispersive expansion (_roundtrip_dispersive) and an order-one
     band for the free decay (_roundtrip_free).  They share nothing but the
-    config, so they run in the worker pool, and their checks, fits, extras
-    and series are merged in that order.  The ``roundtrip`` series zips the
-    two evolved regimes' columns.  A regime whose construction does not
-    converge ends the merge: its failed ``construction_converged`` check is
-    the last check, and the later regimes, computed alongside it, are
-    dropped.  So a run whose narrow construction fails still spends the
-    time of the other two regimes, serially too, and reports only that
-    failure.
+    config, so they run in the worker pool and merge in that order, each
+    with its own series.  A construction that does not converge fails its
+    ``construction_converged_<tag>`` check and skips its own regime's others.
     """
-    res = CampaignResult("roundtrip")
-    columns = {}
     regimes = (_roundtrip_narrow, _roundtrip_dispersive, _roundtrip_free)
-    for part in _pool_map(_roundtrip_part, [(regime, config) for regime in regimes]):
-        res.checks += part.checks
-        res.fits.update(part.fits)
-        res.extras.update(part.extras)
-        if any(c["name"] == "construction_converged" for c in part.checks):
-            return res
-        columns.update(part.series.pop("roundtrip", {}))
-        res.series.update(part.series)
-    rows = [list(row) for row in zip(*(columns[c] for c in _ROUNDTRIP_COLUMNS))]
-    res.series = {"roundtrip": (list(_ROUNDTRIP_COLUMNS), rows), **res.series}
-    return res
+    return _merged("roundtrip", _pool_map(_roundtrip_part, [(r, config) for r in regimes]))
 
 
 # ------------------------------------------------------------------- sweep
@@ -566,6 +556,7 @@ def _sweep_cell(args: tuple) -> dict:
         "iterates": report.iterates,
         "max_contraction_ratio": max(ratios) if ratios else None,
         "g_xt_norm": report.xt_norms[-1],
+        "tail_estimate": report.tail_estimate,
     }
 
 
@@ -585,9 +576,10 @@ def run_sweep(config: ExperimentConfig) -> CampaignResult:
                   f"contraction ratio <= 0.5 on every measured cell ({len(measured)} of "
                   f"{len(rows)}; a cell that stops after one iterate measures none)")
     res.series["sweep"] = (
-        ["eps0", "T", "lam", "converged", "iterates", "max_contraction_ratio", "g_xt_norm"],
+        ["eps0", "T", "lam", "converged", "iterates", "max_contraction_ratio", "g_xt_norm",
+         "tail_estimate"],
         [[r["eps0"], r["T"], r["lam"], int(r["converged"]), r["iterates"],
-          r["max_contraction_ratio"], r["g_xt_norm"]] for r in rows],
+          r["max_contraction_ratio"], r["g_xt_norm"], r["tail_estimate"]] for r in rows],
     )
     return res
 

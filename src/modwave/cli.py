@@ -81,19 +81,7 @@ def write_results(result, out_dir: Path, config: ExperimentConfig) -> Path:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "passed": result.passed,
         "seed": config.seed,
-        "params": {
-            "lam": config.params.lam,
-            "delta": config.params.delta,
-            "alpha": config.params.alpha,
-            "eps0": config.params.eps0,
-            "T": config.params.T,
-            "t_max": config.params.t_max,
-            "num_points": config.params.grid.num_points,
-            "box_length": config.params.grid.box_length,
-            "time_grid_points": config.params.time_grid_points,
-            "data_kind": config.data_kind,
-            "bandwidth": config.bandwidth,
-        },
+        "params": config.key_values(),
         "checks": result.checks,
         "fits": result.fits,
         "extras": result.extras,

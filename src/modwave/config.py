@@ -58,6 +58,16 @@ class ExperimentConfig:
             raise ConfigError(f"bandwidth = {self.bandwidth}: {exc}") from None
         self.sweep_params()
 
+    def key_values(self) -> dict:
+        """Every key of _KEYS with its value here, the fit window as resolved:
+        parse_config of these as key = value text gives this config back."""
+        grid, (lo, hi) = self.params.grid, self.fit_window
+        held = {"num_points": grid.num_points, "box_length": grid.box_length,
+                "fit_t_min": lo, "fit_t_max": hi}
+        return {key: held[key] if key in held
+                else getattr(self.params if key in _SOLVER_KEYS else self, key)
+                for key in _KEYS}
+
     def sweep_params(self) -> list[SolverParams]:
         """The SolverParams of every sweep cell, nested eps0, T, lam, with
         t_max raised to 10 T where a cell needs it."""

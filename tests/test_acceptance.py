@@ -1,7 +1,8 @@
 """Acceptance suite: ten numbered criteria, one printed verdict line each.
 
 Each criterion re-asserts the stated tolerance against the recorded check
-values, so a weakened campaign threshold cannot silently pass here.
+values, so a weakened campaign threshold cannot silently pass here.  The
+criteria find a check by its name, which no campaign may repeat.
 """
 
 import numpy as np
@@ -41,6 +42,7 @@ def roundtrip(default_config):
 
 
 def check(result, name):
+    """The check named name; test_check_names_are_unique makes it the only one."""
     for c in result.checks:
         if c["name"] == name:
             return c
@@ -149,3 +151,9 @@ def test_criterion_10_solver_hygiene(roundtrip):
     verdict(10, "solver hygiene", ok,
             f"mass={mass:.2e} energy={energy:.2e} strang_order={order:.3f} "
             f"w_ratio={w_ratio:.3f}")
+
+
+def test_check_names_are_unique(spectral, dispersive, forcing, construct, roundtrip):
+    for result in (spectral, dispersive, forcing, construct, roundtrip):
+        names = [c["name"] for c in result.checks]
+        assert len(names) == len(set(names)), f"{result.name} repeats a check name: {names}"

@@ -1,5 +1,6 @@
 """Campaign-level checks on small grids: the sweep, construct and roundtrip verdicts."""
 
+import csv
 import json
 import os
 from dataclasses import asdict, replace
@@ -18,7 +19,7 @@ from modwave import (
     run_campaign,
     xt_distance,
 )
-from modwave.cli import main
+from modwave.cli import main, write_results
 
 SMALL = (
     "num_points = 256\n"
@@ -32,18 +33,38 @@ def checks_by_name(result):
     return {c["name"]: c for c in result.checks}
 
 
-def test_sweep_serial(monkeypatch):
+def test_sweep_serial(monkeypatch, tmp_path):
     monkeypatch.setenv("MODWAVE_THREADS", "1")
-    res = run_campaign("sweep", parse_config(SMALL))
+    config = parse_config(SMALL)
+    res = run_campaign("sweep", config)
     header, rows = res.series["sweep"]
     # eps0 x T x lam = 2 x 2 x 2 cells, sorted by (eps0, T, lam)
     assert len(rows) == 8
     assert [r[:3] for r in rows] == sorted(r[:3] for r in rows)
     assert all(r[header.index("converged")] == 1 for r in rows)
+    names = [c["name"] for c in res.checks]
+    assert len(names) == len(set(names))
     checks = checks_by_name(res)
     assert set(checks) == {"all_cells_converged", "max_contraction_ratio"}
     assert all(c["passed"] for c in checks.values())
     assert checks["all_cells_converged"]["value"] == 8
+
+    # the free wave wraps around this small box, so every tail is unbounded
+    assert [r[header.index("tail_estimate")] for r in rows] == [float("inf")] * 8
+    write_results(res, tmp_path, config)
+    with (tmp_path / "sweep_sweep.csv").open() as fh:
+        assert [row["tail_estimate"] for row in csv.DictReader(fh)] == ["inf"] * 8
+
+
+def test_sweep_cell_reports_the_drive_tail():
+    # a box that holds the wave up to t_max: a finite tail
+    config = parse_config("num_points = 256\nbox_length = 800\ntime_grid_points = 65\n"
+                          "bandwidth = 0.05\n")
+    params = config.sweep_params()[0]
+    W = make_final_data(config.data_kind, params, seed=config.seed, bandwidth=config.bandwidth)
+    tail = campaigns._sweep_cell((params, config))["tail_estimate"]
+    assert 0.0 < tail < float("inf")
+    assert tail == build_drive(W, params).tail_estimate
 
 
 def test_converged_check_uses_configured_max_iter(monkeypatch):
@@ -188,7 +209,8 @@ class _RecordingPool:
 def _canned_cell(args):
     params, _ = args
     return {"eps0": params.eps0, "T": params.T, "lam": params.lam, "converged": True,
-            "iterates": 3, "max_contraction_ratio": 0.1, "g_xt_norm": 1.0}
+            "iterates": 3, "max_contraction_ratio": 0.1, "g_xt_norm": 1.0,
+            "tail_estimate": 0.0}
 
 
 @pytest.mark.parametrize("threads, cpus, pool", [
@@ -286,7 +308,7 @@ def _canned_regime(tag, series, converged=True):
         res = campaigns.CampaignResult("roundtrip")
         res.extras[f"picard_report_{tag}"] = tag
         if not converged:
-            res.add_check("construction_converged", 15, False, "canned")
+            res.add_check(f"construction_converged_{tag}", 15, False, "canned")
             return res
         res.add_check(f"check_{tag}", 1.0, True, "canned")
         res.fits[f"fit_{tag}"] = tag
@@ -297,11 +319,13 @@ def _canned_regime(tag, series, converged=True):
 
 
 _CANNED_SERIES = {
-    "narrow": {"roundtrip": {"t": [10.0, 20.0], "weighted_deviation": [1, 2],
-                             "mass": [3, 4], "energy": [5, 6]}},
-    "dispersive": {"roundtrip": {"asymptotic_error": [7, 8], "w_weighted": [9, 10]}},
+    "narrow": {"narrow": (["t", "weighted_deviation", "mass", "energy"],
+                          [[10.0, 1, 3, 5], [20.0, 2, 4, 6]])},
+    "dispersive": {"dispersive": (["t", "asymptotic_error", "w_weighted"],
+                                  [[10.0, 7, 9], [20.0, 8, 10]])},
     "free": {"uapp_decay": (["t", "uapp_sup"], [[10.0, 0.5]])},
 }
+_TAGS = list(_CANNED_SERIES)
 
 
 def _patch_regimes(monkeypatch, unconverged=()):
@@ -326,44 +350,50 @@ def test_roundtrip_worker_count_and_merge_order(monkeypatch, threads, cpus, pool
     _patch_regimes(monkeypatch)
     res = run_campaign("roundtrip", parse_config(SMALL))
     assert _RecordingPool.sizes == pool
-    tags = ["narrow", "dispersive", "free"]
-    assert [c["name"] for c in res.checks] == [f"check_{t}" for t in tags]
-    assert list(res.fits) == [f"fit_{t}" for t in tags]
-    assert list(res.extras) == [f"picard_report_{t}" for t in tags]
-    assert list(res.series) == ["roundtrip", "uapp_decay"]
-    assert res.series["roundtrip"] == (
-        ["t", "weighted_deviation", "asymptotic_error", "w_weighted", "mass", "energy"],
-        [[10.0, 1, 7, 9, 3, 5], [20.0, 2, 8, 10, 4, 6]],
-    )
-    assert res.series["uapp_decay"] == _CANNED_SERIES["free"]["uapp_decay"]
+    assert [c["name"] for c in res.checks] == [f"check_{t}" for t in _TAGS]
+    assert list(res.fits) == [f"fit_{t}" for t in _TAGS]
+    assert list(res.extras) == [f"picard_report_{t}" for t in _TAGS]
+    # each regime's series as it wrote it, in regime order
+    assert res.series == {name: series for regime in _CANNED_SERIES.values()
+                          for name, series in regime.items()}
+    assert list(res.series) == ["narrow", "dispersive", "uapp_decay"]
 
 
-@pytest.mark.parametrize("unconverged, merged", [
-    (("narrow",), ["narrow"]),
-    (("narrow", "dispersive"), ["narrow"]),
-    (("dispersive",), ["narrow", "dispersive"]),
-], ids=["narrow", "both", "dispersive"])
-def test_roundtrip_stops_after_unconverged_construction(monkeypatch, unconverged, merged):
+@pytest.mark.parametrize("unconverged", [("narrow",), ("narrow", "dispersive"),
+                                         ("dispersive",)], ids=["narrow", "both", "dispersive"])
+def test_roundtrip_reports_every_regime(monkeypatch, unconverged):
     monkeypatch.setenv("MODWAVE_THREADS", "1")
     _patch_regimes(monkeypatch, unconverged)
     res = run_campaign("roundtrip", parse_config(SMALL))
-    assert [c["name"] for c in res.checks] == (
-        [f"check_{t}" for t in merged[:-1]] + ["construction_converged"])
-    assert list(res.fits) == [f"fit_{t}" for t in merged[:-1]]
-    assert list(res.extras) == [f"picard_report_{t}" for t in merged]
-    assert res.series == {}
+    converged = [t for t in _TAGS if t not in unconverged]
+    assert [c["name"] for c in res.checks] == [
+        f"construction_converged_{t}" if t in unconverged else f"check_{t}" for t in _TAGS]
+    assert [c["name"] for c in res.checks if not c["passed"]] == [
+        f"construction_converged_{t}" for t in unconverged]
+    assert list(res.fits) == [f"fit_{t}" for t in converged]
+    assert list(res.extras) == [f"picard_report_{t}" for t in _TAGS]
+    assert list(res.series) == [name for t in converged for name in _CANNED_SERIES[t]]
 
 
-def test_roundtrip_unconverged_narrow_construction_ends_the_run(monkeypatch):
+def test_roundtrip_unconverged_constructions_exit_one(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("MODWAVE_THREADS", "1")
     monkeypatch.setattr(campaigns, "picard_iterate",
                         lambda *args: (None, fixedpoint.PicardReport(iterates=15)))
-    res = run_campaign("roundtrip", parse_config(SMALL))
-    assert res.checks == [{"name": "construction_converged", "value": 15.0, "passed": False,
-                           "detail": "backward construction must converge before the "
-                                     "forward run"}]
-    assert list(res.extras) == ["picard_report_narrow"]
-    assert res.fits == {} and res.series == {}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL)
+    assert main(["roundtrip", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    payload = json.loads((tmp_path / "out" / "results.json").read_text())
+    checks = {c["name"]: c["passed"] for c in payload["checks"]}
+    assert checks == {"construction_converged_narrow": False,
+                      "construction_converged_dispersive": False,
+                      "uapp_decay_slope": True, "strang_order": True,
+                      "evolve_matches_strang": True}
+    assert list(payload["fits"]) == ["uapp_decay"]
+    assert list(payload["series_files"]) == ["uapp_decay"]
+    assert {"picard_report_narrow", "picard_report_dispersive"} <= set(payload["extras"])
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "checks", "reason": ["construction_converged_narrow",
+                                                 "construction_converged_dispersive"]}
 
 
 def test_roundtrip_same_on_pool_and_serial(monkeypatch):
@@ -372,7 +402,7 @@ def test_roundtrip_same_on_pool_and_serial(monkeypatch):
         monkeypatch.setenv("MODWAVE_THREADS", threads)
         results[threads] = run_campaign("roundtrip", parse_config(SMALL))
     assert asdict(results["2"]) == asdict(results["1"])
-    assert list(results["1"].series) == ["roundtrip", "uapp_decay"]
+    assert list(results["1"].series) == ["narrow", "dispersive", "uapp_decay"]
 
 
 def test_roundtrip_error_in_a_worker_exits_two(monkeypatch, tmp_path, capsys):

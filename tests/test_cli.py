@@ -7,7 +7,9 @@ import subprocess
 
 import numpy as np
 
+from modwave import parse_config
 from modwave.cli import CHECKOUT, _git_sha, main
+from modwave.config import _KEYS
 
 SMALL_SPECTRAL = "num_points = 512\nbox_length = 100\n"
 SMALL_CONSTRUCT = (
@@ -135,6 +137,23 @@ def test_determinism(tmp_path):
     a.pop("timestamp")
     b.pop("timestamp")
     assert a == b
+
+
+def test_params_echo_every_key_and_parse_back(tmp_path):
+    text = SMALL_SPECTRAL + "fit_t_min = 20\ntol = 1e-10\neps0_values = 0.1, 0.2\n"
+    code, payload, _ = run_cli(tmp_path, "verify-spectral", text, extra=["--seed", "7"])
+    assert code == 0
+    params = payload["params"]
+    assert list(params) == sorted(_KEYS)  # one entry per key, sorted by the writer
+    assert (params["seed"], params["fit_t_min"], params["fit_t_max"]) == (7, 20.0, 1000.0)
+
+    # written back as perfbench/run.py's write_config writes a config
+    def fmt(value):
+        return ", ".join(map(repr, value)) if isinstance(value, list) else repr(value)
+
+    written = "".join(f"{k} = {v if isinstance(v, str) else fmt(v)}\n"
+                      for k, v in params.items())
+    assert parse_config(written) == parse_config(text + "seed = 7\n")
 
 
 def test_defaults_used_without_config(tmp_path):
