@@ -25,7 +25,9 @@ For each LABEL=PATH checkout it records:
   to 2T; build_drive once more on the random band-limited seed-1 datum of
   perfbench's sweep workload, which is nonzero on 127 of the 4096 points;
   and evolve on roundtrip's dispersive regime (N = 4096, L = 800, gaussian
-  band 0.06, 25 samples from t = 10 to 1000);
+  band 0.06, 25 samples from t = 10 to 1000).  A layer process first sets
+  the checkout's malloc policy, campaigns._reuse_freed_memory, where the
+  checkout defines it, as run_campaign and its pool workers do;
 - the work counts of one serial (MODWAVE_THREADS=1) in-process construct
   and of one roundtrip, each on the default config in a process of its own.
   Every count is taken one way, by wrapping the function by name in each
@@ -34,7 +36,9 @@ For each LABEL=PATH checkout it records:
   the kernels _fft, _ifft and _propagator and the N-point rows they return.
   apply_phi is the map's only sweep, so its calls count every sweep, and
   _picard runs both of construct's starts, picard_iterate's and the second.
-  A function the checkout does not define is left out of its counts.
+  A function the checkout does not define is left out of its counts.  Beside
+  them, minor_faults is the growth of the process's minor page faults
+  (RUSAGE_SELF ru_minflt) over the campaign.
 
 The checkouts take turns within each repeat, in alternating order, so drift
 of a shared machine falls on both.  Nothing under ``perfbench/`` is changed.
@@ -47,6 +51,7 @@ import importlib.util
 import json
 import os
 import platform
+import resource
 import shutil
 import statistics
 import subprocess
@@ -126,12 +131,14 @@ def layer_times(repeats: int) -> dict:
     """Per-layer times, seconds per call: the default grid's layers, then
     evolve on roundtrip's dispersive regime."""
     from modwave import (ProfileTrajectory, SpectralGrid, apply_phi, approximate_solution,
-                         asymptotic_profile, build_drive, evolve, free_propagate,
+                         asymptotic_profile, build_drive, campaigns, evolve, free_propagate,
                          inverse_transform, make_final_data, parse_config, picard_iterate,
                          xt_distance, xt_norm)
     from modwave.spectral import FrequencyField, _fft, _ifft
     from modwave.trilinear import _pulled_back_cubic
 
+    # the malloc policy of run_campaign and its workers, where the checkout has one
+    getattr(campaigns, "_reuse_freed_memory", lambda: None)()
     config = parse_config("")
     params = config.params
     grid, dx = params.grid, params.grid.dx
@@ -216,7 +223,9 @@ def work_counts(campaign: str) -> dict:
             if ns.get(name) is real:
                 ns[name] = counted
 
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     result = modwave.run_campaign(campaign, modwave.parse_config(""))
+    counts["minor_faults"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     if not result.passed:
         raise RuntimeError(f"{campaign} failed on the default config")
     return counts

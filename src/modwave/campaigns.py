@@ -9,6 +9,7 @@ pass/fail record so a results file is self-describing.
 
 from __future__ import annotations
 
+import ctypes
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -103,12 +104,41 @@ def _requested_workers() -> int:
     return requested
 
 
+def _libc_version() -> str | None:
+    """The GNU C library's version string, such as "glibc 2.36"; None under
+    any other C library."""
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _reuse_freed_memory() -> None:
+    """On glibc, keep freed memory in this process for its next allocation.
+
+    glibc's malloc serves any request above its mmap threshold (128 KiB at
+    start) by a fresh mapping and hands the heap top back to the kernel above
+    its trim threshold, so the 4-row block temporaries of every sweep and X_T
+    bracket (256 KiB each on the default grid) are faulted in anew on each
+    call.  Raising both thresholds, the mmap one to 32 MiB (glibc's maximum)
+    and the trim one to 1 GiB, keeps freed blocks and trajectories on the
+    heap for reuse.  No-op elsewhere.
+    """
+    if _libc_version():
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+
+
 def _pool_map(fn, cells: list) -> list:
     """[fn(c) for c in cells], on min(len(cells), MODWAVE_THREADS or one per CPU)
-    worker processes; serially in this process when that is one worker."""
+    worker processes, each under _reuse_freed_memory; serially in this process
+    when that is one worker."""
     workers = min(len(cells), _requested_workers() or os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_reuse_freed_memory) as pool:
             return list(pool.map(fn, cells))
     return [fn(c) for c in cells]
 
@@ -595,6 +625,7 @@ CAMPAIGNS = {
 
 
 def run_campaign(name: str, config: ExperimentConfig) -> CampaignResult:
+    _reuse_freed_memory()
     if name not in CAMPAIGNS:
         raise ValueError(f"unknown campaign {name!r}, expected one of {sorted(CAMPAIGNS)}")
     return CAMPAIGNS[name](config)

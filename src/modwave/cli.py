@@ -1,8 +1,8 @@
 """Command-line experiment runner: `modwave <campaign> --config <path>`.
 
 Writes a versioned results.json (named checks, fits, extras, and the
-provenance of the run: python and numpy versions and the git sha of the
-checkout) plus one CSV per recorded time series.  Exit codes: 0 all checks pass, 1 a check
+provenance of the run: python and numpy versions, the C library and the
+git sha of the checkout) plus one CSV per recorded time series.  Exit codes: 0 all checks pass, 1 a check
 failed, 2 configuration or runtime error (writing the results included);
 failures carry a machine-readable reason.
 """
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .campaigns import CAMPAIGNS, run_campaign
+from .campaigns import CAMPAIGNS, _libc_version, run_campaign
 from .config import ConfigError, ExperimentConfig, load_config, parse_config
 
 __all__ = ["main", "write_results"]
@@ -89,6 +89,7 @@ def write_results(result, out_dir: Path, config: ExperimentConfig) -> Path:
         "provenance": {
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "libc": _libc_version() or "unknown",  # glibc's malloc policy sets the speed
             "git_sha": _git_sha(CHECKOUT),
         },
     }

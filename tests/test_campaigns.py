@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -189,12 +191,17 @@ def test_construct_sweeps_each_probe_image_once(monkeypatch, lam, extra, second_
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the worker
+    initializer, runs that initializer once, maps serially."""
 
     sizes = []
+    initializers = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
         self.sizes.append(max_workers)
+        self.initializers.append(initializer)
+        if initializer is not None:
+            initializer()
 
     def __enter__(self):
         return self
@@ -230,8 +237,10 @@ def test_sweep_worker_count(monkeypatch, threads, cpus, pool):
     monkeypatch.setattr(campaigns, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(campaigns, "_sweep_cell", _canned_cell)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_RecordingPool, "initializers", [])
     res = run_campaign("sweep", parse_config(SMALL))
     assert _RecordingPool.sizes == pool
+    assert _RecordingPool.initializers == [campaigns._reuse_freed_memory] * len(pool)
     assert len(res.series["sweep"][1]) == 8
 
 
@@ -266,11 +275,48 @@ def test_construct_worker_count(monkeypatch, threads, cpus, pool):
     monkeypatch.setattr(campaigns, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(campaigns, "_construct_sign", _canned_sign)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_RecordingPool, "initializers", [])
     res = run_campaign("construct", parse_config(SMALL))
     assert _RecordingPool.sizes == pool
+    assert _RecordingPool.initializers == [campaigns._reuse_freed_memory] * len(pool)
     # merged in lam order, defocusing first
     assert [c["name"] for c in res.checks] == ["lam_1", "lam_-1"]
     assert list(res.extras) == ["lam_1", "lam_-1"]
+
+
+# A sweep's allocation pattern, run twice in a fresh process: one trajectory
+# (129 x 4096 complex), then 20 pairs of 4-row block temporaries, all freed.
+# Prints the minor page faults of the second run.
+_REFAULT_SCRIPT = """
+import resource, sys
+import numpy as np
+from modwave.campaigns import _reuse_freed_memory
+if sys.argv[1] == "policy":
+    _reuse_freed_memory()
+def pattern():
+    trajectory = np.ones((129, 4096), complex)
+    for _ in range(20):
+        block = np.ones((4, 4096), complex)
+        product = block * 2j
+        del block, product
+    del trajectory
+pattern()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+pattern()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not campaigns._libc_version(), reason="the policy acts on glibc only")
+def test_freed_memory_is_reused_not_faulted_again():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(campaigns.__file__)))
+    faults = {}
+    for mode in ("policy", "control"):
+        done = subprocess.run([sys.executable, "-c", _REFAULT_SCRIPT, mode], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        faults[mode] = int(done.stdout)
+    assert faults["policy"] < 50, faults
+    assert faults["control"] > 200, faults  # without it, the pattern faults again
 
 
 def test_construct_refuses_invalid_thread_count(monkeypatch):

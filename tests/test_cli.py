@@ -1,6 +1,7 @@
 """Command-line entry point: exit codes, results schema, and determinism."""
 
 import json
+import os
 import platform
 import shutil
 import subprocess
@@ -55,6 +56,20 @@ def test_results_carry_provenance(tmp_path):
                               capture_output=True, text=True)
         if head.returncode == 0:
             assert prov["git_sha"] == head.stdout.strip()
+
+
+def test_provenance_names_the_c_library(tmp_path, monkeypatch):
+    _, payload, _ = run_cli(tmp_path / "here", "verify-spectral", SMALL_SPECTRAL)
+    lib, version = platform.libc_ver()
+    expected = f"glibc {version}" if lib == "glibc" else "unknown"
+    assert payload["provenance"]["libc"] == expected
+
+    def no_such_name(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(os, "confstr", no_such_name)  # as on a C library other than glibc
+    _, payload, _ = run_cli(tmp_path / "elsewhere", "verify-spectral", SMALL_SPECTRAL)
+    assert payload["provenance"]["libc"] == "unknown"
 
 
 def test_git_sha_read_from_checkout_files(tmp_path):
