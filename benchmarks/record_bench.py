@@ -33,9 +33,12 @@ For each LABEL=PATH checkout it records:
   Every count is taken one way, by wrapping the function by name in each
   modwave module that holds it: calls of apply_phi, xt_norm and xt_distance;
   calls of the Picard loop _picard and the iterates it reports; calls of
-  the kernels _fft, _ifft and _propagator and the N-point rows they return.
-  apply_phi is the map's only sweep, so its calls count every sweep, and
-  _picard runs both of construct's starts, picard_iterate's and the second.
+  the kernels _fft, _ifft, _propagator and _pull_back (the cubic, and every
+  right-hand side of the forward solve) and the N-point rows they return;
+  calls of evolve and the accepted steps it reports, and roundtrip's own
+  evolve_steps_<regime> extras beside them.  apply_phi is the map's
+  only sweep, so its calls count every sweep, and _picard runs both of
+  construct's starts, picard_iterate's and the second.
   A function the checkout does not define is left out of its counts.  Beside
   them, minor_faults is the growth of the process's minor page faults
   (RUSAGE_SELF ru_minflt) over the campaign.
@@ -194,6 +197,8 @@ COUNTED_FUNCTIONS = {
     "_fft": ("spectral", "rows", _rows),
     "_ifft": ("spectral", "rows", _rows),
     "_propagator": ("spectral", "rows", _rows),
+    "_pull_back": ("trilinear", "rows", _rows),
+    "evolve": ("evolve", "steps", lambda out: out[-1].step_count if out else 0),
 }
 
 
@@ -228,6 +233,8 @@ def work_counts(campaign: str) -> dict:
     counts["minor_faults"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     if not result.passed:
         raise RuntimeError(f"{campaign} failed on the default config")
+    # roundtrip's accepted steps per regime, beside the sum over its evolve calls
+    counts.update({k: v for k, v in result.extras.items() if k.startswith("evolve_steps_")})
     return counts
 
 

@@ -3,8 +3,8 @@ for the one-dimensional cubic Schrodinger equation.
 
 The package builds a solution backward from prescribed final data via a
 contraction fixed point, evolves it forward with an interaction-picture
-RK4 solver, and quantifies how well the prescribed long-time profile is
-realized.
+Dormand-Prince 5(4) solver, and quantifies how well the prescribed
+long-time profile is realized.
 """
 
 from .campaigns import CAMPAIGNS, CampaignResult, run_campaign

@@ -7,15 +7,17 @@ Fourier space and native FFT order, whose equation
 
 leaves the free flow exact in the phase (Lawson's integrating factor).  The
 right-hand side is small and slowly varying once the solution disperses, so
-classical RK4 under step-doubling error control covers a sample interval in
-a few steps.  The right-hand side is the pulled-back cubic kernel that the
-backward construction also uses, with one propagator per distinct stage
-time of a step attempt.  Strang splitting (``_strang``), which
-alternates the exact pointwise cubic phase rotation with the exact free
-flight, is kept as an independent second-order cross-check.  Diagnostics
-compare the evolving profile against the explicit logarithmically-corrected
-asymptotic profile and measure the pointwise expansion error and
-dispersive-estimate constants.
+the Dormand-Prince 5(4) embedded pair (Dormand & Prince, J. Comput. Appl.
+Math. 6 (1980) 19-26) covers a sample interval in a few steps, at 6
+right-hand sides per step attempt: the last stage's slope is the next
+attempt's first (first same as last).  The right-hand side is the
+pulled-back cubic kernel that the backward construction also uses, with one
+propagator per distinct stage time of a step attempt.  Strang splitting
+(``_strang``), which alternates the exact pointwise cubic phase rotation
+with the exact free flight, is kept as an independent second-order
+cross-check.  Diagnostics compare the evolving profile against the explicit
+logarithmically-corrected asymptotic profile and measure the pointwise
+expansion error and dispersive-estimate constants.
 """
 
 from __future__ import annotations
@@ -92,12 +94,45 @@ def _strang(vals: np.ndarray, dt: float, n: int, grid: SpectralGrid, lam: int) -
     return _kick(vals, 0.5 * dt, lam)
 
 
-def _rk4(f, t, h, k1, rhs):
-    """One classical RK4 step of size h from (t, f), whose slope k1 is given."""
-    k2 = rhs(f + 0.5 * h * k1, t + 0.5 * h)
-    k3 = rhs(f + 0.5 * h * k2, t + 0.5 * h)
-    k4 = rhs(f + h * k3, t + h)
-    return f + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+# The Dormand-Prince 5(4) tableau: the nodes and rows of A of stages 2-7.
+# The last row of A holds the 5th-order weights, so stage 7 is the slope at
+# the new value (first same as last).  E is the 5th- minus the 4th-order
+# weights, over all 7 stages.
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def _combine(f, h, weights, ks):
+    """f + h sum_i weights_i ks_i over the nonzero weights."""
+    out = f.copy()
+    for w, k in zip(weights, ks):
+        if w:
+            out += (h * w) * k
+    return out
+
+
+def _dp45(f, t, h, end, k1, rhs):
+    """One Dormand-Prince 5(4) step of size h from (t, f), whose slope k1 is
+    given, to end (t + h, or the sample time it lands on).
+
+    Returns the 5th-order value, its slope at end and the embedded error
+    estimate h sum_i E_i k_i; six right-hand sides.
+    """
+    ks = [k1]
+    for c, row in zip(_DP_C, _DP_A):
+        y = _combine(f, h, row, ks)
+        # the stages at the step's end take its time as given, where the
+        # next attempt starts and its propagator is memoized
+        ks.append(rhs(y, end if c == 1.0 else t + c * h))
+    return y, ks[-1], _combine(np.zeros_like(f), h, _DP_E, ks)
 
 
 def evolve(
@@ -105,11 +140,13 @@ def evolve(
 ) -> list[EvolutionState]:
     """Advance u0 from t0 through the sample times, checking conservation.
 
-    Integrates the profile f = U(-t)u by RK4 with step doubling: one step of
-    h against two of h/2, accepted when max|two - full| / (15 max|two|) is at
-    most RK_TOL, keeping the Richardson value two + (two - full)/15.  Steps
-    end on every sample time; step_count counts accepted steps.  Aborts on
-    non-finite values or relative mass drift above MASS_DRIFT_ABORT.
+    Integrates the profile f = U(-t)u by the Dormand-Prince 5(4) pair: a
+    step is accepted when its embedded estimate max|h sum E_i k_i| / max|y5|
+    is at most RK_TOL, keeping the 5th-order value y5.  The slope at an
+    accepted y5 starts the next attempt; a rejected attempt reuses its own.
+    Steps end on every sample time; step_count counts accepted steps.
+    Aborts on non-finite values or relative mass drift above
+    MASS_DRIFT_ABORT.
     """
     sample_times = np.asarray(sample_times, dtype=float)
     if sample_times.size == 0:
@@ -134,27 +171,24 @@ def evolve(
     mass0 = _mass(u0.values, dx)
     f = np.conj(propagator(t0)) * _fft(u0.values, dx)
     states = []
-    t, h, steps = t0, np.inf, 0
+    t, h, k1, steps = t0, np.inf, None, 0
     for target in sample_times:
         while t < target:
-            # an attempt's 11 right-hand sides fall on at most 6 distinct
-            # times; of the previous attempt's, only t, where this one
-            # starts, can recur
-            props = {t: props[t]} if t in props else {}
+            # an attempt's stages fall on t and 5 more times, the last of
+            # which starts the next attempt; only t's propagator recurs
+            props = {t: props[t]}
+            if k1 is None:
+                k1 = rhs(f, t)
             last = h >= target - t
             step = target - t if last else h
-            k1 = rhs(f, t)
-            full = _rk4(f, t, step, k1, rhs)
-            mid = _rk4(f, t, 0.5 * step, k1, rhs)
-            two = _rk4(mid, t + 0.5 * step, 0.5 * step, rhs(mid, t + 0.5 * step), rhs)
-            diff = two - full
-            scale = np.max(np.abs(two))
-            err = 0.0 if scale == 0.0 else float(np.max(np.abs(diff)) / (15.0 * scale))
+            end = target if last else t + step
+            y5, k7, estimate = _dp45(f, t, step, end, k1, rhs)
+            scale = np.max(np.abs(y5))
+            err = 0.0 if scale == 0.0 else float(np.max(np.abs(estimate)) / scale)
             if not np.isfinite(err):
                 raise FloatingPointError(f"evolution produced non-finite values at t = {t}")
             if err <= RK_TOL:
-                f = two + diff / 15.0
-                t = target if last else t + step
+                f, t, k1 = y5, end, k7
                 steps += 1
             h = step * (4.0 if err == 0.0 else min(4.0, max(0.2, 0.9 * (RK_TOL / err) ** 0.2)))
         vals = _ifft(propagator(t) * f, dx)

@@ -114,20 +114,22 @@ def test_evolve_conserves_mass_through_rejected_steps(monkeypatch):
                         lambda *args: prop_calls.append(1) or propagator(*args))
     times = [0.5, 1.0, 2.0]
     states = evolve(u0, 0.0, times, PARAMS)
-    # every attempt, accepted or not, evaluates 11 right-hand sides
-    assert len(rhs_calls) % 11 == 0
-    attempts = len(rhs_calls) // 11
+    # one right-hand side at t0, then 6 per attempt, accepted or not: an
+    # attempt's first slope is the last slope of the accepted attempt
+    # before it, or that of the rejected attempt it repeats
+    assert (len(rhs_calls) - 1) % 6 == 0
+    attempts = (len(rhs_calls) - 1) // 6
     assert attempts > states[-1].step_count
-    # on at most 6 distinct stage times, one propagator each; the others
-    # are the one at t0 and one per sample
-    assert len(prop_calls) <= 1 + len(times) + 6 * attempts
+    # one propagator at t0, then one per new stage time, 5 per attempt; the
+    # last is where the next attempt starts, or the sample it lands on
+    assert len(prop_calls) == 1 + 5 * attempts
     m0 = _state(u0, 0.0, PARAMS).mass
     assert max(abs(s.mass - m0) for s in states) <= 1e-10 * m0
 
 
 def _evolve_without_memo(u0, t0, sample_times, params):
-    """evolve's RK4 loop with a fresh propagator for every right-hand side;
-    returns the sampled solution values."""
+    """evolve's Dormand-Prince loop with a fresh propagator for every
+    right-hand side; returns the sampled solution values."""
     grid, lam, dx = u0.grid, params.lam, u0.grid.dx
     tol = evolve_module.RK_TOL
 
@@ -135,21 +137,18 @@ def _evolve_without_memo(u0, t0, sample_times, params):
         return -1j * lam * _pulled_back_cubic(f, t, grid)
 
     f = np.conj(_propagator(grid, t0)) * _fft(u0.values, dx)
-    t, h, out = t0, np.inf, []
+    t, h, k1, out = t0, np.inf, None, []
     for target in sample_times:
         while t < target:
+            if k1 is None:
+                k1 = rhs(f, t)
             last = h >= target - t
             step = target - t if last else h
-            k1 = rhs(f, t)
-            full = evolve_module._rk4(f, t, step, k1, rhs)
-            mid = evolve_module._rk4(f, t, 0.5 * step, k1, rhs)
-            two = evolve_module._rk4(mid, t + 0.5 * step, 0.5 * step,
-                                     rhs(mid, t + 0.5 * step), rhs)
-            diff = two - full
-            err = float(np.max(np.abs(diff)) / (15.0 * np.max(np.abs(two))))
+            end = target if last else t + step
+            y5, k7, estimate = evolve_module._dp45(f, t, step, end, k1, rhs)
+            err = float(np.max(np.abs(estimate)) / np.max(np.abs(y5)))
             if err <= tol:
-                f = two + diff / 15.0
-                t = target if last else t + step
+                f, t, k1 = y5, end, k7
             h = step * (4.0 if err == 0.0 else min(4.0, max(0.2, 0.9 * (tol / err) ** 0.2)))
         out.append(_ifft(_propagator(grid, t) * f, dx))
     return out
@@ -163,6 +162,41 @@ def test_evolve_stage_time_memo_changes_no_bit(lam):
     states = evolve(u0, 0.0, times, params)
     for state, ref in zip(states, _evolve_without_memo(u0, 0.0, times, params), strict=True):
         assert np.array_equal(state.u.values, ref)
+
+
+def test_evolve_meets_its_tolerance(monkeypatch):
+    # at t = 2 the solution at RK_TOL is within 5e-12 of the one at RK_TOL/100
+    u0 = gaussian_state().u
+    times = [0.5, 1.0, 2.0]
+    loose = evolve(u0, 0.0, times, PARAMS)[-1].u.values
+    monkeypatch.setattr(evolve_module, "RK_TOL", evolve_module.RK_TOL / 100.0)
+    tight = evolve(u0, 0.0, times, PARAMS)[-1].u.values
+    assert np.max(np.abs(loose - tight)) <= 5e-12
+
+
+def test_dormand_prince_step_orders():
+    # one step of h from t = 0: the 5th-order value's local error, against 32
+    # steps of h/32, falls as h^6 and the embedded estimate as h^5
+    f0 = _fft(np.exp(-(GRID.x**2) / 4.0) + 0.0j, GRID.dx)
+
+    def rhs(f, t):
+        return -1j * _pulled_back_cubic(f, t, GRID)
+
+    def one_step(f, t, h, k):
+        return evolve_module._dp45(f, t, h, t + h, k, rhs)
+
+    hs = 0.08 * 2.0 ** (-np.arange(5) / 2.0)
+    errs, estimates = [], []
+    for h in hs:
+        y5, _, estimate = one_step(f0, 0.0, h, rhs(f0, 0.0))
+        ref, t, k = f0, 0.0, rhs(f0, 0.0)
+        for _ in range(32):
+            ref, k, _ = one_step(ref, t, h / 32, k)
+            t += h / 32
+        errs.append(np.max(np.abs(y5 - ref)))
+        estimates.append(np.max(np.abs(estimate)))
+    assert abs(np.polyfit(np.log(hs), np.log(errs), 1)[0] - 6.0) <= 0.3
+    assert abs(np.polyfit(np.log(hs), np.log(estimates), 1)[0] - 5.0) <= 0.3
 
 
 @pytest.mark.parametrize("times", [[1.0], [0.0]])
