@@ -25,9 +25,12 @@ For each LABEL=PATH checkout it records:
   to 2T; build_drive once more on the random band-limited seed-1 datum of
   perfbench's sweep workload, which is nonzero on 127 of the 4096 points;
   and evolve on roundtrip's dispersive regime (N = 4096, L = 800, gaussian
-  band 0.06, 25 samples from t = 10 to 1000).  A layer process first sets
-  the checkout's malloc policy, campaigns._reuse_freed_memory, where the
-  checkout defines it, as run_campaign and its pool workers do;
+  band 0.06, 25 samples from t = 10 to 1000).  Each evolve starts from its
+  profile f, or from the solution U(t)f in a checkout whose evolve still
+  takes the solution (its EvolutionState has no profile field).  A layer
+  process first sets the checkout's malloc policy,
+  campaigns._reuse_freed_memory, where the checkout defines it, as
+  run_campaign and its pool workers do;
 - the work counts of one serial (MODWAVE_THREADS=1) in-process construct
   and of one roundtrip, each on the default config in a process of its own.
   Every count is taken one way, by wrapping the function by name in each
@@ -133,7 +136,7 @@ def _in_checkout(root: Path, *args: str) -> dict:
 def layer_times(repeats: int) -> dict:
     """Per-layer times, seconds per call: the default grid's layers, then
     evolve on roundtrip's dispersive regime."""
-    from modwave import (ProfileTrajectory, SpectralGrid, apply_phi, approximate_solution,
+    from modwave import (EvolutionState, ProfileTrajectory, SpectralGrid, apply_phi,
                          asymptotic_profile, build_drive, campaigns, evolve, free_propagate,
                          inverse_transform, make_final_data, parse_config, picard_iterate,
                          xt_distance, xt_norm)
@@ -151,12 +154,20 @@ def layer_times(repeats: int) -> dict:
     nodes = drive.time_grid.nodes
     g = ProfileTrajectory(grid, drive.time_grid, 2.0 * drive.phi_eps.values)
     fixed, _ = picard_iterate(drive, config.max_iter, config.tol)
+    # evolve starts from the profile f, or from the solution U(t)f in a
+    # checkout whose evolve still takes the solution
+    takes_u = "profile" not in EvolutionState.__dataclass_fields__
+
+    def start(f, t):
+        return inverse_transform(free_propagate(f, t)) if takes_u else f
+
     profile_T = asymptotic_profile(W, params.T, params.lam).values + fixed.values[0]
-    u_T = inverse_transform(free_propagate(FrequencyField(grid, profile_T), params.T))
+    start_T = start(FrequencyField(grid, profile_T), params.T)
     dispersive = replace(params, t_max=10_000.0, grid=SpectralGrid(4096, 800.0),
                          time_grid_points=193)
     W_dispersive = make_final_data("gaussian", dispersive, seed=0, bandwidth=0.06)
-    u_dispersive = approximate_solution(W_dispersive, dispersive.T, dispersive)
+    start_dispersive = start(asymptotic_profile(W_dispersive, dispersive.T, dispersive.lam),
+                             dispersive.T)
     dispersive_times = numpy.geomspace(10.0, 1000.0, 25)
 
     layers = {
@@ -167,8 +178,8 @@ def layer_times(repeats: int) -> dict:
         "apply_phi": lambda: apply_phi(g, drive),
         "xt_norm": lambda: xt_norm(g, params.alpha),
         "xt_distance": lambda: xt_distance(g, drive.phi_eps, params.alpha),
-        "evolve": lambda: evolve(u_T, params.T, [2.0 * params.T], params),
-        "evolve_dispersive": lambda: evolve(u_dispersive, dispersive.T, dispersive_times,
+        "evolve": lambda: evolve(start_T, params.T, [2.0 * params.T], params),
+        "evolve_dispersive": lambda: evolve(start_dispersive, dispersive.T, dispersive_times,
                                             dispersive),
     }
     out = {}

@@ -14,7 +14,6 @@ from .evolve import (
     asymptotic_error,
     dispersive_ratio,
     evolve,
-    extract_profile,
     scattering_deviation,
 )
 from .fitting import DecayFit, fit_decay

@@ -1,23 +1,24 @@
 """Forward solver and long-time scattering diagnostics.
 
-``evolve`` integrates the interaction-picture profile f = U(-t)u, in
-Fourier space and native FFT order, whose equation
+``evolve`` takes and returns the interaction-picture profile f = U(-t)u, in
+Fourier space and native FFT order, and integrates its equation
 
     df/dt = -i lam e^{i t xi^2/2} F[|u|^2 u],    u = F^{-1}[e^{-i t xi^2/2} f],
 
-leaves the free flow exact in the phase (Lawson's integrating factor).  The
-right-hand side is small and slowly varying once the solution disperses, so
-the Dormand-Prince 5(4) embedded pair (Dormand & Prince, J. Comput. Appl.
+which leaves the free flow exact in the phase (Lawson's integrating factor).
+The right-hand side is small and slowly varying once the solution disperses,
+so the Dormand-Prince 5(4) embedded pair (Dormand & Prince, J. Comput. Appl.
 Math. 6 (1980) 19-26) covers a sample interval in a few steps, at 6
 right-hand sides per step attempt: the last stage's slope is the next
 attempt's first (first same as last).  The right-hand side is the
 pulled-back cubic kernel that the backward construction also uses, with one
-propagator per distinct stage time of a step attempt.  Strang splitting
-(``_strang``), which alternates the exact pointwise cubic phase rotation
-with the exact free flight, is kept as an independent second-order
-cross-check.  Diagnostics compare the evolving profile against the explicit
-logarithmically-corrected asymptotic profile and measure the pointwise
-expansion error and dispersive-estimate constants.
+propagator per distinct stage time of a step attempt.  A sample adds u, one
+inverse transform; mass and kinetic energy come from f by Plancherel.
+Strang splitting (``_strang``), which alternates the exact pointwise cubic
+phase rotation with the exact free flight, is kept as an independent
+second-order cross-check.  Diagnostics compare the evolved profile against
+the explicit logarithmically-corrected asymptotic profile and measure the
+pointwise expansion error and dispersive-estimate constants.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .spectral import (
     FrequencyField,
     PhysicalField,
     SpectralGrid,
-    _fft,
     _ifft,
     _propagator,
     _xt_weights,
@@ -46,7 +46,6 @@ from .trilinear import _pull_back
 __all__ = [
     "EvolutionState",
     "evolve",
-    "extract_profile",
     "scattering_deviation",
     "asymptotic_error",
     "dispersive_ratio",
@@ -58,25 +57,24 @@ MASS_DRIFT_ABORT = 1e-6
 
 @dataclass(frozen=True)
 class EvolutionState:
-    """Solution snapshot with conserved-quantity diagnostics."""
+    """The profile f = U(-t)u and the solution u at t, with diagnostics."""
 
     t: float
+    profile: FrequencyField
     u: PhysicalField
     mass: float
     energy: float
     step_count: int = 0
 
 
-def _mass(values: np.ndarray, dx: float) -> float:
-    return float(dx * np.sum(np.abs(values) ** 2))
+def _mass(values: np.ndarray, weight: float) -> float:
+    return float(weight * np.sum(np.abs(values) ** 2))
 
 
-def _energy(u: PhysicalField, lam: int) -> float:
-    xi = u.grid.frequencies
-    uhat = forward_transform(u)
-    ux = inverse_transform(FrequencyField(u.grid, 1j * xi * uhat.values))
-    dens = 0.5 * np.abs(ux.values) ** 2 + 0.5 * lam * np.abs(u.values) ** 4
-    return float(u.grid.dx * np.sum(dens))
+def _energy(f: np.ndarray, u: np.ndarray, grid: SpectralGrid, lam: int) -> float:
+    """(1/2)||u_x||^2 + (lam/2)||u||_4^4, the first term from |u_hat| = |f|."""
+    kinetic = _mass(grid.frequencies * f, grid.dxi / (2.0 * np.pi))
+    return 0.5 * (kinetic + lam * float(grid.dx * np.sum(np.abs(u) ** 4)))
 
 
 def _kick(values: np.ndarray, dt: float, lam: int) -> np.ndarray:
@@ -136,9 +134,9 @@ def _dp45(f, t, h, end, k1, rhs):
 
 
 def evolve(
-    u0: PhysicalField, t0: float, sample_times, params: SolverParams
+    f0: FrequencyField, t0: float, sample_times, params: SolverParams
 ) -> list[EvolutionState]:
-    """Advance u0 from t0 through the sample times, checking conservation.
+    """Advance the profile f0 at t0 through the sample times, checking conservation.
 
     Integrates the profile f = U(-t)u by the Dormand-Prince 5(4) pair: a
     step is accepted when its embedded estimate max|h sum E_i k_i| / max|y5|
@@ -153,9 +151,11 @@ def evolve(
         return []
     if np.any(np.diff(sample_times) <= 0) or sample_times[0] < t0:
         raise ValueError("sample times must be increasing and start at or after t0")
-    grid = u0.grid
+    grid = f0.grid
     lam, dx = params.lam, grid.dx
-    props = {}  # e^{-i s xi^2/2} by the float s, for the stage times in use
+    weight = grid.dxi / (2.0 * np.pi)  # mass = weight * sum |f|^2 (Plancherel)
+    # e^{-i s xi^2/2} by the float s, for the stage times in use
+    props = {t0: _propagator(grid, t0)}
 
     def propagator(s):
         if s not in props:
@@ -168,8 +168,8 @@ def evolve(
         prop = propagator(s)
         return -1j * lam * _pull_back(_ifft(f * prop, dx), prop, grid)
 
-    mass0 = _mass(u0.values, dx)
-    f = np.conj(propagator(t0)) * _fft(u0.values, dx)
+    f = f0.values
+    mass0 = _mass(f, weight)
     states = []
     t, h, k1, steps = t0, np.inf, None, 0
     for target in sample_times:
@@ -191,8 +191,7 @@ def evolve(
                 f, t, k1 = y5, end, k7
                 steps += 1
             h = step * (4.0 if err == 0.0 else min(4.0, max(0.2, 0.9 * (RK_TOL / err) ** 0.2)))
-        vals = _ifft(propagator(t) * f, dx)
-        mass = _mass(vals, dx)
+        mass = _mass(f, weight)
         if not np.isfinite(mass):
             raise FloatingPointError(f"evolution produced non-finite values at t = {t}")
         if mass0 > 0 and abs(mass - mass0) / mass0 > MASS_DRIFT_ABORT:
@@ -200,16 +199,11 @@ def evolve(
                 f"mass drift {abs(mass - mass0) / mass0:.3g} exceeds "
                 f"{MASS_DRIFT_ABORT} at t = {t}"
             )
-        u = PhysicalField(grid, vals)
-        states.append(
-            EvolutionState(t=t, u=u, mass=mass, energy=_energy(u, lam), step_count=steps)
-        )
+        u = _ifft(propagator(t) * f, dx)
+        states.append(EvolutionState(
+            t=t, profile=FrequencyField(grid, f), u=PhysicalField(grid, u), mass=mass,
+            energy=_energy(f, u, grid, lam), step_count=steps))
     return states
-
-
-def extract_profile(state: EvolutionState) -> FrequencyField:
-    """Interaction-picture profile: remove the free flow from the solution."""
-    return free_propagate(forward_transform(state.u), -state.t)
 
 
 def scattering_deviation(state: EvolutionState, W: FrequencyField, params: SolverParams) -> float:
@@ -218,9 +212,8 @@ def scattering_deviation(state: EvolutionState, W: FrequencyField, params: Solve
     t = state.t
     if t < params.T:
         raise ValueError(f"deviation defined for t >= T = {params.T}, got t = {t}")
-    fhat = extract_profile(state)
-    v = asymptotic_profile(W, t, params.lam)
-    return float(_xt_weights(t, fhat.values - v.values, params.alpha, fhat.grid))
+    f, v = state.profile, asymptotic_profile(W, t, params.lam)
+    return float(_xt_weights(t, f.values - v.values, params.alpha, f.grid))
 
 
 def _on_rays(fhat: FrequencyField, t: float) -> np.ndarray:
@@ -247,12 +240,13 @@ def _on_rays(fhat: FrequencyField, t: float) -> np.ndarray:
 
 def asymptotic_error(state: EvolutionState, W: FrequencyField, params: SolverParams) -> float:
     """Sup-norm distance to the explicit self-similar leading term, on the rays x = t*xi_k:
-    the leading term replaces G = F[M_t U(-t)u] (see _on_rays) by the profile v(t).
+    the leading term replaces G = F[M_t f] of the evolved profile f (see _on_rays) by
+    the profile v(t).
     """
     t = state.t
     if t < params.T:
         raise ValueError(f"expansion defined for t >= T = {params.T}, got t = {t}")
-    G = _on_rays(extract_profile(state), t)
+    G = _on_rays(state.profile, t)
     v = asymptotic_profile(W, t, params.lam)
     return float(np.max(np.abs(G - v.values))) / np.sqrt(2.0 * np.pi * t)
 

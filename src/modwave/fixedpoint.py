@@ -148,15 +148,15 @@ def estimate_tail(integrand: ProfileTrajectory) -> float:
 
 
 def _cumulative_backward(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Trapezoid integral from each node to the last, in one backward sweep
-    that overwrites values row by row; returns values."""
-    upper = values[-1].copy()
+    """Trapezoid integral from each node to the last, in place: an ascending
+    pass of interval trapezoids, then a descending sum; returns values."""
+    half_ds = 0.5 * np.diff(nodes)
+    for k in range(len(nodes) - 1):
+        values[k] += values[k + 1]
+        values[k] *= half_ds[k]
     values[-1] = 0.0
     for k in range(len(nodes) - 2, -1, -1):
-        ds = nodes[k + 1] - nodes[k]
-        lower = values[k].copy()
-        values[k] = values[k + 1] + 0.5 * ds * (lower + upper)
-        upper = lower
+        values[k] += values[k + 1]
     return values
 
 

@@ -145,12 +145,13 @@ def test_criterion_10_solver_hygiene(roundtrip):
     mass = check(roundtrip, "mass_drift")["value"]
     energy = check(roundtrip, "energy_drift")["value"]
     order = check(roundtrip, "strang_order")["value"]
+    gap = check(roundtrip, "evolve_matches_strang")["value"]
     w_ratio = check(roundtrip, "correction_weighted_ratio")["value"]
     ok = (mass <= 1e-8 and energy <= 1e-6
-          and 1.9 <= order <= 2.1 and w_ratio <= 3.0)
+          and 1.9 <= order <= 2.1 and gap <= 1e-6 and w_ratio <= 3.0)
     verdict(10, "solver hygiene", ok,
             f"mass={mass:.2e} energy={energy:.2e} strang_order={order:.3f} "
-            f"w_ratio={w_ratio:.3f}")
+            f"evolve_strang_gap={gap:.2e} w_ratio={w_ratio:.3f}")
 
 
 def test_check_names_are_unique(spectral, dispersive, forcing, construct, roundtrip):

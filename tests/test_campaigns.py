@@ -326,15 +326,6 @@ def test_construct_refuses_invalid_thread_count(monkeypatch):
         run_campaign("construct", parse_config(SMALL))
 
 
-def test_construct_same_on_pool_and_serial(monkeypatch):
-    results = {}
-    for threads in ("1", "2"):
-        monkeypatch.setenv("MODWAVE_THREADS", threads)
-        results[threads] = run_campaign("construct", parse_config(SMALL))
-    assert results["2"].checks == results["1"].checks
-    assert results["2"].extras == results["1"].extras
-
-
 def test_construct_blowup_in_a_worker_exits_two(monkeypatch, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SMALL + "eps0 = 20\n")
@@ -442,13 +433,18 @@ def test_roundtrip_unconverged_constructions_exit_one(monkeypatch, tmp_path, cap
                                                  "construction_converged_dispersive"]}
 
 
-def test_roundtrip_same_on_pool_and_serial(monkeypatch):
-    results = {}
-    for threads in ("1", "2"):
-        monkeypatch.setenv("MODWAVE_THREADS", threads)
-        results[threads] = run_campaign("roundtrip", parse_config(SMALL))
-    assert asdict(results["2"]) == asdict(results["1"])
-    assert list(results["1"].series) == ["narrow", "dispersive", "uapp_decay"]
+def test_campaigns_same_on_pool_and_serial(monkeypatch):
+    # the pooled parts of each campaign merge into the serial result, bit for
+    # bit and in the serial order
+    series = {"construct": [], "roundtrip": ["narrow", "dispersive", "uapp_decay"],
+              "sweep": ["sweep"]}
+    for campaign, names in series.items():
+        results = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MODWAVE_THREADS", threads)
+            results[threads] = asdict(run_campaign(campaign, parse_config(SMALL)))
+        assert results["2"] == results["1"], campaign
+        assert list(results["1"]["series"]) == names
 
 
 def test_roundtrip_error_in_a_worker_exits_two(monkeypatch, tmp_path, capsys):

@@ -15,7 +15,6 @@ from modwave import (
     asymptotic_profile,
     dispersive_ratio,
     evolve,
-    extract_profile,
     make_final_data,
     pulled_back_forcing,
     scattering_deviation,
@@ -38,22 +37,27 @@ GRID = SpectralGrid(256, 60.0)
 PARAMS = SolverParams(grid=GRID)
 
 
-def gaussian_state(amp=1.0, lam=1):
-    x = GRID.x
-    u = PhysicalField(GRID, amp * np.exp(-(x**2)) + 0.0j)
-    return _state(u, 0.0, SolverParams(lam=lam, grid=GRID))
+def gaussian():
+    """The amplitude-1 Gaussian e^{-x^2} on GRID."""
+    return PhysicalField(GRID, np.exp(-(GRID.x**2)) + 0.0j)
 
 
-def _state(u, t, params):
-    """The state of u at t as evolve reports it: sampled at t0 = t, no step."""
-    return evolve(u, t, [t], params)[0]
+def gaussian_profile():
+    """The profile of the Gaussian at t = 0, its transform."""
+    return forward_transform(gaussian())
+
+
+def _state(f, t, params):
+    """The state of the profile f at t as evolve reports it: sampled at t0 = t,
+    no step."""
+    return evolve(f, t, [t], params)[0]
 
 
 def test_strang_step_conserves_mass():
     # both Strang substeps are unitary: 50 steps keep the mass to rounding
-    u0 = gaussian_state().u
+    u0 = gaussian()
     vals = _strang(u0.values, 0.02, 50, GRID, 1)
-    m0 = _state(u0, 0.0, PARAMS).mass
+    m0 = _state(forward_transform(u0), 0.0, PARAMS).mass
     assert abs(evolve_module._mass(vals, GRID.dx) - m0) <= 1e-12 * m0
 
 
@@ -91,8 +95,8 @@ def test_strang_native_order_loop_is_bit_identical(lam):
 def test_strang_converges_to_evolve_at_second_order():
     # evolve's time error is far below Strang's, so Strang's distance to it
     # drops ~4x per dt halving; a wrong nonlinearity in either breaks this
-    u0 = gaussian_state().u
-    target = evolve(u0, 0.0, [1.0], PARAMS)[0].u.values
+    u0 = gaussian()
+    target = evolve(forward_transform(u0), 0.0, [1.0], PARAMS)[0].u.values
     dts = [0.1, 0.05, 0.025]
     errs = [
         np.max(np.abs(_strang(u0.values, dt, round(1.0 / dt), GRID, 1) - target))
@@ -105,7 +109,7 @@ def test_strang_converges_to_evolve_at_second_order():
 def test_evolve_conserves_mass_through_rejected_steps(monkeypatch):
     # the first attempt covers the whole first interval from t0 = 0 and is
     # too long for amplitude-1 data, so the step control has to reject
-    u0 = gaussian_state().u
+    f0 = gaussian_profile()
     rhs_calls, prop_calls = [], []
     pull_back, propagator = evolve_module._pull_back, evolve_module._propagator
     monkeypatch.setattr(evolve_module, "_pull_back",
@@ -113,7 +117,7 @@ def test_evolve_conserves_mass_through_rejected_steps(monkeypatch):
     monkeypatch.setattr(evolve_module, "_propagator",
                         lambda *args: prop_calls.append(1) or propagator(*args))
     times = [0.5, 1.0, 2.0]
-    states = evolve(u0, 0.0, times, PARAMS)
+    states = evolve(f0, 0.0, times, PARAMS)
     # one right-hand side at t0, then 6 per attempt, accepted or not: an
     # attempt's first slope is the last slope of the accepted attempt
     # before it, or that of the rejected attempt it repeats
@@ -123,20 +127,20 @@ def test_evolve_conserves_mass_through_rejected_steps(monkeypatch):
     # one propagator at t0, then one per new stage time, 5 per attempt; the
     # last is where the next attempt starts, or the sample it lands on
     assert len(prop_calls) == 1 + 5 * attempts
-    m0 = _state(u0, 0.0, PARAMS).mass
+    m0 = _state(f0, 0.0, PARAMS).mass
     assert max(abs(s.mass - m0) for s in states) <= 1e-10 * m0
 
 
-def _evolve_without_memo(u0, t0, sample_times, params):
+def _evolve_without_memo(f0, t0, sample_times, params):
     """evolve's Dormand-Prince loop with a fresh propagator for every
     right-hand side; returns the sampled solution values."""
-    grid, lam, dx = u0.grid, params.lam, u0.grid.dx
+    grid, lam, dx = f0.grid, params.lam, f0.grid.dx
     tol = evolve_module.RK_TOL
 
     def rhs(f, t):
         return -1j * lam * _pulled_back_cubic(f, t, grid)
 
-    f = np.conj(_propagator(grid, t0)) * _fft(u0.values, dx)
+    f = f0.values
     t, h, k1, out = t0, np.inf, None, []
     for target in sample_times:
         while t < target:
@@ -157,20 +161,20 @@ def _evolve_without_memo(u0, t0, sample_times, params):
 @pytest.mark.parametrize("lam", [1, -1])
 def test_evolve_stage_time_memo_changes_no_bit(lam):
     params = SolverParams(lam=lam, grid=GRID)
-    u0 = gaussian_state(lam=lam).u
+    f0 = gaussian_profile()
     times = [0.5, 1.0, 2.0]
-    states = evolve(u0, 0.0, times, params)
-    for state, ref in zip(states, _evolve_without_memo(u0, 0.0, times, params), strict=True):
+    states = evolve(f0, 0.0, times, params)
+    for state, ref in zip(states, _evolve_without_memo(f0, 0.0, times, params), strict=True):
         assert np.array_equal(state.u.values, ref)
 
 
 def test_evolve_meets_its_tolerance(monkeypatch):
     # at t = 2 the solution at RK_TOL is within 5e-12 of the one at RK_TOL/100
-    u0 = gaussian_state().u
+    f0 = gaussian_profile()
     times = [0.5, 1.0, 2.0]
-    loose = evolve(u0, 0.0, times, PARAMS)[-1].u.values
+    loose = evolve(f0, 0.0, times, PARAMS)[-1].u.values
     monkeypatch.setattr(evolve_module, "RK_TOL", evolve_module.RK_TOL / 100.0)
-    tight = evolve(u0, 0.0, times, PARAMS)[-1].u.values
+    tight = evolve(f0, 0.0, times, PARAMS)[-1].u.values
     assert np.max(np.abs(loose - tight)) <= 5e-12
 
 
@@ -202,10 +206,10 @@ def test_dormand_prince_step_orders():
 @pytest.mark.parametrize("times", [[1.0], [0.0]])
 def test_evolve_raises_on_non_finite_values(times):
     # [1.0] fails in the step control, [0.0] (no step) in the sample check
-    u0 = gaussian_state().u
-    u0.values[GRID.num_points // 2] = np.nan  # fields validate only on construction
+    f0 = gaussian_profile()
+    f0.values[GRID.num_points // 2] = np.nan  # fields validate only on construction
     with pytest.raises(FloatingPointError, match="non-finite"):
-        evolve(u0, 0.0, times, PARAMS)
+        evolve(f0, 0.0, times, PARAMS)
 
 
 def test_linear_limit_matches_free_propagator():
@@ -214,52 +218,68 @@ def test_linear_limit_matches_free_propagator():
     # amplitude where the cubic correction is below tolerance
     x = GRID.x
     u0 = PhysicalField(GRID, 1e-7 * np.exp(-(x**2)) + 0.0j)
-    states = evolve(u0, 0.0, [1.0], PARAMS)
+    states = evolve(forward_transform(u0), 0.0, [1.0], PARAMS)
     exact = inverse_transform(free_propagate(forward_transform(u0), 1.0))
     assert np.max(np.abs(states[0].u.values - exact.values)) <= 1e-18
 
 
 def test_evolve_samples_and_conserves():
-    u0 = gaussian_state().u
-    states = evolve(u0, 0.0, [0.5, 1.0, 2.0], PARAMS)
+    f0 = gaussian_profile()
+    states = evolve(f0, 0.0, [0.5, 1.0, 2.0], PARAMS)
     assert [s.t for s in states] == [0.5, 1.0, 2.0]
-    m0 = _state(u0, 0.0, PARAMS).mass
+    m0 = _state(f0, 0.0, PARAMS).mass
     for s in states:
         assert abs(s.mass - m0) <= 1e-10 * m0
     # splitting conserves mass exactly but energy only to O(dt^2)
-    e0 = _state(u0, 0.0, PARAMS).energy
+    e0 = _state(f0, 0.0, PARAMS).energy
     assert abs(states[-1].energy - e0) <= 1e-3 * abs(e0)
 
 
 def test_evolve_rejects_bad_sample_times():
-    u0 = gaussian_state().u
+    f0 = gaussian_profile()
     with pytest.raises(ValueError, match="increasing"):
-        evolve(u0, 0.0, [2.0, 1.0], PARAMS)
+        evolve(f0, 0.0, [2.0, 1.0], PARAMS)
     with pytest.raises(ValueError, match="increasing"):
-        evolve(u0, 5.0, [1.0], PARAMS)
+        evolve(f0, 5.0, [1.0], PARAMS)
 
 
-def test_extract_profile_inverts_free_flow():
-    fhat = forward_transform(gaussian_state().u)
-    u_t = inverse_transform(free_propagate(fhat, 3.0))
-    state = _state(u_t, 3.0, PARAMS)
-    back = extract_profile(state)
-    assert np.max(np.abs(back.values - fhat.values)) <= 1e-12 * np.max(np.abs(fhat.values))
+def test_state_solution_is_the_free_wave_of_its_profile():
+    # a sample at t0 returns the starting profile itself; at every sample,
+    # removing the free flow from u gives the profile back
+    f0 = free_propagate(gaussian_profile(), -3.0)
+    states = evolve(f0, 3.0, [3.0, 4.0], PARAMS)
+    assert np.array_equal(states[0].profile.values, f0.values)
+    for state in states:
+        back = free_propagate(forward_transform(state.u), -state.t).values
+        scale = np.max(np.abs(state.profile.values))
+        assert np.max(np.abs(back - state.profile.values)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("lam", [1, -1])
+def test_mass_and_energy_from_the_profile_match_x_space(lam):
+    # Plancherel: the profile's mass and kinetic energy are those of u, which
+    # is read here through its x-space derivative
+    params = SolverParams(lam=lam, grid=GRID)
+    for state in evolve(gaussian_profile(), 0.0, [0.0, 1.0], params):
+        u, dx = state.u.values, GRID.dx
+        ux = _ifft(1j * GRID.frequencies * _fft(u, dx), dx)
+        mass = dx * np.sum(np.abs(u) ** 2)
+        energy = dx * np.sum(0.5 * np.abs(ux) ** 2 + 0.5 * lam * np.abs(u) ** 4)
+        assert abs(state.mass - mass) <= 1e-14 * mass
+        assert abs(state.energy - energy) <= 1e-14 * abs(energy)
 
 
 def test_scattering_deviation_zero_for_exact_profile():
     params = SolverParams(grid=GRID)
     fd = make_final_data("gaussian", params, bandwidth=0.3)
     t = 20.0
-    u = approximate_solution(fd, t, params)
-    state = _state(u, t, params)
+    state = _state(asymptotic_profile(fd, t, params.lam), t, params)
     assert scattering_deviation(state, fd, params) <= 1e-14
 
 
 def test_scattering_deviation_rejects_early_time():
     fd = make_final_data("gaussian", PARAMS, bandwidth=0.3)
-    u = approximate_solution(fd, 20.0, PARAMS)
-    state = _state(u, 5.0, PARAMS)
+    state = _state(asymptotic_profile(fd, 20.0, PARAMS.lam), 5.0, PARAMS)
     with pytest.raises(ValueError, match="t >= T"):
         scattering_deviation(state, fd, PARAMS)
 
@@ -271,8 +291,8 @@ def test_asymptotic_error_decays_for_explicit_solution():
     fd = make_final_data("gaussian", params, bandwidth=0.3)
     errs = []
     for t in (50.0, 200.0):
-        u = approximate_solution(fd, t, params)
-        errs.append(asymptotic_error(_state(u, t, params), fd, params))
+        state = _state(asymptotic_profile(fd, t, params.lam), t, params)
+        errs.append(asymptotic_error(state, fd, params))
     amp = np.max(np.abs(approximate_solution(fd, 50.0, params).values))
     assert errs[0] <= 0.3 * amp
     assert errs[1] < errs[0]
@@ -292,7 +312,7 @@ def test_asymptotic_error_matches_closed_form():
         G = a * b / (2.0 * np.sqrt(np.pi)) * np.sqrt(np.pi / c) * np.exp(-xi * xi / (4.0 * c))
         rays = evolve_module._on_rays(W, t)
         assert np.max(np.abs(rays - G)) <= 1e-12 * np.max(np.abs(G))
-        state = _state(inverse_transform(free_propagate(W, t)), t, params)
+        state = _state(W, t, params)
         v = asymptotic_profile(W, t, params.lam).values
         ref = np.max(np.abs(G - v)) / np.sqrt(2.0 * np.pi * t)
         assert abs(asymptotic_error(state, W, params) - ref) <= 1e-12 * ref
@@ -310,12 +330,13 @@ def test_ray_samples_match_the_wave_while_the_box_holds_it():
 
 
 def test_asymptotic_error_coverage_abort():
-    # mass sitting on rays x/t beyond the xi-grid must abort, not be zeroed
+    # a profile whose mass sits at y = 300, on rays x/t beyond the xi-grid
+    # (|y| > t xi_max = 20 at t = 100), must abort, not be zeroed
     params = SolverParams(grid=SpectralGrid(64, 1000.0))
     fd = make_final_data("gaussian", params, bandwidth=0.02)
     x = params.grid.x
-    u = PhysicalField(params.grid, np.exp(-(((x - 300.0) / 10.0) ** 2)) + 0.0j)
-    state = _state(u, 100.0, params)
+    h = PhysicalField(params.grid, np.exp(-(((x - 300.0) / 10.0) ** 2)) + 0.0j)
+    state = _state(forward_transform(h), 100.0, params)
     with pytest.raises(ValueError, match="box too small"):
         asymptotic_error(state, fd, params)
 
