@@ -433,18 +433,28 @@ def test_roundtrip_unconverged_constructions_exit_one(monkeypatch, tmp_path, cap
                                                  "construction_converged_dispersive"]}
 
 
-def test_campaigns_same_on_pool_and_serial(monkeypatch):
-    # the pooled parts of each campaign merge into the serial result, bit for
+def _assert_same_on_pool_and_serial(monkeypatch, campaign, names):
+    # the pooled parts of a campaign merge into the serial result, bit for
     # bit and in the serial order
-    series = {"construct": [], "roundtrip": ["narrow", "dispersive", "uapp_decay"],
-              "sweep": ["sweep"]}
-    for campaign, names in series.items():
-        results = {}
-        for threads in ("1", "2"):
-            monkeypatch.setenv("MODWAVE_THREADS", threads)
-            results[threads] = asdict(run_campaign(campaign, parse_config(SMALL)))
-        assert results["2"] == results["1"], campaign
-        assert list(results["1"]["series"]) == names
+    results = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MODWAVE_THREADS", threads)
+        results[threads] = asdict(run_campaign(campaign, parse_config(SMALL)))
+    assert results["2"] == results["1"]
+    assert list(results["1"]["series"]) == names
+
+
+def test_construct_same_on_pool_and_serial(monkeypatch):
+    _assert_same_on_pool_and_serial(monkeypatch, "construct", [])
+
+
+def test_roundtrip_same_on_pool_and_serial(monkeypatch):
+    _assert_same_on_pool_and_serial(monkeypatch, "roundtrip",
+                                    ["narrow", "dispersive", "uapp_decay"])
+
+
+def test_sweep_same_on_pool_and_serial(monkeypatch):
+    _assert_same_on_pool_and_serial(monkeypatch, "sweep", ["sweep"])
 
 
 def test_roundtrip_error_in_a_worker_exits_two(monkeypatch, tmp_path, capsys):
