@@ -36,15 +36,21 @@ For each LABEL=PATH checkout it records:
   Every count is taken one way, by wrapping the function by name in each
   modwave module that holds it: calls of apply_phi, xt_norm and xt_distance;
   calls of the Picard loop _picard and the iterates it reports; calls of
-  the kernels _fft, _ifft, _propagator and _pull_back (the cubic, and every
-  right-hand side of the forward solve) and the N-point rows they return;
+  the kernels _fft, _ifft, _propagator, _propagator_head (the phase
+  evaluation under every propagator row, and the heads alone that
+  build_drive tabulates) and _pull_back (the cubic, and every right-hand
+  side of the forward solve) and the rows they return;
   calls of evolve and the accepted steps it reports, and roundtrip's own
   evolve_steps_<regime> extras beside them.  apply_phi is the map's
   only sweep, so its calls count every sweep, and _picard runs both of
   construct's starts, picard_iterate's and the second.
   A function the checkout does not define is left out of its counts.  Beside
   them, minor_faults is the growth of the process's minor page faults
-  (RUSAGE_SELF ru_minflt) over the campaign.
+  (RUSAGE_SELF ru_minflt) over the campaign, and peak_traced_mb the peak of
+  the memory that tracemalloc traces over it, in 10^6 bytes: numpy's arrays
+  and the interpreter's objects, without the allocator's reserve.  Tracing
+  runs through the whole campaign, so minor_faults includes the pages of
+  tracemalloc's own records.
 
 The checkouts take turns within each repeat, in alternating order, so drift
 of a shared machine falls on both.  Nothing under ``perfbench/`` is changed.
@@ -64,6 +70,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -195,7 +202,7 @@ def layer_times(repeats: int) -> dict:
 
 
 def _rows(out) -> int:
-    return out.size // out.shape[-1]  # N-point rows
+    return out.size // out.shape[-1]  # rows along the last axis
 
 
 # The functions counted by name: the module that defines them, and the name
@@ -208,6 +215,7 @@ COUNTED_FUNCTIONS = {
     "_fft": ("spectral", "rows", _rows),
     "_ifft": ("spectral", "rows", _rows),
     "_propagator": ("spectral", "rows", _rows),
+    "_propagator_head": ("spectral", "rows", _rows),
     "_pull_back": ("trilinear", "rows", _rows),
     "evolve": ("evolve", "steps", lambda out: out[-1].step_count if out else 0),
 }
@@ -239,9 +247,13 @@ def work_counts(campaign: str) -> dict:
             if ns.get(name) is real:
                 ns[name] = counted
 
+    config = modwave.parse_config("")
+    tracemalloc.start()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    result = modwave.run_campaign(campaign, modwave.parse_config(""))
+    result = modwave.run_campaign(campaign, config)
     counts["minor_faults"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    counts["peak_traced_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+    tracemalloc.stop()
     if not result.passed:
         raise RuntimeError(f"{campaign} failed on the default config")
     # roundtrip's accepted steps per regime, beside the sum over its evolve calls

@@ -340,17 +340,24 @@ def _fixed_point_checks(res, tag, params, W, config):
     # everything Phi takes from W alone: built once for every sweep below
     drive = build_drive(W, params)
     cached = drive.phi_eps
+    alpha = params.alpha
     g, report = picard_iterate(drive, config.max_iter, config.tol)
+    # Phi at the second start A = 2 Phi_eps and at the fixed point g, each
+    # swept once: the Lipschitz probe compares them, the residual reads Phi(g),
+    # and Phi(A) is the second start's first iterate.  A and Phi(g) are
+    # dropped once read, and Phi(A) is handed to the second Picard run, so a
+    # sign holds at most five trajectories beside the drive's propagator heads:
+    # the drive's u_app and Phi_eps, g, and two of A, Phi(A), Phi(g) or the
+    # second run's iterates.
     alt_start = ProfileTrajectory(params.grid, drive.time_grid, 2.0 * cached.values)
-    # Phi at the second start and at the fixed point, each swept once: the
-    # direct Lipschitz probe compares them, the residual reads Phi(g), and
-    # Phi(alt_start) is the second start's first iterate.  Each is popped
-    # for its reader, so that none is held through later sweeps.
-    images = [apply_phi(alt_start, drive), apply_phi(g, drive)]
-    probe = None
-    if np.any(cached.values):
-        probe = (xt_distance(*images, params.alpha)
-                 / xt_distance(alt_start, g, params.alpha))
+    probe_den = xt_distance(alt_start, g, alpha) if np.any(cached.values) else None
+    images = [apply_phi(alt_start, drive)]
+    alt_step = xt_distance(images[0], alt_start, alpha)
+    del alt_start
+    phi_g = apply_phi(g, drive)
+    residual = xt_distance(phi_g, g, alpha)
+    probe = None if probe_den is None else xt_distance(images[0], phi_g, alpha) / probe_den
+    del phi_g
     if report.contraction_ratios:
         max_ratio, detail = max(report.contraction_ratios), "all Picard contraction ratios <= 0.5"
     elif probe is not None:
@@ -363,13 +370,11 @@ def _fixed_point_checks(res, tag, params, W, config):
     res.add_check(f"converged_{tag}", report.iterates,
                   report.converged and report.iterates <= config.max_iter,
                   f"step below {config.tol:g} within {config.max_iter} iterations")
-
-    residual = xt_distance(images.pop(), g, params.alpha)
     res.add_check(f"fixed_point_residual_{tag}", residual, residual <= 2e-9,
                   "||Phi(g) - g||_XT <= 2e-9")
 
-    g_alt, _ = _picard(drive, config.max_iter, config.tol, alt_start, images.pop())
-    gap = xt_distance(g, g_alt, params.alpha)
+    g_alt, _ = _picard(drive, config.max_iter, config.tol, images.pop(), alt_step)
+    gap = xt_distance(g, g_alt, alpha)
     res.add_check(f"start_independence_{tag}", gap, gap <= 1e-8,
                   "fixed points from two starts agree to 1e-8 in X_T")
 

@@ -7,6 +7,9 @@ log-spaced time grid truncated at t_max.  Everything Phi takes from W alone
 (the propagator phases, the approximate solution and Phi_eps) is tabulated
 once per construction by build_drive(W, params), the one way into the map;
 apply_phi, the one sweep of the map, and picard_iterate take only the Drive.
+Of each propagator row the Drive keeps the head (spectral._propagator_head),
+so its table is half a trajectory; apply_phi mirrors a block's heads into
+full rows as it reads them.
 The neglected tail is estimated from a power-law fit and reported, never
 silently added.
 """
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .profile import SolverParams
-from .spectral import FrequencyField, SpectralGrid, _l2, _xt_weights
+from .spectral import FrequencyField, SpectralGrid, _head_width, _l2, _mirrored, _xt_weights
 from .trilinear import _pull_back, _pulled_back_forcing
 
 __all__ = [
@@ -174,15 +177,17 @@ class Drive:
 
     params: SolverParams
     time_grid: TimeGrid
-    prop: np.ndarray  # propagator rows U(s_k), count x N
+    # the heads of the propagator rows U(s_k), count x (N/2+1): each sweep
+    # mirrors a block's heads into full rows (spectral._mirrored)
+    prop: np.ndarray
     u_app: np.ndarray  # x-space rows U(s_k) v(s_k), count x N
     phi_eps: ProfileTrajectory
     tail_estimate: float
 
 
 def build_drive(W: FrequencyField, params: SolverParams) -> Drive:
-    """Tabulate U(s_k), the approximate solution and Phi_eps on the params'
-    time grid: the one way into the backward map.
+    """Tabulate U(s_k) (the heads of its rows), the approximate solution and
+    Phi_eps on the params' time grid: the one way into the backward map.
 
     The pulled-back forcing rows come from the same tables, block by block;
     the tail is estimated from them before they are integrated, in place,
@@ -190,7 +195,8 @@ def build_drive(W: FrequencyField, params: SolverParams) -> Drive:
     """
     tg = TimeGrid.from_params(params)
     shape = (tg.count, params.grid.num_points)
-    prop, u_app, vals = (np.empty(shape, complex) for _ in range(3))
+    u_app, vals = (np.empty(shape, complex) for _ in range(2))
+    prop = np.empty((tg.count, _head_width(params.grid)), complex)
     for rows in _blocks(tg.count):
         prop[rows], u_app[rows], vals[rows] = _pulled_back_forcing(
             W.values, tg.nodes[rows], params.lam, params.grid)
@@ -210,7 +216,8 @@ def apply_phi(g: ProfileTrajectory, drive: Drive) -> ProfileTrajectory:
     _require_on(g, grid, tg, "g")
     out = np.empty_like(g.values)
     for rows in _blocks(tg.count):
-        out[rows] = _pull_back(drive.u_app[rows], drive.prop[rows], grid, g.values[rows])
+        prop = _mirrored(drive.prop[rows], grid)
+        out[rows] = _pull_back(drive.u_app[rows], prop, grid, g.values[rows])
     _cumulative_backward(out, tg.nodes)
     out *= 1j * drive.params.lam
     out += drive.phi_eps.values
@@ -233,23 +240,32 @@ def picard_iterate(
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     # the nonlinear part vanishes at 0, so Phi(0) is Phi_eps itself, which
     # nothing writes to
-    return _picard(drive, max_iter, tol, None, drive.phi_eps)
+    return _picard(drive, max_iter, tol, drive.phi_eps, None)
 
 
-def _picard(drive: Drive, max_iter: int, tol: float, g: ProfileTrajectory | None,
-            g_next: ProfileTrajectory) -> tuple[ProfileTrajectory, PicardReport]:
-    """picard_iterate from the start g (None for 0) whose image g_next = Phi(g)
-    the caller already has; max_iter and tol as picard_iterate validates them."""
+def _picard(drive: Drive, max_iter: int, tol: float, first: ProfileTrajectory,
+            first_step: float | None) -> tuple[ProfileTrajectory, PicardReport]:
+    """picard_iterate continued from its first iterate, first = Phi(start),
+    and that iterate's X_T step from the start, first_step; None for a start
+    at 0, where the step is the iterate's own size.  The start itself is not
+    needed, so no caller holds it through the loop.  max_iter and tol as
+    picard_iterate validates them."""
     alpha = drive.params.alpha
     report = PicardReport(tail_estimate=drive.tail_estimate)
+    # each iterate is held only as g_next, then g, and dropped once the next
+    # one's step is taken
+    g, g_next = None, first
+    del first
     for n in range(max_iter):
         if n:
             g_next = apply_phi(g, drive)
         size = xt_norm(g_next, alpha)
         if not np.isfinite(size) or size > BLOWUP_LIMIT:
             raise FloatingPointError(f"Picard iteration blew up: ||g||_XT = {size:.3g}")
-        # the step from 0 is the iterate's own size
-        dist = size if g is None else xt_distance(g_next, g, alpha)
+        if n:
+            dist = xt_distance(g_next, g, alpha)
+        else:
+            dist = size if first_step is None else first_step
         report.iterates += 1
         report.xt_norms.append(size)
         report.step_distances.append(dist)

@@ -14,8 +14,9 @@ so that on the grid Plancherel reads
 ``||F||_{L2_x} = (2*pi)^{-1/2} ||Fhat||_{L2_xi}`` exactly.
 
 Since xi_{N-k} = -xi_k exactly in this layout, each propagator row
-e^{-i t xi^2/2} is computed on its nonnegative half, the columns 0..N/2, and
-mirrored into the rest.
+e^{-i t xi^2/2} is computed on its head, the nonnegative half 0..N/2, and
+mirrored into the rest.  A table of rows may hold the heads alone; its
+readers mirror them into full rows, bit for bit the computed ones.
 
 Each operation has one array kernel (underscored) acting along the last
 axis, so a block of time nodes is processed like one field.  The public
@@ -154,23 +155,39 @@ def _ifft(values: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _propagator(grid: SpectralGrid, t) -> np.ndarray:
-    """e^{-i t xi^2/2} on the grid's frequencies: one N-point row for a scalar
-    t, one row per entry of a vector t.  The phase is evaluated on the
-    columns 0..N/2 alone; columns N/2+1..N-1 copy columns N/2-1..1, which
-    hold the same bits."""
-    half = grid.num_points // 2
-    xi = grid.frequencies[: half + 1]
-    t = np.asarray(t, dtype=float)[..., None]
-    out = np.empty(t.shape[:-1] + (grid.num_points,), dtype=np.complex128)
+def _head_width(grid: SpectralGrid) -> int:
+    """Columns in the head of a propagator row: 0..N/2."""
+    return grid.num_points // 2 + 1
+
+
+def _propagator_head(grid: SpectralGrid, t) -> np.ndarray:
+    """The head of the propagator row e^{-i t xi^2/2}: its columns 0..N/2,
+    which hold every distinct value of the row, one head for a scalar t, one
+    per entry of a vector t."""
+    xi = grid.frequencies[: _head_width(grid)]
+    ph = -0.5 * np.asarray(t, dtype=float)[..., None] * xi * xi
+    head = np.empty(ph.shape, dtype=np.complex128)
     # cos and sin of the real phase: the bits of exp(-0.5j * t * xi * xi), at
     # less cost than the complex exp
-    ph = -0.5 * t * xi * xi
-    head = out[..., : half + 1]
     np.cos(ph, out=head.real)
     np.sin(ph, out=head.imag)
-    out[..., half + 1 :] = out[..., half - 1 : 0 : -1]
+    return head
+
+
+def _mirrored(head: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """The full N-point rows of propagator heads: columns N/2+1..N-1 copy
+    columns N/2-1..1, which hold the same bits."""
+    half = grid.num_points // 2
+    out = np.empty(head.shape[:-1] + (grid.num_points,), dtype=np.complex128)
+    out[..., : half + 1] = head
+    out[..., half + 1 :] = head[..., half - 1 : 0 : -1]
     return out
+
+
+def _propagator(grid: SpectralGrid, t) -> np.ndarray:
+    """e^{-i t xi^2/2} on the grid's frequencies: one N-point row for a scalar
+    t, one row per entry of a vector t."""
+    return _mirrored(_propagator_head(grid, t), grid)
 
 
 def _l2(mod: np.ndarray, dxi: float) -> np.ndarray:

@@ -25,7 +25,9 @@ from .spectral import (
     SpectralGrid,
     _fft,
     _ifft,
+    _mirrored,
     _propagator,
+    _propagator_head,
     inverse_transform,
 )
 
@@ -137,19 +139,21 @@ def remainder_oracle(fhat: FrequencyField, s: float) -> FrequencyField:
 
 def _pulled_back_forcing(w: np.ndarray, t, lam: int, grid: SpectralGrid):
     """Kernel of pulled_back_forcing on the values w of W, for a scalar t or
-    one row per entry of a vector t: the propagator rows U(t), the x-space
-    rows U(t)v of the approximate solution, and the forcing rows they give.
+    one row per entry of a vector t: the heads of the propagator rows U(t)
+    (spectral._propagator_head), the x-space rows U(t)v of the approximate
+    solution, and the forcing rows they give.
     The drive term i*dv/dt needs no transform, since U(-t) undoes the free
     flow it is carried by, and is added on the support of W alone, where v
     is nonzero."""
     v = _profile(w, t, lam)
-    prop = _propagator(grid, t)
+    head = _propagator_head(grid, t)
+    prop = _mirrored(head, grid)
     u_app = _ifft(v * prop, grid.dx)
     forcing = _pull_back(u_app, prop, grid)
     forcing *= -lam
     support = np.flatnonzero(w)
     forcing[..., support] += 1j * _profile_rate(v[..., support], t, lam)
-    return prop, u_app, forcing
+    return head, u_app, forcing
 
 
 def pulled_back_forcing(W: FrequencyField, t: float, params: SolverParams) -> FrequencyField:

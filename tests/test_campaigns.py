@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -146,8 +147,9 @@ def _fixed_point_checks_resweeping(res, tag, params, W, config):
     residual = xt_distance(campaigns.apply_phi(g, drive), g, params.alpha)
     res.add_check(f"fixed_point_residual_{tag}", residual, residual <= 2e-9,
                   "||Phi(g) - g||_XT <= 2e-9")
-    g_alt, alt_report = fixedpoint._picard(drive, config.max_iter, config.tol, alt_start,
-                                           campaigns.apply_phi(alt_start, drive))
+    first = campaigns.apply_phi(alt_start, drive)
+    g_alt, alt_report = fixedpoint._picard(drive, config.max_iter, config.tol, first,
+                                           xt_distance(first, alt_start, params.alpha))
     gap = xt_distance(g, g_alt, params.alpha)
     res.add_check(f"start_independence_{tag}", gap, gap <= 1e-8,
                   "fixed points from two starts agree to 1e-8 in X_T")
@@ -188,6 +190,24 @@ def test_construct_sweeps_each_probe_image_once(monkeypatch, lam, extra, second_
     assert (alt_iterates == 1) == second_stops_at_once
     if config.tol == 1.0:
         assert report["xt_norms"][0] < config.tol  # ||Phi_eps||_XT
+
+
+def test_construct_sign_holds_five_trajectories_beside_the_propagator_heads():
+    # 4-row blocks of 256 points are small against a 257-node trajectory, so
+    # the traced peak of one sign counts trajectories: the drive's u_app and
+    # Phi_eps, g and two more, beside the drive's half-width propagator heads
+    config = parse_config(SMALL.replace("time_grid_points = 33", "time_grid_points = 257"))
+    params = config.params
+    W = make_final_data(config.data_kind, params, seed=config.seed, bandwidth=config.bandwidth)
+    assert build_drive(W, params).prop.shape == (257, 256 // 2 + 1)
+    trajectory = 257 * 256 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        campaigns._construct_sign((1, config))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 5.5 <= peak / trajectory <= 7.0
 
 
 class _RecordingPool:
