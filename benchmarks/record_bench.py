@@ -8,6 +8,11 @@ alone, from its root:
 
     PYTHONPATH=src python3 benchmarks/record_bench.py --layers --repeats 5
 
+and to print the work counts of one of its campaigns (see below), which
+sets MODWAVE_THREADS=1 itself, since it counts in its own process:
+
+    PYTHONPATH=src python3 benchmarks/record_bench.py --counts construct
+
 For each LABEL=PATH checkout it records:
 
 - each of the six campaigns on the default config (an empty config file),
@@ -20,19 +25,21 @@ For each LABEL=PATH checkout it records:
   of this script on the checkout's sources that makes one warm-up and
   LAYER_CALLS (5) timed calls per layer, whose median is the sample.  On
   the default grid (N = 4096, 129 nodes, default gaussian data):
-  build_drive, the transform pair and the pulled-back cubic over one
-  trajectory, one apply_phi sweep, xt_norm, xt_distance, and evolve from T
-  to 2T; build_drive once more on the random band-limited seed-1 datum of
+  build_drive, the transform pair over one trajectory, the pulled-back
+  cubic over one trajectory with its propagator rows evaluated in the call
+  (_propagator, then trilinear._pull_back of the propagated rows), one
+  apply_phi sweep, xt_norm, xt_distance, and evolve from T to 2T;
+  build_drive once more on the random band-limited seed-1 datum of
   perfbench's sweep workload, which is nonzero on 127 of the 4096 points;
   and evolve on roundtrip's dispersive regime (N = 4096, L = 800, gaussian
   band 0.06, 25 samples from t = 10 to 1000).  Each evolve starts from its
-  profile f, or from the solution U(t)f in a checkout whose evolve still
-  takes the solution (its EvolutionState has no profile field).  A layer
-  process first sets the checkout's malloc policy,
-  campaigns._reuse_freed_memory, where the checkout defines it, as
-  run_campaign and its pool workers do;
+  profile f.  A layer process first sets the checkout's malloc policy,
+  campaigns._reuse_freed_memory, as run_campaign and its pool workers do;
 - the work counts of one serial (MODWAVE_THREADS=1) in-process construct
   and of one roundtrip, each on the default config in a process of its own.
+  --counts sets MODWAVE_THREADS=1 before it counts: in pool workers the
+  wrapped functions and tracemalloc would see nothing, and every count
+  would read 0.
   Every count is taken one way, by wrapping the function by name in each
   modwave module that holds it: calls of apply_phi, xt_norm and xt_distance;
   calls of the Picard loop _picard and the iterates it reports; calls of
@@ -143,15 +150,13 @@ def _in_checkout(root: Path, *args: str) -> dict:
 def layer_times(repeats: int) -> dict:
     """Per-layer times, seconds per call: the default grid's layers, then
     evolve on roundtrip's dispersive regime."""
-    from modwave import (EvolutionState, ProfileTrajectory, SpectralGrid, apply_phi,
-                         asymptotic_profile, build_drive, campaigns, evolve, free_propagate,
-                         inverse_transform, make_final_data, parse_config, picard_iterate,
-                         xt_distance, xt_norm)
-    from modwave.spectral import FrequencyField, _fft, _ifft
-    from modwave.trilinear import _pulled_back_cubic
+    from modwave import (ProfileTrajectory, SpectralGrid, apply_phi, asymptotic_profile,
+                         build_drive, campaigns, evolve, make_final_data, parse_config,
+                         picard_iterate, xt_distance, xt_norm)
+    from modwave.spectral import FrequencyField, _fft, _ifft, _propagator
+    from modwave.trilinear import _pull_back
 
-    # the malloc policy of run_campaign and its workers, where the checkout has one
-    getattr(campaigns, "_reuse_freed_memory", lambda: None)()
+    campaigns._reuse_freed_memory()  # the malloc policy of run_campaign and its workers
     config = parse_config("")
     params = config.params
     grid, dx = params.grid, params.grid.dx
@@ -161,32 +166,28 @@ def layer_times(repeats: int) -> dict:
     nodes = drive.time_grid.nodes
     g = ProfileTrajectory(grid, drive.time_grid, 2.0 * drive.phi_eps.values)
     fixed, _ = picard_iterate(drive, config.max_iter, config.tol)
-    # evolve starts from the profile f, or from the solution U(t)f in a
-    # checkout whose evolve still takes the solution
-    takes_u = "profile" not in EvolutionState.__dataclass_fields__
-
-    def start(f, t):
-        return inverse_transform(free_propagate(f, t)) if takes_u else f
-
-    profile_T = asymptotic_profile(W, params.T, params.lam).values + fixed.values[0]
-    start_T = start(FrequencyField(grid, profile_T), params.T)
+    profile_T = FrequencyField(
+        grid, asymptotic_profile(W, params.T, params.lam).values + fixed.values[0])
     dispersive = replace(params, t_max=10_000.0, grid=SpectralGrid(4096, 800.0),
                          time_grid_points=193)
     W_dispersive = make_final_data("gaussian", dispersive, seed=0, bandwidth=0.06)
-    start_dispersive = start(asymptotic_profile(W_dispersive, dispersive.T, dispersive.lam),
-                             dispersive.T)
+    profile_dispersive = asymptotic_profile(W_dispersive, dispersive.T, dispersive.lam)
     dispersive_times = numpy.geomspace(10.0, 1000.0, 25)
+
+    def pulled_back_cubic():
+        prop = _propagator(grid, nodes)
+        return _pull_back(_ifft(g.values * prop, dx), prop, grid)
 
     layers = {
         "build_drive": lambda: build_drive(W, params),
         "build_drive_random_bandlimited_seed1": lambda: build_drive(W_sweep, params),
         "transform_pair": lambda: _ifft(_fft(drive.u_app, dx), dx),
-        "pulled_back_cubic": lambda: _pulled_back_cubic(g.values, nodes, grid),
+        "pulled_back_cubic": pulled_back_cubic,
         "apply_phi": lambda: apply_phi(g, drive),
         "xt_norm": lambda: xt_norm(g, params.alpha),
         "xt_distance": lambda: xt_distance(g, drive.phi_eps, params.alpha),
-        "evolve": lambda: evolve(start_T, params.T, [2.0 * params.T], params),
-        "evolve_dispersive": lambda: evolve(start_dispersive, dispersive.T, dispersive_times,
+        "evolve": lambda: evolve(profile_T, params.T, [2.0 * params.T], params),
+        "evolve_dispersive": lambda: evolve(profile_dispersive, dispersive.T, dispersive_times,
                                             dispersive),
     }
     out = {}
@@ -323,10 +324,16 @@ def main() -> int:
     parser.add_argument("--layers", action="store_true",
                         help="print this checkout's per-layer times as JSON (run with "
                              "PYTHONPATH=src from its root) instead of writing a record")
-    parser.add_argument("--counts", choices=COUNTED, help=argparse.SUPPRESS)
+    parser.add_argument("--counts", choices=COUNTED,
+                        help="print this checkout's work counts of one serial campaign as "
+                             "JSON (run with PYTHONPATH=src from its root)")
     args = parser.parse_args()
-    if args.layers or args.counts:
-        print(json.dumps(layer_times(args.repeats) if args.layers else work_counts(args.counts)))
+    if args.layers:
+        print(json.dumps(layer_times(args.repeats)))
+        return 0
+    if args.counts:
+        os.environ["MODWAVE_THREADS"] = "1"  # the counts are taken in this process
+        print(json.dumps(work_counts(args.counts)))
         return 0
     if not args.checkouts or args.out is None or args.repeats < 5:
         parser.error("give --out, at least one LABEL=PATH and --repeats >= 5")

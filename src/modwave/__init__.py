@@ -31,7 +31,6 @@ from .fixedpoint import (
 from .profile import (
     FINAL_DATA_KINDS,
     SolverParams,
-    approximate_solution,
     asymptotic_profile,
     make_final_data,
 )

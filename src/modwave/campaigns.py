@@ -38,7 +38,6 @@ from .fixedpoint import (
 from .profile import (
     SolverParams,
     _unit_shape,
-    approximate_solution,
     asymptotic_profile,
     make_final_data,
 )
@@ -505,7 +504,8 @@ def _roundtrip_dispersive(config: ExperimentConfig) -> CampaignResult:
     errs, w_weighted = [], []
     for state in states:
         errs.append(asymptotic_error(state, W, params))
-        u_app = approximate_solution(W, state.t, params)
+        v = asymptotic_profile(W, state.t, params.lam)
+        u_app = inverse_transform(free_propagate(v, state.t))
         w_sup = float(np.max(np.abs(state.u.values - u_app.values)))
         w_weighted.append(state.t ** (0.5 + params.alpha) * w_sup)
 

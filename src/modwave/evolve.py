@@ -41,7 +41,7 @@ from .spectral import (
     norms,
     physical_linf,
 )
-from .trilinear import _pull_back
+from .trilinear import _pulled_back_cubic
 
 __all__ = [
     "EvolutionState",
@@ -163,10 +163,7 @@ def evolve(
         return props[s]
 
     def rhs(f, s):
-        # the pulled-back cubic of trilinear._pulled_back_cubic, with one
-        # propagator per distinct stage time
-        prop = propagator(s)
-        return -1j * lam * _pull_back(_ifft(f * prop, dx), prop, grid)
+        return -1j * lam * _pulled_back_cubic(f, propagator(s), grid)
 
     f = f0.values
     mass0 = _mass(f, weight)

@@ -7,9 +7,9 @@ log-spaced time grid truncated at t_max.  Everything Phi takes from W alone
 (the propagator phases, the approximate solution and Phi_eps) is tabulated
 once per construction by build_drive(W, params), the one way into the map;
 apply_phi, the one sweep of the map, and picard_iterate take only the Drive.
-Of each propagator row the Drive keeps the head (spectral._propagator_head),
-so its table is half a trajectory; apply_phi mirrors a block's heads into
-full rows as it reads them.
+Of each propagator row build_drive evaluates and keeps the head
+(spectral._propagator_head), so its table is half a trajectory; it and
+apply_phi mirror a block's heads into full rows for the kernels.
 The neglected tail is estimated from a power-law fit and reported, never
 silently added.
 """
@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .profile import SolverParams
-from .spectral import FrequencyField, SpectralGrid, _head_width, _l2, _mirrored, _xt_weights
+from .spectral import (FrequencyField, SpectralGrid, _head_width, _l2, _mirrored,
+                       _propagator_head, _xt_weights)
 from .trilinear import _pull_back, _pulled_back_forcing
 
 __all__ = [
@@ -177,8 +178,9 @@ class Drive:
 
     params: SolverParams
     time_grid: TimeGrid
-    # the heads of the propagator rows U(s_k), count x (N/2+1): each sweep
-    # mirrors a block's heads into full rows (spectral._mirrored)
+    # the heads of the propagator rows U(s_k), count x (N/2+1), which
+    # build_drive evaluates: each sweep mirrors a block's heads into full
+    # rows (spectral._mirrored)
     prop: np.ndarray
     u_app: np.ndarray  # x-space rows U(s_k) v(s_k), count x N
     phi_eps: ProfileTrajectory
@@ -193,15 +195,16 @@ def build_drive(W: FrequencyField, params: SolverParams) -> Drive:
     the tail is estimated from them before they are integrated, in place,
     into Phi_eps = -i * int_t^{t_max} of the forcing.
     """
-    tg = TimeGrid.from_params(params)
-    shape = (tg.count, params.grid.num_points)
-    u_app, vals = (np.empty(shape, complex) for _ in range(2))
-    prop = np.empty((tg.count, _head_width(params.grid)), complex)
+    tg, grid = TimeGrid.from_params(params), params.grid
+    u_app, vals = (np.empty((tg.count, grid.num_points), complex) for _ in range(2))
+    prop = np.empty((tg.count, _head_width(grid)), complex)
     for rows in _blocks(tg.count):
-        prop[rows], u_app[rows], vals[rows] = _pulled_back_forcing(
-            W.values, tg.nodes[rows], params.lam, params.grid)
+        s = tg.nodes[rows]
+        prop[rows] = _propagator_head(grid, s)
+        u_app[rows], vals[rows] = _pulled_back_forcing(
+            W.values, s, params.lam, _mirrored(prop[rows], grid), grid)
     # the forcing rows, until they are integrated in place into Phi_eps
-    phi_eps = ProfileTrajectory(params.grid, tg, vals)
+    phi_eps = ProfileTrajectory(grid, tg, vals)
     tail = estimate_tail(phi_eps)
     _cumulative_backward(vals, tg.nodes)
     np.multiply(-1j, vals, out=vals)

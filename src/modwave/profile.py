@@ -1,4 +1,4 @@
-"""Final data, the explicit long-time profile, and the approximate solution.
+"""Final data and the explicit long-time profile.
 
 The profile v(t, xi) = W(xi) * exp(-i*lam*|W(xi)|^2 * log(t)/(2*pi))
 carries the logarithmic phase correction; the approximate solution is its
@@ -12,20 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (
-    FrequencyField,
-    PhysicalField,
-    SpectralGrid,
-    free_propagate,
-    inverse_transform,
-    norms,
-)
+from .spectral import FrequencyField, SpectralGrid, norms
 
 __all__ = [
     "SolverParams",
     "make_final_data",
     "asymptotic_profile",
-    "approximate_solution",
 ]
 
 FINAL_DATA_KINDS = ("gaussian", "bump", "random_bandlimited")
@@ -157,10 +149,4 @@ def asymptotic_profile(W: FrequencyField, t: float, lam: int) -> FrequencyField:
     if t <= 0:
         raise ValueError(f"profile time must be positive, got {t}")
     return FrequencyField(W.grid, _profile(W.values, t, lam))
-
-
-def approximate_solution(W: FrequencyField, t: float, params: SolverParams) -> PhysicalField:
-    """Free evolution of the profile: the x-space carrier of the long-range phase."""
-    v = asymptotic_profile(W, t, params.lam)
-    return inverse_transform(free_propagate(v, t))
 

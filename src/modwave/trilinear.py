@@ -1,13 +1,13 @@
 """Pulled-back cubic nonlinearity, its resonant/remainder split, and forcing.
 
 One array kernel computes U(-s)[|U(s)f|^2 U(s)f] for the backward
-construction, the forcing and the forward solve: ``_pulled_back_cubic``
-propagates and hands over to its pull-back half, ``_pull_back``, which the
-callers that hold U(s) already call directly - the construction, which
-tabulates U(s) and U(s)f once and sweeps them many times, and the forward
-solve, whose right-hand sides share U(s) at repeated stage times.  The
-interaction-picture cubic term splits into a pointwise resonant piece
-(i/(2*pi*s))|fhat|^2 fhat plus a remainder that decays integrably in time.
+construction, the forcing and the forward solve.  Every kernel here takes
+the propagator rows U(s) from its caller and evaluates none:
+``_pulled_back_cubic`` propagates by them and hands over to its pull-back
+half, ``_pull_back``, which the construction calls directly on the rows
+U(s)f it tabulates once and sweeps many times.  The interaction-picture
+cubic term splits into a pointwise resonant piece (i/(2*pi*s))|fhat|^2 fhat
+plus a remainder that decays integrably in time.
 The remainder is defined operationally by subtraction (the FFT route is
 exact on the grid); an O(N^3) oscillatory double-integral quadrature
 provides an independent oracle on coarse grids.
@@ -25,9 +25,7 @@ from .spectral import (
     SpectralGrid,
     _fft,
     _ifft,
-    _mirrored,
     _propagator,
-    _propagator_head,
     inverse_transform,
 )
 
@@ -46,10 +44,10 @@ ORACLE_MAX_POINTS = 64
 ORACLE_CONSTANT = 1.0 / (2.0 * np.pi)
 
 
-def _pulled_back_cubic(a: np.ndarray, s, grid: SpectralGrid) -> np.ndarray:
-    """U(-s)[|A|^2 A] with A = U(s)a, on frequency rows, for a scalar s or
-    one row per entry of a vector s (coupling sign applied by callers)."""
-    prop = _propagator(grid, s)
+def _pulled_back_cubic(a: np.ndarray, prop: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """U(-s)[|A|^2 A] with A = U(s)a, on frequency rows, from the propagator
+    rows prop = e^{-i s xi^2/2} of one s or one per row (coupling sign
+    applied by callers)."""
     return _pull_back(_ifft(a * prop, grid.dx), prop, grid)
 
 
@@ -79,7 +77,7 @@ def remainder(fhat: FrequencyField, s: float) -> FrequencyField:
     if s <= 0:
         raise ValueError(f"pullback time must be positive, got {s}")
     f = fhat.values
-    full = 1j * _pulled_back_cubic(f, s, fhat.grid)
+    full = 1j * _pulled_back_cubic(f, _propagator(fhat.grid, s), fhat.grid)
     return FrequencyField(fhat.grid, full - (1j / (2.0 * np.pi * s)) * np.abs(f) ** 2 * f)
 
 
@@ -137,23 +135,21 @@ def remainder_oracle(fhat: FrequencyField, s: float) -> FrequencyField:
     return FrequencyField(fhat.grid, ORACLE_CONSTANT * _oracle_raw(fhat, s))
 
 
-def _pulled_back_forcing(w: np.ndarray, t, lam: int, grid: SpectralGrid):
+def _pulled_back_forcing(w: np.ndarray, t, lam: int, prop: np.ndarray, grid: SpectralGrid):
     """Kernel of pulled_back_forcing on the values w of W, for a scalar t or
-    one row per entry of a vector t: the heads of the propagator rows U(t)
-    (spectral._propagator_head), the x-space rows U(t)v of the approximate
-    solution, and the forcing rows they give.
+    one row per entry of a vector t, with the propagator rows prop of U(t):
+    the x-space rows U(t)v of the approximate solution, and the forcing rows
+    they give.
     The drive term i*dv/dt needs no transform, since U(-t) undoes the free
     flow it is carried by, and is added on the support of W alone, where v
     is nonzero."""
     v = _profile(w, t, lam)
-    head = _propagator_head(grid, t)
-    prop = _mirrored(head, grid)
     u_app = _ifft(v * prop, grid.dx)
     forcing = _pull_back(u_app, prop, grid)
     forcing *= -lam
     support = np.flatnonzero(w)
     forcing[..., support] += 1j * _profile_rate(v[..., support], t, lam)
-    return head, u_app, forcing
+    return u_app, forcing
 
 
 def pulled_back_forcing(W: FrequencyField, t: float, params: SolverParams) -> FrequencyField:
@@ -164,8 +160,9 @@ def pulled_back_forcing(W: FrequencyField, t: float, params: SolverParams) -> Fr
     """
     if t <= 0:
         raise ValueError(f"forcing time must be positive, got {t}")
-    _, _, pulled = _pulled_back_forcing(W.values, t, params.lam, params.grid)
-    return FrequencyField(params.grid, pulled)
+    grid = params.grid
+    _, pulled = _pulled_back_forcing(W.values, t, params.lam, _propagator(grid, t), grid)
+    return FrequencyField(grid, pulled)
 
 
 def forcing_identity_residual(

@@ -342,7 +342,7 @@ def _phi_eps_recomputed(W, params, tg):
         s = tg.nodes[rows]
         v = _profile(W.values, s, params.lam)
         vals[rows] = 1j * _profile_rate(v, s, params.lam) - params.lam * _pulled_back_cubic(
-            v, s, params.grid)
+            v, _propagator(params.grid, s), params.grid)
     return -1j * _cumulative_backward_out_of_place(vals, tg.nodes)
 
 

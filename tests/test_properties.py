@@ -82,6 +82,6 @@ def test_pulled_back_cubic_difference_is_difference_of_cubes(grid, seed, s, rati
     a, b = _complex(rng, shape), _complex(rng, shape, ratio)
     prop = _propagator(grid, s)
     got = _pull_back(_ifft(a * prop, grid.dx), prop, grid, b)
-    full, base = _pulled_back_cubic(a + b, s, grid), _pulled_back_cubic(a, s, grid)
+    full, base = _pulled_back_cubic(a + b, prop, grid), _pulled_back_cubic(a, prop, grid)
     scale = max(np.max(np.abs(full)), np.max(np.abs(base)))
     assert np.max(np.abs(got - (full - base))) <= 64 * EPS * np.log2(grid.num_points) * scale

@@ -2,9 +2,13 @@
 
 import ast
 import importlib
+import importlib.util
+import json
+import os
 import pickle
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -72,15 +76,25 @@ def test_grid_nodes_are_built_once_and_read_only(grid):
     assert not copy.frequencies.flags.writeable
 
 
+def _naming_lines(pattern, owners):
+    """The package's source lines, outside the owner modules, that match pattern."""
+    sources = sorted(Path(modwave.__file__).parent.glob("*.py"))
+    assert set(owners) <= {path.name for path in sources}
+    return [f"{path.name}:{n}" for path in sources if path.name not in owners
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(pattern, line)]
+
+
 def test_only_spectral_knows_the_array_layout():
     # every other module works on arrays in the one layout the grid defines
-    pattern = re.compile(r"fftshift|ifftshift|native_frequencies")
-    sources = sorted(Path(modwave.__file__).parent.glob("*.py"))
-    assert any(path.name == "spectral.py" for path in sources)
-    offenders = [f"{path.name}:{n}" for path in sources if path.name != "spectral.py"
-                 for n, line in enumerate(path.read_text().splitlines(), 1)
-                 if pattern.search(line)]
-    assert offenders == []
+    assert _naming_lines(r"fftshift|ifftshift|native_frequencies", {"spectral.py"}) == []
+
+
+def test_only_spectral_and_the_drive_know_the_head_table():
+    # the half-width propagator rows are spectral's layout, tabulated by the
+    # drive alone; every other caller hands the kernels full rows U(s)
+    pattern = r"\b(_mirrored|_propagator_head|_head_width)\b"
+    assert _naming_lines(pattern, {"spectral.py", "fixedpoint.py"}) == []
 
 
 def test_every_all_entry_exists():
@@ -159,6 +173,19 @@ def test_bench_imports_exist():
     missing = [f"{module}.{name}" for module, name in imported
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def test_bench_counts_set_one_worker(monkeypatch, capsys):
+    # --counts wraps the functions it counts in its own process, which pool
+    # workers never see, so it must run the campaign serially
+    spec = importlib.util.spec_from_file_location("record_bench", BENCHMARKS / "record_bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    monkeypatch.setenv("MODWAVE_THREADS", "0")  # restored after the test
+    monkeypatch.setattr(bench, "work_counts", lambda campaign: os.environ["MODWAVE_THREADS"])
+    monkeypatch.setattr(sys, "argv", ["record_bench.py", "--counts", "construct"])
+    assert bench.main() == 0
+    assert json.loads(capsys.readouterr().out) == "1"
 
 
 def test_field_rejects_wrong_length(grid):
