@@ -18,16 +18,17 @@ For each LABEL=PATH checkout it records:
 - each of the six campaigns on the default config (an empty config file),
   run --repeats times in a fresh process through that checkout's
   ``perfbench/child.py`` (``perfbench/run.py``'s ``run_child``, with
-  MODWAVE_THREADS unset): median and minimum of wall_s, cpu_s, peak_rss_mb
-  and setup_s, as ``perfbench/run.py`` defines them;
-- the Tier-1 suite, run --repeats times: median and minimum wall time;
+  MODWAVE_THREADS unset): median, minimum and quartiles of wall_s, cpu_s,
+  peak_rss_mb and setup_s, as ``perfbench/run.py`` defines them;
+- the Tier-1 suite, run --repeats times: median, minimum and quartiles of
+  its wall time;
 - per-layer times, one sample per repeat, each from a fresh serial process
   of this script on the checkout's sources that makes one warm-up and
   LAYER_CALLS (5) timed calls per layer, whose median is the sample.  On
   the default grid (N = 4096, 129 nodes, default gaussian data):
   build_drive, the transform pair over one trajectory, the pulled-back
   cubic over one trajectory with its propagator rows evaluated in the call
-  (_propagator, then trilinear._pull_back of the propagated rows), one
+  (trilinear._pulled_back_cubic on the rows of _propagator), one
   apply_phi sweep, xt_norm, xt_distance, and evolve from T to 2T;
   build_drive once more on the random band-limited seed-1 datum of
   perfbench's sweep workload, which is nonzero on 127 of the 4096 points;
@@ -35,8 +36,9 @@ For each LABEL=PATH checkout it records:
   band 0.06, 25 samples from t = 10 to 1000).  Each evolve starts from its
   profile f.  A layer process first sets the checkout's malloc policy,
   campaigns._reuse_freed_memory, as run_campaign and its pool workers do;
-- the work counts of one serial (MODWAVE_THREADS=1) in-process construct
-  and of one roundtrip, each on the default config in a process of its own.
+- the work counts of one serial (MODWAVE_THREADS=1) in-process construct,
+  of one roundtrip and of one sweep, each on the default config in a process
+  of its own.
   --counts sets MODWAVE_THREADS=1 before it counts: in pool workers the
   wrapped functions and tracemalloc would see nothing, and every count
   would read 0.
@@ -86,12 +88,16 @@ import numpy
 CAMPAIGNS = ("verify-spectral", "verify-dispersive", "verify-forcing", "construct",
              "roundtrip", "sweep")
 E2E = ("wall_s", "cpu_s", "peak_rss_mb", "setup_s")
-COUNTED = ("construct", "roundtrip")  # the campaigns whose work counts are recorded
+COUNTED = ("construct", "roundtrip", "sweep")  # the campaigns whose work counts are recorded
 LAYER_CALLS = 5  # timed calls per layer in each layer process
 
 
 def _summary(samples: list) -> dict:
-    return {"median": statistics.median(samples), "min": min(samples), "samples": samples}
+    """Median, minimum and, from two samples on, the lower and upper quartiles."""
+    out = {"median": statistics.median(samples), "min": min(samples)}
+    if len(samples) > 1:
+        out["q1"], _, out["q3"] = statistics.quantiles(samples, n=4)
+    return {**out, "samples": samples}
 
 
 def _perfbench_run(root: Path, label: str):
@@ -154,7 +160,7 @@ def layer_times(repeats: int) -> dict:
                          build_drive, campaigns, evolve, make_final_data, parse_config,
                          picard_iterate, xt_distance, xt_norm)
     from modwave.spectral import FrequencyField, _fft, _ifft, _propagator
-    from modwave.trilinear import _pull_back
+    from modwave.trilinear import _pulled_back_cubic
 
     campaigns._reuse_freed_memory()  # the malloc policy of run_campaign and its workers
     config = parse_config("")
@@ -174,15 +180,12 @@ def layer_times(repeats: int) -> dict:
     profile_dispersive = asymptotic_profile(W_dispersive, dispersive.T, dispersive.lam)
     dispersive_times = numpy.geomspace(10.0, 1000.0, 25)
 
-    def pulled_back_cubic():
-        prop = _propagator(grid, nodes)
-        return _pull_back(_ifft(g.values * prop, dx), prop, grid)
-
     layers = {
         "build_drive": lambda: build_drive(W, params),
         "build_drive_random_bandlimited_seed1": lambda: build_drive(W_sweep, params),
         "transform_pair": lambda: _ifft(_fft(drive.u_app, dx), dx),
-        "pulled_back_cubic": pulled_back_cubic,
+        "pulled_back_cubic": lambda: _pulled_back_cubic(g.values, _propagator(grid, nodes),
+                                                        grid),
         "apply_phi": lambda: apply_phi(g, drive),
         "xt_norm": lambda: xt_norm(g, params.alpha),
         "xt_distance": lambda: xt_distance(g, drive.phi_eps, params.alpha),

@@ -4,12 +4,14 @@ Six runnable campaigns cover the full verification surface: spectral
 identities, the dispersive estimate, the trilinear remainder and forcing
 identities, the backward fixed point, the forward/backward roundtrip, and
 a parameter sweep of the contraction region.  Every check is a named
-pass/fail record so a results file is self-describing.
+pass/fail record so a results file is self-describing.  construct,
+roundtrip and sweep map one function of (cell, config) over their cells.
 """
 
 from __future__ import annotations
 
 import ctypes
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -130,16 +132,16 @@ def _reuse_freed_memory() -> None:
         mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
 
 
-def _pool_map(fn, cells: list) -> list:
-    """[fn(c) for c in cells], on min(len(cells), MODWAVE_THREADS or one per CPU)
-    worker processes, each under _reuse_freed_memory; serially in this process
-    when that is one worker."""
+def _pool_map(fn, cells: list, config: ExperimentConfig) -> list:
+    """[fn(c, config) for c in cells], on min(len(cells), MODWAVE_THREADS or one
+    per CPU) worker processes, each under _reuse_freed_memory; serially in this
+    process when that is one worker."""
     workers = min(len(cells), _requested_workers() or os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_reuse_freed_memory) as pool:
-            return list(pool.map(fn, cells))
-    return [fn(c) for c in cells]
+            return list(pool.map(fn, cells, itertools.repeat(config)))
+    return [fn(c, config) for c in cells]
 
 
 def _merged(name: str, parts: list) -> CampaignResult:
@@ -335,7 +337,11 @@ def run_verify_forcing(config: ExperimentConfig) -> CampaignResult:
 # --------------------------------------------------------------- construct
 
 
-def _fixed_point_checks(res, tag, params, W, config):
+def _construct_sign(lam: int, config: ExperimentConfig) -> CampaignResult:
+    """The fixed-point checks of one coupling sign, in a result of their own."""
+    tag = "focusing" if lam == -1 else "defocusing"
+    params = replace(config.params, lam=lam)
+    W = make_final_data(config.data_kind, params, seed=config.seed, bandwidth=config.bandwidth)
     # everything Phi takes from W alone: built once for every sweep below
     drive = build_drive(W, params)
     cached = drive.phi_eps
@@ -357,6 +363,7 @@ def _fixed_point_checks(res, tag, params, W, config):
     residual = xt_distance(phi_g, g, alpha)
     probe = None if probe_den is None else xt_distance(images[0], phi_g, alpha) / probe_den
     del phi_g
+    res = CampaignResult("construct")
     if report.contraction_ratios:
         max_ratio, detail = max(report.contraction_ratios), "all Picard contraction ratios <= 0.5"
     elif probe is not None:
@@ -382,15 +389,6 @@ def _fixed_point_checks(res, tag, params, W, config):
                       "Lipschitz ratio of Phi on a test pair <= 0.5")
     res.extras[f"picard_report_{tag}"] = asdict(report)
     res.extras[f"g_xt_norm_{tag}"] = report.xt_norms[-1]
-
-
-def _construct_sign(args: tuple) -> CampaignResult:
-    """The fixed-point checks of one coupling sign, in a result of their own."""
-    lam, config = args
-    params = replace(config.params, lam=lam)
-    W = make_final_data(config.data_kind, params, seed=config.seed, bandwidth=config.bandwidth)
-    res = CampaignResult("construct")
-    _fixed_point_checks(res, "focusing" if lam == -1 else "defocusing", params, W, config)
     return res
 
 
@@ -398,7 +396,7 @@ def run_construct(config: ExperimentConfig) -> CampaignResult:
     """Backward fixed point at both coupling signs: contraction, convergence,
     residual, and independence of the starting guess.  The two signs share
     nothing but the config, so they run in the worker pool."""
-    return _merged("construct", _pool_map(_construct_sign, [(1, config), (-1, config)]))
+    return _merged("construct", _pool_map(_construct_sign, [1, -1], config))
 
 
 # --------------------------------------------------------------- roundtrip
@@ -554,8 +552,7 @@ def _roundtrip_free(config: ExperimentConfig) -> CampaignResult:
     return res
 
 
-def _roundtrip_part(args: tuple) -> CampaignResult:
-    part, config = args
+def _roundtrip_part(part, config: ExperimentConfig) -> CampaignResult:
     return part(config)
 
 
@@ -571,22 +568,22 @@ def run_roundtrip(config: ExperimentConfig) -> CampaignResult:
     with its own series.  A construction that does not converge fails its
     ``construction_converged_<tag>`` check and skips its own regime's others.
     """
-    regimes = (_roundtrip_narrow, _roundtrip_dispersive, _roundtrip_free)
-    return _merged("roundtrip", _pool_map(_roundtrip_part, [(r, config) for r in regimes]))
+    regimes = [_roundtrip_narrow, _roundtrip_dispersive, _roundtrip_free]
+    return _merged("roundtrip", _pool_map(_roundtrip_part, regimes, config))
 
 
 # ------------------------------------------------------------------- sweep
 
 
-def _sweep_cell(args: tuple) -> dict:
-    params, config = args
+def _sweep_cell(params: SolverParams, config: ExperimentConfig) -> dict:
+    """One cell's row of the sweep's CSV, by column name."""
     W = make_final_data(config.data_kind, params, seed=config.seed, bandwidth=config.bandwidth)
     _, report = picard_iterate(build_drive(W, params), config.max_iter, config.tol)
     # a run that stops after one iterate measures no contraction ratio
     ratios = report.contraction_ratios
     return {
         "eps0": params.eps0, "T": params.T, "lam": params.lam,
-        "converged": report.converged,
+        "converged": int(report.converged),
         "iterates": report.iterates,
         "max_contraction_ratio": max(ratios) if ratios else None,
         "g_xt_norm": report.xt_norms[-1],
@@ -597,11 +594,11 @@ def _sweep_cell(args: tuple) -> dict:
 def run_sweep(config: ExperimentConfig) -> CampaignResult:
     """Contraction region over (eps0, T, lam) cells, run in a worker pool."""
     res = CampaignResult("sweep")
-    rows = _pool_map(_sweep_cell, [(params, config) for params in config.sweep_params()])
+    rows = _pool_map(_sweep_cell, config.sweep_params(), config)
     rows.sort(key=lambda r: (r["eps0"], r["T"], r["lam"]))
 
-    all_conv = all(r["converged"] for r in rows)
-    res.add_check("all_cells_converged", sum(r["converged"] for r in rows), all_conv,
+    converged = sum(r["converged"] for r in rows)
+    res.add_check("all_cells_converged", converged, converged == len(rows),
                   "every sweep cell converged")
     measured = [r["max_contraction_ratio"] for r in rows
                 if r["max_contraction_ratio"] is not None]
@@ -609,12 +606,7 @@ def run_sweep(config: ExperimentConfig) -> CampaignResult:
     res.add_check("max_contraction_ratio", worst, bool(measured) and worst <= 0.5,
                   f"contraction ratio <= 0.5 on every measured cell ({len(measured)} of "
                   f"{len(rows)}; a cell that stops after one iterate measures none)")
-    res.series["sweep"] = (
-        ["eps0", "T", "lam", "converged", "iterates", "max_contraction_ratio", "g_xt_norm",
-         "tail_estimate"],
-        [[r["eps0"], r["T"], r["lam"], int(r["converged"]), r["iterates"],
-          r["max_contraction_ratio"], r["g_xt_norm"], r["tail_estimate"]] for r in rows],
-    )
+    res.series["sweep"] = (list(rows[0]), [list(r.values()) for r in rows])
     return res
 
 

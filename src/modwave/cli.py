@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import platform
 import sys
 import time
@@ -72,6 +73,18 @@ def _git_sha(root: Path) -> str:
     return "unavailable"
 
 
+def _spelled(value):
+    """value with each non-finite float spelled as the CSVs spell it ("inf",
+    "-inf", "nan"), since JSON has no token for it."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, dict):
+        return {k: _spelled(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_spelled(v) for v in value]
+    return value
+
+
 def write_results(result, out_dir: Path, config: ExperimentConfig) -> Path:
     """Serialize a CampaignResult to results.json plus CSV series files."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -101,7 +114,8 @@ def write_results(result, out_dir: Path, config: ExperimentConfig) -> Path:
             writer.writerows(rows)
         payload["series_files"][series_name] = csv_path.name
     json_path = out_dir / "results.json"
-    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    json_path.write_text(
+        json.dumps(_spelled(payload), indent=2, sort_keys=True, allow_nan=False) + "\n")
     return json_path
 
 

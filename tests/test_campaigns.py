@@ -65,7 +65,7 @@ def test_sweep_cell_reports_the_drive_tail():
                           "bandwidth = 0.05\n")
     params = config.sweep_params()[0]
     W = make_final_data(config.data_kind, params, seed=config.seed, bandwidth=config.bandwidth)
-    tail = campaigns._sweep_cell((params, config))["tail_estimate"]
+    tail = campaigns._sweep_cell(params, config)["tail_estimate"]
     assert 0.0 < tail < float("inf")
     assert tail == build_drive(W, params).tail_estimate
 
@@ -120,11 +120,14 @@ def test_construct_contraction_falls_back_to_probe(monkeypatch):
         assert "no Picard ratio measured" in ratio["detail"]
 
 
-def _fixed_point_checks_resweeping(res, tag, params, W, config):
-    """_fixed_point_checks with every image of Phi swept where it is read:
-    the probe's two, apply_phi(g) for the residual, then Picard from 2 Phi_eps.
+def _construct_sign_resweeping(lam, config):
+    """_construct_sign with every image of Phi swept where it is read: the
+    probe's two, apply_phi(g) for the residual, then Picard from 2 Phi_eps.
     Sweeps through campaigns.apply_phi, so that a patch there counts them.
-    Returns the iterates of that second start."""
+    Returns the sign's result and the iterates of that second start."""
+    tag = "focusing" if lam == -1 else "defocusing"
+    params = replace(config.params, lam=lam)
+    W = make_final_data(config.data_kind, params, seed=config.seed, bandwidth=config.bandwidth)
     drive = build_drive(W, params)
     cached = drive.phi_eps
     g, report = picard_iterate(drive, config.max_iter, config.tol)
@@ -133,6 +136,7 @@ def _fixed_point_checks_resweeping(res, tag, params, W, config):
     if np.any(cached.values):
         images = [campaigns.apply_phi(alt_start, drive), campaigns.apply_phi(g, drive)]
         probe = xt_distance(*images, params.alpha) / xt_distance(alt_start, g, params.alpha)
+    res = campaigns.CampaignResult("construct")
     if report.contraction_ratios:
         max_ratio, detail = max(report.contraction_ratios), "all Picard contraction ratios <= 0.5"
     elif probe is not None:
@@ -158,7 +162,7 @@ def _fixed_point_checks_resweeping(res, tag, params, W, config):
                       "Lipschitz ratio of Phi on a test pair <= 0.5")
     res.extras[f"picard_report_{tag}"] = asdict(report)
     res.extras[f"g_xt_norm_{tag}"] = report.xt_norms[-1]
-    return alt_report.iterates
+    return res, alt_report.iterates
 
 
 @pytest.mark.parametrize("lam, extra, second_stops_at_once", [
@@ -170,23 +174,19 @@ def _fixed_point_checks_resweeping(res, tag, params, W, config):
 ], ids=["defocusing", "focusing", "max-iter-1", "tol-above-phi-eps", "zero-data"])
 def test_construct_sweeps_each_probe_image_once(monkeypatch, lam, extra, second_stops_at_once):
     config = parse_config(SMALL + extra)
-    params = replace(config.params, lam=lam)
-    W = make_final_data(config.data_kind, params, seed=config.seed, bandwidth=config.bandwidth)
     real, sweeps = fixedpoint.apply_phi, []
     for module in (fixedpoint, campaigns):
         monkeypatch.setattr(module, "apply_phi", lambda *args: sweeps.append(1) or real(*args))
-    ref = campaigns.CampaignResult("construct")
-    alt_iterates = _fixed_point_checks_resweeping(ref, "sign", params, W, config)
+    ref, alt_iterates = _construct_sign_resweeping(lam, config)
     resweeps = len(sweeps)
     sweeps.clear()
-    res = campaigns.CampaignResult("construct")
-    campaigns._fixed_point_checks(res, "sign", params, W, config)
+    res = campaigns._construct_sign(lam, config)
 
     assert res.checks == ref.checks
     assert res.extras == ref.extras
-    report = res.extras["picard_report_sign"]
+    report = res.extras[f"picard_report_{'focusing' if lam == -1 else 'defocusing'}"]
     assert len(sweeps) == (report["iterates"] - 1) + 2 + (alt_iterates - 1)
-    assert resweeps - len(sweeps) == (2 if params.eps0 else 0)
+    assert resweeps - len(sweeps) == (2 if config.params.eps0 else 0)
     assert (alt_iterates == 1) == second_stops_at_once
     if config.tol == 1.0:
         assert report["xt_norms"][0] < config.tol  # ||Phi_eps||_XT
@@ -203,7 +203,7 @@ def test_construct_sign_holds_five_trajectories_beside_the_propagator_heads():
     trajectory = 257 * 256 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
-        campaigns._construct_sign((1, config))
+        campaigns._construct_sign(1, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -229,79 +229,154 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
-def _canned_cell(args):
-    params, _ = args
-    return {"eps0": params.eps0, "T": params.T, "lam": params.lam, "converged": True,
+def _canned_cell(params, config):
+    return {"eps0": params.eps0, "T": params.T, "lam": params.lam, "converged": 1,
             "iterates": 3, "max_contraction_ratio": 0.1, "g_xt_norm": 1.0,
             "tail_estimate": 0.0}
 
 
-@pytest.mark.parametrize("threads, cpus, pool", [
-    ("64", 2, [8]),  # capped at the 8 cells: no idle workers are forked
-    ("3", 2, [3]),
-    ("1", 2, []),  # serial, no pool
-    (None, 2, [2]),  # unset and 0: one worker per CPU
-    ("0", 32, [8]),
-    (None, 1, []),
-], ids=["64", "3", "1", "unset", "0-many-cpus", "unset-one-cpu"])
-def test_sweep_worker_count(monkeypatch, threads, cpus, pool):
-    if threads is None:
-        monkeypatch.delenv("MODWAVE_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("MODWAVE_THREADS", threads)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(campaigns, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(campaigns, "_sweep_cell", _canned_cell)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(_RecordingPool, "initializers", [])
-    res = run_campaign("sweep", parse_config(SMALL))
-    assert _RecordingPool.sizes == pool
-    assert _RecordingPool.initializers == [campaigns._reuse_freed_memory] * len(pool)
-    assert len(res.series["sweep"][1]) == 8
-
-
-@pytest.mark.parametrize("threads", ["-2", "abc", "2.5", ""])
-def test_sweep_refuses_invalid_thread_count(monkeypatch, threads):
-    monkeypatch.setenv("MODWAVE_THREADS", threads)
-    monkeypatch.setattr(campaigns, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(campaigns, "_sweep_cell", _canned_cell)
-    with pytest.raises(ValueError, match="MODWAVE_THREADS must be a non-negative integer"):
-        run_campaign("sweep", parse_config(SMALL))
-
-
-def _canned_sign(args):
-    lam, _ = args
+def _canned_sign(lam, config):
     res = campaigns.CampaignResult("construct")
     res.add_check(f"lam_{lam}", lam, True, "canned")
     res.extras[f"lam_{lam}"] = lam
     return res
 
 
-@pytest.mark.parametrize("threads, cpus, pool", [
-    ("64", 2, [2]),  # capped at the two signs
-    ("1", 2, []),
-    (None, 1, []),
-], ids=["64", "1", "unset-one-cpu"])
-def test_construct_worker_count(monkeypatch, threads, cpus, pool):
+def _canned_regime(tag, series, converged=True):
+    def part(config):
+        res = campaigns.CampaignResult("roundtrip")
+        res.extras[f"picard_report_{tag}"] = tag
+        if not converged:
+            res.add_check(f"construction_converged_{tag}", 15, False, "canned")
+            return res
+        res.add_check(f"check_{tag}", 1.0, True, "canned")
+        res.fits[f"fit_{tag}"] = tag
+        res.series.update(series)
+        return res
+
+    return part
+
+
+_CANNED_SERIES = {
+    "narrow": {"narrow": (["t", "weighted_deviation", "mass", "energy"],
+                          [[10.0, 1, 3, 5], [20.0, 2, 4, 6]])},
+    "dispersive": {"dispersive": (["t", "asymptotic_error", "w_weighted"],
+                                  [[10.0, 7, 9], [20.0, 8, 10]])},
+    "free": {"uapp_decay": (["t", "uapp_sup"], [[10.0, 0.5]])},
+}
+_TAGS = list(_CANNED_SERIES)
+
+
+def _patch_regimes(monkeypatch, unconverged=()):
+    for tag, series in _CANNED_SERIES.items():
+        monkeypatch.setattr(campaigns, f"_roundtrip_{tag}",
+                            _canned_regime(tag, series, tag not in unconverged))
+
+
+def _merged_construct(res):
+    # merged in lam order, defocusing first
+    assert [c["name"] for c in res.checks] == ["lam_1", "lam_-1"]
+    assert list(res.extras) == ["lam_1", "lam_-1"]
+
+
+def _merged_roundtrip(res):
+    assert [c["name"] for c in res.checks] == [f"check_{t}" for t in _TAGS]
+    assert list(res.fits) == [f"fit_{t}" for t in _TAGS]
+    assert list(res.extras) == [f"picard_report_{t}" for t in _TAGS]
+    # each regime's series as it wrote it, in regime order
+    assert res.series == {name: series for regime in _CANNED_SERIES.values()
+                          for name, series in regime.items()}
+    assert list(res.series) == ["narrow", "dispersive", "uapp_decay"]
+
+
+def _merged_sweep(res):
+    assert len(res.series["sweep"][1]) == 8
+
+
+# Each pooled campaign with its parts canned: how to can them, and what its
+# merged result must hold.
+_POOLED = {
+    "construct": (lambda mp: mp.setattr(campaigns, "_construct_sign", _canned_sign),
+                  _merged_construct),
+    "roundtrip": (_patch_regimes, _merged_roundtrip),
+    "sweep": (lambda mp: mp.setattr(campaigns, "_sweep_cell", _canned_cell), _merged_sweep),
+}
+
+# The worker rule on every pooled campaign: (campaign, case id, MODWAVE_THREADS,
+# cpu_count, the pool sizes it makes)
+_WORKER_CASES = [
+    ("sweep", "64", "64", 2, [8]),  # capped at the 8 cells: no idle workers are forked
+    ("sweep", "3", "3", 2, [3]),
+    ("sweep", "1", "1", 2, []),  # serial, no pool
+    ("sweep", "unset", None, 2, [2]),  # unset and 0: one worker per CPU
+    ("sweep", "0-many-cpus", "0", 32, [8]),
+    ("sweep", "unset-one-cpu", None, 1, []),
+    ("construct", "64", "64", 2, [2]),  # capped at the two signs
+    ("construct", "1", "1", 2, []),
+    ("construct", "unset-one-cpu", None, 1, []),
+    ("roundtrip", "64", "64", 2, [3]),  # capped at the three regimes
+    ("roundtrip", "1", "1", 2, []),
+    ("roundtrip", "unset-one-cpu", None, 1, []),
+]
+
+
+def _worker_cases(campaign):
+    cases = [case for case in _WORKER_CASES if case[0] == campaign]
+    return pytest.mark.parametrize("threads, cpus, pool", [case[2:] for case in cases],
+                                   ids=[case[1] for case in cases])
+
+
+def _assert_worker_rule(monkeypatch, campaign, threads, cpus, pool):
     if threads is None:
         monkeypatch.delenv("MODWAVE_THREADS", raising=False)
     else:
         monkeypatch.setenv("MODWAVE_THREADS", threads)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(campaigns, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(campaigns, "_construct_sign", _canned_sign)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(_RecordingPool, "initializers", [])
-    res = run_campaign("construct", parse_config(SMALL))
+    can, assert_merged = _POOLED[campaign]
+    can(monkeypatch)
+    res = run_campaign(campaign, parse_config(SMALL))
     assert _RecordingPool.sizes == pool
     assert _RecordingPool.initializers == [campaigns._reuse_freed_memory] * len(pool)
-    # merged in lam order, defocusing first
-    assert [c["name"] for c in res.checks] == ["lam_1", "lam_-1"]
-    assert list(res.extras) == ["lam_1", "lam_-1"]
+    assert_merged(res)
+
+
+@_worker_cases("sweep")
+def test_sweep_worker_count(monkeypatch, threads, cpus, pool):
+    _assert_worker_rule(monkeypatch, "sweep", threads, cpus, pool)
+
+
+@_worker_cases("construct")
+def test_construct_worker_count(monkeypatch, threads, cpus, pool):
+    _assert_worker_rule(monkeypatch, "construct", threads, cpus, pool)
+
+
+@_worker_cases("roundtrip")
+def test_roundtrip_worker_count_and_merge_order(monkeypatch, threads, cpus, pool):
+    _assert_worker_rule(monkeypatch, "roundtrip", threads, cpus, pool)
+
+
+def _assert_refused(monkeypatch, campaign, threads):
+    monkeypatch.setenv("MODWAVE_THREADS", threads)
+    monkeypatch.setattr(campaigns, "ProcessPoolExecutor", _RecordingPool)
+    _POOLED[campaign][0](monkeypatch)
+    with pytest.raises(ValueError, match="MODWAVE_THREADS must be a non-negative integer"):
+        run_campaign(campaign, parse_config(SMALL))
+
+
+@pytest.mark.parametrize("threads", ["-2", "abc", "2.5", ""])
+def test_sweep_refuses_invalid_thread_count(monkeypatch, threads):
+    _assert_refused(monkeypatch, "sweep", threads)
+
+
+def test_construct_refuses_invalid_thread_count(monkeypatch):
+    _assert_refused(monkeypatch, "construct", "abc")
 
 
 # A sweep's allocation pattern, run twice in a fresh process: one trajectory
@@ -339,81 +414,25 @@ def test_freed_memory_is_reused_not_faulted_again():
     assert faults["control"] > 200, faults  # without it, the pattern faults again
 
 
-def test_construct_refuses_invalid_thread_count(monkeypatch):
-    monkeypatch.setenv("MODWAVE_THREADS", "abc")
-    monkeypatch.setattr(campaigns, "ProcessPoolExecutor", _RecordingPool)
-    with pytest.raises(ValueError, match="MODWAVE_THREADS must be a non-negative integer"):
-        run_campaign("construct", parse_config(SMALL))
-
-
-def test_construct_blowup_in_a_worker_exits_two(monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("campaign, extra, reason, fragments", [
+    ("construct", "eps0 = 20\n", "FloatingPointError: Picard iteration blew up", []),
+    ("roundtrip", "data_kind = random_bandlimited\n",
+     "ValueError: the chirp e^(i y^2/2t) is unresolved", ["at t = 10.0"]),
+], ids=["construct-blowup", "roundtrip-chirp"])
+def test_error_in_a_worker_exits_two(monkeypatch, tmp_path, capsys, campaign, extra, reason,
+                                     fragments):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(SMALL + "eps0 = 20\n")
+    cfg.write_text(SMALL + extra)
     reasons = {}
     for threads in ("1", "2"):
         monkeypatch.setenv("MODWAVE_THREADS", threads)
-        assert main(["construct", "--config", str(cfg), "--out", str(tmp_path / threads)]) == 2
+        assert main([campaign, "--config", str(cfg), "--out", str(tmp_path / threads)]) == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "runtime"
         reasons[threads] = err["reason"]
     assert reasons["2"] == reasons["1"]
-    assert reasons["1"].startswith("FloatingPointError: Picard iteration blew up")
-
-
-def _canned_regime(tag, series, converged=True):
-    def part(config):
-        res = campaigns.CampaignResult("roundtrip")
-        res.extras[f"picard_report_{tag}"] = tag
-        if not converged:
-            res.add_check(f"construction_converged_{tag}", 15, False, "canned")
-            return res
-        res.add_check(f"check_{tag}", 1.0, True, "canned")
-        res.fits[f"fit_{tag}"] = tag
-        res.series.update(series)
-        return res
-
-    return part
-
-
-_CANNED_SERIES = {
-    "narrow": {"narrow": (["t", "weighted_deviation", "mass", "energy"],
-                          [[10.0, 1, 3, 5], [20.0, 2, 4, 6]])},
-    "dispersive": {"dispersive": (["t", "asymptotic_error", "w_weighted"],
-                                  [[10.0, 7, 9], [20.0, 8, 10]])},
-    "free": {"uapp_decay": (["t", "uapp_sup"], [[10.0, 0.5]])},
-}
-_TAGS = list(_CANNED_SERIES)
-
-
-def _patch_regimes(monkeypatch, unconverged=()):
-    for tag, series in _CANNED_SERIES.items():
-        monkeypatch.setattr(campaigns, f"_roundtrip_{tag}",
-                            _canned_regime(tag, series, tag not in unconverged))
-
-
-@pytest.mark.parametrize("threads, cpus, pool", [
-    ("64", 2, [3]),  # capped at the three regimes
-    ("1", 2, []),
-    (None, 1, []),
-], ids=["64", "1", "unset-one-cpu"])
-def test_roundtrip_worker_count_and_merge_order(monkeypatch, threads, cpus, pool):
-    if threads is None:
-        monkeypatch.delenv("MODWAVE_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("MODWAVE_THREADS", threads)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(campaigns, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    _patch_regimes(monkeypatch)
-    res = run_campaign("roundtrip", parse_config(SMALL))
-    assert _RecordingPool.sizes == pool
-    assert [c["name"] for c in res.checks] == [f"check_{t}" for t in _TAGS]
-    assert list(res.fits) == [f"fit_{t}" for t in _TAGS]
-    assert list(res.extras) == [f"picard_report_{t}" for t in _TAGS]
-    # each regime's series as it wrote it, in regime order
-    assert res.series == {name: series for regime in _CANNED_SERIES.values()
-                          for name, series in regime.items()}
-    assert list(res.series) == ["narrow", "dispersive", "uapp_decay"]
+    assert reasons["1"].startswith(reason)
+    assert all(fragment in reasons["1"] for fragment in fragments)
 
 
 @pytest.mark.parametrize("unconverged", [("narrow",), ("narrow", "dispersive"),
@@ -475,18 +494,3 @@ def test_roundtrip_same_on_pool_and_serial(monkeypatch):
 
 def test_sweep_same_on_pool_and_serial(monkeypatch):
     _assert_same_on_pool_and_serial(monkeypatch, "sweep", ["sweep"])
-
-
-def test_roundtrip_error_in_a_worker_exits_two(monkeypatch, tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(SMALL + "data_kind = random_bandlimited\n")
-    reasons = {}
-    for threads in ("1", "2"):
-        monkeypatch.setenv("MODWAVE_THREADS", threads)
-        assert main(["roundtrip", "--config", str(cfg), "--out", str(tmp_path / threads)]) == 2
-        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err["error"] == "runtime"
-        reasons[threads] = err["reason"]
-    assert reasons["2"] == reasons["1"]
-    assert reasons["1"].startswith("ValueError: the chirp e^(i y^2/2t) is unresolved")
-    assert "at t = 10.0" in reasons["1"]

@@ -4,10 +4,12 @@ checks that must fail on it, so that every check is shown able to fail.
 A case patches the kernel on the module that looks it up, runs the
 campaign parts that read it in process, and asserts that each named check
 fails.  The forward-solver rows run roundtrip's parts on the default
-config.  The construction rows run construct and sweep serially on
-test_campaigns' small config (N = 256, L = 100, 33 nodes, band 0.4) and
-assert that some check fails; no check catches these mutants yet, so each
-row is a strict xfail naming the ROADMAP item whose check is to catch it.
+config, and the ray-chirp row runs them on an asymmetric datum.  The
+construction rows run construct and sweep serially on test_campaigns'
+small config (N = 256, L = 100, 33 nodes, band 0.4).  The ray-chirp and
+construction rows assert that some check fails; no check catches these
+mutants yet, so each is a strict xfail naming the ROADMAP item whose
+check is to catch it.
 """
 
 import importlib
@@ -15,7 +17,8 @@ import importlib
 import numpy as np
 import pytest
 
-from modwave import campaigns, fixedpoint, parse_config, run_campaign
+from modwave import FrequencyField, campaigns, fixedpoint, parse_config, run_campaign
+from modwave.spectral import PhysicalField, forward_transform, inverse_transform
 from test_campaigns import SMALL
 
 # the package exports the function evolve under the submodule's name
@@ -74,6 +77,7 @@ def test_forward_solver_mutants_fail_the_roundtrip(monkeypatch, mutant):
 ITEM_2 = "2, the fourth-order rule's gap check"
 ITEM_4 = "4, the contraction law measured in sweep"
 ITEM_10 = "10, the resonant-limit oracle of the map's nonlinear part"
+ITEM_11 = "11, the ray reading checked pointwise against the free wave on the box"
 
 
 def _survives(item):
@@ -105,4 +109,47 @@ def test_construction_mutants_fail_a_check(monkeypatch, module, name, mutant):
     checks = _construction_checks()
     if all(checks[k]["value"] == c["value"] for k, c in clean.items()):
         raise RuntimeError(f"{name}'s mutant moved no check value")
+    assert [k for k, c in checks.items() if not c["passed"]]
+
+
+def _conjugated_chirp(fhat, t):
+    # _on_rays with the conjugate chirp e^(-i y^2/2t), and without its guard
+    y = fhat.grid.x
+    f = inverse_transform(fhat).values
+    return forward_transform(PhysicalField(fhat.grid, np.exp(-0.5j * y * y / t) * f)).values
+
+
+def _asymmetric(real):
+    # the gaussian moved 40 grid steps up in xi and given the phase e^(3i xi):
+    # a whole-step shift is an exact symmetry of both kernels, so it breaks
+    # only evenness
+    def datum(*args, **kwargs):
+        W = real(*args, **kwargs)
+        xi = W.grid.frequencies
+        return FrequencyField(W.grid, np.roll(W.values, 40) * np.exp(3j * xi))
+    return datum
+
+
+def _ray_checks():
+    config = parse_config("")
+    return {c["name"]: c for part in (campaigns._roundtrip_dispersive, campaigns._roundtrip_free)
+            for c in part(config).checks}
+
+
+@_survives(ITEM_11)
+def test_conjugated_ray_chirp_fails_the_roundtrip_on_an_asymmetric_datum(monkeypatch):
+    monkeypatch.setenv("MODWAVE_THREADS", "1")
+    monkeypatch.setattr(campaigns, "make_final_data", _asymmetric(campaigns.make_final_data))
+    W = campaigns.make_final_data("gaussian", parse_config("").params, bandwidth=1.0)
+    mirrored = W.values[-np.arange(W.values.size)]  # W(-xi) in native order
+    if np.array_equal(np.abs(W.values), np.abs(mirrored)):
+        raise RuntimeError("the datum is even in modulus")
+    clean = _ray_checks()
+    if not all(c["passed"] for c in clean.values()):
+        raise RuntimeError(f"the asymmetric datum fails a check unmutated: {clean}")
+    for module in (campaigns, evolve_module):
+        monkeypatch.setattr(module, "_on_rays", _conjugated_chirp)
+    checks = _ray_checks()
+    if all(checks[k]["value"] == c["value"] for k, c in clean.items()):
+        raise RuntimeError("the conjugated chirp moved no check value")
     assert [k for k, c in checks.items() if not c["passed"]]

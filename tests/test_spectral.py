@@ -175,17 +175,30 @@ def test_bench_imports_exist():
     assert missing == []
 
 
-def test_bench_counts_set_one_worker(monkeypatch, capsys):
-    # --counts wraps the functions it counts in its own process, which pool
-    # workers never see, so it must run the campaign serially
+def _record_bench():
     spec = importlib.util.spec_from_file_location("record_bench", BENCHMARKS / "record_bench.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_counts_set_one_worker(monkeypatch, capsys):
+    # --counts wraps the functions it counts in its own process, which pool
+    # workers never see, so it must run the campaign serially
+    bench = _record_bench()
     monkeypatch.setenv("MODWAVE_THREADS", "0")  # restored after the test
     monkeypatch.setattr(bench, "work_counts", lambda campaign: os.environ["MODWAVE_THREADS"])
     monkeypatch.setattr(sys, "argv", ["record_bench.py", "--counts", "construct"])
     assert bench.main() == 0
     assert json.loads(capsys.readouterr().out) == "1"
+
+
+def test_bench_summary_records_quartiles():
+    summary = _record_bench()._summary
+    samples = [3.0, 1.0, 2.0, 5.0, 4.0]
+    assert summary(samples) == {"median": 3.0, "min": 1.0, "q1": 1.5, "q3": 4.5,
+                                "samples": samples}
+    assert summary([2.0]) == {"median": 2.0, "min": 2.0, "samples": [2.0]}  # no spread
 
 
 def test_field_rejects_wrong_length(grid):
