@@ -49,8 +49,11 @@ For each LABEL=PATH checkout it records:
   evaluation under every propagator row, and the heads alone that
   build_drive tabulates) and _pull_back (the cubic, and every right-hand
   side of the forward solve) and the rows they return;
-  calls of evolve and the accepted steps it reports, and roundtrip's own
-  evolve_steps_<regime> extras beside them.  apply_phi is the map's
+  calls of evolve and the accepted steps it reports, calls of the
+  Dormand-Prince step _dp45, one per step attempt, accepted or rejected,
+  and roundtrip's own evolve_steps_<regime> extras beside them.  So the
+  rejected attempts are dp45_calls - evolve_steps, and the propagator and
+  pull-back rows per attempt follow.  apply_phi is the map's
   only sweep, so its calls count every sweep, and _picard runs both of
   construct's starts, picard_iterate's and the second.
   A function the checkout does not define is left out of its counts.  Beside
@@ -222,6 +225,7 @@ COUNTED_FUNCTIONS = {
     "_propagator_head": ("spectral", "rows", _rows),
     "_pull_back": ("trilinear", "rows", _rows),
     "evolve": ("evolve", "steps", lambda out: out[-1].step_count if out else 0),
+    "_dp45": ("evolve", None, None),
 }
 
 

@@ -528,7 +528,9 @@ def _roundtrip_free(config: ExperimentConfig) -> CampaignResult:
     then the Strang cross-check of the forward solver.  The decay is analytic
     in time, so no evolution is run: the sup is read on the rays x = t*xi_k
     through the chirp factorization (evolve._on_rays), max |u_app(t, t xi)| =
-    |G(xi)| / sqrt(2 pi t), which needs only a grid that holds the profile."""
+    |G(xi)| / sqrt(2 pi t), which needs only a grid that holds the profile.
+    At one time whose rays pass through grid points, the ray reading is
+    checked point by point against the free wave on the box."""
     res = CampaignResult("roundtrip")
     params = replace(config.params, grid=SpectralGrid(4096, 200.0))
     W = make_final_data(config.data_kind, params, seed=config.seed, bandwidth=1.0)
@@ -541,6 +543,21 @@ def _roundtrip_free(config: ExperimentConfig) -> CampaignResult:
     res.fits["uapp_decay"] = asdict(fit_uapp)
     res.add_check("uapp_decay_slope", fit_uapp.slope,
                   -0.55 <= fit_uapp.slope <= -0.45, "slope in [-0.55, -0.45]")
+
+    # at t_c = 8 L^2/(2 pi N) the ray x = t_c xi_k is the grid point x_{8k}
+    # for |k| < N/16, where |G(xi_k)| / sqrt(2 pi t_c) is |u_app| on the box
+    grid, n = params.grid, params.grid.num_points
+    t_c = 8.0 * grid.box_length**2 / (2.0 * np.pi * n)
+    v = asymptotic_profile(W, t_c, params.lam)
+    G = _on_rays(v, t_c)
+    u = inverse_transform(free_propagate(v, t_c)).values
+    on_rays = np.argsort(grid.frequencies)[n // 2 - n // 16:n // 2 + n // 16]
+    on_box = np.argsort(grid.x)[::8]
+    ray_gap = float(np.max(np.abs(np.abs(G[on_rays]) - np.sqrt(2.0 * np.pi * t_c)
+                                  * np.abs(u[on_box]))) / np.max(np.abs(G)))
+    res.add_check("ray_free_wave_gap", ray_gap, ray_gap <= 1e-12,
+                  f"max ||G| - sqrt(2 pi t) |u_app|| / max|G| on the rays x = t xi_k "
+                  f"through grid points, at t = {t_c:.3f}, <= 1e-12")
 
     order, gap = _strang_cross_check()
     res.add_check("strang_order", order, 1.9 <= order <= 2.1, "time order 2.0 +- 0.1")

@@ -11,8 +11,8 @@ so the Dormand-Prince 5(4) embedded pair (Dormand & Prince, J. Comput. Appl.
 Math. 6 (1980) 19-26) covers a sample interval in a few steps, at 6
 right-hand sides per step attempt: the last stage's slope is the next
 attempt's first (first same as last).  The right-hand side is the
-pulled-back cubic kernel that the backward construction also uses, with one
-propagator per distinct stage time of a step attempt.  A sample adds u, one
+pulled-back cubic kernel that the backward construction also uses, at the
+row U(s) that the step hands it, one per stage time.  A sample adds u, one
 inverse transform; mass and kinetic energy come from f by Plancherel.
 Strang splitting (``_strang``), which alternates the exact pointwise cubic
 phase rotation with the exact free flight, is kept as an independent
@@ -117,20 +117,23 @@ def _combine(f, h, weights, ks):
     return out
 
 
-def _dp45(f, t, h, end, k1, rhs):
+def _dp45(f, t, h, end, k1, rhs, grid):
     """One Dormand-Prince 5(4) step of size h from (t, f), whose slope k1 is
     given, to end (t + h, or the sample time it lands on).
 
-    Returns the 5th-order value, its slope at end and the embedded error
-    estimate h sum_i E_i k_i; six right-hand sides.
+    Each stage calls rhs(y, p) at the row p = U(s) of its time s; the last
+    two fall on end and share its row.  Returns the 5th-order value, its
+    slope and row at end, and the embedded error estimate h sum_i E_i k_i.
     """
     ks = [k1]
     for c, row in zip(_DP_C, _DP_A):
         y = _combine(f, h, row, ks)
-        # the stages at the step's end take its time as given, where the
-        # next attempt starts and its propagator is memoized
-        ks.append(rhs(y, end if c == 1.0 else t + c * h))
-    return y, ks[-1], _combine(np.zeros_like(f), h, _DP_E, ks)
+        if c < 1.0:
+            p = _propagator(grid, t + c * h)
+        elif len(ks) == 5:  # stage 6 evaluates the end row, stage 7 reuses it
+            p = _propagator(grid, end)
+        ks.append(rhs(y, p))
+    return y, ks[-1], p, _combine(np.zeros_like(f), h, _DP_E, ks)
 
 
 def evolve(
@@ -154,38 +157,27 @@ def evolve(
     grid = f0.grid
     lam, dx = params.lam, grid.dx
     weight = grid.dxi / (2.0 * np.pi)  # mass = weight * sum |f|^2 (Plancherel)
-    # e^{-i s xi^2/2} by the float s, for the stage times in use
-    props = {t0: _propagator(grid, t0)}
 
-    def propagator(s):
-        if s not in props:
-            props[s] = _propagator(grid, s)
-        return props[s]
+    def rhs(f, p):
+        return -1j * lam * _pulled_back_cubic(f, p, grid)
 
-    def rhs(f, s):
-        return -1j * lam * _pulled_back_cubic(f, propagator(s), grid)
-
-    f = f0.values
+    # at the current time t: the profile, its row e^{-i t xi^2/2} and its slope
+    t, f, p = t0, f0.values, _propagator(grid, t0)
+    k1 = rhs(f, p)
     mass0 = _mass(f, weight)
-    states = []
-    t, h, k1, steps = t0, np.inf, None, 0
+    states, h, steps = [], np.inf, 0
     for target in sample_times:
         while t < target:
-            # an attempt's stages fall on t and 5 more times, the last of
-            # which starts the next attempt; only t's propagator recurs
-            props = {t: props[t]}
-            if k1 is None:
-                k1 = rhs(f, t)
             last = h >= target - t
             step = target - t if last else h
             end = target if last else t + step
-            y5, k7, estimate = _dp45(f, t, step, end, k1, rhs)
+            y5, k7, p_end, estimate = _dp45(f, t, step, end, k1, rhs, grid)
             scale = np.max(np.abs(y5))
             err = 0.0 if scale == 0.0 else float(np.max(np.abs(estimate)) / scale)
             if not np.isfinite(err):
                 raise FloatingPointError(f"evolution produced non-finite values at t = {t}")
             if err <= RK_TOL:
-                f, t, k1 = y5, end, k7
+                f, t, k1, p = y5, end, k7, p_end
                 steps += 1
             h = step * (4.0 if err == 0.0 else min(4.0, max(0.2, 0.9 * (RK_TOL / err) ** 0.2)))
         mass = _mass(f, weight)
@@ -196,7 +188,7 @@ def evolve(
                 f"mass drift {abs(mass - mass0) / mass0:.3g} exceeds "
                 f"{MASS_DRIFT_ABORT} at t = {t}"
             )
-        u = _ifft(propagator(t) * f, dx)
+        u = _ifft(p * f, dx)
         states.append(EvolutionState(
             t=t, profile=FrequencyField(grid, f), u=PhysicalField(grid, u), mass=mass,
             energy=_energy(f, u, grid, lam), step_count=steps))

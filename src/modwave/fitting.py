@@ -29,14 +29,16 @@ class DecayFit:
 def fit_decay(times, values, log_correction_power: int = 0) -> DecayFit:
     """Fit log(value) - p*log(1+log t) against log t by ordinary least squares.
 
-    Requires at least 3 samples at strictly increasing positive times with
-    strictly positive values; the correction power p is divided out before
+    Requires at least 3 finite samples at strictly increasing positive times
+    with strictly positive values; the correction power p is divided out before
     the fit so a pure t^m (1+log t)^p series recovers slope m exactly.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     if t.shape != v.shape or t.ndim != 1:
         raise ValueError("times and values must be 1D arrays of equal length")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+        raise ValueError("times and values must be finite")
     if t.size < 3:
         raise ValueError(f"fit needs at least 3 samples, got {t.size}")
     if np.any(t <= 0) or np.any(np.diff(t) <= 0):

@@ -105,8 +105,9 @@ def test_criterion_05_forcing_decay_and_scaling(forcing):
 
 def test_criterion_06_uapp_decay(roundtrip):
     slope = check(roundtrip, "uapp_decay_slope")["value"]
-    ok = -0.55 <= slope <= -0.45
-    verdict(6, "approximate-solution decay", ok, f"slope={slope:.4f}")
+    gap = check(roundtrip, "ray_free_wave_gap")["value"]
+    ok = -0.55 <= slope <= -0.45 and gap <= 1e-12
+    verdict(6, "approximate-solution decay", ok, f"slope={slope:.4f} ray_gap={gap:.2e}")
 
 
 def test_criterion_07_contraction(construct):

@@ -462,8 +462,8 @@ def test_roundtrip_unconverged_constructions_exit_one(monkeypatch, tmp_path, cap
     checks = {c["name"]: c["passed"] for c in payload["checks"]}
     assert checks == {"construction_converged_narrow": False,
                       "construction_converged_dispersive": False,
-                      "uapp_decay_slope": True, "strang_order": True,
-                      "evolve_matches_strang": True}
+                      "uapp_decay_slope": True, "ray_free_wave_gap": True,
+                      "strang_order": True, "evolve_matches_strang": True}
     assert list(payload["fits"]) == ["uapp_decay"]
     assert list(payload["series_files"]) == ["uapp_decay"]
     assert {"picard_report_narrow", "picard_report_dispersive"} <= set(payload["extras"])

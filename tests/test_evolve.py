@@ -136,27 +136,29 @@ def test_evolve_conserves_mass_through_rejected_steps(monkeypatch):
 
 
 def _evolve_without_memo(f0, t0, sample_times, params):
-    """evolve's Dormand-Prince loop with a fresh propagator for every
-    right-hand side; returns the sampled solution values."""
+    """evolve's Dormand-Prince loop, stages inlined, with a fresh propagator
+    for every right-hand side and sample; returns the sampled solution values."""
     grid, lam, dx = f0.grid, params.lam, f0.grid.dx
-    tol = evolve_module.RK_TOL
+    tol, combine = evolve_module.RK_TOL, evolve_module._combine
 
     def rhs(f, t):
         return -1j * lam * _pulled_back_cubic(f, _propagator(grid, t), grid)
 
     f = f0.values
-    t, h, k1, out = t0, np.inf, None, []
+    t, h, k1, out = t0, np.inf, rhs(f, t0), []
     for target in sample_times:
         while t < target:
-            if k1 is None:
-                k1 = rhs(f, t)
             last = h >= target - t
             step = target - t if last else h
             end = target if last else t + step
-            y5, k7, estimate = evolve_module._dp45(f, t, step, end, k1, rhs)
+            ks = [k1]
+            for c, row in zip(evolve_module._DP_C, evolve_module._DP_A):
+                y5 = combine(f, step, row, ks)
+                ks.append(rhs(y5, end if c == 1.0 else t + c * step))
+            estimate = combine(np.zeros_like(f), step, evolve_module._DP_E, ks)
             err = float(np.max(np.abs(estimate)) / np.max(np.abs(y5)))
             if err <= tol:
-                f, t, k1 = y5, end, k7
+                f, t, k1 = y5, end, ks[-1]
             h = step * (4.0 if err == 0.0 else min(4.0, max(0.2, 0.9 * (tol / err) ** 0.2)))
         out.append(_ifft(_propagator(grid, t) * f, dx))
     return out
@@ -187,17 +189,19 @@ def test_dormand_prince_step_orders():
     # steps of h/32, falls as h^6 and the embedded estimate as h^5
     f0 = _fft(np.exp(-(GRID.x**2) / 4.0) + 0.0j, GRID.dx)
 
-    def rhs(f, t):
-        return -1j * _pulled_back_cubic(f, _propagator(GRID, t), GRID)
+    def rhs(f, p):
+        return -1j * _pulled_back_cubic(f, p, GRID)
 
     def one_step(f, t, h, k):
-        return evolve_module._dp45(f, t, h, t + h, k, rhs)
+        y5, k7, _, estimate = evolve_module._dp45(f, t, h, t + h, k, rhs, GRID)
+        return y5, k7, estimate
 
+    k0 = rhs(f0, _propagator(GRID, 0.0))
     hs = 0.08 * 2.0 ** (-np.arange(5) / 2.0)
     errs, estimates = [], []
     for h in hs:
-        y5, _, estimate = one_step(f0, 0.0, h, rhs(f0, 0.0))
-        ref, t, k = f0, 0.0, rhs(f0, 0.0)
+        y5, _, estimate = one_step(f0, 0.0, h, k0)
+        ref, t, k = f0, 0.0, k0
         for _ in range(32):
             ref, k, _ = one_step(ref, t, h / 32, k)
             t += h / 32

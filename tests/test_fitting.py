@@ -54,6 +54,15 @@ def test_rejects_nonpositive_values():
         fit_decay([1.0, 2.0, 3.0], [1.0, 0.0, 0.25])
 
 
+def test_rejects_non_finite_samples():
+    # refused up front, not as the fit's nan r_squared
+    for times, values in (([1.0, 2.0, 3.0], [1.0, np.nan, 0.25]),
+                          ([1.0, 2.0, 3.0], [1.0, np.inf, 0.25]),
+                          ([1.0, 2.0, np.inf], [1.0, 0.5, 0.25])):
+        with pytest.raises(ValueError, match="must be finite"):
+            fit_decay(times, values)
+
+
 def test_rejects_mismatched_shapes():
     with pytest.raises(ValueError, match="equal length"):
         fit_decay([1.0, 2.0, 3.0], [1.0, 0.5])

@@ -4,12 +4,12 @@ checks that must fail on it, so that every check is shown able to fail.
 A case patches the kernel on the module that looks it up, runs the
 campaign parts that read it in process, and asserts that each named check
 fails.  The forward-solver rows run roundtrip's parts on the default
-config, and the ray-chirp row runs them on an asymmetric datum.  The
-construction rows run construct and sweep serially on test_campaigns'
-small config (N = 256, L = 100, 33 nodes, band 0.4).  The ray-chirp and
-construction rows assert that some check fails; no check catches these
-mutants yet, so each is a strict xfail naming the ROADMAP item whose
-check is to catch it.
+config, the stage-row row its dispersive part alone, and the ray-chirp row
+its parts on an asymmetric datum.  The construction rows run construct and
+sweep serially on test_campaigns' small config (N = 256, L = 100, 33
+nodes, band 0.4).  The stage-row and construction rows assert that some
+check fails; no check catches these mutants yet, so each is a strict xfail
+naming the ROADMAP item whose check is to catch it.
 """
 
 import importlib
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from modwave import FrequencyField, campaigns, fixedpoint, parse_config, run_campaign
-from modwave.spectral import PhysicalField, forward_transform, inverse_transform
+from modwave.spectral import PhysicalField, _propagator, forward_transform, inverse_transform
 from test_campaigns import SMALL
 
 # the package exports the function evolve under the submodule's name
@@ -77,7 +77,7 @@ def test_forward_solver_mutants_fail_the_roundtrip(monkeypatch, mutant):
 ITEM_2 = "2, the fourth-order rule's gap check"
 ITEM_4 = "4, the contraction law measured in sweep"
 ITEM_10 = "10, the resonant-limit oracle of the map's nonlinear part"
-ITEM_11 = "11, the ray reading checked pointwise against the free wave on the box"
+ITEM_12 = "12, the Zakharov-Shabat conservation check zs_conservation along evolve"
 
 
 def _survives(item):
@@ -112,6 +112,33 @@ def test_construction_mutants_fail_a_check(monkeypatch, module, name, mutant):
     assert [k for k, c in checks.items() if not c["passed"]]
 
 
+def _end_stages_at_the_start(real):
+    # _dp45 whose last two stages take the row at the step's start, U(t),
+    # while it still hands on the row at its end
+    def mutant(f, t, h, end, k1, rhs, grid):
+        ks = [k1]
+        for c, row in zip(evolve_module._DP_C, evolve_module._DP_A):
+            y = evolve_module._combine(f, h, row, ks)
+            ks.append(rhs(y, _propagator(grid, t + c * h if c < 1.0 else t)))
+        estimate = evolve_module._combine(np.zeros_like(f), h, evolve_module._DP_E, ks)
+        return y, ks[-1], _propagator(grid, end), estimate
+    return mutant
+
+
+@_survives(ITEM_12)
+def test_stage_rows_at_the_wrong_time_fail_the_roundtrip(monkeypatch):
+    # the dispersive part alone: the free part's Strang cross-check reads
+    # the mutant inside its bound, and takes tens of seconds on it
+    config = parse_config("")
+    clean = campaigns._roundtrip_dispersive(config)
+    monkeypatch.setattr(evolve_module, "_dp45", _end_stages_at_the_start(evolve_module._dp45))
+    mutated = campaigns._roundtrip_dispersive(config)
+    steps = [r.extras["evolve_steps_dispersive"] for r in (clean, mutated)]
+    if steps[0] == steps[1]:
+        raise RuntimeError(f"the mutant moved no step count: {steps}")
+    assert [c["name"] for c in mutated.checks if not c["passed"]]
+
+
 def _conjugated_chirp(fhat, t):
     # _on_rays with the conjugate chirp e^(-i y^2/2t), and without its guard
     y = fhat.grid.x
@@ -136,7 +163,6 @@ def _ray_checks():
             for c in part(config).checks}
 
 
-@_survives(ITEM_11)
 def test_conjugated_ray_chirp_fails_the_roundtrip_on_an_asymmetric_datum(monkeypatch):
     monkeypatch.setenv("MODWAVE_THREADS", "1")
     monkeypatch.setattr(campaigns, "make_final_data", _asymmetric(campaigns.make_final_data))
@@ -152,4 +178,5 @@ def test_conjugated_ray_chirp_fails_the_roundtrip_on_an_asymmetric_datum(monkeyp
     checks = _ray_checks()
     if all(checks[k]["value"] == c["value"] for k, c in clean.items()):
         raise RuntimeError("the conjugated chirp moved no check value")
-    assert [k for k, c in checks.items() if not c["passed"]]
+    gap = checks["ray_free_wave_gap"]
+    assert not gap["passed"], gap["value"]
