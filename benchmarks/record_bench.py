@@ -36,15 +36,17 @@ For each LABEL=PATH checkout it records:
   band 0.06, 25 samples from t = 10 to 1000).  Each evolve starts from its
   profile f.  A layer process first sets the checkout's malloc policy,
   campaigns._reuse_freed_memory, as run_campaign and its pool workers do;
-- the work counts of one serial (MODWAVE_THREADS=1) in-process construct,
-  of one roundtrip and of one sweep, each on the default config in a process
-  of its own.
+- the work counts of one serial (MODWAVE_THREADS=1) in-process
+  verify-forcing, of one construct, of one roundtrip and of one sweep, each
+  on the default config in a process of its own.
   --counts sets MODWAVE_THREADS=1 before it counts: in pool workers the
   wrapped functions and tracemalloc would see nothing, and every count
   would read 0.
   Every count is taken one way, by wrapping the function by name in each
   modwave module that holds it: calls of apply_phi, xt_norm and xt_distance;
   calls of the Picard loop _picard and the iterates it reports; calls of
+  build_drive, and of verify-forcing's remainder, remainder_oracle and
+  pulled_back_forcing; calls of
   the kernels _fft, _ifft, _propagator, _propagator_head (the phase
   evaluation under every propagator row, and the heads alone that
   build_drive tabulates) and _pull_back (the cubic, and every right-hand
@@ -91,7 +93,8 @@ import numpy
 CAMPAIGNS = ("verify-spectral", "verify-dispersive", "verify-forcing", "construct",
              "roundtrip", "sweep")
 E2E = ("wall_s", "cpu_s", "peak_rss_mb", "setup_s")
-COUNTED = ("construct", "roundtrip", "sweep")  # the campaigns whose work counts are recorded
+# the campaigns whose work counts are recorded
+COUNTED = ("verify-forcing", "construct", "roundtrip", "sweep")
 LAYER_CALLS = 5  # timed calls per layer in each layer process
 
 
@@ -219,11 +222,15 @@ COUNTED_FUNCTIONS = {
     "xt_norm": ("fixedpoint", None, None),
     "xt_distance": ("fixedpoint", None, None),
     "_picard": ("fixedpoint", "iterates", lambda out: out[1].iterates),
+    "build_drive": ("fixedpoint", None, None),
     "_fft": ("spectral", "rows", _rows),
     "_ifft": ("spectral", "rows", _rows),
     "_propagator": ("spectral", "rows", _rows),
     "_propagator_head": ("spectral", "rows", _rows),
     "_pull_back": ("trilinear", "rows", _rows),
+    "remainder": ("trilinear", None, None),
+    "remainder_oracle": ("trilinear", None, None),
+    "pulled_back_forcing": ("trilinear", None, None),
     "evolve": ("evolve", "steps", lambda out: out[-1].step_count if out else 0),
     "_dp45": ("evolve", None, None),
 }

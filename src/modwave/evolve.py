@@ -52,6 +52,9 @@ __all__ = [
 ]
 
 RK_TOL = 1e-12
+# more than 10x the most any clean run takes on one sample interval (151, on
+# an amplitude-1 gaussian over [0, 0.5] at RK_TOL / 100)
+MAX_STEP_ATTEMPTS = 2000
 MASS_DRIFT_ABORT = 1e-6
 
 
@@ -146,8 +149,9 @@ def evolve(
     is at most RK_TOL, keeping the 5th-order value y5.  The slope at an
     accepted y5 starts the next attempt; a rejected attempt reuses its own.
     Steps end on every sample time; step_count counts accepted steps.
-    Aborts on non-finite values or relative mass drift above
-    MASS_DRIFT_ABORT.
+    Aborts on non-finite values, on relative mass drift above
+    MASS_DRIFT_ABORT, and on a sample interval that MAX_STEP_ATTEMPTS step
+    attempts do not cover.
     """
     sample_times = np.asarray(sample_times, dtype=float)
     if sample_times.size == 0:
@@ -167,7 +171,13 @@ def evolve(
     mass0 = _mass(f, weight)
     states, h, steps = [], np.inf, 0
     for target in sample_times:
+        start, attempts = t, 0
         while t < target:
+            if attempts == MAX_STEP_ATTEMPTS:
+                raise FloatingPointError(
+                    f"MAX_STEP_ATTEMPTS = {MAX_STEP_ATTEMPTS} step attempts on the sample "
+                    f"interval [{start}, {target}] reached only t = {t}")
+            attempts += 1
             last = h >= target - t
             step = target - t if last else h
             end = target if last else t + step

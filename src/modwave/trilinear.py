@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .profile import SolverParams, _profile, _profile_rate, asymptotic_profile
+from .profile import SolverParams, _profile, _profile_rate
 from .spectral import (
     FrequencyField,
     SpectralGrid,
@@ -166,25 +166,19 @@ def pulled_back_forcing(W: FrequencyField, t: float, params: SolverParams) -> Fr
 
 
 def forcing_identity_residual(
-    W: FrequencyField, t: float, params: SolverParams, route: str = "fft"
+    forcing: FrequencyField, remainder: FrequencyField, lam: int
 ) -> float:
     """Relative sup-norm residual of the forcing/remainder identity.
 
-    The pulled-back forcing must equal i*lam times the remainder of the
-    pulled-back cubic of the profile.  route="fft" uses the subtraction
-    remainder (algebraically exact on the grid); route="oracle" uses the
-    coarse-grid quadrature.
+    The pulled-back forcing of the profile must equal i*lam times the
+    remainder of its pulled-back cubic, from either route: the subtraction
+    remainder (algebraically exact on the grid) or the coarse-grid oracle.
     """
-    if route not in ("fft", "oracle"):
-        raise ValueError(f"route must be 'fft' or 'oracle', got {route!r}")
-    lhs = pulled_back_forcing(W, t, params)
-    v = asymptotic_profile(W, t, params.lam)
-    rem = remainder(v, t) if route == "fft" else remainder_oracle(v, t)
-    rhs = 1j * params.lam * rem.values
+    rhs = 1j * lam * remainder.values
     scale = float(np.max(np.abs(rhs)))
     if scale == 0.0:
-        return float(np.max(np.abs(lhs.values)))
-    return float(np.max(np.abs(lhs.values - rhs)) / scale)
+        return float(np.max(np.abs(forcing.values)))
+    return float(np.max(np.abs(forcing.values - rhs)) / scale)
 
 
 def _cubic_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -149,7 +149,7 @@ def test_criterion_10_solver_hygiene(roundtrip):
     gap = check(roundtrip, "evolve_matches_strang")["value"]
     w_ratio = check(roundtrip, "correction_weighted_ratio")["value"]
     ok = (mass <= 1e-8 and energy <= 1e-6
-          and 1.9 <= order <= 2.1 and gap <= 1e-6 and w_ratio <= 3.0)
+          and 1.9 <= order <= 2.1 and gap <= 1e-9 and w_ratio <= 3.0)
     verdict(10, "solver hygiene", ok,
             f"mass={mass:.2e} energy={energy:.2e} strang_order={order:.3f} "
             f"evolve_strang_gap={gap:.2e} w_ratio={w_ratio:.3f}")

@@ -20,6 +20,7 @@ from modwave import (
     parse_config,
     picard_iterate,
     run_campaign,
+    trilinear,
     xt_distance,
 )
 from modwave.cli import main, write_results
@@ -190,6 +191,30 @@ def test_construct_sweeps_each_probe_image_once(monkeypatch, lam, extra, second_
     assert (alt_iterates == 1) == second_stops_at_once
     if config.tol == 1.0:
         assert report["xt_norms"][0] < config.tol  # ||Phi_eps||_XT
+
+
+def test_verify_forcing_evaluates_each_kernel_once_per_time(monkeypatch):
+    # one pass over the n fit times: the remainder at each and at the two
+    # oracle times, the oracle at those two, the forcing at each, at the
+    # oracle's identity time and at both scaling data, one drive per datum
+    calls = {"remainder": 0, "remainder_oracle": 0, "pulled_back_forcing": 0,
+             "build_drive": 0}
+    for name in calls:
+        real = getattr(campaigns, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        for module in (campaigns, trilinear, fixedpoint):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    config = parse_config("")
+    assert campaigns.run_verify_forcing(config).passed
+    n = len(campaigns._sample_times(*config.fit_window))
+    assert n == 17
+    assert calls == {"remainder": 2 + n, "remainder_oracle": 2,
+                     "pulled_back_forcing": n + 3, "build_drive": 2}
 
 
 def test_construct_sign_holds_five_trajectories_beside_the_propagator_heads():

@@ -220,6 +220,23 @@ def test_evolve_raises_on_non_finite_values(times):
         evolve(f0, 0.0, times, PARAMS)
 
 
+def test_evolve_caps_the_step_attempts_of_a_sample_interval(monkeypatch):
+    # a step whose estimate never meets RK_TOL: each attempt is rejected and
+    # the step shrinks, so without the cap t would never reach the sample
+    real, attempts = evolve_module._dp45, []
+
+    def unmet(*args):
+        y5, k7, p_end, estimate = real(*args)
+        attempts.append(1)
+        return y5, k7, p_end, estimate + np.max(np.abs(y5))
+
+    monkeypatch.setattr(evolve_module, "_dp45", unmet)
+    with pytest.raises(FloatingPointError, match=r"MAX_STEP_ATTEMPTS = \d+ step attempts on "
+                       r"the sample interval \[0\.0, 1\.0\] reached only t = 0\.0"):
+        evolve(gaussian_profile(), 0.0, [1.0], PARAMS)
+    assert len(attempts) == evolve_module.MAX_STEP_ATTEMPTS
+
+
 def test_linear_limit_matches_free_propagator():
     # with zero-amplitude nonlinearity (tiny data), splitting reduces to
     # the exact free flow up to the cubic phase, so compare directly at

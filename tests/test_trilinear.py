@@ -9,6 +9,7 @@ from modwave import (
     FrequencyField,
     SolverParams,
     SpectralGrid,
+    asymptotic_profile,
     forcing_identity_residual,
     make_final_data,
     pulled_back_forcing,
@@ -122,10 +123,16 @@ def test_oracle_zero_input():
     assert not np.any(out.values)
 
 
+def identity_residual(fd, t, params, kernel=remainder):
+    """The forcing identity's residual at t, with the remainder from kernel."""
+    v = asymptotic_profile(fd, t, params.lam)
+    return forcing_identity_residual(pulled_back_forcing(fd, t, params), kernel(v, t), params.lam)
+
+
 def test_forcing_identity_fft_route():
     fd = make_final_data("gaussian", COARSE_PARAMS, bandwidth=0.2)
     for t in (3.0, 12.0, 45.0):
-        assert forcing_identity_residual(fd, t, COARSE_PARAMS, route="fft") <= 1e-10
+        assert identity_residual(fd, t, COARSE_PARAMS) <= 1e-10
 
 
 def test_forcing_identity_detects_wrong_drive(monkeypatch):
@@ -135,19 +142,25 @@ def test_forcing_identity_detects_wrong_drive(monkeypatch):
     rate = trilinear._profile_rate
     monkeypatch.setattr(trilinear, "_profile_rate", lambda *args: 1.0001 * rate(*args))
     for t in (3.0, 12.0, 45.0):
-        assert forcing_identity_residual(fd, t, COARSE_PARAMS, route="fft") > 1e-6
+        assert identity_residual(fd, t, COARSE_PARAMS) > 1e-6
 
 
 def test_forcing_identity_oracle_route():
     fd = make_final_data("gaussian", COARSE_PARAMS, bandwidth=0.2)
-    assert forcing_identity_residual(fd, 5.0, COARSE_PARAMS, route="oracle") <= 1e-3
+    assert identity_residual(fd, 5.0, COARSE_PARAMS, kernel=remainder_oracle) <= 1e-3
 
 
 def test_forcing_identity_both_signs():
     for lam in (1, -1):
         params = SolverParams(lam=lam, grid=COARSE_GRID)
         fd = make_final_data("gaussian", params, bandwidth=0.2)
-        assert forcing_identity_residual(fd, 8.0, params, route="fft") <= 1e-10
+        assert identity_residual(fd, 8.0, params) <= 1e-10
+
+
+def test_forcing_identity_on_a_zero_remainder_is_the_forcing_sup():
+    forcing = sample_field(COARSE_GRID, seed=6)
+    zero = FrequencyField(COARSE_GRID, np.zeros(COARSE_GRID.num_points, complex))
+    assert forcing_identity_residual(forcing, zero, 1) == np.max(np.abs(forcing.values))
 
 
 def test_forcing_cubic_homogeneity():
@@ -165,12 +178,6 @@ def test_forcing_cubic_homogeneity():
     # |W| enters the log phase too, so homogeneity is only approximate; the
     # cubic power dominates at these sizes
     assert r_full / r_half == pytest.approx(8.0, rel=0.05)
-
-
-def test_invalid_route():
-    fd = make_final_data("gaussian", COARSE_PARAMS, bandwidth=0.2)
-    with pytest.raises(ValueError, match="route"):
-        forcing_identity_residual(fd, 5.0, COARSE_PARAMS, route="exact")
 
 
 def test_cubic_difference_matches_direct():
