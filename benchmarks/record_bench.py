@@ -67,7 +67,12 @@ For each LABEL=PATH checkout it records:
   tracemalloc's own records.
 
 The checkouts take turns within each repeat, in alternating order, so drift
-of a shared machine falls on both.  Nothing under ``perfbench/`` is changed.
+of a shared machine falls on both.  Every run starts without
+OPENBLAS_NUM_THREADS in its environment, as run_child starts the campaigns
+without MODWAVE_THREADS: a value set in the calling shell would otherwise
+override what each checkout sets itself, and hide the difference.  The
+provenance records the value removed.  Nothing under ``perfbench/`` is
+changed.
 """
 
 from __future__ import annotations
@@ -281,6 +286,8 @@ def work_counts(campaign: str) -> dict:
 
 def record(checkouts: dict, repeats: int) -> dict:
     shas = {label: _git_sha(root) for label, root in checkouts.items()}  # before the runs
+    # every run below copies this process's environment
+    shell_blas_threads = os.environ.pop("OPENBLAS_NUM_THREADS", None)
     runs = {label: _perfbench_run(root, label) for label, root in checkouts.items()}
     work = Path(tempfile.mkdtemp())
     cfg_path = work / "default.cfg"
@@ -325,6 +332,8 @@ def record(checkouts: dict, repeats: int) -> dict:
             "numpy": numpy.__version__,
             "platform": platform.platform(),
             "machine": platform.machine(),
+            # the calling shell's value (null: it had none), unset in every run
+            "unset_in_runs": {"OPENBLAS_NUM_THREADS": shell_blas_threads},
         },
         "commits": commits,
     }

@@ -7,6 +7,17 @@ Dormand-Prince 5(4) solver, and quantifies how well the prescribed
 long-time profile is realized.
 """
 
+import os
+
+# One OpenBLAS thread, unless the caller chose a number: OpenBLAS reads the
+# variable once, when numpy loads, so it is set before any module here
+# imports numpy.  The worker pool (campaigns._pool_map) is the package's only
+# parallelism; its only BLAS work is three small np.polyfit line fits and the
+# 64-point oracle's matmul, and verify-forcing's check values are bit for bit
+# the same with one and with two BLAS threads.  The idle pool thread would
+# otherwise spin for about 0.1 s of CPU in every process while numpy loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .campaigns import CAMPAIGNS, CampaignResult, run_campaign
 from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .evolve import (

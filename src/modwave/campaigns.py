@@ -11,8 +11,10 @@ roundtrip and sweep map one function of (cell, config) over their cells.
 from __future__ import annotations
 
 import ctypes
+import functools
 import itertools
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
@@ -71,13 +73,16 @@ EXACT_TOL = 1e-12
 
 @dataclass
 class CampaignResult:
-    """Named checks plus supporting fits and time series for one campaign."""
+    """Named checks plus supporting fits and time series for one campaign,
+    and its timings: wall_s and cpu_s of the campaign, and under "parts"
+    those of each pooled part, in part order."""
 
     name: str
     checks: list = field(default_factory=list)
     fits: dict = field(default_factory=dict)
     series: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -132,22 +137,33 @@ def _reuse_freed_memory() -> None:
         mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
 
 
-def _pool_map(fn, cells: list, config: ExperimentConfig) -> list:
-    """[fn(c, config) for c in cells], on min(len(cells), MODWAVE_THREADS or one
-    per CPU) worker processes, each under _reuse_freed_memory; serially in this
-    process when that is one worker."""
+def _timed(fn, *args) -> tuple:
+    """fn(*args) and its wall and CPU seconds, taken in the process that runs it."""
+    wall, cpu = time.perf_counter(), time.process_time()
+    out = fn(*args)
+    return out, {"wall_s": time.perf_counter() - wall, "cpu_s": time.process_time() - cpu}
+
+
+def _pool_map(fn, cells: list, config: ExperimentConfig) -> tuple[list, list]:
+    """[fn(c, config) for c in cells] and the timings of each, on
+    min(len(cells), MODWAVE_THREADS or one per CPU) worker processes, each
+    under _reuse_freed_memory; serially in this process when that is one
+    worker."""
     workers = min(len(cells), _requested_workers() or os.cpu_count() or 1)
+    timed = functools.partial(_timed, fn)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_reuse_freed_memory) as pool:
-            return list(pool.map(fn, cells, itertools.repeat(config)))
-    return [fn(c, config) for c in cells]
+            pairs = list(pool.map(timed, cells, itertools.repeat(config)))
+    else:
+        pairs = [timed(c, config) for c in cells]
+    return [out for out, _ in pairs], [timing for _, timing in pairs]
 
 
-def _merged(name: str, parts: list) -> CampaignResult:
+def _merged(name: str, parts: list, timings: list) -> CampaignResult:
     """One result with each part's checks appended and its fits, series and
-    extras updated, in part order."""
-    res = CampaignResult(name)
+    extras updated, in part order, and the parts' timings."""
+    res = CampaignResult(name, timings={"parts": timings})
     for part in parts:
         res.checks += part.checks
         res.fits.update(part.fits)
@@ -318,14 +334,14 @@ def run_verify_forcing(config: ExperimentConfig) -> CampaignResult:
         [[float(t), r, e] for t, r, e in zip(times, r_sup, eps_sup)],
     )
 
-    # cubic eps0 scaling of the forcing and of Phi_eps
+    # cubic eps0 scaling of the forcing, at the middle fit time, whose
+    # full-size forcing the pass above evaluated, and of Phi_eps
     half = replace(params, eps0=0.5 * params.eps0)
     W_half = make_final_data(config.data_kind, half, seed=config.seed, bandwidth=0.06)
-    t_ref = 100.0
-    ratio = (norms(pulled_back_forcing(W, t_ref, params)).linf
-             / norms(pulled_back_forcing(W_half, t_ref, half)).linf)
+    mid = len(times) // 2
+    ratio = eps_sup[mid] / norms(pulled_back_forcing(W_half, times[mid], half)).linf
     res.add_check("forcing_cubic_scaling", ratio, abs(ratio / 8.0 - 1.0) <= 0.10,
-                  "halving eps0 divides the forcing by 8 +- 10%")
+                  f"halving eps0 divides the forcing at t = {times[mid]:g} by 8 +- 10%")
 
     phi_full = xt_norm(build_drive(W, params).phi_eps, params.alpha)
     phi_half = xt_norm(build_drive(W_half, half).phi_eps, half.alpha)
@@ -397,7 +413,7 @@ def run_construct(config: ExperimentConfig) -> CampaignResult:
     """Backward fixed point at both coupling signs: contraction, convergence,
     residual, and independence of the starting guess.  The two signs share
     nothing but the config, so they run in the worker pool."""
-    return _merged("construct", _pool_map(_construct_sign, [1, -1], config))
+    return _merged("construct", *_pool_map(_construct_sign, [1, -1], config))
 
 
 # --------------------------------------------------------------- roundtrip
@@ -590,7 +606,7 @@ def run_roundtrip(config: ExperimentConfig) -> CampaignResult:
     ``construction_converged_<tag>`` check and skips its own regime's others.
     """
     regimes = [_roundtrip_narrow, _roundtrip_dispersive, _roundtrip_free]
-    return _merged("roundtrip", _pool_map(_roundtrip_part, regimes, config))
+    return _merged("roundtrip", *_pool_map(_roundtrip_part, regimes, config))
 
 
 # ------------------------------------------------------------------- sweep
@@ -614,8 +630,8 @@ def _sweep_cell(params: SolverParams, config: ExperimentConfig) -> dict:
 
 def run_sweep(config: ExperimentConfig) -> CampaignResult:
     """Contraction region over (eps0, T, lam) cells, run in a worker pool."""
-    res = CampaignResult("sweep")
-    rows = _pool_map(_sweep_cell, config.sweep_params(), config)
+    rows, timings = _pool_map(_sweep_cell, config.sweep_params(), config)
+    res = CampaignResult("sweep", timings={"parts": timings})
     rows.sort(key=lambda r: (r["eps0"], r["T"], r["lam"]))
 
     converged = sum(r["converged"] for r in rows)
@@ -642,7 +658,11 @@ CAMPAIGNS = {
 
 
 def run_campaign(name: str, config: ExperimentConfig) -> CampaignResult:
+    """The named campaign's result, its timings those of this process (the
+    CPU seconds of pool workers are their parts')."""
     _reuse_freed_memory()
     if name not in CAMPAIGNS:
         raise ValueError(f"unknown campaign {name!r}, expected one of {sorted(CAMPAIGNS)}")
-    return CAMPAIGNS[name](config)
+    res, elapsed = _timed(CAMPAIGNS[name], config)
+    res.timings = {"parts": [], **res.timings, **elapsed}
+    return res

@@ -1,8 +1,10 @@
 """Command-line experiment runner: `modwave <campaign> --config <path>`.
 
-Writes a versioned results.json (named checks, fits, extras, and the
-provenance of the run: python and numpy versions, the C library and the
-git sha of the checkout) plus one CSV per recorded time series.  Exit codes: 0 all checks pass, 1 a check
+Writes a versioned results.json (named checks, fits, extras, the wall and
+CPU seconds of the campaign and of each pooled part, and the provenance of
+the run: python and numpy versions, the C library, the OpenBLAS thread
+count and the git sha of the checkout) plus one CSV per recorded time
+series.  Exit codes: 0 all checks pass, 1 a check
 failed, 2 configuration or runtime error (writing the results included);
 failures carry a machine-readable reason.
 """
@@ -13,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import platform
 import sys
 import time
@@ -98,11 +101,13 @@ def write_results(result, out_dir: Path, config: ExperimentConfig) -> Path:
         "checks": result.checks,
         "fits": result.fits,
         "extras": result.extras,
+        "timings": result.timings,
         "series_files": {},
         "provenance": {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "libc": _libc_version() or "unknown",  # glibc's malloc policy sets the speed
+            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
             "git_sha": _git_sha(CHECKOUT),
         },
     }

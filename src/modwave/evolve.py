@@ -150,8 +150,8 @@ def evolve(
     accepted y5 starts the next attempt; a rejected attempt reuses its own.
     Steps end on every sample time; step_count counts accepted steps.
     Aborts on non-finite values, on relative mass drift above
-    MASS_DRIFT_ABORT, and on a sample interval that MAX_STEP_ATTEMPTS step
-    attempts do not cover.
+    MASS_DRIFT_ABORT, on a step too small to move t (t + step == t), and on a
+    sample interval that MAX_STEP_ATTEMPTS step attempts do not cover.
     """
     sample_times = np.asarray(sample_times, dtype=float)
     if sample_times.size == 0:
@@ -181,6 +181,10 @@ def evolve(
             last = h >= target - t
             step = target - t if last else h
             end = target if last else t + step
+            if end == t:
+                raise FloatingPointError(
+                    f"the step {step:g} can no longer move t = {t}: the step control "
+                    f"shrank it below the spacing of floats there")
             y5, k7, p_end, estimate = _dp45(f, t, step, end, k1, rhs, grid)
             scale = np.max(np.abs(y5))
             err = 0.0 if scale == 0.0 else float(np.max(np.abs(estimate)) / scale)

@@ -196,7 +196,8 @@ def test_construct_sweeps_each_probe_image_once(monkeypatch, lam, extra, second_
 def test_verify_forcing_evaluates_each_kernel_once_per_time(monkeypatch):
     # one pass over the n fit times: the remainder at each and at the two
     # oracle times, the oracle at those two, the forcing at each, at the
-    # oracle's identity time and at both scaling data, one drive per datum
+    # oracle's identity time and at the half-size scaling datum (the
+    # full-size one is the pass's, at the middle fit time), one drive per datum
     calls = {"remainder": 0, "remainder_oracle": 0, "pulled_back_forcing": 0,
              "build_drive": 0}
     for name in calls:
@@ -210,11 +211,17 @@ def test_verify_forcing_evaluates_each_kernel_once_per_time(monkeypatch):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counted)
     config = parse_config("")
-    assert campaigns.run_verify_forcing(config).passed
+    res = campaigns.run_verify_forcing(config)
+    assert res.passed
     n = len(campaigns._sample_times(*config.fit_window))
     assert n == 17
     assert calls == {"remainder": 2 + n, "remainder_oracle": 2,
-                     "pulled_back_forcing": n + 3, "build_drive": 2}
+                     "pulled_back_forcing": n + 2, "build_drive": 2}
+    # the middle of the default fit window is t = 100 bit for bit, where the
+    # scaling was read before it came from the pass
+    scaling = checks_by_name(res)["forcing_cubic_scaling"]
+    assert scaling["value"] == 7.999999994470833
+    assert "at t = 100 " in scaling["detail"]
 
 
 def test_construct_sign_holds_five_trajectories_beside_the_propagator_heads():
@@ -497,25 +504,38 @@ def test_roundtrip_unconverged_constructions_exit_one(monkeypatch, tmp_path, cap
                                                  "construction_converged_dispersive"]}
 
 
-def _assert_same_on_pool_and_serial(monkeypatch, campaign, names):
+def _assert_timed(timings, parts):
+    # the campaign's wall and CPU seconds, and one entry per part
+    assert len(timings["parts"]) == parts
+    for entry in [timings, *timings["parts"]]:
+        assert all(np.isfinite(entry[k]) and entry[k] >= 0.0 for k in ("wall_s", "cpu_s"))
+
+
+def _assert_same_on_pool_and_serial(monkeypatch, campaign, names, parts):
     # the pooled parts of a campaign merge into the serial result, bit for
-    # bit and in the serial order
+    # bit and in the serial order, all but the timings, which hold one entry
+    # per part either way
     results = {}
     for threads in ("1", "2"):
         monkeypatch.setenv("MODWAVE_THREADS", threads)
         results[threads] = asdict(run_campaign(campaign, parse_config(SMALL)))
+        _assert_timed(results[threads].pop("timings"), parts)
     assert results["2"] == results["1"]
     assert list(results["1"]["series"]) == names
 
 
 def test_construct_same_on_pool_and_serial(monkeypatch):
-    _assert_same_on_pool_and_serial(monkeypatch, "construct", [])
+    _assert_same_on_pool_and_serial(monkeypatch, "construct", [], 2)
 
 
 def test_roundtrip_same_on_pool_and_serial(monkeypatch):
     _assert_same_on_pool_and_serial(monkeypatch, "roundtrip",
-                                    ["narrow", "dispersive", "uapp_decay"])
+                                    ["narrow", "dispersive", "uapp_decay"], 3)
 
 
 def test_sweep_same_on_pool_and_serial(monkeypatch):
-    _assert_same_on_pool_and_serial(monkeypatch, "sweep", ["sweep"])
+    _assert_same_on_pool_and_serial(monkeypatch, "sweep", ["sweep"], 8)
+
+
+def test_unpooled_campaign_times_itself_alone():
+    _assert_timed(run_campaign("verify-spectral", parse_config(SMALL)).timings, 0)

@@ -55,6 +55,7 @@ def test_results_carry_provenance(tmp_path):
     prov = payload["provenance"]
     assert prov["python"] == platform.python_version()
     assert prov["numpy"] == np.__version__
+    assert prov["blas_threads"] == os.environ["OPENBLAS_NUM_THREADS"]  # set by modwave
     if not (CHECKOUT / ".git").exists():
         assert prov["git_sha"] == "unavailable"
     elif shutil.which("git"):
@@ -108,6 +109,7 @@ def test_construct_small_passes(tmp_path):
     assert code == 0
     names = {c["name"] for c in payload["checks"]}
     assert any("converged" in n for n in names)
+    assert [sorted(part) for part in payload["timings"]["parts"]] == [["cpu_s", "wall_s"]] * 2
     # the drive tails, unbounded on this box, are spelled as the CSVs spell them
     assert [payload["extras"][f"picard_report_{tag}"]["tail_estimate"]
             for tag in ("defocusing", "focusing")] == ["inf", "inf"]
@@ -158,8 +160,9 @@ def test_seed_override_recorded(tmp_path):
 def test_determinism(tmp_path):
     _, a, _ = run_cli(tmp_path / "a", "verify-spectral", SMALL_SPECTRAL)
     _, b, _ = run_cli(tmp_path / "b", "verify-spectral", SMALL_SPECTRAL)
-    a.pop("timestamp")
-    b.pop("timestamp")
+    for payload in (a, b):  # the run's clock readings
+        payload.pop("timestamp")
+        payload.pop("timings")
     assert a == b
 
 

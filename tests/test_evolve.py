@@ -220,21 +220,42 @@ def test_evolve_raises_on_non_finite_values(times):
         evolve(f0, 0.0, times, PARAMS)
 
 
-def test_evolve_caps_the_step_attempts_of_a_sample_interval(monkeypatch):
-    # a step whose estimate never meets RK_TOL: each attempt is rejected and
-    # the step shrinks, so without the cap t would never reach the sample
-    real, attempts = evolve_module._dp45, []
+def _rejecting(monkeypatch, excess):
+    # _dp45 whose estimate is excess * max|y5|, so every attempt is rejected;
+    # returns the list of the steps attempted
+    real, steps = evolve_module._dp45, []
 
-    def unmet(*args):
-        y5, k7, p_end, estimate = real(*args)
-        attempts.append(1)
-        return y5, k7, p_end, estimate + np.max(np.abs(y5))
+    def unmet(f, t, h, *args):
+        y5, k7, p_end, _ = real(f, t, h, *args)
+        steps.append(h)
+        return y5, k7, p_end, np.full_like(y5, excess * np.max(np.abs(y5)))
 
     monkeypatch.setattr(evolve_module, "_dp45", unmet)
+    return steps
+
+
+def test_evolve_caps_the_step_attempts_of_a_sample_interval(monkeypatch):
+    # an estimate just above RK_TOL: each attempt is rejected and the step
+    # shrinks by about 0.9, so it stays far above zero, and without the cap
+    # t would never reach the sample
+    steps = _rejecting(monkeypatch, 1.01 * evolve_module.RK_TOL)
     with pytest.raises(FloatingPointError, match=r"MAX_STEP_ATTEMPTS = \d+ step attempts on "
                        r"the sample interval \[0\.0, 1\.0\] reached only t = 0\.0"):
         evolve(gaussian_profile(), 0.0, [1.0], PARAMS)
-    assert len(attempts) == evolve_module.MAX_STEP_ATTEMPTS
+    assert len(steps) == evolve_module.MAX_STEP_ATTEMPTS
+    assert steps[-1] > 0.0
+
+
+@pytest.mark.parametrize("t0", [0.0, 1.0])
+def test_evolve_stops_at_a_step_that_cannot_move_t(monkeypatch, t0):
+    # an estimate far above RK_TOL shrinks the step by 0.2 per attempt, below
+    # the spacing of floats at t0 long before the attempt cap
+    steps = _rejecting(monkeypatch, 1.0)
+    with pytest.raises(FloatingPointError,
+                       match=rf"the step \S+ can no longer move t = {t0}"):
+        evolve(gaussian_profile(), t0, [t0 + 1.0], PARAMS)
+    assert t0 + 0.2 * steps[-1] == t0
+    assert len(steps) < evolve_module.MAX_STEP_ATTEMPTS
 
 
 def test_linear_limit_matches_free_propagator():

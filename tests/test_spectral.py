@@ -193,6 +193,30 @@ def test_bench_counts_set_one_worker(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out) == "1"
 
 
+def test_bench_runs_start_without_openblas_threads(monkeypatch, tmp_path):
+    # a value set in the calling shell would override what each checkout sets
+    # itself, so every run starts without it, and the record says so
+    bench = _record_bench()
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")  # restored after the test
+    seen = []
+
+    def observed(result):
+        def run(*args):
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+            return result
+        return run
+
+    monkeypatch.setattr(bench, "_git_sha", lambda root: "sha")
+    monkeypatch.setattr(bench, "_perfbench_run", lambda root, label: None)
+    monkeypatch.setattr(bench, "_campaign_run", observed(dict.fromkeys(bench.E2E, 1.0)))
+    monkeypatch.setattr(bench, "_suite_run", observed((1.0, "1 passed")))
+    monkeypatch.setattr(bench, "_in_checkout", observed({}))
+    record = bench.record({"change": tmp_path}, 1)
+    assert len(seen) == len(bench.CAMPAIGNS) + 2 + len(bench.COUNTED)
+    assert set(seen) == {None}
+    assert record["provenance"]["unset_in_runs"] == {"OPENBLAS_NUM_THREADS": "4"}
+
+
 def test_bench_summary_records_quartiles():
     summary = _record_bench()._summary
     samples = [3.0, 1.0, 2.0, 5.0, 4.0]
