@@ -19,7 +19,11 @@ For each LABEL=PATH checkout it records:
   run --repeats times in a fresh process through that checkout's
   ``perfbench/child.py`` (``perfbench/run.py``'s ``run_child``, with
   MODWAVE_THREADS unset): median, minimum and quartiles of wall_s, cpu_s,
-  peak_rss_mb and setup_s, as ``perfbench/run.py`` defines them;
+  peak_rss_mb and setup_s, as ``perfbench/run.py`` defines them, and of
+  cpu_s split at the campaign's start, from the CPU times that the child
+  reports there and once results.json is written: setup_cpu_s, the CPU
+  of interpreter start, imports and config parsing, and campaign_cpu_s,
+  that of the campaign and its pool workers;
 - the Tier-1 suite, run --repeats times: median, minimum and quartiles of
   its wall time;
 - per-layer times, one sample per repeat, each from a fresh serial process
@@ -98,6 +102,7 @@ import numpy
 CAMPAIGNS = ("verify-spectral", "verify-dispersive", "verify-forcing", "construct",
              "roundtrip", "sweep")
 E2E = ("wall_s", "cpu_s", "peak_rss_mb", "setup_s")
+CPU_SPLIT = ("setup_cpu_s", "campaign_cpu_s")
 # the campaigns whose work counts are recorded
 COUNTED = ("verify-forcing", "construct", "roundtrip", "sweep")
 LAYER_CALLS = 5  # timed calls per layer in each layer process
@@ -137,7 +142,9 @@ def _campaign_run(run, campaign: str, cfg_path: Path) -> dict:
         shutil.rmtree(out)
     if proc.code != 0 or "end" not in proc.report:
         raise RuntimeError(f"{campaign} exited {proc.code} without finishing")
-    return {name: getattr(proc, name) for name in E2E}
+    cpu_start = proc.report["cpu_start"]
+    return {**{name: getattr(proc, name) for name in E2E}, "setup_cpu_s": cpu_start,
+            "campaign_cpu_s": proc.report["cpu_end"] - cpu_start}
 
 
 def _suite_run(root: Path) -> tuple[float, str]:
@@ -292,7 +299,8 @@ def record(checkouts: dict, repeats: int) -> dict:
     work = Path(tempfile.mkdtemp())
     cfg_path = work / "default.cfg"
     cfg_path.write_text("")  # every key at its default
-    e2e = {label: {c: {m: [] for m in E2E} for c in CAMPAIGNS} for label in checkouts}
+    e2e = {label: {c: {m: [] for m in E2E + CPU_SPLIT} for c in CAMPAIGNS}
+           for label in checkouts}
     suite = {label: [] for label in checkouts}
     suite_result = {}
     layers = {label: {} for label in checkouts}

@@ -208,7 +208,7 @@ def test_bench_runs_start_without_openblas_threads(monkeypatch, tmp_path):
 
     monkeypatch.setattr(bench, "_git_sha", lambda root: "sha")
     monkeypatch.setattr(bench, "_perfbench_run", lambda root, label: None)
-    monkeypatch.setattr(bench, "_campaign_run", observed(dict.fromkeys(bench.E2E, 1.0)))
+    monkeypatch.setattr(bench, "_campaign_run", observed(dict.fromkeys(bench.E2E + bench.CPU_SPLIT, 1.0)))
     monkeypatch.setattr(bench, "_suite_run", observed((1.0, "1 passed")))
     monkeypatch.setattr(bench, "_in_checkout", observed({}))
     record = bench.record({"change": tmp_path}, 1)
