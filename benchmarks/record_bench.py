@@ -71,12 +71,18 @@ For each LABEL=PATH checkout it records:
   tracemalloc's own records.
 
 The checkouts take turns within each repeat, in alternating order, so drift
-of a shared machine falls on both.  Every run starts without
-OPENBLAS_NUM_THREADS in its environment, as run_child starts the campaigns
-without MODWAVE_THREADS: a value set in the calling shell would otherwise
-override what each checkout sets itself, and hide the difference.  The
-provenance records the value removed.  Nothing under ``perfbench/`` is
-changed.
+of a shared machine falls on both, and each repeat pairs their samples.
+With two checkouts the record has a ``pairs`` section: for each campaign
+metric, the suite wall time and each layer, the number of repeats, out of
+``repeats``, in which the second checkout's sample is lower than the
+first's.  A tie counts for neither side.  One record's medians can drift
+apart on unchanged code; a count of paired wins is what a claim rests on.
+
+Every run starts without OPENBLAS_NUM_THREADS in its environment, as
+run_child starts the campaigns without MODWAVE_THREADS: a value set in the
+calling shell would otherwise override what each checkout sets itself, and
+hide the difference.  The provenance records the value removed.  Nothing
+under ``perfbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -114,6 +120,14 @@ def _summary(samples: list) -> dict:
     if len(samples) > 1:
         out["q1"], _, out["q3"] = statistics.quantiles(samples, n=4)
     return {**out, "samples": samples}
+
+
+def _second_lower(first, second):
+    """The repeats in which second's sample is lower than first's, one count
+    per sample list of two records nested alike; a tie counts for neither."""
+    if isinstance(first, dict):
+        return {key: _second_lower(first[key], second[key]) for key in first}
+    return sum(b < a for a, b in zip(first, second, strict=True))
 
 
 def _perfbench_run(root: Path, label: str):
@@ -331,7 +345,7 @@ def record(checkouts: dict, repeats: int) -> dict:
             "layers_s": {name: _summary(v) for name, v in layers[label].items()},
             "counts_serial": {c: _in_checkout(root, "--counts", c) for c in COUNTED},
         }
-    return {
+    out = {
         "what": __doc__.split("\n\n")[0].replace("\n", " "),
         "repeats": repeats,
         "provenance": {
@@ -345,6 +359,12 @@ def record(checkouts: dict, repeats: int) -> dict:
         },
         "commits": commits,
     }
+    if len(checkouts) == 2:
+        paired = [{"campaigns_default_config": e2e[label], "tier1_suite_wall_s": suite[label],
+                   "layers_s": layers[label]} for label in checkouts]
+        first, second = checkouts
+        out["pairs"] = {"first": first, "second": second, "second_lower": _second_lower(*paired)}
+    return out
 
 
 def main() -> int:

@@ -29,7 +29,7 @@ from .config import ConfigError, ExperimentConfig, load_config, parse_config
 
 __all__ = ["main", "write_results"]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # The checkout this package was imported from, when it runs from source.
 CHECKOUT = Path(__file__).resolve().parents[2]
@@ -107,7 +107,7 @@ def write_results(result, out_dir: Path, config: ExperimentConfig) -> Path:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "libc": _libc_version() or "unknown",  # glibc's malloc policy sets the speed
-            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "openblas_num_threads_env": os.environ.get("OPENBLAS_NUM_THREADS"),
             "git_sha": _git_sha(CHECKOUT),
         },
     }

@@ -114,12 +114,12 @@ def test_evolve_conserves_mass_through_rejected_steps(monkeypatch):
     # the first attempt covers the whole first interval from t0 = 0 and is
     # too long for amplitude-1 data, so the step control has to reject
     f0 = gaussian_profile()
-    rhs_calls, prop_calls = [], []
+    rhs_calls, prop_rows = [], []
     cubic, propagator = evolve_module._pulled_back_cubic, evolve_module._propagator
     monkeypatch.setattr(evolve_module, "_pulled_back_cubic",
                         lambda *args: rhs_calls.append(1) or cubic(*args))
     monkeypatch.setattr(evolve_module, "_propagator",
-                        lambda *args: prop_calls.append(1) or propagator(*args))
+                        lambda grid, t: prop_rows.append(np.size(t)) or propagator(grid, t))
     times = [0.5, 1.0, 2.0]
     states = evolve(f0, 0.0, times, PARAMS)
     # one right-hand side at t0, then 6 per attempt, accepted or not: an
@@ -128,16 +128,17 @@ def test_evolve_conserves_mass_through_rejected_steps(monkeypatch):
     assert (len(rhs_calls) - 1) % 6 == 0
     attempts = (len(rhs_calls) - 1) // 6
     assert attempts > states[-1].step_count
-    # one propagator at t0, then one per new stage time, 5 per attempt; the
-    # last is where the next attempt starts, or the sample it lands on
-    assert len(prop_calls) == 1 + 5 * attempts
+    # one propagator row at t0, then one per new stage time, 5 per attempt;
+    # the last is where the next attempt starts, or the sample it lands on
+    assert sum(prop_rows) == 1 + 5 * attempts
     m0 = _state(f0, 0.0, PARAMS).mass
     assert max(abs(s.mass - m0) for s in states) <= 1e-10 * m0
 
 
-def _evolve_without_memo(f0, t0, sample_times, params):
-    """evolve's Dormand-Prince loop, stages inlined, with a fresh propagator
-    for every right-hand side and sample; returns the sampled solution values."""
+def _evolve_per_stage_rows(f0, t0, sample_times, params):
+    """evolve's Dormand-Prince loop, stages inlined, with a propagator row of
+    its own for every right-hand side and sample; returns the sampled solution
+    values."""
     grid, lam, dx = f0.grid, params.lam, f0.grid.dx
     tol, combine = evolve_module.RK_TOL, evolve_module._combine
 
@@ -165,12 +166,15 @@ def _evolve_without_memo(f0, t0, sample_times, params):
 
 
 @pytest.mark.parametrize("lam", [1, -1])
-def test_evolve_stage_time_memo_changes_no_bit(lam):
+def test_evolve_stage_rows_from_one_call_change_no_bit(lam):
+    # an attempt's stage rows come from one vector call; each row carries the
+    # bits of the scalar call at its stage time
     params = SolverParams(lam=lam, grid=GRID)
     f0 = gaussian_profile()
     times = [0.5, 1.0, 2.0]
     states = evolve(f0, 0.0, times, params)
-    for state, ref in zip(states, _evolve_without_memo(f0, 0.0, times, params), strict=True):
+    for state, ref in zip(states, _evolve_per_stage_rows(f0, 0.0, times, params),
+                          strict=True):
         assert np.array_equal(state.u.values, ref)
 
 
@@ -213,11 +217,24 @@ def test_dormand_prince_step_orders():
 
 @pytest.mark.parametrize("times", [[1.0], [0.0]])
 def test_evolve_raises_on_non_finite_values(times):
-    # [1.0] fails in the step control, [0.0] (no step) in the sample check
+    # both fail at the start, before the first step ([0.0] takes none)
     f0 = gaussian_profile()
     f0.values[GRID.num_points // 2] = np.nan  # fields validate only on construction
     with pytest.raises(FloatingPointError, match="non-finite"):
         evolve(f0, 0.0, times, PARAMS)
+
+
+@pytest.mark.filterwarnings("error")
+def test_evolve_rejects_an_overflowing_attempt():
+    # the first attempt spans all of [0, 1] and its stages overflow on
+    # amplitude-4 data; it is rejected like an inaccurate attempt, silently,
+    # and the run lands where one with a sample at 0.5 lands
+    f0 = forward_transform(PhysicalField(GRID, 4.0 * np.exp(-(GRID.x**2)) + 0.0j))
+    state = evolve(f0, 0.0, [1.0], PARAMS)[0]
+    ref = evolve(f0, 0.0, [0.5, 1.0], PARAMS)[-1].profile.values
+    assert np.max(np.abs(state.profile.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+    m0 = _state(f0, 0.0, PARAMS).mass
+    assert abs(state.mass - m0) <= 1e-12 * m0
 
 
 def _rejecting(monkeypatch, excess):

@@ -217,6 +217,42 @@ def test_bench_runs_start_without_openblas_threads(monkeypatch, tmp_path):
     assert record["provenance"]["unset_in_runs"] == {"OPENBLAS_NUM_THREADS": "4"}
 
 
+def test_bench_pairs_count_the_second_checkouts_wins():
+    # repeat by repeat, a lower sample of the second checkout is a win; a tie
+    # counts for neither side, and the counts nest as the samples do
+    second_lower = _record_bench()._second_lower
+    first = {"layers_s": {"a": [3.0, 2.0, 5.0], "b": [1.0, 1.0, 1.0]}, "suite": [4.0, 4.0, 4.0]}
+    second = {"layers_s": {"a": [2.0, 2.0, 6.0], "b": [0.5, 0.9, 0.1]}, "suite": [5.0, 4.0, 6.0]}
+    assert second_lower(first, second) == {"layers_s": {"a": 1, "b": 3}, "suite": 0}
+    assert second_lower(second, first) == {"layers_s": {"a": 1, "b": 0}, "suite": 2}
+    with pytest.raises(ValueError):  # the samples pair by repeat
+        second_lower([1.0, 2.0], [1.0])
+
+
+def test_bench_record_pairs_two_checkouts(monkeypatch, tmp_path):
+    # two checkouts, whose samples the stubs make differ: the second reads
+    # lower on every campaign metric and layer, and ties on the suite
+    bench = _record_bench()
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # record unsets it; restored after the test
+    monkeypatch.setattr(bench, "_git_sha", lambda root: "sha")
+    monkeypatch.setattr(bench, "_perfbench_run", lambda root, label: label)
+    monkeypatch.setattr(bench, "_campaign_run", lambda run, campaign, cfg: dict.fromkeys(
+        bench.E2E + bench.CPU_SPLIT, 2.0 if run == "parent" else 1.0))
+    monkeypatch.setattr(bench, "_suite_run", lambda root: (1.0, "1 passed"))
+    monkeypatch.setattr(bench, "_in_checkout", lambda root, *args: (
+        {"layer": {"median": 2.0 if root.name == "parent" else 1.0}} if "--layers" in args
+        else {}))
+    checkouts = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    pairs = bench.record(checkouts, 3)["pairs"]
+    assert (pairs["first"], pairs["second"]) == ("parent", "change")
+    lower = pairs["second_lower"]
+    assert lower["campaigns_default_config"] == {
+        c: dict.fromkeys(bench.E2E + bench.CPU_SPLIT, 3) for c in bench.CAMPAIGNS}
+    assert lower["tier1_suite_wall_s"] == 0
+    assert lower["layers_s"] == {"layer": 3}
+    assert "pairs" not in bench.record({"change": tmp_path / "change"}, 1)
+
+
 def test_bench_summary_records_quartiles():
     summary = _record_bench()._summary
     samples = [3.0, 1.0, 2.0, 5.0, 4.0]
