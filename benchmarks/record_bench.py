@@ -41,8 +41,9 @@ For each LABEL=PATH checkout it records:
   profile f.  A layer process first sets the checkout's malloc policy,
   campaigns._reuse_freed_memory, as run_campaign and its pool workers do;
 - the work counts of one serial (MODWAVE_THREADS=1) in-process
-  verify-forcing, of one construct, of one roundtrip and of one sweep, each
-  on the default config in a process of its own.
+  verify-dispersive, of one verify-forcing, of one construct, of one
+  roundtrip and of one sweep, each on the default config in a process of
+  its own.
   --counts sets MODWAVE_THREADS=1 before it counts: in pool workers the
   wrapped functions and tracemalloc would see nothing, and every count
   would read 0.
@@ -110,7 +111,7 @@ CAMPAIGNS = ("verify-spectral", "verify-dispersive", "verify-forcing", "construc
 E2E = ("wall_s", "cpu_s", "peak_rss_mb", "setup_s")
 CPU_SPLIT = ("setup_cpu_s", "campaign_cpu_s")
 # the campaigns whose work counts are recorded
-COUNTED = ("verify-forcing", "construct", "roundtrip", "sweep")
+COUNTED = ("verify-dispersive", "verify-forcing", "construct", "roundtrip", "sweep")
 LAYER_CALLS = 5  # timed calls per layer in each layer process
 
 

@@ -12,8 +12,8 @@ import os
 # One OpenBLAS thread, unless the caller chose a number: OpenBLAS reads the
 # variable once, when numpy loads, so it is set before any module here
 # imports numpy.  The worker pool (campaigns._pool_map) is the package's only
-# parallelism; its only BLAS work is three small np.polyfit line fits and the
-# 64-point oracle's matmul, and verify-forcing's check values are bit for bit
+# parallelism; its only BLAS work is fit_decay's small np.polyfit line fits and
+# the 64-point oracle's matmul, and verify-forcing's check values are bit for bit
 # the same with one and with two BLAS threads.  The idle pool thread would
 # otherwise spin for about 0.1 s of CPU in every process while numpy loads.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

@@ -2,11 +2,11 @@
 
 Writes a versioned results.json (named checks, fits, extras, the wall and
 CPU seconds of the campaign and of each pooled part, and the provenance of
-the run: python and numpy versions, the C library, the OpenBLAS thread
-count and the git sha of the checkout) plus one CSV per recorded time
-series.  Exit codes: 0 all checks pass, 1 a check
-failed, 2 configuration or runtime error (writing the results included);
-failures carry a machine-readable reason.
+the run: python and numpy versions, the C library, the OPENBLAS_NUM_THREADS
+variable and the git sha of the checkout) plus one CSV per recorded time
+series.  Exit codes: 0 all checks pass, 1 a check failed, 2 configuration
+or runtime error (writing the results included); failures carry a
+machine-readable reason.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import os
 import platform
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,15 +39,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="modwave",
         description="Verification campaigns for the modified-scattering solver.",
     )
-    sub = parser.add_subparsers(dest="campaign", required=True)
-    for name in CAMPAIGNS:
-        p = sub.add_parser(name, help=f"run the {name} campaign")
-        p.add_argument("--config", type=Path, default=None,
-                       help="key = value configuration file (defaults used if omitted)")
-        p.add_argument("--out", type=Path, default=Path("."),
-                       help="output directory for results.json and CSV series")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the configured random seed")
+    parser.add_argument("campaign", choices=CAMPAIGNS, help="the campaign to run")
+    parser.add_argument("--config", type=Path, default=None,
+                        help="key = value configuration file (defaults used if omitted)")
+    parser.add_argument("--out", type=Path, default=Path("."),
+                        help="output directory for results.json and CSV series")
     return parser
 
 
@@ -128,8 +123,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = parse_config("") if args.config is None else load_config(args.config)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
     except (ConfigError, OSError) as exc:
         print(json.dumps({"error": "config", "reason": str(exc)}), file=sys.stderr)
         return 2

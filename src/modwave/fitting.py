@@ -31,7 +31,8 @@ def fit_decay(times, values, log_correction_power: int = 0) -> DecayFit:
 
     Requires at least 3 finite samples at strictly increasing positive times
     with strictly positive values; the correction power p is divided out before
-    the fit so a pure t^m (1+log t)^p series recovers slope m exactly.
+    the fit so a pure t^m (1+log t)^p series recovers slope m exactly.  A
+    positive p needs every time above 1/e, where 1 + log t is positive.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -49,7 +50,11 @@ def fit_decay(times, values, log_correction_power: int = 0) -> DecayFit:
         raise ValueError(f"log correction power must be >= 0, got {log_correction_power}")
 
     x = np.log(t)
-    y = np.log(v) - log_correction_power * np.log(1.0 + np.log(t))
+    y = np.log(v)
+    if log_correction_power > 0:
+        if np.any(x <= -1.0):
+            raise ValueError("a log correction needs every time above 1/e, where 1 + log t > 0")
+        y -= log_correction_power * np.log(1.0 + x)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))

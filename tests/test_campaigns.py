@@ -197,9 +197,10 @@ def test_verify_forcing_evaluates_each_kernel_once_per_time(monkeypatch):
     # one pass over the n fit times: the remainder at each and at the two
     # oracle times, the oracle at those two, the forcing at each, at the
     # oracle's identity time and at the half-size scaling datum (the
-    # full-size one is the pass's, at the middle fit time), one drive per datum
+    # full-size one is the pass's, at the middle fit time), one drive per datum;
+    # the sups are read off the fields, without the rest of a norms bundle
     calls = {"remainder": 0, "remainder_oracle": 0, "pulled_back_forcing": 0,
-             "build_drive": 0}
+             "build_drive": 0, "norms": 0}
     for name in calls:
         real = getattr(campaigns, name)
 
@@ -216,7 +217,7 @@ def test_verify_forcing_evaluates_each_kernel_once_per_time(monkeypatch):
     n = len(campaigns._sample_times(*config.fit_window))
     assert n == 17
     assert calls == {"remainder": 2 + n, "remainder_oracle": 2,
-                     "pulled_back_forcing": n + 2, "build_drive": 2}
+                     "pulled_back_forcing": n + 2, "build_drive": 2, "norms": 0}
     # the middle of the default fit window is t = 100 bit for bit, where the
     # scaling was read before it came from the pass
     scaling = checks_by_name(res)["forcing_cubic_scaling"]

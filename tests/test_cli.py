@@ -7,6 +7,7 @@ import shutil
 import subprocess
 
 import numpy as np
+import pytest
 
 from modwave import parse_config
 from modwave.cli import CHECKOUT, _git_sha, main
@@ -152,11 +153,12 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
 
 
-def test_seed_override_recorded(tmp_path):
-    code, payload, _ = run_cli(tmp_path, "verify-spectral", SMALL_SPECTRAL,
-                               extra=["--seed", "42"])
-    assert code == 0
-    assert payload["seed"] == 42
+def test_seed_option_refused(tmp_path):
+    # the seed is a config key; argparse refuses the flag with exit 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, "verify-spectral", SMALL_SPECTRAL, extra=["--seed", "42"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_determinism(tmp_path):
@@ -169,8 +171,8 @@ def test_determinism(tmp_path):
 
 
 def test_params_echo_every_key_and_parse_back(tmp_path):
-    text = SMALL_SPECTRAL + "fit_t_min = 20\ntol = 1e-10\neps0_values = 0.1, 0.2\n"
-    code, payload, _ = run_cli(tmp_path, "verify-spectral", text, extra=["--seed", "7"])
+    text = SMALL_SPECTRAL + "fit_t_min = 20\ntol = 1e-10\neps0_values = 0.1, 0.2\nseed = 7\n"
+    code, payload, _ = run_cli(tmp_path, "verify-spectral", text)
     assert code == 0
     params = payload["params"]
     assert list(params) == sorted(_KEYS)  # one entry per key, sorted by the writer
@@ -182,7 +184,7 @@ def test_params_echo_every_key_and_parse_back(tmp_path):
 
     written = "".join(f"{k} = {v if isinstance(v, str) else fmt(v)}\n"
                       for k, v in params.items())
-    assert parse_config(written) == parse_config(text + "seed = 7\n")
+    assert parse_config(written) == parse_config(text)
 
 
 def test_defaults_used_without_config(tmp_path):

@@ -20,12 +20,14 @@ from modwave import (
 )
 from modwave.evolve import _strang
 from modwave.spectral import (
+    _dxi_l2,
     _fft,
     _ifft,
     _propagator,
     forward_transform,
     free_propagate,
     inverse_transform,
+    physical_linf,
 )
 from modwave.trilinear import _pulled_back_cubic
 
@@ -375,6 +377,10 @@ def test_asymptotic_error_matches_closed_form():
         G = a * b / (2.0 * np.sqrt(np.pi)) * np.sqrt(np.pi / c) * np.exp(-xi * xi / (4.0 * c))
         rays = evolve_module._on_rays(W, t)
         assert np.max(np.abs(rays - G)) <= 1e-12 * np.max(np.abs(G))
+        # the kernels give the field route's bits
+        y = params.grid.x
+        chirped = np.exp(0.5j * y * y / t) * inverse_transform(W).values
+        assert np.array_equal(rays, forward_transform(PhysicalField(params.grid, chirped)).values)
         state = _state(W, t, params)
         v = asymptotic_profile(W, t, params.lam).values
         ref = np.max(np.abs(G - v)) / np.sqrt(2.0 * np.pi * t)
@@ -411,8 +417,14 @@ def test_dispersive_ratio_bounded_for_gaussian():
     ratios = dispersive_ratio(hhat, (1.0, 10.0, 100.0))
     assert len(ratios) == 3
     assert all(0.0 < r <= 1.0 for r in ratios)
-    # one call over the times gives each time's ratio bit for bit
+    # one call over the times gives each time's ratio bit for bit, and the
+    # per-time field route's
     assert ratios == [dispersive_ratio(hhat, [t])[0] for t in (1.0, 10.0, 100.0)]
+    d1 = _dxi_l2(hhat.values, grid, 1)
+    assert ratios == [
+        physical_linf(inverse_transform(free_propagate(hhat, t)))
+        / (t**-0.5 * np.max(np.abs(hhat.values)) + t**-0.75 * d1)
+        for t in (1.0, 10.0, 100.0)]
 
 
 def test_dispersive_ratio_zero_field():

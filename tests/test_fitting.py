@@ -9,13 +9,14 @@ from modwave import DecayFit, fit_decay
 
 
 def test_pure_power_law_recovered():
-    t = np.geomspace(10.0, 1000.0, 20)
-    v = 3.0 * t**-1.25
-    fit = fit_decay(t, v)
-    assert fit.slope == pytest.approx(-1.25, abs=1e-12)
-    assert fit.intercept == pytest.approx(np.log(3.0), abs=1e-10)
-    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-    assert fit.n_points == 20
+    # late times, and times at or below 1/e, where 1 + log t is not positive
+    for t in (np.geomspace(10.0, 1000.0, 20), np.array([0.025, 0.05, 0.1])):
+        v = 3.0 * t**-1.25
+        fit = fit_decay(t, v)
+        assert fit.slope == pytest.approx(-1.25, abs=1e-12)
+        assert fit.intercept == pytest.approx(np.log(3.0), abs=1e-10)
+        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+        assert fit.n_points == t.size
 
 
 def test_log_correction_divided_out():
@@ -47,6 +48,8 @@ def test_rejects_bad_times():
         fit_decay([1.0, 3.0, 2.0], [1.0, 0.5, 0.25])
     with pytest.raises(ValueError, match="positive"):
         fit_decay([-1.0, 2.0, 3.0], [1.0, 0.5, 0.25])
+    with pytest.raises(ValueError, match="above 1/e"):
+        fit_decay([np.exp(-1.0), 2.0, 3.0], [1.0, 0.5, 0.25], log_correction_power=1)
 
 
 def test_rejects_nonpositive_values():
