@@ -1,7 +1,10 @@
 """Write a bench record: end-to-end times, per-layer times and work counts of
 one or more modwave checkouts, measured on this machine.
 
-    python3 benchmarks/record_bench.py --out BENCH_<n>.json parent=../parent change=.
+    python3 benchmarks/record_bench.py --out BENCH_<n>.json parent=../parent change=../change
+
+with both checkouts at sibling paths: the path alone can move setup_s, which
+read 0.272 s in one directory and 0.303 s in a byte-identical copy elsewhere.
 
 This script is the only layer timer.  To time the layers of one checkout
 alone, from its root:
@@ -33,7 +36,10 @@ For each LABEL=PATH checkout it records:
   build_drive, the transform pair over one trajectory, the pulled-back
   cubic over one trajectory with its propagator rows evaluated in the call
   (trilinear._pulled_back_cubic on the rows of _propagator), one
-  apply_phi sweep, xt_norm, xt_distance, and evolve from T to 2T;
+  apply_phi sweep, xt_norm, xt_distance, one Picard step (a sweep into a
+  new array with its size and its step from its input, taken by the sweep
+  as it goes where the checkout's apply_phi takes brackets, else by
+  xt_norm and xt_distance after it), and evolve from T to 2T;
   build_drive once more on the random band-limited seed-1 datum of
   perfbench's sweep workload, which is nonzero on 127 of the 4096 points;
   and evolve on roundtrip's dispersive regime (N = 4096, L = 800, gaussian
@@ -48,7 +54,10 @@ For each LABEL=PATH checkout it records:
   wrapped functions and tracemalloc would see nothing, and every count
   would read 0.
   Every count is taken one way, by wrapping the function by name in each
-  modwave module that holds it: calls of apply_phi, xt_norm and xt_distance;
+  modwave module that holds it: calls of apply_phi, xt_norm and xt_distance,
+  where the X_T brackets a sweep takes as it goes (its size, and its
+  distance from each trajectory it is measured against) count as the
+  xt_norm and xt_distance calls they stand for;
   calls of the Picard loop _picard and the iterates it reports; calls of
   build_drive, and of verify-forcing's remainder, remainder_oracle and
   pulled_back_forcing; calls of
@@ -90,6 +99,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import inspect
 import json
 import os
 import platform
@@ -213,6 +223,14 @@ def layer_times(repeats: int) -> dict:
     profile_dispersive = asymptotic_profile(W_dispersive, dispersive.T, dispersive.lam)
     dispersive_times = numpy.geomspace(10.0, 1000.0, 25)
 
+    if "against" in inspect.signature(apply_phi).parameters:
+        def picard_step():
+            return apply_phi(g, drive, (g,), sized=True)
+    else:  # a sweep that takes no brackets: the map, then both brackets
+        def picard_step():
+            image = apply_phi(g, drive)
+            return xt_norm(image, params.alpha), xt_distance(image, g, params.alpha)
+
     layers = {
         "build_drive": lambda: build_drive(W, params),
         "build_drive_random_bandlimited_seed1": lambda: build_drive(W_sweep, params),
@@ -222,6 +240,7 @@ def layer_times(repeats: int) -> dict:
         "apply_phi": lambda: apply_phi(g, drive),
         "xt_norm": lambda: xt_norm(g, params.alpha),
         "xt_distance": lambda: xt_distance(g, drive.phi_eps, params.alpha),
+        "picard_step": picard_step,
         "evolve": lambda: evolve(profile_T, params.T, [2.0 * params.T], params),
         "evolve_dispersive": lambda: evolve(profile_dispersive, dispersive.T, dispersive_times,
                                             dispersive),
@@ -263,6 +282,18 @@ COUNTED_FUNCTIONS = {
 }
 
 
+def _sweep_brackets(real, args, kwargs) -> dict:
+    """The xt_norm and xt_distance calls that the brackets of one apply_phi
+    call stand for; none where the checkout's sweep takes no brackets."""
+    bound = inspect.signature(real).bind(*args, **kwargs).arguments
+    return {"xt_norm_calls": int(bound.get("sized", False)),
+            "xt_distance_calls": len(bound.get("against", ()))}
+
+
+# The functions whose calls take X_T brackets besides their own work
+BRACKETS = {"apply_phi": _sweep_brackets}
+
+
 def work_counts(campaign: str) -> dict:
     """Work counts of one serial in-process campaign on the default config."""
     import modwave
@@ -278,11 +309,15 @@ def work_counts(campaign: str) -> dict:
         calls, more = f"{key}_calls", what and f"{key}_{what}"
         counts.update({key: 0 for key in (calls, more) if key})
 
-        def counted(*args, _real=real, _calls=calls, _more=more, _measure=measure, **kwargs):
+        def counted(*args, _real=real, _calls=calls, _more=more, _measure=measure,
+                    _brackets=BRACKETS.get(name), **kwargs):
             out = _real(*args, **kwargs)
             counts[_calls] += 1
             if _more:
                 counts[_more] += _measure(out)
+            if _brackets:
+                for key, n in _brackets(_real, args, kwargs).items():
+                    counts[key] += n
             return out
 
         for ns in namespaces:

@@ -41,6 +41,7 @@ from .fixedpoint import (
 )
 from .profile import (
     SolverParams,
+    _profile,
     _unit_shape,
     asymptotic_profile,
     make_final_data,
@@ -49,6 +50,8 @@ from .spectral import (
     FrequencyField,
     PhysicalField,
     SpectralGrid,
+    _ifft,
+    _propagator,
     forward_transform,
     free_propagate,
     inverse_transform,
@@ -252,14 +255,15 @@ def run_verify_dispersive(config: ExperimentConfig) -> CampaignResult:
     times = _sample_times(*config.fit_window)
     errs = []
     x = grid.x
-    for t in times:
-        u = inverse_transform(free_propagate(hhat, t))
+    # the free wave at every time from one block of propagator rows
+    waves = _ifft(hhat.values * _propagator(grid, times), grid.dx)
+    for t, u in zip(times, waves):
         ray = x / t
         leading = (
             np.exp(-0.25j * np.pi) / np.sqrt(2.0 * np.pi * t)
             * np.exp(0.5j * x * x / t) * np.exp(-32.0 * ray * ray)
         )
-        errs.append(float(np.max(np.abs(u.values - leading))))
+        errs.append(float(np.max(np.abs(u - leading))))
     fit = fit_decay(times, errs)
     res.fits["stationary_phase_error"] = asdict(fit)
     res.add_check("stationary_phase_slope", fit.slope, fit.slope <= -0.70,
@@ -365,22 +369,20 @@ def _construct_sign(lam: int, config: ExperimentConfig) -> CampaignResult:
     cached = drive.phi_eps
     alpha = params.alpha
     g, report = picard_iterate(drive, config.max_iter, config.tol)
-    # Phi at the second start A = 2 Phi_eps and at the fixed point g, each
-    # swept once: the Lipschitz probe compares them, the residual reads Phi(g),
-    # and Phi(A) is the second start's first iterate.  A and Phi(g) are
-    # dropped once read, and Phi(A) is handed to the second Picard run, so a
-    # sign holds at most five trajectories beside the drive's propagator heads:
-    # the drive's u_app and Phi_eps, g, and two of A, Phi(A), Phi(g) or the
-    # second run's iterates.
+    # the second start A = 2 Phi_eps, in a buffer of its own, which the sweep
+    # of Phi(A) then overwrites: the probe's denominator is taken first, and
+    # Phi(A)'s step from A and its size as the sweep goes.  Phi(g) is written
+    # nowhere: its sweep takes the residual and the probe's numerator against
+    # Phi(A).  The second Picard run continues over Phi(A), so a sign holds at
+    # most four trajectories beside the drive's propagator heads: the drive's
+    # u_app and Phi_eps, g, and A, then Phi(A), then the second run's iterate.
     alt_start = ProfileTrajectory(params.grid, drive.time_grid, 2.0 * cached.values)
     probe_den = xt_distance(alt_start, g, alpha) if np.any(cached.values) else None
-    images = [apply_phi(alt_start, drive)]
-    alt_step = xt_distance(images[0], alt_start, alpha)
+    phi_alt, alt_size, (alt_step,) = apply_phi(alt_start, drive, (alt_start,), sized=True,
+                                               write="over")
     del alt_start
-    phi_g = apply_phi(g, drive)
-    residual = xt_distance(phi_g, g, alpha)
-    probe = None if probe_den is None else xt_distance(images[0], phi_g, alpha) / probe_den
-    del phi_g
+    _, _, (residual, probe_num) = apply_phi(g, drive, (g, phi_alt), write=None)
+    probe = None if probe_den is None else probe_num / probe_den
     res = CampaignResult("construct")
     if report.contraction_ratios:
         max_ratio, detail = max(report.contraction_ratios), "all Picard contraction ratios <= 0.5"
@@ -397,7 +399,7 @@ def _construct_sign(lam: int, config: ExperimentConfig) -> CampaignResult:
     res.add_check(f"fixed_point_residual_{tag}", residual, residual <= 2e-9,
                   "||Phi(g) - g||_XT <= 2e-9")
 
-    g_alt, _ = _picard(drive, config.max_iter, config.tol, images.pop(), alt_step)
+    g_alt, _ = _picard(drive, config.max_iter, config.tol, phi_alt, alt_size, alt_step)
     gap = xt_distance(g, g_alt, alpha)
     res.add_check(f"start_independence_{tag}", gap, gap <= 1e-8,
                   "fixed points from two starts agree to 1e-8 in X_T")
@@ -519,11 +521,12 @@ def _roundtrip_dispersive(config: ExperimentConfig) -> CampaignResult:
         return res
 
     errs, w_weighted = [], []
-    for state in states:
+    # the approximate solution at every sample time from one block of rows
+    grid = params.grid
+    u_apps = _ifft(_profile(W.values, times, params.lam) * _propagator(grid, times), grid.dx)
+    for state, u_app in zip(states, u_apps):
         errs.append(asymptotic_error(state, W, params))
-        v = asymptotic_profile(W, state.t, params.lam)
-        u_app = inverse_transform(free_propagate(v, state.t))
-        w_sup = float(np.max(np.abs(state.u.values - u_app.values)))
+        w_sup = float(np.max(np.abs(state.u.values - u_app)))
         w_weighted.append(state.t ** (0.5 + params.alpha) * w_sup)
 
     fit_err = fit_decay(times, errs)

@@ -10,6 +10,12 @@ apply_phi, the one sweep of the map, and picard_iterate take only the Drive.
 Of each propagator row build_drive evaluates and keeps the head
 (spectral._propagator_head), so its table is half a trajectory; it and
 apply_phi mirror a block's heads into full rows for the kernels.
+Both sweep their blocks of nodes from the last node down, so that each block
+of the backward trapezoid integral is finished at once (_integrate_block).
+apply_phi takes the X_T brackets its caller asks for while the finished block
+is at hand, then writes it into a new array, over its own input, or nowhere;
+so each Picard step is one pass, and from its second sweep on the iteration
+overwrites the iterate it holds.
 The neglected tail is estimated from a power-law fit and reported, never
 silently added.
 """
@@ -104,8 +110,8 @@ class PicardReport:
     tail_estimate: float = 0.0
 
 
-def _blocks(count: int):
-    return (slice(lo, min(lo + BLOCK_ROWS, count)) for lo in range(0, count, BLOCK_ROWS))
+def _blocks(count: int) -> list:
+    return [slice(lo, min(lo + BLOCK_ROWS, count)) for lo in range(0, count, BLOCK_ROWS)]
 
 
 def _xt_max(traj: ProfileTrajectory, alpha: float, block) -> float:
@@ -126,22 +132,26 @@ def xt_distance(a: ProfileTrajectory, b: ProfileTrajectory, alpha: float) -> flo
     return _xt_max(a, alpha, lambda rows: a.values[rows] - b.values[rows])
 
 
-def estimate_tail(integrand: ProfileTrajectory) -> float:
-    """Power-law extrapolation of the neglected integral beyond t_max.
-
-    Fits ||integrand(s)|| ~ A s^m over the last decade of nodes and
-    integrates the fit from t_max to infinity.  Returns inf when the norm
-    is not decreasing over that decade (no valid tail bound) or when the
-    fitted decay is not integrable.
-    """
-    nodes, dxi, vals = integrand.time_grid.nodes, integrand.grid.dxi, integrand.values
-    mods = (np.abs(vals[rows]) for rows in _blocks(integrand.time_grid.count))
+def _tail_sizes(vals: np.ndarray, dxi: float) -> np.ndarray:
+    """sup + L2 of each row of vals: the sizes estimate_tail fits."""
+    mod = np.abs(vals)
     # the sup is read before _l2 squares mod in place
-    y = np.concatenate([np.max(mod, axis=-1) + _l2(mod, dxi) for mod in mods])
-    if not np.any(y):
+    return np.max(mod, axis=-1) + _l2(mod, dxi)
+
+
+def estimate_tail(nodes: np.ndarray, sizes: np.ndarray) -> float:
+    """Power-law extrapolation of the neglected integral beyond t_max, from
+    the sizes (_tail_sizes) of the integrand at the nodes.
+
+    Fits size(s) ~ A s^m over the last decade of nodes and integrates the
+    fit from t_max to infinity.  Returns inf when the size is not decreasing
+    over that decade (no valid tail bound) or when the fitted decay is not
+    integrable.
+    """
+    if not np.any(sizes):
         return 0.0
     window = nodes >= nodes[-1] / 10.0
-    yw, tw = y[window], nodes[window]
+    yw, tw = sizes[window], nodes[window]
     if yw[-1] >= yw[0] or np.any(yw <= 0):
         return float("inf")
     m, logA = np.polyfit(np.log(tw), np.log(yw), 1)
@@ -151,17 +161,44 @@ def estimate_tail(integrand: ProfileTrajectory) -> float:
     return float(np.exp(logA) * t_max ** (m + 1.0) / (-(m + 1.0)))
 
 
-def _cumulative_backward(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Trapezoid integral from each node to the last, in place: an ascending
-    pass of interval trapezoids, then a descending sum; returns values."""
-    half_ds = 0.5 * np.diff(nodes)
-    for k in range(len(nodes) - 1):
-        values[k] += values[k + 1]
-        values[k] *= half_ds[k]
-    values[-1] = 0.0
-    for k in range(len(nodes) - 2, -1, -1):
-        values[k] += values[k + 1]
-    return values
+def _integrate_block(block: np.ndarray, lo: int, half_ds: np.ndarray, edge: list) -> None:
+    """One block of the backward trapezoid integral from each node to the
+    last, in place: block holds the integrand at nodes lo, lo + 1, ... and
+    becomes the integral from each.  edge holds two rows, the integrand and
+    the integral at the node just above the block (unread for the block of
+    the last node, where the integral is 0), and is left holding those at
+    node lo.  Swept from the last block down, every element gets the sums
+    and products, in their order, of an ascending pass of interval
+    trapezoids (f_k + f_{k+1}) * ds_k/2, each row scaled one scalar at a
+    time, then a descending sum."""
+    raw, carry = edge
+    if lo + len(block) == half_ds.size + 1:  # the block of the last node
+        raw[...] = block[-1]
+        carry[...] = 0.0
+        block[-1] = 0.0
+        block = block[:-1]
+        if not len(block):
+            return
+    hi = lo + len(block)
+    # the interval from node hi - 1 to hi, then the integral from hi - 1: the
+    # sum f_hi + f_{hi-1} has the bits of f_{hi-1} + f_hi
+    raw += block[-1]
+    raw *= half_ds[hi - 1]
+    raw += carry
+    carry[...] = block[0]
+    for k in range(len(block) - 1):
+        block[k] += block[k + 1]
+        block[k] *= half_ds[lo + k]
+    block[-1] = raw
+    for k in range(len(block) - 2, -1, -1):
+        block[k] += block[k + 1]
+    raw[...] = block[0]
+    edge.reverse()
+
+
+def _edge(num_points: int) -> list:
+    """The two rows _integrate_block carries from block to block."""
+    return list(np.empty((2, num_points), complex))
 
 
 def _require_on(traj: ProfileTrajectory, grid: SpectralGrid, tg: TimeGrid, what: str) -> None:
@@ -191,40 +228,75 @@ def build_drive(W: FrequencyField, params: SolverParams) -> Drive:
     """Tabulate U(s_k) (the heads of its rows), the approximate solution and
     Phi_eps on the params' time grid: the one way into the backward map.
 
-    The pulled-back forcing rows come from the same tables, block by block;
-    the tail is estimated from them before they are integrated, in place,
-    into Phi_eps = -i * int_t^{t_max} of the forcing.
+    The pulled-back forcing rows come from the same tables, block by block
+    from the last node down; each block's tail sizes are taken before it is
+    integrated, in place, into Phi_eps = -i * int_t^{t_max} of the forcing.
     """
     tg, grid = TimeGrid.from_params(params), params.grid
     u_app, vals = (np.empty((tg.count, grid.num_points), complex) for _ in range(2))
     prop = np.empty((tg.count, _head_width(grid)), complex)
-    for rows in _blocks(tg.count):
+    sizes = np.empty(tg.count)
+    half_ds, edge = 0.5 * np.diff(tg.nodes), _edge(grid.num_points)
+    for rows in reversed(_blocks(tg.count)):
         s = tg.nodes[rows]
         prop[rows] = _propagator_head(grid, s)
         u_app[rows], vals[rows] = _pulled_back_forcing(
             W.values, s, params.lam, _mirrored(prop[rows], grid), grid)
-    # the forcing rows, until they are integrated in place into Phi_eps
+        block = vals[rows]
+        sizes[rows] = _tail_sizes(block, grid.dxi)
+        _integrate_block(block, rows.start, half_ds, edge)
+        np.multiply(-1j, block, out=block)
     phi_eps = ProfileTrajectory(grid, tg, vals)
-    tail = estimate_tail(phi_eps)
-    _cumulative_backward(vals, tg.nodes)
-    np.multiply(-1j, vals, out=vals)
-    return Drive(params, tg, prop, u_app, phi_eps, tail)
+    return Drive(params, tg, prop, u_app, phi_eps, estimate_tail(tg.nodes, sizes))
 
 
-def apply_phi(g: ProfileTrajectory, drive: Drive) -> ProfileTrajectory:
+_WRITES = ("new", "over", None)
+
+
+def apply_phi(g: ProfileTrajectory, drive: Drive, against: tuple = (), *, sized: bool = False,
+              write: str | None = "new"
+              ) -> tuple[ProfileTrajectory | None, float | None, list[float]]:
     """One application of the map Phi: the nonlinear part
-    i*lam * int_t^{t_max} U(-s)(|u|^2 u - |u_app|^2 u_app) ds at g, then Phi_eps,
-    in one new trajectory-sized array."""
+    i*lam * int_t^{t_max} U(-s)(|u|^2 u - |u_app|^2 u_app) ds at g, then Phi_eps.
+
+    The blocks of nodes are swept from the last node down, each finished at
+    once.  While a block is at hand, the sweep takes the X_T weights (at the
+    drive's alpha) of the image if sized, and of image - S for each
+    trajectory S in against; only then does it write the block: into a new
+    array (write="new"), over g ("over"), which may be in against, or
+    nowhere (None).  It never writes over the drive's Phi_eps.  Returns the
+    image (None when written nowhere), ||image||_XT (None unless sized) and
+    the list of ||image - S||_XT.
+    """
     tg, grid = drive.time_grid, drive.params.grid
     _require_on(g, grid, tg, "g")
-    out = np.empty_like(g.values)
-    for rows in _blocks(tg.count):
-        prop = _mirrored(drive.prop[rows], grid)
-        out[rows] = _pull_back(drive.u_app[rows], prop, grid, g.values[rows])
-    _cumulative_backward(out, tg.nodes)
-    out *= 1j * drive.params.lam
-    out += drive.phi_eps.values
-    return ProfileTrajectory(grid, tg, out)
+    for traj in against:
+        _require_on(traj, grid, tg, "a trajectory measured against")
+    if write not in _WRITES:
+        raise ValueError(f"write must be one of {_WRITES}, got {write!r}")
+    if write == "over" and np.may_share_memory(g.values, drive.phi_eps.values):
+        raise ValueError("a sweep never writes over the drive's Phi_eps")
+    out = (np.empty_like(g.values) if write == "new"
+           else g.values if write == "over" else None)
+    nodes, alpha, scale = tg.nodes, drive.params.alpha, 1j * drive.params.lam
+    half_ds, edge = 0.5 * np.diff(nodes), _edge(grid.num_points)
+    measured = [None] * sized + list(against)  # None: the image's own size
+    weights = [[] for _ in measured]
+    for rows in reversed(_blocks(tg.count)):
+        block = _pull_back(drive.u_app[rows], _mirrored(drive.prop[rows], grid), grid,
+                           g.values[rows])
+        _integrate_block(block, rows.start, half_ds, edge)
+        block *= scale
+        block += drive.phi_eps.values[rows]
+        for w, traj in zip(weights, measured):
+            w.append(_xt_weights(nodes[rows], block if traj is None else block - traj.values[rows],
+                                 alpha, grid))
+        if out is not None:
+            out[rows] = block
+        del block  # freed before the next block's temporaries
+    brackets = [float(np.max(np.concatenate(w))) for w in weights]
+    size = brackets.pop(0) if sized else None
+    return None if out is None else ProfileTrajectory(grid, tg, out), size, brackets
 
 
 def picard_iterate(
@@ -241,40 +313,35 @@ def picard_iterate(
         raise ValueError(f"tolerance must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    # the nonlinear part vanishes at 0, so Phi(0) is Phi_eps itself, which
-    # nothing writes to
-    return _picard(drive, max_iter, tol, drive.phi_eps, None)
+    # the nonlinear part vanishes at 0, so Phi(0) is Phi_eps itself, and its
+    # step from 0 is its own size
+    size = xt_norm(drive.phi_eps, drive.params.alpha)
+    return _picard(drive, max_iter, tol, drive.phi_eps, size, size)
 
 
 def _picard(drive: Drive, max_iter: int, tol: float, first: ProfileTrajectory,
-            first_step: float | None) -> tuple[ProfileTrajectory, PicardReport]:
+            first_size: float, first_step: float) -> tuple[ProfileTrajectory, PicardReport]:
     """picard_iterate continued from its first iterate, first = Phi(start),
-    and that iterate's X_T step from the start, first_step; None for a start
-    at 0, where the step is the iterate's own size.  The start itself is not
-    needed, so no caller holds it through the loop.  max_iter and tol as
-    picard_iterate validates them."""
-    alpha = drive.params.alpha
+    with that iterate's X_T size and its step from the start.  The start
+    itself is not needed, so no caller holds it through the loop.  Each
+    later iterate's size and step come from the sweep that makes it, which
+    writes over the iterate held unless that is the drive's Phi_eps: a
+    first iterate the caller hands over may be overwritten.  max_iter and
+    tol as picard_iterate validates them."""
     report = PicardReport(tail_estimate=drive.tail_estimate)
-    # each iterate is held only as g_next, then g, and dropped once the next
-    # one's step is taken
-    g, g_next = None, first
+    g, size, dist = first, first_size, first_step
     del first
     for n in range(max_iter):
         if n:
-            g_next = apply_phi(g, drive)
-        size = xt_norm(g_next, alpha)
+            write = "new" if np.may_share_memory(g.values, drive.phi_eps.values) else "over"
+            g, size, (dist,) = apply_phi(g, drive, (g,), sized=True, write=write)
         if not np.isfinite(size) or size > BLOWUP_LIMIT:
             raise FloatingPointError(f"Picard iteration blew up: ||g||_XT = {size:.3g}")
-        if n:
-            dist = xt_distance(g_next, g, alpha)
-        else:
-            dist = size if first_step is None else first_step
         report.iterates += 1
         report.xt_norms.append(size)
         report.step_distances.append(dist)
         if len(report.step_distances) >= 2 and report.step_distances[-2] > 0:
             report.contraction_ratios.append(dist / report.step_distances[-2])
-        g = g_next
         if dist <= tol:
             report.converged = True
             break

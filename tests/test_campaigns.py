@@ -22,6 +22,7 @@ from modwave import (
     run_campaign,
     trilinear,
     xt_distance,
+    xt_norm,
 )
 from modwave.cli import main, write_results
 
@@ -135,7 +136,7 @@ def _construct_sign_resweeping(lam, config):
     alt_start = ProfileTrajectory(params.grid, drive.time_grid, 2.0 * cached.values)
     probe = None
     if np.any(cached.values):
-        images = [campaigns.apply_phi(alt_start, drive), campaigns.apply_phi(g, drive)]
+        images = [campaigns.apply_phi(alt_start, drive)[0], campaigns.apply_phi(g, drive)[0]]
         probe = xt_distance(*images, params.alpha) / xt_distance(alt_start, g, params.alpha)
     res = campaigns.CampaignResult("construct")
     if report.contraction_ratios:
@@ -149,11 +150,12 @@ def _construct_sign_resweeping(lam, config):
     res.add_check(f"converged_{tag}", report.iterates,
                   report.converged and report.iterates <= config.max_iter,
                   f"step below {config.tol:g} within {config.max_iter} iterations")
-    residual = xt_distance(campaigns.apply_phi(g, drive), g, params.alpha)
+    residual = xt_distance(campaigns.apply_phi(g, drive)[0], g, params.alpha)
     res.add_check(f"fixed_point_residual_{tag}", residual, residual <= 2e-9,
                   "||Phi(g) - g||_XT <= 2e-9")
-    first = campaigns.apply_phi(alt_start, drive)
+    first = campaigns.apply_phi(alt_start, drive)[0]
     g_alt, alt_report = fixedpoint._picard(drive, config.max_iter, config.tol, first,
+                                           xt_norm(first, params.alpha),
                                            xt_distance(first, alt_start, params.alpha))
     gap = xt_distance(g, g_alt, params.alpha)
     res.add_check(f"start_independence_{tag}", gap, gap <= 1e-8,
@@ -177,7 +179,8 @@ def test_construct_sweeps_each_probe_image_once(monkeypatch, lam, extra, second_
     config = parse_config(SMALL + extra)
     real, sweeps = fixedpoint.apply_phi, []
     for module in (fixedpoint, campaigns):
-        monkeypatch.setattr(module, "apply_phi", lambda *args: sweeps.append(1) or real(*args))
+        monkeypatch.setattr(module, "apply_phi",
+                            lambda *args, **kwargs: sweeps.append(1) or real(*args, **kwargs))
     ref, alt_iterates = _construct_sign_resweeping(lam, config)
     resweeps = len(sweeps)
     sweeps.clear()
@@ -225,10 +228,10 @@ def test_verify_forcing_evaluates_each_kernel_once_per_time(monkeypatch):
     assert "at t = 100 " in scaling["detail"]
 
 
-def test_construct_sign_holds_five_trajectories_beside_the_propagator_heads():
+def test_construct_sign_holds_four_trajectories_beside_the_propagator_heads():
     # 4-row blocks of 256 points are small against a 257-node trajectory, so
     # the traced peak of one sign counts trajectories: the drive's u_app and
-    # Phi_eps, g and two more, beside the drive's half-width propagator heads
+    # Phi_eps, g and one more, beside the drive's half-width propagator heads
     config = parse_config(SMALL.replace("time_grid_points = 33", "time_grid_points = 257"))
     params = config.params
     W = make_final_data(config.data_kind, params, seed=config.seed, bandwidth=config.bandwidth)
@@ -240,7 +243,7 @@ def test_construct_sign_holds_five_trajectories_beside_the_propagator_heads():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 5.5 <= peak / trajectory <= 7.0
+    assert 4.3 <= peak / trajectory <= 5.3
 
 
 class _RecordingPool:

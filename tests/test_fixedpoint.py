@@ -20,13 +20,14 @@ from modwave import (
     xt_norm,
 )
 from modwave import asymptotic_profile, fixedpoint
-from modwave.fixedpoint import (BLOCK_ROWS, _blocks, _cumulative_backward, _picard,
-                                 estimate_tail)
+from modwave.fixedpoint import (BLOCK_ROWS, _blocks, _edge, _integrate_block, _picard,
+                                 _tail_sizes, estimate_tail)
 from modwave.profile import _profile, _profile_rate
 from modwave.trilinear import _cubic_difference, _pull_back, _pulled_back_cubic
 from modwave.spectral import (
     PhysicalField,
     _ifft,
+    _mirrored,
     _propagator,
     forward_transform,
     free_propagate,
@@ -41,6 +42,33 @@ PARAMS = SolverParams(grid=GRID, time_grid_points=65)
 
 def zero_trajectory(grid, tg):
     return ProfileTrajectory(grid, tg, np.zeros((tg.count, grid.num_points), complex))
+
+
+def _cumulative_backward(values, nodes):
+    """The whole-trajectory route of the backward trapezoid integral, in
+    place: an ascending pass of interval trapezoids, then a descending sum."""
+    half_ds = 0.5 * np.diff(nodes)
+    for k in range(len(nodes) - 1):
+        values[k] += values[k + 1]
+        values[k] *= half_ds[k]
+    values[-1] = 0.0
+    for k in range(len(nodes) - 2, -1, -1):
+        values[k] += values[k + 1]
+    return values
+
+
+def _backward_integral(values, nodes):
+    """The production block step, swept over values from the last node down
+    as apply_phi and build_drive sweep it, in place."""
+    half_ds, edge = 0.5 * np.diff(nodes), _edge(values.shape[-1])
+    for rows in reversed(_blocks(len(nodes))):
+        _integrate_block(values[rows], rows.start, half_ds, edge)
+    return values
+
+
+def _tail(integrand):
+    return estimate_tail(integrand.time_grid.nodes,
+                         _tail_sizes(integrand.values, integrand.grid.dxi))
 
 
 def test_time_grid_validation():
@@ -72,7 +100,7 @@ def test_backward_integral_power_law():
     tg = TimeGrid(np.geomspace(10.0, 1000.0, 257))
     traj = synthetic_power_law(-1.1, tg)
     k = 0
-    got = _cumulative_backward(traj.values.copy(), tg.nodes)[k]
+    got = _backward_integral(traj.values.copy(), tg.nodes)[k]
     t, t_max = tg.nodes[k], tg.nodes[-1]
     exact = (t**-0.1 - t_max**-0.1) / 0.1
     xi = GRID.frequencies
@@ -87,7 +115,7 @@ def test_backward_integral_convergence_order():
         traj = synthetic_power_law(-1.1, tg)
         t, t_max = tg.nodes[0], tg.nodes[-1]
         exact = (t**-0.1 - t_max**-0.1) / 0.1
-        got = _cumulative_backward(traj.values.copy(), tg.nodes)[0, 0]  # xi = 0
+        got = _backward_integral(traj.values.copy(), tg.nodes)[0, 0]  # xi = 0
         return abs(got - exact)
 
     ratio = err(65) / err(129)
@@ -97,13 +125,13 @@ def test_backward_integral_convergence_order():
 def test_backward_integral_tail_reported_not_added():
     tg = TimeGrid(np.geomspace(10.0, 1000.0, 129))
     traj = synthetic_power_law(-2.0, tg)
-    tail = estimate_tail(traj)
+    tail = _tail(traj)
     # integrand peak is t^-2 * shape with bracket norm (linf + l2) > linf;
     # analytic tail of the linf part alone is tmax^-1
     assert 1e-3 <= tail <= 3e-3
     t, t_max = tg.nodes[0], tg.nodes[-1]
     exact = t**-1.0 - t_max**-1.0
-    got = _cumulative_backward(traj.values.copy(), tg.nodes)[0, 0]  # xi = 0
+    got = _backward_integral(traj.values.copy(), tg.nodes)[0, 0]  # xi = 0
     # adding the 2.1e-3 tail would overshoot this bracket by ~2e-2 * exact
     assert abs(got - exact) <= 1e-3 * exact
 
@@ -111,12 +139,12 @@ def test_backward_integral_tail_reported_not_added():
 def test_estimate_tail_rejects_growth():
     # a growing integrand admits no tail bound: reported unbounded, not raised
     traj = synthetic_power_law(0.5)
-    assert estimate_tail(traj) == float("inf")
+    assert _tail(traj) == float("inf")
 
 
 def test_estimate_tail_non_integrable_is_inf():
     traj = synthetic_power_law(-0.5)
-    assert estimate_tail(traj) == float("inf")
+    assert _tail(traj) == float("inf")
 
 
 def test_xt_norm_synthetic():
@@ -168,14 +196,14 @@ def test_picard_reports_finite_tail_of_the_forcing():
     assert 0.0 < report.tail_estimate < float("inf")
     tg = drive.time_grid
     integrand = _forcing_integrand_per_node(fd, params, tg)
-    assert report.tail_estimate == estimate_tail(ProfileTrajectory(params.grid, tg, integrand))
+    assert report.tail_estimate == _tail(ProfileTrajectory(params.grid, tg, integrand))
 
 
 def test_picard_fixed_point_residual():
     fd = make_final_data("gaussian", PARAMS, bandwidth=0.4)
     drive = build_drive(fd, PARAMS)
     g, report = picard_iterate(drive, tol=1e-10)
-    resid = xt_distance(apply_phi(g, drive), g, PARAMS.alpha)
+    resid = xt_distance(apply_phi(g, drive)[0], g, PARAMS.alpha)
     assert resid <= 1e-9
 
 
@@ -210,13 +238,13 @@ def test_picard_from_zero_starts_at_phi_eps(monkeypatch, lam, eps0):
     params = SolverParams(lam=lam, eps0=eps0, grid=GRID, time_grid_points=65)
     drive = build_drive(make_final_data("gaussian", params, bandwidth=0.4), params)
     zero = zero_trajectory(GRID, drive.time_grid)
-    first = apply_phi(zero, drive)
-    g_swept, swept = _picard(drive, 15, 1e-9, first, xt_distance(first, zero, params.alpha))
+    first, size, (step,) = apply_phi(zero, drive, (zero,), sized=True)
+    g_swept, swept = _picard(drive, 15, 1e-9, first, size, step)
     real, sweeps = fixedpoint.apply_phi, []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         sweeps.append(1)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(fixedpoint, "apply_phi", counted)
     g, report = picard_iterate(drive)
@@ -230,8 +258,8 @@ def test_picard_start_independence():
     drive = build_drive(fd, PARAMS)
     g_a, _ = picard_iterate(drive, tol=1e-12)
     g0 = ProfileTrajectory(GRID, drive.time_grid, 2.0 * drive.phi_eps.values)
-    first = apply_phi(g0, drive)
-    g_b, _ = _picard(drive, 15, 1e-12, first, xt_distance(first, g0, PARAMS.alpha))
+    first, size, (step,) = apply_phi(g0, drive, (g0,), sized=True, write="over")
+    g_b, _ = _picard(drive, 15, 1e-12, first, size, step)
     assert xt_distance(g_a, g_b, PARAMS.alpha) <= 1e-8
 
 
@@ -321,7 +349,7 @@ def test_blocked_routes_match_per_node(lam):
     ref_phi_eps = -1j * _cumulative_backward(_forcing_integrand_per_node(W, params, tg), tg.nodes)
     assert _rel_err(drive.phi_eps.values, ref_phi_eps) <= BLOCKED_RTOL
     ref = _apply_phi_per_node(g, W, params, drive.phi_eps)
-    assert _rel_err(apply_phi(g, drive).values, ref) <= BLOCKED_RTOL
+    assert _rel_err(apply_phi(g, drive)[0].values, ref) <= BLOCKED_RTOL
     ref_norm = _xt_norm_per_node(g, params.alpha)
     assert abs(xt_norm(g, params.alpha) - ref_norm) <= BLOCKED_RTOL * ref_norm
 
@@ -375,7 +403,7 @@ def test_drive_sweeps_are_bit_identical_to_recomputing(lam):
 
     ref_phi_eps = _phi_eps_recomputed(W, params, tg)
     assert np.array_equal(drive.phi_eps.values, ref_phi_eps)
-    assert np.array_equal(apply_phi(g, drive).values,
+    assert np.array_equal(apply_phi(g, drive)[0].values,
                           _apply_phi_recomputed(g, W, params, ref_phi_eps))
 
 
@@ -394,8 +422,9 @@ def test_block_size_changes_no_bit(monkeypatch):
     for rows in (1, 3, 4, 16, tg.count):
         monkeypatch.setattr(fixedpoint, "BLOCK_ROWS", rows)
         drive = build_drive(W, params)
+        image, size, dists = apply_phi(g, drive, (g, h), sized=True)
         runs.append([drive.prop, drive.u_app, drive.phi_eps.values, drive.tail_estimate,
-                     apply_phi(g, drive).values, xt_norm(g, params.alpha),
+                     image.values, size, dists, xt_norm(g, params.alpha),
                      xt_distance(g, h, params.alpha)])
     assert 0.0 < runs[0][3] < float("inf")
     for run in runs[1:]:
@@ -415,13 +444,128 @@ def test_xt_distance_is_xt_norm_of_the_difference():
         xt_distance(a, other, PARAMS.alpha)
 
 
-def test_cumulative_backward_overwrites_its_input():
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 16])
+def test_block_step_is_the_whole_trajectory_integral_bit_for_bit(monkeypatch, rows):
+    # 13 nodes: a partial last block for every block size but 1
+    monkeypatch.setattr(fixedpoint, "BLOCK_ROWS", rows)
     tg = TimeGrid(np.geomspace(10.0, 1000.0, 2 * BLOCK_ROWS + 5))
     traj = synthetic_power_law(-1.1, tg)
     ref = _cumulative_backward_out_of_place(traj.values, tg.nodes)
+    assert np.array_equal(_cumulative_backward(traj.values.copy(), tg.nodes), ref)
     vals = traj.values.copy()
-    assert _cumulative_backward(vals, tg.nodes) is vals
+    assert _backward_integral(vals, tg.nodes) is vals
     assert np.array_equal(vals, ref)
+
+
+# ---- the sweep against the whole-trajectory route it replaced: the map into
+# a new array, then xt_norm and xt_distance over the stored image
+
+def _apply_phi_whole_passes(g, drive):
+    """Phi(g) from an ascending pass of blocks into a new array, then the
+    whole-trajectory integral, the scale and Phi_eps over that array."""
+    tg, grid = drive.time_grid, drive.params.grid
+    out = np.empty_like(g.values)
+    for rows in _blocks(tg.count):
+        prop = _mirrored(drive.prop[rows], grid)
+        out[rows] = _pull_back(drive.u_app[rows], prop, grid, g.values[rows])
+    _cumulative_backward(out, tg.nodes)
+    out *= 1j * drive.params.lam
+    out += drive.phi_eps.values
+    return ProfileTrajectory(grid, tg, out)
+
+
+def _picard_whole_passes(drive, max_iter, tol):
+    """picard_iterate with every iterate in a new array, its size and step
+    bracketed after the sweep that made it."""
+    alpha = drive.params.alpha
+    report = PicardReport(tail_estimate=drive.tail_estimate)
+    g, g_next = None, drive.phi_eps
+    for n in range(max_iter):
+        if n:
+            g_next = _apply_phi_whole_passes(g, drive)
+        size = xt_norm(g_next, alpha)
+        dist = xt_distance(g_next, g, alpha) if n else size
+        report.iterates += 1
+        report.xt_norms.append(size)
+        report.step_distances.append(dist)
+        if len(report.step_distances) >= 2 and report.step_distances[-2] > 0:
+            report.contraction_ratios.append(dist / report.step_distances[-2])
+        g = g_next
+        if dist <= tol:
+            report.converged = True
+            break
+    return g, report
+
+
+def _sweep_case(lam):
+    nodes = 2 * BLOCK_ROWS + 5  # a partial last block
+    grid = SpectralGrid(64, 40.0)
+    params = SolverParams(lam=lam, grid=grid, time_grid_points=nodes)
+    drive = build_drive(make_final_data("random_bandlimited", params, seed=3, bandwidth=0.5),
+                        params)
+    rng = np.random.default_rng(7)
+    shape = (nodes, grid.num_points)
+    g, h = (ProfileTrajectory(grid, drive.time_grid, 1e-3 * (rng.standard_normal(shape)
+                                                             + 1j * rng.standard_normal(shape)))
+            for _ in range(2))
+    return drive, g, h
+
+
+@pytest.mark.parametrize("write", ["new", "over", None], ids=["new", "over", "nowhere"])
+@pytest.mark.parametrize("lam", [1, -1], ids=["defocusing", "focusing"])
+def test_sweep_is_the_map_and_its_brackets_bit_for_bit(lam, write):
+    drive, g, h = _sweep_case(lam)
+    alpha = drive.params.alpha
+    ref = _apply_phi_whole_passes(g, drive)
+    # h - Phi(g) against the sweep's Phi(g) - h: the brackets see no sign
+    ref_brackets = [xt_norm(ref, alpha), xt_distance(ref, g, alpha), xt_distance(h, ref, alpha)]
+    g_values, phi_eps = g.values.copy(), drive.phi_eps.values.copy()
+    image, size, dists = apply_phi(g, drive, (g, h), sized=True, write=write)
+    assert [size, *dists] == ref_brackets
+    if write is None:
+        assert image is None
+    else:
+        assert np.array_equal(image.values, ref.values)
+        assert (image.values is g.values) == (write == "over")
+    assert np.array_equal(g.values, g_values) == (write != "over")
+    assert np.array_equal(drive.phi_eps.values, phi_eps)
+    image, size, dists = apply_phi(ProfileTrajectory(g.grid, g.time_grid, g_values), drive)
+    assert np.array_equal(image.values, ref.values) and size is None and dists == []
+
+
+def test_sweep_refuses_phi_eps_and_what_it_cannot_write_or_measure():
+    drive, g, _ = _sweep_case(1)
+    with pytest.raises(ValueError, match="never writes over the drive's Phi_eps"):
+        apply_phi(drive.phi_eps, drive, write="over")
+    with pytest.raises(ValueError, match="write must be one of"):
+        apply_phi(g, drive, write="in place")
+    other = zero_trajectory(g.grid, TimeGrid(np.geomspace(10.0, 1000.0, 33)))
+    with pytest.raises(ValueError, match="^a trajectory measured against lives on another "
+                                         "time grid$"):
+        apply_phi(g, drive, (other,))
+
+
+@pytest.mark.parametrize("lam", [1, -1], ids=["defocusing", "focusing"])
+def test_picard_in_place_is_the_whole_pass_loop(monkeypatch, lam):
+    # eps0 = 0.5: four iterates, so two sweeps run in place
+    params = SolverParams(lam=lam, eps0=0.5, grid=GRID, time_grid_points=65)
+    drive = build_drive(make_final_data("gaussian", params, bandwidth=0.4), params)
+    phi_eps = drive.phi_eps.values.copy()
+    ref, ref_report = _picard_whole_passes(drive, 15, 1e-9)
+    real, writes = fixedpoint.apply_phi, []
+
+    def recorded(*args, **kwargs):
+        writes.append(kwargs["write"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fixedpoint, "apply_phi", recorded)
+    g, report = picard_iterate(drive)
+    assert report.iterates == 4
+    # a new array for Phi(Phi_eps), then every sweep over the iterate it holds
+    assert writes == ["new"] + ["over"] * (report.iterates - 2)
+    assert np.array_equal(g.values, ref.values)
+    assert asdict(report) == asdict(ref_report)
+    assert np.array_equal(drive.phi_eps.values, phi_eps)
 
 
 # ---- a drive serves only trajectories on its own grid and time grid

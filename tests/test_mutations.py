@@ -47,14 +47,18 @@ def _cubic_difference_without_b2(real):
 
 
 def _left_rectangles(real):
-    def mutant(values, nodes):
-        # the integral from each node to the last by left rectangles, in place
-        ds = np.diff(nodes)
-        values[-1] = 0.0
-        for k in range(len(nodes) - 2, -1, -1):
-            values[k] *= ds[k]
-            values[k] += values[k + 1]
-        return values
+    def mutant(block, lo, half_ds, edge):
+        # the block step by left rectangles, in place: the integral from each
+        # node to the last, carried in edge[1] from the block above
+        integral = edge[1]
+        if lo + len(block) == half_ds.size + 1:
+            integral[...] = 0.0
+            block[-1] = 0.0
+            block = block[:-1]
+        for k in range(len(block) - 1, -1, -1):
+            block[k] *= 2.0 * half_ds[lo + k]
+            block[k] += integral
+            integral[...] = block[k]
     return mutant
 
 
@@ -98,7 +102,7 @@ def _construction_checks():
                  marks=_survives(ITEM_10), id="map-pull-back-halved"),
     pytest.param(trilinear, "_cubic_difference", _cubic_difference_without_b2,
                  marks=_survives(ITEM_4), id="cubic-difference-without-b2"),
-    pytest.param(fixedpoint, "_cumulative_backward", _left_rectangles,
+    pytest.param(fixedpoint, "_integrate_block", _left_rectangles,
                  marks=_survives(ITEM_2), id="left-rectangle-quadrature"),
 ])
 def test_construction_mutants_fail_a_check(monkeypatch, module, name, mutant):
