@@ -196,9 +196,14 @@ def _integrate_block(block: np.ndarray, lo: int, half_ds: np.ndarray, edge: list
     edge.reverse()
 
 
-def _edge(num_points: int) -> list:
-    """The two rows _integrate_block carries from block to block."""
-    return list(np.empty((2, num_points), complex))
+def _edge(out: np.ndarray | None, num_points: int) -> list:
+    """The two rows _integrate_block carries from block to block: the first
+    two rows of out, which a sweep from the last node down writes last (in
+    its last block, when blocks hold two rows or more) and reads nowhere, so
+    that the edge costs no memory; else two rows of its own."""
+    if out is None or BLOCK_ROWS < 2:
+        return list(np.empty((2, num_points), complex))
+    return list(out[:2])
 
 
 def _require_on(traj: ProfileTrajectory, grid: SpectralGrid, tg: TimeGrid, what: str) -> None:
@@ -236,16 +241,16 @@ def build_drive(W: FrequencyField, params: SolverParams) -> Drive:
     u_app, vals = (np.empty((tg.count, grid.num_points), complex) for _ in range(2))
     prop = np.empty((tg.count, _head_width(grid)), complex)
     sizes = np.empty(tg.count)
-    half_ds, edge = 0.5 * np.diff(tg.nodes), _edge(grid.num_points)
+    half_ds, edge = 0.5 * np.diff(tg.nodes), _edge(vals, grid.num_points)
     for rows in reversed(_blocks(tg.count)):
         s = tg.nodes[rows]
         prop[rows] = _propagator_head(grid, s)
-        u_app[rows], vals[rows] = _pulled_back_forcing(
+        u_app[rows], block = _pulled_back_forcing(
             W.values, s, params.lam, _mirrored(prop[rows], grid), grid)
-        block = vals[rows]
         sizes[rows] = _tail_sizes(block, grid.dxi)
         _integrate_block(block, rows.start, half_ds, edge)
-        np.multiply(-1j, block, out=block)
+        vals[rows] = np.multiply(-1j, block, out=block)
+        del block  # freed before the next block's temporaries
     phi_eps = ProfileTrajectory(grid, tg, vals)
     return Drive(params, tg, prop, u_app, phi_eps, estimate_tail(tg.nodes, sizes))
 
@@ -279,7 +284,8 @@ def apply_phi(g: ProfileTrajectory, drive: Drive, against: tuple = (), *, sized:
     out = (np.empty_like(g.values) if write == "new"
            else g.values if write == "over" else None)
     nodes, alpha, scale = tg.nodes, drive.params.alpha, 1j * drive.params.lam
-    half_ds, edge = 0.5 * np.diff(nodes), _edge(grid.num_points)
+    half_ds = 0.5 * np.diff(nodes)
+    edge = _edge(out if write == "new" else None, grid.num_points)
     measured = [None] * sized + list(against)  # None: the image's own size
     weights = [[] for _ in measured]
     for rows in reversed(_blocks(tg.count)):

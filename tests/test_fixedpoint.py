@@ -60,7 +60,7 @@ def _cumulative_backward(values, nodes):
 def _backward_integral(values, nodes):
     """The production block step, swept over values from the last node down
     as apply_phi and build_drive sweep it, in place."""
-    half_ds, edge = 0.5 * np.diff(nodes), _edge(values.shape[-1])
+    half_ds, edge = 0.5 * np.diff(nodes), _edge(None, values.shape[-1])
     for rows in reversed(_blocks(len(nodes))):
         _integrate_block(values[rows], rows.start, half_ds, edge)
     return values
