@@ -287,20 +287,22 @@ def apply_phi(g: ProfileTrajectory, drive: Drive, against: tuple = (), *, sized:
     half_ds = 0.5 * np.diff(nodes)
     edge = _edge(out if write == "new" else None, grid.num_points)
     measured = [None] * sized + list(against)  # None: the image's own size
-    weights = [[] for _ in measured]
+    # running maxima, which np.maximum keeps NaN in: no weights are held
+    maxima = [-np.inf] * len(measured)
     for rows in reversed(_blocks(tg.count)):
         block = _pull_back(drive.u_app[rows], _mirrored(drive.prop[rows], grid), grid,
                            g.values[rows])
         _integrate_block(block, rows.start, half_ds, edge)
         block *= scale
         block += drive.phi_eps.values[rows]
-        for w, traj in zip(weights, measured):
-            w.append(_xt_weights(nodes[rows], block if traj is None else block - traj.values[rows],
-                                 alpha, grid))
+        for i, traj in enumerate(measured):
+            weights = _xt_weights(nodes[rows], block if traj is None else block - traj.values[rows],
+                                  alpha, grid)
+            maxima[i] = np.maximum(maxima[i], np.max(weights))
         if out is not None:
             out[rows] = block
         del block  # freed before the next block's temporaries
-    brackets = [float(np.max(np.concatenate(w))) for w in weights]
+    brackets = [float(m) for m in maxima]
     size = brackets.pop(0) if sized else None
     return None if out is None else ProfileTrajectory(grid, tg, out), size, brackets
 
