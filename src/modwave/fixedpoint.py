@@ -110,8 +110,11 @@ class PicardReport:
     tail_estimate: float = 0.0
 
 
-def _blocks(count: int) -> list:
-    return [slice(lo, min(lo + BLOCK_ROWS, count)) for lo in range(0, count, BLOCK_ROWS)]
+def _blocks(count: int, down: bool = False):
+    """The blocks of BLOCK_ROWS nodes as slices, from the first node up, or
+    from the last node down."""
+    starts = range(0, count, BLOCK_ROWS)
+    return (slice(lo, min(lo + BLOCK_ROWS, count)) for lo in (starts[::-1] if down else starts))
 
 
 def _xt_max(traj: ProfileTrajectory, alpha: float, block) -> float:
@@ -242,7 +245,7 @@ def build_drive(W: FrequencyField, params: SolverParams) -> Drive:
     prop = np.empty((tg.count, _head_width(grid)), complex)
     sizes = np.empty(tg.count)
     half_ds, edge = 0.5 * np.diff(tg.nodes), _edge(vals, grid.num_points)
-    for rows in reversed(_blocks(tg.count)):
+    for rows in _blocks(tg.count, down=True):
         s = tg.nodes[rows]
         prop[rows] = _propagator_head(grid, s)
         u_app[rows], block = _pulled_back_forcing(
@@ -289,7 +292,7 @@ def apply_phi(g: ProfileTrajectory, drive: Drive, against: tuple = (), *, sized:
     measured = [None] * sized + list(against)  # None: the image's own size
     # running maxima, which np.maximum keeps NaN in: no weights are held
     maxima = [-np.inf] * len(measured)
-    for rows in reversed(_blocks(tg.count)):
+    for rows in _blocks(tg.count, down=True):
         block = _pull_back(drive.u_app[rows], _mirrored(drive.prop[rows], grid), grid,
                            g.values[rows])
         _integrate_block(block, rows.start, half_ds, edge)

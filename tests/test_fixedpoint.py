@@ -61,7 +61,7 @@ def _backward_integral(values, nodes):
     """The production block step, swept over values from the last node down
     as apply_phi and build_drive sweep it, in place."""
     half_ds, edge = 0.5 * np.diff(nodes), _edge(None, values.shape[-1])
-    for rows in reversed(_blocks(len(nodes))):
+    for rows in _blocks(len(nodes), down=True):
         _integrate_block(values[rows], rows.start, half_ds, edge)
     return values
 
