@@ -341,7 +341,6 @@ def _picard(drive: Drive, max_iter: int, tol: float, first: ProfileTrajectory,
     tol as picard_iterate validates them."""
     report = PicardReport(tail_estimate=drive.tail_estimate)
     g, size, dist = first, first_size, first_step
-    del first
     for n in range(max_iter):
         if n:
             write = "new" if np.may_share_memory(g.values, drive.phi_eps.values) else "over"
