@@ -33,11 +33,12 @@ For each LABEL=PATH checkout it records:
   of this script on the checkout's sources that makes one warm-up and
   LAYER_CALLS (5) timed calls per layer, whose median is the sample.  On
   the default grid (N = 4096, 129 nodes, default gaussian data):
-  build_drive, the transform pair over one trajectory, the pulled-back
-  cubic over one trajectory with its propagator rows evaluated in the call
-  (trilinear._pulled_back_cubic on the rows of _propagator), one
-  apply_phi sweep, xt_norm, xt_distance, one Picard step (a sweep into a
-  new array with its size and its step from its input, taken by the sweep
+  build_drive, the transform pair over one trajectory (Phi_eps), the
+  pulled-back cubic over one trajectory with its propagator rows evaluated
+  in the call (trilinear._pulled_back_cubic on the rows of _propagator), one
+  apply_phi sweep (on a drive whose first sweep has filled its u_app
+  table), xt_norm, xt_distance, one Picard step (a sweep into a new array
+  with its size and its step from its input, taken by the sweep
   as it goes where the checkout's apply_phi takes brackets, else by
   xt_norm and xt_distance after it), and evolve from T to 2T;
   build_drive once more on the random band-limited seed-1 datum of
@@ -234,7 +235,7 @@ def layer_times(repeats: int) -> dict:
     layers = {
         "build_drive": lambda: build_drive(W, params),
         "build_drive_random_bandlimited_seed1": lambda: build_drive(W_sweep, params),
-        "transform_pair": lambda: _ifft(_fft(drive.u_app, dx), dx),
+        "transform_pair": lambda: _ifft(_fft(drive.phi_eps.values, dx), dx),
         "pulled_back_cubic": lambda: _pulled_back_cubic(g.values, _propagator(grid, nodes),
                                                         grid),
         "apply_phi": lambda: apply_phi(g, drive),

@@ -32,6 +32,7 @@ from .evolve import (
 from .fitting import fit_decay
 from .fixedpoint import (
     ProfileTrajectory,
+    _blocks,
     _picard,
     apply_phi,
     build_drive,
@@ -255,15 +256,17 @@ def run_verify_dispersive(config: ExperimentConfig) -> CampaignResult:
     times = _sample_times(*config.fit_window)
     errs = []
     x = grid.x
-    # the free wave at every time from one block of propagator rows
-    waves = _ifft(hhat.values * _propagator(grid, times), grid.dx)
-    for t, u in zip(times, waves):
-        ray = x / t
-        leading = (
-            np.exp(-0.25j * np.pi) / np.sqrt(2.0 * np.pi * t)
-            * np.exp(0.5j * x * x / t) * np.exp(-32.0 * ray * ray)
-        )
-        errs.append(float(np.max(np.abs(u - leading))))
+    # the free wave at the sample times, from a block of propagator rows at a
+    # time, which bounds the temporaries as the construction's sweeps do
+    for rows in _blocks(len(times)):
+        waves = _ifft(hhat.values * _propagator(grid, times[rows]), grid.dx)
+        for t, u in zip(times[rows], waves):
+            ray = x / t
+            leading = (
+                np.exp(-0.25j * np.pi) / np.sqrt(2.0 * np.pi * t)
+                * np.exp(0.5j * x * x / t) * np.exp(-32.0 * ray * ray)
+            )
+            errs.append(float(np.max(np.abs(u - leading))))
     fit = fit_decay(times, errs)
     res.fits["stationary_phase_error"] = asdict(fit)
     res.add_check("stationary_phase_slope", fit.slope, fit.slope <= -0.70,
@@ -375,7 +378,9 @@ def _construct_sign(lam: int, config: ExperimentConfig) -> CampaignResult:
     # nowhere: its sweep takes the residual and the probe's numerator against
     # Phi(A).  The second Picard run continues over Phi(A), so a sign holds at
     # most four trajectories beside the drive's propagator heads: the drive's
-    # u_app and Phi_eps, g, and A, then Phi(A), then the second run's iterate.
+    # Phi_eps and its u_app table, which the sign's first sweep fills (that of
+    # Picard, or of Phi(A) when Picard stops at Phi_eps), g, and A, then
+    # Phi(A), then the second run's iterate.
     alt_start = ProfileTrajectory(params.grid, drive.time_grid, 2.0 * cached.values)
     probe_den = xt_distance(alt_start, g, alpha) if np.any(cached.values) else None
     phi_alt, alt_size, (alt_step,) = apply_phi(alt_start, drive, (alt_start,), sized=True,

@@ -3,13 +3,17 @@
 The correction profile g is the fixed point of
 Phi(g)(t) = i*lam * int_t^inf U(-s)(|u|^2 u - |u_app|^2 u_app) ds + Phi_eps(t),
 with u = u_app + U(.)g, solved by Picard iteration from g = 0 on a
-log-spaced time grid truncated at t_max.  Everything Phi takes from W alone
-(the propagator phases, the approximate solution and Phi_eps) is tabulated
-once per construction by build_drive(W, params), the one way into the map;
+log-spaced time grid truncated at t_max.  What Phi takes from W alone is
+tabulated once per construction by build_drive(W, params), the one way into
+the map: W's values, the propagator phases, Phi_eps and its tail.
 apply_phi, the one sweep of the map, and picard_iterate take only the Drive.
 Of each propagator row build_drive evaluates and keeps the head
 (spectral._propagator_head), so its table is half a trajectory; it and
 apply_phi mirror a block's heads into full rows for the kernels.
+The x-space rows of the approximate solution, which only sweeps read, are
+not kept by build_drive: the first sweep on a drive fills them as it goes
+and then publishes them on the drive as u_app for every later sweep, so a
+construction that stops at Phi_eps never holds them.
 Both sweep their blocks of nodes from the last node down, so that each block
 of the backward trapezoid integral is finished at once (_integrate_block).
 apply_phi takes the X_T brackets its caller asks for while the finished block
@@ -29,7 +33,7 @@ import numpy as np
 from .profile import SolverParams
 from .spectral import (FrequencyField, SpectralGrid, _head_width, _l2, _mirrored,
                        _propagator_head, _xt_weights)
-from .trilinear import _pull_back, _pulled_back_forcing
+from .trilinear import _approximate_solution, _pull_back, _pulled_back_forcing
 
 __all__ = [
     "TimeGrid",
@@ -46,9 +50,10 @@ __all__ = [
 BLOWUP_LIMIT = 1e6
 
 # Trajectories are processed BLOCK_ROWS time nodes at a time, which bounds
-# each temporary to 4 x 4096 x 16 B = 256 KiB on the default grid, so that a
-# block's dozen temporaries stay in a 4 MiB L2 cache; 16 rows (1 MiB each)
-# ran slower.  No result depends on the block size.
+# each temporary to 4 x 4096 x 16 B = 256 KiB on the default grid: a block's
+# dozen temporaries come to 3 MiB, against 2 MiB of L2 cache per core on the
+# 2-vCPU Xeon it was measured on; 16 rows (1 MiB each) ran slower.  No
+# result depends on the block size.
 BLOCK_ROWS = 4
 
 
@@ -219,43 +224,49 @@ def _require_on(traj: ProfileTrajectory, grid: SpectralGrid, tg: TimeGrid, what:
 @dataclass(frozen=True)
 class Drive:
     """What the map Phi takes from the final data alone, tabulated once per
-    (W, params) by build_drive and read by every sweep."""
+    (W, params) by build_drive and read by every sweep, and the table of
+    approximate-solution rows that the first sweep fills."""
 
     params: SolverParams
     time_grid: TimeGrid
+    w: np.ndarray  # the values of W
     # the heads of the propagator rows U(s_k), count x (N/2+1), which
     # build_drive evaluates: each sweep mirrors a block's heads into full
     # rows (spectral._mirrored)
     prop: np.ndarray
-    u_app: np.ndarray  # x-space rows U(s_k) v(s_k), count x N
     phi_eps: ProfileTrajectory
     tail_estimate: float
+    # the x-space rows U(s_k) v(s_k), count x N, which only sweeps read:
+    # None until the first apply_phi on the drive has filled and published
+    # them, the one field set after build_drive
+    u_app: np.ndarray | None = None
 
 
 def build_drive(W: FrequencyField, params: SolverParams) -> Drive:
-    """Tabulate U(s_k) (the heads of its rows), the approximate solution and
-    Phi_eps on the params' time grid: the one way into the backward map.
+    """Tabulate U(s_k) (the heads of its rows) and Phi_eps on the params'
+    time grid, beside W's values: the one way into the backward map.
 
     The pulled-back forcing rows come from the same tables, block by block
     from the last node down; each block's tail sizes are taken before it is
     integrated, in place, into Phi_eps = -i * int_t^{t_max} of the forcing.
+    The rows U(s_k)v(s_k) that the forcing is computed from are not kept:
+    the drive's u_app stays None until a sweep fills it.
     """
     tg, grid = TimeGrid.from_params(params), params.grid
-    u_app, vals = (np.empty((tg.count, grid.num_points), complex) for _ in range(2))
+    vals = np.empty((tg.count, grid.num_points), complex)
     prop = np.empty((tg.count, _head_width(grid)), complex)
     sizes = np.empty(tg.count)
     half_ds, edge = 0.5 * np.diff(tg.nodes), _edge(vals, grid.num_points)
     for rows in _blocks(tg.count, down=True):
         s = tg.nodes[rows]
         prop[rows] = _propagator_head(grid, s)
-        u_app[rows], block = _pulled_back_forcing(
-            W.values, s, params.lam, _mirrored(prop[rows], grid), grid)
+        block = _pulled_back_forcing(W.values, s, params.lam, _mirrored(prop[rows], grid), grid)
         sizes[rows] = _tail_sizes(block, grid.dxi)
         _integrate_block(block, rows.start, half_ds, edge)
         vals[rows] = np.multiply(-1j, block, out=block)
         del block  # freed before the next block's temporaries
     phi_eps = ProfileTrajectory(grid, tg, vals)
-    return Drive(params, tg, prop, u_app, phi_eps, estimate_tail(tg.nodes, sizes))
+    return Drive(params, tg, W.values, prop, phi_eps, estimate_tail(tg.nodes, sizes))
 
 
 _WRITES = ("new", "over", None)
@@ -275,6 +286,11 @@ def apply_phi(g: ProfileTrajectory, drive: Drive, against: tuple = (), *, sized:
     nowhere (None).  It never writes over the drive's Phi_eps.  Returns the
     image (None when written nowhere), ||image||_XT (None unless sized) and
     the list of ||image - S||_XT.
+
+    The first sweep on a drive computes each block's rows U(s)v from the
+    drive's W and propagator heads, fills the drive's table with them, and
+    publishes it as drive.u_app once every block is done; later sweeps read
+    that table.
     """
     tg, grid = drive.time_grid, drive.params.grid
     _require_on(g, grid, tg, "g")
@@ -292,9 +308,14 @@ def apply_phi(g: ProfileTrajectory, drive: Drive, against: tuple = (), *, sized:
     measured = [None] * sized + list(against)  # None: the image's own size
     # running maxima, which np.maximum keeps NaN in: no weights are held
     maxima = [-np.inf] * len(measured)
+    filling = drive.u_app is None
+    u_app = np.empty((tg.count, grid.num_points), complex) if filling else drive.u_app
     for rows in _blocks(tg.count, down=True):
-        block = _pull_back(drive.u_app[rows], _mirrored(drive.prop[rows], grid), grid,
-                           g.values[rows])
+        prop = _mirrored(drive.prop[rows], grid)
+        if filling:
+            u_app[rows] = _approximate_solution(drive.w, nodes[rows], drive.params.lam,
+                                                prop, grid)[1]
+        block = _pull_back(u_app[rows], prop, grid, g.values[rows])
         _integrate_block(block, rows.start, half_ds, edge)
         block *= scale
         block += drive.phi_eps.values[rows]
@@ -304,7 +325,9 @@ def apply_phi(g: ProfileTrajectory, drive: Drive, against: tuple = (), *, sized:
             maxima[i] = np.maximum(maxima[i], np.max(weights))
         if out is not None:
             out[rows] = block
-        del block  # freed before the next block's temporaries
+        del block, prop  # freed before the next block's temporaries
+    if filling:  # published whole: a sweep that fails leaves the drive as it was
+        object.__setattr__(drive, "u_app", u_app)
     brackets = [float(m) for m in maxima]
     size = brackets.pop(0) if sized else None
     return None if out is None else ProfileTrajectory(grid, tg, out), size, brackets

@@ -5,9 +5,9 @@ construction, the forcing and the forward solve.  Every kernel here takes
 the propagator rows U(s) from its caller and evaluates none:
 ``_pulled_back_cubic`` propagates by them and hands over to its pull-back
 half, ``_pull_back``, which the construction calls directly on the rows
-U(s)f it tabulates once and sweeps many times.  The interaction-picture
-cubic term splits into a pointwise resonant piece (i/(2*pi*s))|fhat|^2 fhat
-plus a remainder that decays integrably in time.
+U(s)f that its first sweep tabulates and every later sweep reads.  The
+interaction-picture cubic term splits into a pointwise resonant piece
+(i/(2*pi*s))|fhat|^2 fhat plus a remainder that decays integrably in time.
 The remainder is defined operationally by subtraction (the FFT route is
 exact on the grid); an O(N^3) oscillatory double-integral quadrature
 provides an independent oracle on coarse grids.
@@ -135,21 +135,28 @@ def remainder_oracle(fhat: FrequencyField, s: float) -> FrequencyField:
     return FrequencyField(fhat.grid, ORACLE_CONSTANT * _oracle_raw(fhat, s))
 
 
+def _approximate_solution(w: np.ndarray, t, lam: int, prop: np.ndarray, grid: SpectralGrid):
+    """The profile rows v of _profile on the values w of W, for a scalar t or
+    one row per entry of a vector t, and the x-space rows U(t)v of the
+    approximate solution, from the propagator rows prop of U(t): the one
+    route to them, for the forcing and for the construction's sweeps."""
+    v = _profile(w, t, lam)
+    return v, _ifft(v * prop, grid.dx)
+
+
 def _pulled_back_forcing(w: np.ndarray, t, lam: int, prop: np.ndarray, grid: SpectralGrid):
     """Kernel of pulled_back_forcing on the values w of W, for a scalar t or
     one row per entry of a vector t, with the propagator rows prop of U(t):
-    the x-space rows U(t)v of the approximate solution, and the forcing rows
-    they give.
+    the forcing rows of the approximate solution.
     The drive term i*dv/dt needs no transform, since U(-t) undoes the free
     flow it is carried by, and is added on the support of W alone, where v
     is nonzero."""
-    v = _profile(w, t, lam)
-    u_app = _ifft(v * prop, grid.dx)
+    v, u_app = _approximate_solution(w, t, lam, prop, grid)
     forcing = _pull_back(u_app, prop, grid)
     forcing *= -lam
     support = np.flatnonzero(w)
     forcing[..., support] += 1j * _profile_rate(v[..., support], t, lam)
-    return u_app, forcing
+    return forcing
 
 
 def pulled_back_forcing(W: FrequencyField, t: float, params: SolverParams) -> FrequencyField:
@@ -161,8 +168,8 @@ def pulled_back_forcing(W: FrequencyField, t: float, params: SolverParams) -> Fr
     if t <= 0:
         raise ValueError(f"forcing time must be positive, got {t}")
     grid = params.grid
-    _, pulled = _pulled_back_forcing(W.values, t, params.lam, _propagator(grid, t), grid)
-    return FrequencyField(grid, pulled)
+    return FrequencyField(grid, _pulled_back_forcing(W.values, t, params.lam,
+                                                     _propagator(grid, t), grid))
 
 
 def forcing_identity_residual(

@@ -1,5 +1,6 @@
 """Time grid, backward quadrature, norm growth, and the Picard iteration."""
 
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -15,6 +16,7 @@ from modwave import (
     apply_phi,
     build_drive,
     make_final_data,
+    parse_config,
     picard_iterate,
     xt_distance,
     xt_norm,
@@ -407,6 +409,42 @@ def test_drive_sweeps_are_bit_identical_to_recomputing(lam):
                           _apply_phi_recomputed(g, W, params, ref_phi_eps))
 
 
+def test_drive_stopping_at_phi_eps_never_holds_the_u_app_table():
+    # 4-row blocks of 256 points are small against a 257-node trajectory, so
+    # the traced peak counts trajectories: Phi_eps and the half-width
+    # propagator heads, and no table of U(s)v rows
+    config = parse_config("num_points = 256\nbox_length = 100\ntime_grid_points = 257\n"
+                          "bandwidth = 0.4\ntol = 1.0\n")
+    params = config.params
+    W = make_final_data(config.data_kind, params, seed=config.seed, bandwidth=config.bandwidth)
+    trajectory = 257 * 256 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        drive = build_drive(W, params)
+        _, report = picard_iterate(drive, config.max_iter, config.tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.iterates == 1 and report.converged  # tol is above ||Phi_eps||_XT
+    assert drive.u_app is None
+    assert 1.5 <= peak / trajectory <= 2.0
+
+
+@pytest.mark.parametrize("lam", [1, -1], ids=["defocusing", "focusing"])
+def test_first_sweep_fills_the_u_app_table_and_later_sweeps_read_it(lam):
+    drive, g, _ = _sweep_case(lam)
+    params, nodes = drive.params, drive.time_grid.nodes
+    assert drive.u_app is None
+    first = apply_phi(g, drive)[0]
+    table = drive.u_app
+    ref = _ifft(_profile(drive.w, nodes, params.lam) * _propagator(params.grid, nodes),
+                params.grid.dx)
+    assert np.array_equal(table, ref)
+    second = apply_phi(g, drive)[0]
+    assert drive.u_app is table
+    assert np.array_equal(second.values, first.values)
+
+
 def test_block_size_changes_no_bit(monkeypatch):
     # a box that holds the wave to t_max, so the tail compared is finite, and
     # 65 nodes, which none of the block sizes 3, 4 and 16 divides
@@ -467,7 +505,8 @@ def _apply_phi_whole_passes(g, drive):
     out = np.empty_like(g.values)
     for rows in _blocks(tg.count):
         prop = _mirrored(drive.prop[rows], grid)
-        out[rows] = _pull_back(drive.u_app[rows], prop, grid, g.values[rows])
+        u_app = _ifft(_profile(drive.w, tg.nodes[rows], drive.params.lam) * prop, grid.dx)
+        out[rows] = _pull_back(u_app, prop, grid, g.values[rows])
     _cumulative_backward(out, tg.nodes)
     out *= 1j * drive.params.lam
     out += drive.phi_eps.values
