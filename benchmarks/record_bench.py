@@ -36,11 +36,10 @@ For each LABEL=PATH checkout it records:
   build_drive, the transform pair over one trajectory (Phi_eps), the
   pulled-back cubic over one trajectory with its propagator rows evaluated
   in the call (trilinear._pulled_back_cubic on the rows of _propagator), one
-  apply_phi sweep (on a drive whose first sweep has filled its u_app
-  table), xt_norm, xt_distance, one Picard step (a sweep into a new array
-  with its size and its step from its input, taken by the sweep
-  as it goes where the checkout's apply_phi takes brackets, else by
-  xt_norm and xt_distance after it), and evolve from T to 2T;
+  apply_phi sweep into a new array (on a drive whose first sweep has
+  filled its u_app table), xt_norm, xt_distance, one Picard step (a sweep
+  into a new array with its size and its step from its input, taken by
+  the sweep as it goes), and evolve from T to 2T;
   build_drive once more on the random band-limited seed-1 datum of
   perfbench's sweep workload, which is nonzero on 127 of the 4096 points;
   and evolve on roundtrip's dispersive regime (N = 4096, L = 800, gaussian
@@ -56,9 +55,9 @@ For each LABEL=PATH checkout it records:
   would read 0.
   Every count is taken one way, by wrapping the function by name in each
   modwave module that holds it: calls of apply_phi, xt_norm and xt_distance,
-  where the X_T brackets a sweep takes as it goes (its size, and its
-  distance from each trajectory it is measured against) count as the
-  xt_norm and xt_distance calls they stand for;
+  where the X_T brackets a sweep takes as it goes count as the calls they
+  stand for, each None in its against (the image's size) as an xt_norm
+  call and each trajectory as an xt_distance call;
   calls of the Picard loop _picard and the iterates it reports; calls of
   build_drive, and of verify-forcing's remainder, remainder_oracle and
   pulled_back_forcing; calls of
@@ -80,6 +79,11 @@ For each LABEL=PATH checkout it records:
   and the interpreter's objects, without the allocator's reserve.  Tracing
   runs through the whole campaign, so minor_faults includes the pages of
   tracemalloc's own records.
+
+Every checkout is driven through this script's own calls, so each must
+take apply_phi(g, drive, out, against): a two-checkout record cannot pair
+a checkout whose apply_phi returns an image and its size (sized=, write=)
+with one that takes out.
 
 The checkouts take turns within each repeat, in alternating order, so drift
 of a shared machine falls on both, and each repeat pairs their samples.
@@ -224,24 +228,16 @@ def layer_times(repeats: int) -> dict:
     profile_dispersive = asymptotic_profile(W_dispersive, dispersive.T, dispersive.lam)
     dispersive_times = numpy.geomspace(10.0, 1000.0, 25)
 
-    if "against" in inspect.signature(apply_phi).parameters:
-        def picard_step():
-            return apply_phi(g, drive, (g,), sized=True)
-    else:  # a sweep that takes no brackets: the map, then both brackets
-        def picard_step():
-            image = apply_phi(g, drive)
-            return xt_norm(image, params.alpha), xt_distance(image, g, params.alpha)
-
     layers = {
         "build_drive": lambda: build_drive(W, params),
         "build_drive_random_bandlimited_seed1": lambda: build_drive(W_sweep, params),
         "transform_pair": lambda: _ifft(_fft(drive.phi_eps.values, dx), dx),
         "pulled_back_cubic": lambda: _pulled_back_cubic(g.values, _propagator(grid, nodes),
                                                         grid),
-        "apply_phi": lambda: apply_phi(g, drive),
+        "apply_phi": lambda: apply_phi(g, drive, numpy.empty_like(g.values)),
         "xt_norm": lambda: xt_norm(g, params.alpha),
         "xt_distance": lambda: xt_distance(g, drive.phi_eps, params.alpha),
-        "picard_step": picard_step,
+        "picard_step": lambda: apply_phi(g, drive, numpy.empty_like(g.values), (None, g)),
         "evolve": lambda: evolve(profile_T, params.T, [2.0 * params.T], params),
         "evolve_dispersive": lambda: evolve(profile_dispersive, dispersive.T, dispersive_times,
                                             dispersive),
@@ -285,10 +281,11 @@ COUNTED_FUNCTIONS = {
 
 def _sweep_brackets(real, args, kwargs) -> dict:
     """The xt_norm and xt_distance calls that the brackets of one apply_phi
-    call stand for; none where the checkout's sweep takes no brackets."""
-    bound = inspect.signature(real).bind(*args, **kwargs).arguments
-    return {"xt_norm_calls": int(bound.get("sized", False)),
-            "xt_distance_calls": len(bound.get("against", ()))}
+    call stand for: a None in against is the image's size."""
+    against = inspect.signature(real).bind(*args, **kwargs).arguments.get("against", ())
+    # `is None`, since tuple.count(None) would compare trajectories by value
+    sizes = sum(traj is None for traj in against)
+    return {"xt_norm_calls": sizes, "xt_distance_calls": len(against) - sizes}
 
 
 # The functions whose calls take X_T brackets besides their own work

@@ -42,7 +42,6 @@ from .fixedpoint import (
 )
 from .profile import (
     SolverParams,
-    _profile,
     _unit_shape,
     asymptotic_profile,
     make_final_data,
@@ -61,6 +60,7 @@ from .spectral import (
     physical_linf,
 )
 from .trilinear import (
+    _approximate_solution,
     forcing_identity_residual,
     pulled_back_forcing,
     remainder,
@@ -374,19 +374,17 @@ def _construct_sign(lam: int, config: ExperimentConfig) -> CampaignResult:
     g, report = picard_iterate(drive, config.max_iter, config.tol)
     # the second start A = 2 Phi_eps, in a buffer of its own, which the sweep
     # of Phi(A) then overwrites: the probe's denominator is taken first, and
-    # Phi(A)'s step from A and its size as the sweep goes.  Phi(g) is written
+    # Phi(A)'s size and step from A as the sweep goes.  Phi(g) is written
     # nowhere: its sweep takes the residual and the probe's numerator against
     # Phi(A).  The second Picard run continues over Phi(A), so a sign holds at
     # most four trajectories beside the drive's propagator heads: the drive's
     # Phi_eps and its u_app table, which the sign's first sweep fills (that of
-    # Picard, or of Phi(A) when Picard stops at Phi_eps), g, and A, then
-    # Phi(A), then the second run's iterate.
-    alt_start = ProfileTrajectory(params.grid, drive.time_grid, 2.0 * cached.values)
-    probe_den = xt_distance(alt_start, g, alpha) if np.any(cached.values) else None
-    phi_alt, alt_size, (alt_step,) = apply_phi(alt_start, drive, (alt_start,), sized=True,
-                                               write="over")
-    del alt_start
-    _, _, (residual, probe_num) = apply_phi(g, drive, (g, phi_alt), write=None)
+    # Picard, or of Phi(A) when Picard stops at Phi_eps), g, and the buffer
+    # that holds A, then Phi(A), then the second run's iterate.
+    alt = ProfileTrajectory(params.grid, drive.time_grid, 2.0 * cached.values)
+    probe_den = xt_distance(alt, g, alpha) if np.any(cached.values) else None
+    alt_size, alt_step = apply_phi(alt, drive, alt.values, (None, alt))  # alt is Phi(A) now
+    residual, probe_num = apply_phi(g, drive, None, (g, alt))
     probe = None if probe_den is None else probe_num / probe_den
     res = CampaignResult("construct")
     if report.contraction_ratios:
@@ -404,7 +402,7 @@ def _construct_sign(lam: int, config: ExperimentConfig) -> CampaignResult:
     res.add_check(f"fixed_point_residual_{tag}", residual, residual <= 2e-9,
                   "||Phi(g) - g||_XT <= 2e-9")
 
-    g_alt, _ = _picard(drive, config.max_iter, config.tol, phi_alt, alt_size, alt_step)
+    g_alt, _ = _picard(drive, config.max_iter, config.tol, alt, alt_size, alt_step)
     gap = xt_distance(g, g_alt, alpha)
     res.add_check(f"start_independence_{tag}", gap, gap <= 1e-8,
                   "fixed points from two starts agree to 1e-8 in X_T")
@@ -527,8 +525,8 @@ def _roundtrip_dispersive(config: ExperimentConfig) -> CampaignResult:
 
     errs, w_weighted = [], []
     # the approximate solution at every sample time from one block of rows
-    grid = params.grid
-    u_apps = _ifft(_profile(W.values, times, params.lam) * _propagator(grid, times), grid.dx)
+    u_apps = _approximate_solution(W.values, times, params.lam,
+                                   _propagator(params.grid, times), params.grid)[1]
     for state, u_app in zip(states, u_apps):
         errs.append(asymptotic_error(state, W, params))
         w_sup = float(np.max(np.abs(state.u.values - u_app)))

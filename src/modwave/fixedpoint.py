@@ -12,14 +12,14 @@ Of each propagator row build_drive evaluates and keeps the head
 apply_phi mirror a block's heads into full rows for the kernels.
 The x-space rows of the approximate solution, which only sweeps read, are
 not kept by build_drive: the first sweep on a drive fills them as it goes
-and then publishes them on the drive as u_app for every later sweep, so a
-construction that stops at Phi_eps never holds them.
+and, once its last block is done, sets them on the drive as u_app for every
+later sweep, so a construction that stops at Phi_eps never holds them.
 Both sweep their blocks of nodes from the last node down, so that each block
 of the backward trapezoid integral is finished at once (_integrate_block).
-apply_phi takes the X_T brackets its caller asks for while the finished block
-is at hand, then writes it into a new array, over its own input, or nowhere;
-so each Picard step is one pass, and from its second sweep on the iteration
-overwrites the iterate it holds.
+apply_phi writes the image into the array it is handed, or nowhere, and
+returns the X_T distances its caller asks for, taken while each finished
+block is at hand; so each Picard step is one pass, and from its second sweep
+on the iteration overwrites the iterate it holds.
 The neglected tail is estimated from a power-law fit and reported, never
 silently added.
 """
@@ -204,16 +204,6 @@ def _integrate_block(block: np.ndarray, lo: int, half_ds: np.ndarray, edge: list
     edge.reverse()
 
 
-def _edge(out: np.ndarray | None, num_points: int) -> list:
-    """The two rows _integrate_block carries from block to block: the first
-    two rows of out, which a sweep from the last node down writes last (in
-    its last block, when blocks hold two rows or more) and reads nowhere, so
-    that the edge costs no memory; else two rows of its own."""
-    if out is None or BLOCK_ROWS < 2:
-        return list(np.empty((2, num_points), complex))
-    return list(out[:2])
-
-
 def _require_on(traj: ProfileTrajectory, grid: SpectralGrid, tg: TimeGrid, what: str) -> None:
     if traj.grid != grid:
         raise ValueError(f"{what} lives on another grid")
@@ -221,7 +211,7 @@ def _require_on(traj: ProfileTrajectory, grid: SpectralGrid, tg: TimeGrid, what:
         raise ValueError(f"{what} lives on another time grid")
 
 
-@dataclass(frozen=True)
+@dataclass
 class Drive:
     """What the map Phi takes from the final data alone, tabulated once per
     (W, params) by build_drive and read by every sweep, and the table of
@@ -237,8 +227,8 @@ class Drive:
     phi_eps: ProfileTrajectory
     tail_estimate: float
     # the x-space rows U(s_k) v(s_k), count x N, which only sweeps read:
-    # None until the first apply_phi on the drive has filled and published
-    # them, the one field set after build_drive
+    # None until the first apply_phi on the drive has filled them, the one
+    # field set after build_drive
     u_app: np.ndarray | None = None
 
 
@@ -256,7 +246,7 @@ def build_drive(W: FrequencyField, params: SolverParams) -> Drive:
     vals = np.empty((tg.count, grid.num_points), complex)
     prop = np.empty((tg.count, _head_width(grid)), complex)
     sizes = np.empty(tg.count)
-    half_ds, edge = 0.5 * np.diff(tg.nodes), _edge(vals, grid.num_points)
+    half_ds, edge = 0.5 * np.diff(tg.nodes), list(np.empty((2, grid.num_points), complex))
     for rows in _blocks(tg.count, down=True):
         s = tg.nodes[rows]
         prop[rows] = _propagator_head(grid, s)
@@ -269,45 +259,40 @@ def build_drive(W: FrequencyField, params: SolverParams) -> Drive:
     return Drive(params, tg, W.values, prop, phi_eps, estimate_tail(tg.nodes, sizes))
 
 
-_WRITES = ("new", "over", None)
-
-
-def apply_phi(g: ProfileTrajectory, drive: Drive, against: tuple = (), *, sized: bool = False,
-              write: str | None = "new"
-              ) -> tuple[ProfileTrajectory | None, float | None, list[float]]:
+def apply_phi(g: ProfileTrajectory, drive: Drive, out: np.ndarray | None = None,
+              against: tuple = ()) -> list[float]:
     """One application of the map Phi: the nonlinear part
     i*lam * int_t^{t_max} U(-s)(|u|^2 u - |u_app|^2 u_app) ds at g, then Phi_eps.
 
     The blocks of nodes are swept from the last node down, each finished at
     once.  While a block is at hand, the sweep takes the X_T weights (at the
-    drive's alpha) of the image if sized, and of image - S for each
-    trajectory S in against; only then does it write the block: into a new
-    array (write="new"), over g ("over"), which may be in against, or
-    nowhere (None).  It never writes over the drive's Phi_eps.  Returns the
-    image (None when written nowhere), ||image||_XT (None unless sized) and
-    the list of ||image - S||_XT.
+    drive's alpha) of image - S for each trajectory S in against, None
+    standing for 0 (the image's own size); only then does it write the
+    block into out: a complex128 array of g's shape, new or g.values itself
+    (g may be in against), never the drive's Phi_eps; or nowhere when out is
+    None.  Returns the list of ||image - S||_XT.
 
     The first sweep on a drive computes each block's rows U(s)v from the
-    drive's W and propagator heads, fills the drive's table with them, and
-    publishes it as drive.u_app once every block is done; later sweeps read
-    that table.
+    drive's W and propagator heads, fills a table with them, and sets it as
+    drive.u_app once every block is done; later sweeps read that table.
     """
     tg, grid = drive.time_grid, drive.params.grid
     _require_on(g, grid, tg, "g")
     for traj in against:
-        _require_on(traj, grid, tg, "a trajectory measured against")
-    if write not in _WRITES:
-        raise ValueError(f"write must be one of {_WRITES}, got {write!r}")
-    if write == "over" and np.may_share_memory(g.values, drive.phi_eps.values):
-        raise ValueError("a sweep never writes over the drive's Phi_eps")
-    out = (np.empty_like(g.values) if write == "new"
-           else g.values if write == "over" else None)
+        if traj is not None:
+            _require_on(traj, grid, tg, "a trajectory measured against")
+    if out is not None:
+        if out.shape != g.values.shape or out.dtype != np.complex128:
+            raise ValueError(f"out must be a complex128 array of shape {g.values.shape}, "
+                             f"got {out.dtype} {out.shape}")
+        if np.may_share_memory(out, drive.phi_eps.values):
+            raise ValueError("a sweep never writes over the drive's Phi_eps")
+        if out is not g.values and np.may_share_memory(out, g.values):
+            raise ValueError("out must be g.values itself or share no memory with it")
     nodes, alpha, scale = tg.nodes, drive.params.alpha, 1j * drive.params.lam
-    half_ds = 0.5 * np.diff(nodes)
-    edge = _edge(out if write == "new" else None, grid.num_points)
-    measured = [None] * sized + list(against)  # None: the image's own size
+    half_ds, edge = 0.5 * np.diff(nodes), list(np.empty((2, grid.num_points), complex))
     # running maxima, which np.maximum keeps NaN in: no weights are held
-    maxima = [-np.inf] * len(measured)
+    maxima = [-np.inf] * len(against)
     filling = drive.u_app is None
     u_app = np.empty((tg.count, grid.num_points), complex) if filling else drive.u_app
     for rows in _blocks(tg.count, down=True):
@@ -319,18 +304,16 @@ def apply_phi(g: ProfileTrajectory, drive: Drive, against: tuple = (), *, sized:
         _integrate_block(block, rows.start, half_ds, edge)
         block *= scale
         block += drive.phi_eps.values[rows]
-        for i, traj in enumerate(measured):
+        for i, traj in enumerate(against):
             weights = _xt_weights(nodes[rows], block if traj is None else block - traj.values[rows],
                                   alpha, grid)
             maxima[i] = np.maximum(maxima[i], np.max(weights))
         if out is not None:
             out[rows] = block
         del block, prop  # freed before the next block's temporaries
-    if filling:  # published whole: a sweep that fails leaves the drive as it was
-        object.__setattr__(drive, "u_app", u_app)
-    brackets = [float(m) for m in maxima]
-    size = brackets.pop(0) if sized else None
-    return None if out is None else ProfileTrajectory(grid, tg, out), size, brackets
+    if filling:  # set whole: a sweep that fails leaves the drive as it was
+        drive.u_app = u_app
+    return [float(m) for m in maxima]
 
 
 def picard_iterate(
@@ -366,8 +349,10 @@ def _picard(drive: Drive, max_iter: int, tol: float, first: ProfileTrajectory,
     g, size, dist = first, first_size, first_step
     for n in range(max_iter):
         if n:
-            write = "new" if np.may_share_memory(g.values, drive.phi_eps.values) else "over"
-            g, size, (dist,) = apply_phi(g, drive, (g,), sized=True, write=write)
+            out = (np.empty_like(g.values) if np.may_share_memory(g.values, drive.phi_eps.values)
+                   else g.values)
+            size, dist = apply_phi(g, drive, out, (None, g))
+            g = ProfileTrajectory(g.grid, g.time_grid, out)
         if not np.isfinite(size) or size > BLOWUP_LIMIT:
             raise FloatingPointError(f"Picard iteration blew up: ||g||_XT = {size:.3g}")
         report.iterates += 1

@@ -122,9 +122,17 @@ def test_construct_contraction_falls_back_to_probe(monkeypatch):
         assert "no Picard ratio measured" in ratio["detail"]
 
 
+def _swept(g, drive):
+    """Phi(g) into a new trajectory, through campaigns.apply_phi."""
+    out = np.empty_like(g.values)
+    campaigns.apply_phi(g, drive, out)
+    return ProfileTrajectory(g.grid, g.time_grid, out)
+
+
 def _construct_sign_resweeping(lam, config):
     """_construct_sign with every image of Phi swept where it is read: the
-    probe's two, apply_phi(g) for the residual, then Picard from 2 Phi_eps.
+    probe's two and Phi(g) for the residual, each into a new array, then
+    Picard from 2 Phi_eps.
     Sweeps through campaigns.apply_phi, so that a patch there counts them.
     Returns the sign's result and the iterates of that second start."""
     tag = "focusing" if lam == -1 else "defocusing"
@@ -136,7 +144,7 @@ def _construct_sign_resweeping(lam, config):
     alt_start = ProfileTrajectory(params.grid, drive.time_grid, 2.0 * cached.values)
     probe = None
     if np.any(cached.values):
-        images = [campaigns.apply_phi(alt_start, drive)[0], campaigns.apply_phi(g, drive)[0]]
+        images = [_swept(alt_start, drive), _swept(g, drive)]
         probe = xt_distance(*images, params.alpha) / xt_distance(alt_start, g, params.alpha)
     res = campaigns.CampaignResult("construct")
     if report.contraction_ratios:
@@ -150,10 +158,10 @@ def _construct_sign_resweeping(lam, config):
     res.add_check(f"converged_{tag}", report.iterates,
                   report.converged and report.iterates <= config.max_iter,
                   f"step below {config.tol:g} within {config.max_iter} iterations")
-    residual = xt_distance(campaigns.apply_phi(g, drive)[0], g, params.alpha)
+    residual = xt_distance(_swept(g, drive), g, params.alpha)
     res.add_check(f"fixed_point_residual_{tag}", residual, residual <= 2e-9,
                   "||Phi(g) - g||_XT <= 2e-9")
-    first = campaigns.apply_phi(alt_start, drive)[0]
+    first = _swept(alt_start, drive)
     g_alt, alt_report = fixedpoint._picard(drive, config.max_iter, config.tol, first,
                                            xt_norm(first, params.alpha),
                                            xt_distance(first, alt_start, params.alpha))

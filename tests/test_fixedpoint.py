@@ -22,7 +22,7 @@ from modwave import (
     xt_norm,
 )
 from modwave import asymptotic_profile, fixedpoint
-from modwave.fixedpoint import (BLOCK_ROWS, _blocks, _edge, _integrate_block, _picard,
+from modwave.fixedpoint import (BLOCK_ROWS, _blocks, _integrate_block, _picard,
                                  _tail_sizes, estimate_tail)
 from modwave.profile import _profile, _profile_rate
 from modwave.trilinear import _cubic_difference, _pull_back, _pulled_back_cubic
@@ -62,10 +62,17 @@ def _cumulative_backward(values, nodes):
 def _backward_integral(values, nodes):
     """The production block step, swept over values from the last node down
     as apply_phi and build_drive sweep it, in place."""
-    half_ds, edge = 0.5 * np.diff(nodes), _edge(None, values.shape[-1])
+    half_ds, edge = 0.5 * np.diff(nodes), list(np.empty((2, values.shape[-1]), complex))
     for rows in _blocks(len(nodes), down=True):
         _integrate_block(values[rows], rows.start, half_ds, edge)
     return values
+
+
+def _image(g, drive):
+    """Phi(g), swept into a new array."""
+    out = np.empty_like(g.values)
+    apply_phi(g, drive, out)
+    return ProfileTrajectory(g.grid, g.time_grid, out)
 
 
 def _tail(integrand):
@@ -205,7 +212,7 @@ def test_picard_fixed_point_residual():
     fd = make_final_data("gaussian", PARAMS, bandwidth=0.4)
     drive = build_drive(fd, PARAMS)
     g, report = picard_iterate(drive, tol=1e-10)
-    resid = xt_distance(apply_phi(g, drive)[0], g, PARAMS.alpha)
+    resid = xt_distance(_image(g, drive), g, PARAMS.alpha)
     assert resid <= 1e-9
 
 
@@ -240,8 +247,10 @@ def test_picard_from_zero_starts_at_phi_eps(monkeypatch, lam, eps0):
     params = SolverParams(lam=lam, eps0=eps0, grid=GRID, time_grid_points=65)
     drive = build_drive(make_final_data("gaussian", params, bandwidth=0.4), params)
     zero = zero_trajectory(GRID, drive.time_grid)
-    first, size, (step,) = apply_phi(zero, drive, (zero,), sized=True)
-    g_swept, swept = _picard(drive, 15, 1e-9, first, size, step)
+    first = np.empty_like(zero.values)
+    size, step = apply_phi(zero, drive, first, (None, zero))
+    g_swept, swept = _picard(drive, 15, 1e-9, ProfileTrajectory(GRID, drive.time_grid, first),
+                             size, step)
     real, sweeps = fixedpoint.apply_phi, []
 
     def counted(*args, **kwargs):
@@ -260,8 +269,8 @@ def test_picard_start_independence():
     drive = build_drive(fd, PARAMS)
     g_a, _ = picard_iterate(drive, tol=1e-12)
     g0 = ProfileTrajectory(GRID, drive.time_grid, 2.0 * drive.phi_eps.values)
-    first, size, (step,) = apply_phi(g0, drive, (g0,), sized=True, write="over")
-    g_b, _ = _picard(drive, 15, 1e-12, first, size, step)
+    size, step = apply_phi(g0, drive, g0.values, (None, g0))  # g0 holds Phi(g0) now
+    g_b, _ = _picard(drive, 15, 1e-12, g0, size, step)
     assert xt_distance(g_a, g_b, PARAMS.alpha) <= 1e-8
 
 
@@ -351,7 +360,7 @@ def test_blocked_routes_match_per_node(lam):
     ref_phi_eps = -1j * _cumulative_backward(_forcing_integrand_per_node(W, params, tg), tg.nodes)
     assert _rel_err(drive.phi_eps.values, ref_phi_eps) <= BLOCKED_RTOL
     ref = _apply_phi_per_node(g, W, params, drive.phi_eps)
-    assert _rel_err(apply_phi(g, drive)[0].values, ref) <= BLOCKED_RTOL
+    assert _rel_err(_image(g, drive).values, ref) <= BLOCKED_RTOL
     ref_norm = _xt_norm_per_node(g, params.alpha)
     assert abs(xt_norm(g, params.alpha) - ref_norm) <= BLOCKED_RTOL * ref_norm
 
@@ -405,7 +414,7 @@ def test_drive_sweeps_are_bit_identical_to_recomputing(lam):
 
     ref_phi_eps = _phi_eps_recomputed(W, params, tg)
     assert np.array_equal(drive.phi_eps.values, ref_phi_eps)
-    assert np.array_equal(apply_phi(g, drive)[0].values,
+    assert np.array_equal(_image(g, drive).values,
                           _apply_phi_recomputed(g, W, params, ref_phi_eps))
 
 
@@ -431,16 +440,33 @@ def test_drive_stopping_at_phi_eps_never_holds_the_u_app_table():
 
 
 @pytest.mark.parametrize("lam", [1, -1], ids=["defocusing", "focusing"])
-def test_first_sweep_fills_the_u_app_table_and_later_sweeps_read_it(lam):
+def test_first_sweep_fills_the_u_app_table_and_later_sweeps_read_it(monkeypatch, lam):
     drive, g, _ = _sweep_case(lam)
     params, nodes = drive.params, drive.time_grid.nodes
     assert drive.u_app is None
-    first = apply_phi(g, drive)[0]
+    # the table is set on the drive whole, after the last block: a first
+    # sweep that fails on its third block leaves none
+    assert drive.time_grid.count > 2 * BLOCK_ROWS
+    real, blocks = fixedpoint._pull_back, []
+
+    def failing(*args):
+        blocks.append(1)
+        if len(blocks) == 3:
+            raise FloatingPointError("the third block")
+        return real(*args)
+
+    monkeypatch.setattr(fixedpoint, "_pull_back", failing)
+    with pytest.raises(FloatingPointError, match="the third block"):
+        apply_phi(g, drive, np.empty_like(g.values))
+    assert drive.u_app is None
+    monkeypatch.setattr(fixedpoint, "_pull_back", real)
+    first = _image(g, drive)
     table = drive.u_app
     ref = _ifft(_profile(drive.w, nodes, params.lam) * _propagator(params.grid, nodes),
                 params.grid.dx)
     assert np.array_equal(table, ref)
-    second = apply_phi(g, drive)[0]
+    assert np.array_equal(first.values, _apply_phi_whole_passes(g, drive).values)
+    second = _image(g, drive)
     assert drive.u_app is table
     assert np.array_equal(second.values, first.values)
 
@@ -460,10 +486,10 @@ def test_block_size_changes_no_bit(monkeypatch):
     for rows in (1, 3, 4, 16, tg.count):
         monkeypatch.setattr(fixedpoint, "BLOCK_ROWS", rows)
         drive = build_drive(W, params)
-        image, size, dists = apply_phi(g, drive, (g, h), sized=True)
+        image = np.empty_like(g.values)
+        brackets = apply_phi(g, drive, image, (None, g, h))
         runs.append([drive.prop, drive.u_app, drive.phi_eps.values, drive.tail_estimate,
-                     image.values, size, dists, xt_norm(g, params.alpha),
-                     xt_distance(g, h, params.alpha)])
+                     image, brackets, xt_norm(g, params.alpha), xt_distance(g, h, params.alpha)])
     assert 0.0 < runs[0][3] < float("inf")
     for run in runs[1:]:
         assert all(np.array_equal(a, b) for a, b in zip(runs[0], run))
@@ -550,38 +576,42 @@ def _sweep_case(lam):
     return drive, g, h
 
 
-@pytest.mark.parametrize("write", ["new", "over", None], ids=["new", "over", "nowhere"])
+@pytest.mark.parametrize("where", ["new", "over", None], ids=["new", "over", "nowhere"])
 @pytest.mark.parametrize("lam", [1, -1], ids=["defocusing", "focusing"])
-def test_sweep_is_the_map_and_its_brackets_bit_for_bit(lam, write):
+def test_sweep_is_the_map_and_its_brackets_bit_for_bit(lam, where):
     drive, g, h = _sweep_case(lam)
     alpha = drive.params.alpha
     ref = _apply_phi_whole_passes(g, drive)
     # h - Phi(g) against the sweep's Phi(g) - h: the brackets see no sign
     ref_brackets = [xt_norm(ref, alpha), xt_distance(ref, g, alpha), xt_distance(h, ref, alpha)]
     g_values, phi_eps = g.values.copy(), drive.phi_eps.values.copy()
-    image, size, dists = apply_phi(g, drive, (g, h), sized=True, write=write)
-    assert [size, *dists] == ref_brackets
-    if write is None:
-        assert image is None
-    else:
-        assert np.array_equal(image.values, ref.values)
-        assert (image.values is g.values) == (write == "over")
-    assert np.array_equal(g.values, g_values) == (write != "over")
+    out = {"new": np.empty_like(g_values), "over": g.values, None: None}[where]
+    assert apply_phi(g, drive, out, (None, g, h)) == ref_brackets
+    if out is not None:
+        assert np.array_equal(out, ref.values)
+    assert np.array_equal(g.values, g_values) == (where != "over")
     assert np.array_equal(drive.phi_eps.values, phi_eps)
-    image, size, dists = apply_phi(ProfileTrajectory(g.grid, g.time_grid, g_values), drive)
-    assert np.array_equal(image.values, ref.values) and size is None and dists == []
+    out = np.empty_like(g_values)
+    assert apply_phi(ProfileTrajectory(g.grid, g.time_grid, g_values), drive, out) == []
+    assert np.array_equal(out, ref.values)
 
 
 def test_sweep_refuses_phi_eps_and_what_it_cannot_write_or_measure():
     drive, g, _ = _sweep_case(1)
     with pytest.raises(ValueError, match="never writes over the drive's Phi_eps"):
-        apply_phi(drive.phi_eps, drive, write="over")
-    with pytest.raises(ValueError, match="write must be one of"):
-        apply_phi(g, drive, write="in place")
+        apply_phi(drive.phi_eps, drive, drive.phi_eps.values)
+    with pytest.raises(ValueError, match="never writes over the drive's Phi_eps"):
+        apply_phi(g, drive, drive.phi_eps.values)
+    with pytest.raises(ValueError, match="^out must be a complex128 array of shape"):
+        apply_phi(g, drive, np.empty_like(g.values[1:]))
+    with pytest.raises(ValueError, match="^out must be a complex128 array of shape"):
+        apply_phi(g, drive, np.empty(g.values.shape))
+    with pytest.raises(ValueError, match="^out must be g.values itself or share no memory"):
+        apply_phi(g, drive, g.values[::-1])
     other = zero_trajectory(g.grid, TimeGrid(np.geomspace(10.0, 1000.0, 33)))
     with pytest.raises(ValueError, match="^a trajectory measured against lives on another "
                                          "time grid$"):
-        apply_phi(g, drive, (other,))
+        apply_phi(g, drive, None, (None, other))
 
 
 @pytest.mark.parametrize("lam", [1, -1], ids=["defocusing", "focusing"])
@@ -593,15 +623,16 @@ def test_picard_in_place_is_the_whole_pass_loop(monkeypatch, lam):
     ref, ref_report = _picard_whole_passes(drive, 15, 1e-9)
     real, writes = fixedpoint.apply_phi, []
 
-    def recorded(*args, **kwargs):
-        writes.append(kwargs["write"])
-        return real(*args, **kwargs)
+    def recorded(g, drive, out=None, against=()):
+        writes.append("own" if out is g.values else
+                      "shared" if np.may_share_memory(out, g.values) else "fresh")
+        return real(g, drive, out, against)
 
     monkeypatch.setattr(fixedpoint, "apply_phi", recorded)
     g, report = picard_iterate(drive)
     assert report.iterates == 4
     # a new array for Phi(Phi_eps), then every sweep over the iterate it holds
-    assert writes == ["new"] + ["over"] * (report.iterates - 2)
+    assert writes == ["fresh"] + ["own"] * (report.iterates - 2)
     assert np.array_equal(g.values, ref.values)
     assert asdict(report) == asdict(ref_report)
     assert np.array_equal(drive.phi_eps.values, phi_eps)
