@@ -63,13 +63,14 @@ For each LABEL=PATH checkout it records:
   pulled_back_forcing; calls of
   the kernels _fft, _ifft, _propagator, _propagator_head (the phase
   evaluation under every propagator row, and the heads alone that
-  build_drive tabulates) and _pull_back (the cubic, and every right-hand
-  side of the forward solve) and the rows they return;
+  build_drive tabulates) and _from_wave (the step back out of the wave,
+  which every cubic and every difference of the map takes once, so every
+  right-hand side of the forward solve too) and the rows they return;
   calls of evolve and the accepted steps it reports, calls of the
   Dormand-Prince step _dp45, one per step attempt, accepted or rejected,
   and roundtrip's own evolve_steps_<regime> extras beside them.  So the
   rejected attempts are dp45_calls - evolve_steps, and the propagator and
-  pull-back rows per attempt follow.  apply_phi is the map's
+  from_wave rows per attempt follow.  apply_phi is the map's
   only sweep, so its calls count every sweep, and _picard runs both of
   construct's starts, picard_iterate's and the second.
   A function the checkout does not define is left out of its counts.  Beside
@@ -84,6 +85,11 @@ Every checkout is driven through this script's own calls, so each must
 take apply_phi(g, drive, out, against): a two-checkout record cannot pair
 a checkout whose apply_phi returns an image and its size (sized=, write=)
 with one that takes out.
+_from_wave counts what _pull_back counted before spectral had the wave
+pair, the same calls and rows.  Since a function a checkout does not define
+is left out, a record that pairs a checkout without the pair with one that
+has it holds from_wave_* on the latter's side only, and no count of the
+former's cubics.
 
 The checkouts take turns within each repeat, in alternating order, so drift
 of a shared machine falls on both, and each repeat pairs their samples.
@@ -270,7 +276,7 @@ COUNTED_FUNCTIONS = {
     "_ifft": ("spectral", "rows", _rows),
     "_propagator": ("spectral", "rows", _rows),
     "_propagator_head": ("spectral", "rows", _rows),
-    "_pull_back": ("trilinear", "rows", _rows),
+    "_from_wave": ("spectral", "rows", _rows),
     "remainder": ("trilinear", None, None),
     "remainder_oracle": ("trilinear", None, None),
     "pulled_back_forcing": ("trilinear", None, None),

@@ -42,6 +42,7 @@ from .fixedpoint import (
 )
 from .profile import (
     SolverParams,
+    _profile,
     _unit_shape,
     asymptotic_profile,
     make_final_data,
@@ -50,8 +51,8 @@ from .spectral import (
     FrequencyField,
     PhysicalField,
     SpectralGrid,
-    _ifft,
     _propagator,
+    _to_wave,
     forward_transform,
     free_propagate,
     inverse_transform,
@@ -60,7 +61,6 @@ from .spectral import (
     physical_linf,
 )
 from .trilinear import (
-    _approximate_solution,
     forcing_identity_residual,
     pulled_back_forcing,
     remainder,
@@ -259,7 +259,7 @@ def run_verify_dispersive(config: ExperimentConfig) -> CampaignResult:
     # the free wave at the sample times, from a block of propagator rows at a
     # time, which bounds the temporaries as the construction's sweeps do
     for rows in _blocks(len(times)):
-        waves = _ifft(hhat.values * _propagator(grid, times[rows]), grid.dx)
+        waves = _to_wave(hhat.values, _propagator(grid, times[rows]), grid)
         for t, u in zip(times[rows], waves):
             ray = x / t
             leading = (
@@ -525,8 +525,8 @@ def _roundtrip_dispersive(config: ExperimentConfig) -> CampaignResult:
 
     errs, w_weighted = [], []
     # the approximate solution at every sample time from one block of rows
-    u_apps = _approximate_solution(W.values, times, params.lam,
-                                   _propagator(params.grid, times), params.grid)[1]
+    u_apps = _to_wave(_profile(W.values, times, params.lam), _propagator(params.grid, times),
+                      params.grid)
     for state, u_app in zip(states, u_apps):
         errs.append(asymptotic_error(state, W, params))
         w_sup = float(np.max(np.abs(state.u.values - u_app)))

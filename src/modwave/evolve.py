@@ -12,8 +12,8 @@ Math. 6 (1980) 19-26) covers a sample interval in a few steps, at 6
 right-hand sides per step attempt: the last stage's slope is the next
 attempt's first (first same as last).  The right-hand side is the
 pulled-back cubic kernel that the backward construction also uses, at the
-row U(s) that the step hands it, one per stage time.  A sample adds u, one
-inverse transform; mass and kinetic energy come from f by Plancherel.
+row U(s) that the step hands it, one per stage time.  A sample adds u, the
+wave _to_wave of f; mass and kinetic energy come from f by Plancherel.
 Strang splitting (``_strang``), which alternates the exact pointwise cubic
 phase rotation with the exact free flight, is kept as an independent
 second-order cross-check.  Diagnostics compare the evolved profile against
@@ -36,6 +36,7 @@ from .spectral import (
     _fft,
     _ifft,
     _propagator,
+    _to_wave,
     _xt_weights,
 )
 from .trilinear import _pulled_back_cubic
@@ -153,8 +154,7 @@ def evolve(
         return []
     if np.any(np.diff(sample_times) <= 0) or sample_times[0] < t0:
         raise ValueError("sample times must be increasing and start at or after t0")
-    grid = f0.grid
-    lam, dx = params.lam, grid.dx
+    grid, lam = f0.grid, params.lam
     weight = grid.dxi / (2.0 * np.pi)  # mass = weight * sum |f|^2 (Plancherel)
 
     def rhs(f, p):
@@ -198,7 +198,7 @@ def evolve(
                 f"mass drift {abs(mass - mass0) / mass0:.3g} exceeds "
                 f"{MASS_DRIFT_ABORT} at t = {t}"
             )
-        u = _ifft(p * f, dx)
+        u = _to_wave(f, p, grid)
         states.append(EvolutionState(
             t=t, profile=FrequencyField(grid, f), u=PhysicalField(grid, u), mass=mass,
             energy=_energy(f, u, grid, lam), step_count=steps))
@@ -263,6 +263,6 @@ def dispersive_ratio(hhat: FrequencyField, times) -> list[float]:
     grid = hhat.grid
     linf = float(np.max(np.abs(hhat.values)))
     dxi_l2 = float(_dxi_l2(hhat.values, grid, 1))
-    sups = np.max(np.abs(_ifft(hhat.values * _propagator(grid, times), grid.dx)), axis=-1)
+    sups = np.max(np.abs(_to_wave(hhat.values, _propagator(grid, times), grid)), axis=-1)
     denoms = [t**-0.5 * linf + t**-0.75 * dxi_l2 for t in times]
     return [float(s) / d if d != 0.0 else 0.0 for s, d in zip(sups, denoms)]

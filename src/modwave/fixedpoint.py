@@ -30,10 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .profile import SolverParams
+from .profile import SolverParams, _profile
 from .spectral import (FrequencyField, SpectralGrid, _head_width, _l2, _mirrored,
-                       _propagator_head, _xt_weights)
-from .trilinear import _approximate_solution, _pull_back, _pulled_back_forcing
+                       _propagator_head, _to_wave, _xt_weights)
+from .trilinear import _pull_back, _pulled_back_forcing
 
 __all__ = [
     "TimeGrid",
@@ -298,8 +298,7 @@ def apply_phi(g: ProfileTrajectory, drive: Drive, out: np.ndarray | None = None,
     for rows in _blocks(tg.count, down=True):
         prop = _mirrored(drive.prop[rows], grid)
         if filling:
-            u_app[rows] = _approximate_solution(drive.w, nodes[rows], drive.params.lam,
-                                                prop, grid)[1]
+            u_app[rows] = _to_wave(_profile(drive.w, nodes[rows], drive.params.lam), prop, grid)
         block = _pull_back(u_app[rows], prop, grid, g.values[rows])
         _integrate_block(block, rows.start, half_ds, edge)
         block *= scale

@@ -17,6 +17,8 @@ Since xi_{N-k} = -xi_k exactly in this layout, each propagator row
 e^{-i t xi^2/2} is computed on its head, the nonnegative half 0..N/2, and
 mirrored into the rest.  A table of rows may hold the heads alone; its
 readers mirror them into full rows, bit for bit the computed ones.
+Every step from frequency rows into the free wave U(s)a in x-space, and
+back by U(-s), goes through the one pair ``_to_wave`` / ``_from_wave``.
 
 Each operation has one array kernel (underscored) acting along the last
 axis, so a block of time nodes is processed like one field.  The public
@@ -153,6 +155,20 @@ def _ifft(values: np.ndarray, dx: float) -> np.ndarray:
     out = np.fft.ifft(values)
     out *= 1.0 / dx
     return out
+
+
+def _to_wave(a: np.ndarray, prop: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """The x-space rows U(s)a = F^{-1}[prop a] of frequency rows a, from the
+    propagator rows prop = e^{-i s xi^2/2} of one s or one per row."""
+    return _ifft(a * prop, grid.dx)
+
+
+def _from_wave(c: np.ndarray, prop: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """The frequency rows U(-s)c = conj(prop) F[c] of x-space rows c."""
+    out = _fft(c, grid.dx)
+    # in place, in the order of np.conj(prop) * out: the SIMD complex product
+    # is not bitwise commutative
+    return np.multiply(np.conj(prop), out, out=out)
 
 
 def _head_width(grid: SpectralGrid) -> int:

@@ -2,10 +2,10 @@
 
 One array kernel computes U(-s)[|U(s)f|^2 U(s)f] for the backward
 construction, the forcing and the forward solve.  Every kernel here takes
-the propagator rows U(s) from its caller and evaluates none:
-``_pulled_back_cubic`` propagates by them and hands over to its pull-back
-half, ``_pull_back``, which the construction calls directly on the rows
-U(s)f that its first sweep tabulates and every later sweep reads.  The
+the propagator rows U(s) from its caller, evaluates none, and steps into
+and out of the wave by spectral's ``_to_wave`` / ``_from_wave``: the map's
+difference ``_pull_back`` starts from the rows U(s)f that the
+construction's first sweep tabulates and every later sweep reads.  The
 interaction-picture cubic term splits into a pointwise resonant piece
 (i/(2*pi*s))|fhat|^2 fhat plus a remainder that decays integrably in time.
 The remainder is defined operationally by subtraction (the FFT route is
@@ -23,9 +23,9 @@ from .profile import SolverParams, _profile, _profile_rate
 from .spectral import (
     FrequencyField,
     SpectralGrid,
-    _fft,
-    _ifft,
+    _from_wave,
     _propagator,
+    _to_wave,
     inverse_transform,
 )
 
@@ -48,21 +48,15 @@ def _pulled_back_cubic(a: np.ndarray, prop: np.ndarray, grid: SpectralGrid) -> n
     """U(-s)[|A|^2 A] with A = U(s)a, on frequency rows, from the propagator
     rows prop = e^{-i s xi^2/2} of one s or one per row (coupling sign
     applied by callers)."""
-    return _pull_back(_ifft(a * prop, grid.dx), prop, grid)
+    u = _to_wave(a, prop, grid)
+    return _from_wave(np.abs(u) ** 2 * u, prop, grid)
 
 
-def _pull_back(
-    u: np.ndarray, prop: np.ndarray, grid: SpectralGrid, b: np.ndarray | None = None
-) -> np.ndarray:
-    """The pull-back half of _pulled_back_cubic: U(-s)[|u|^2 u] from x-space
-    rows u = U(s)a and their propagator rows prop = e^{-i s xi^2/2}; with b,
-    U(-s)[|u+B|^2 (u+B) - |u|^2 u] with B = U(s)b, by the cancellation-free
-    two-term identity of _cubic_difference."""
-    cube = np.abs(u) ** 2 * u if b is None else _cubic_difference(u, _ifft(b * prop, grid.dx))
-    out = _fft(cube, grid.dx)
-    # in place, with the operands in the order of np.conj(prop) * out: the
-    # SIMD complex product is not bitwise commutative
-    return np.multiply(np.conj(prop), out, out=out)
+def _pull_back(u: np.ndarray, prop: np.ndarray, grid: SpectralGrid, b: np.ndarray) -> np.ndarray:
+    """U(-s)[|u+B|^2 (u+B) - |u|^2 u] with B = U(s)b, from x-space rows
+    u = U(s)a and their propagator rows prop = e^{-i s xi^2/2}, by the
+    cancellation-free two-term identity of _cubic_difference."""
+    return _from_wave(_cubic_difference(u, _to_wave(b, prop, grid)), prop, grid)
 
 
 def remainder(fhat: FrequencyField, s: float) -> FrequencyField:
@@ -135,15 +129,6 @@ def remainder_oracle(fhat: FrequencyField, s: float) -> FrequencyField:
     return FrequencyField(fhat.grid, ORACLE_CONSTANT * _oracle_raw(fhat, s))
 
 
-def _approximate_solution(w: np.ndarray, t, lam: int, prop: np.ndarray, grid: SpectralGrid):
-    """The profile rows v of _profile on the values w of W, for a scalar t or
-    one row per entry of a vector t, and the x-space rows U(t)v of the
-    approximate solution, from the propagator rows prop of U(t): the one
-    route to them, for the forcing and for the construction's sweeps."""
-    v = _profile(w, t, lam)
-    return v, _ifft(v * prop, grid.dx)
-
-
 def _pulled_back_forcing(w: np.ndarray, t, lam: int, prop: np.ndarray, grid: SpectralGrid):
     """Kernel of pulled_back_forcing on the values w of W, for a scalar t or
     one row per entry of a vector t, with the propagator rows prop of U(t):
@@ -151,8 +136,8 @@ def _pulled_back_forcing(w: np.ndarray, t, lam: int, prop: np.ndarray, grid: Spe
     The drive term i*dv/dt needs no transform, since U(-t) undoes the free
     flow it is carried by, and is added on the support of W alone, where v
     is nonzero."""
-    v, u_app = _approximate_solution(w, t, lam, prop, grid)
-    forcing = _pull_back(u_app, prop, grid)
+    v = _profile(w, t, lam)
+    forcing = _pulled_back_cubic(v, prop, grid)
     forcing *= -lam
     support = np.flatnonzero(w)
     forcing[..., support] += 1j * _profile_rate(v[..., support], t, lam)

@@ -24,6 +24,7 @@ from modwave.spectral import (
     _fft,
     _ifft,
     _propagator,
+    _to_wave,
     forward_transform,
     free_propagate,
     inverse_transform,
@@ -141,7 +142,7 @@ def _evolve_per_stage_rows(f0, t0, sample_times, params):
     """evolve's Dormand-Prince loop, stages inlined, with a propagator row of
     its own for every right-hand side and sample; returns the sampled solution
     values."""
-    grid, lam, dx = f0.grid, params.lam, f0.grid.dx
+    grid, lam = f0.grid, params.lam
     tol, combine = evolve_module.RK_TOL, evolve_module._combine
 
     def rhs(f, t):
@@ -163,7 +164,7 @@ def _evolve_per_stage_rows(f0, t0, sample_times, params):
             if err <= tol:
                 f, t, k1 = y5, end, ks[-1]
             h = step * (4.0 if err == 0.0 else min(4.0, max(0.2, 0.9 * (tol / err) ** 0.2)))
-        out.append(_ifft(_propagator(grid, t) * f, dx))
+        out.append(_to_wave(f, _propagator(grid, t), grid))
     return out
 
 
@@ -178,6 +179,21 @@ def test_evolve_stage_rows_from_one_call_change_no_bit(lam):
     for state, ref in zip(states, _evolve_per_stage_rows(f0, 0.0, times, params),
                           strict=True):
         assert np.array_equal(state.u.values, ref)
+
+
+def test_evolve_samples_the_wave_its_right_hand_side_cubed(monkeypatch):
+    # a sampled u is, bit for bit, the wave U(t)f that the accepted step's
+    # last right-hand side cubed at the sample time
+    waves, cubic = [], evolve_module._pulled_back_cubic
+
+    def spy(a, prop, grid):
+        waves.append(_to_wave(a, prop, grid))
+        return cubic(a, prop, grid)
+
+    monkeypatch.setattr(evolve_module, "_pulled_back_cubic", spy)
+    states = evolve(gaussian_profile(), 0.0, [0.5, 1.0, 2.0], PARAMS)
+    for state in states:
+        assert any(np.array_equal(state.u.values, wave) for wave in waves)
 
 
 def test_evolve_meets_its_tolerance(monkeypatch):

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import pickle
@@ -26,7 +27,7 @@ from modwave import (
     physical_l2,
     physical_linf,
 )
-from modwave.spectral import _propagator, _xt_weights
+from modwave.spectral import _from_wave, _propagator, _to_wave, _xt_weights
 
 
 @pytest.fixture
@@ -88,6 +89,16 @@ def _naming_lines(pattern, owners):
 def test_only_spectral_knows_the_array_layout():
     # every other module works on arrays in the one layout the grid defines
     assert _naming_lines(r"fftshift|ifftshift|native_frequencies", {"spectral.py"}) == []
+
+
+def test_only_spectral_steps_into_the_wave():
+    # every step into and out of the wave goes through _to_wave / _from_wave;
+    # evolve._on_rays, the chirp-factorized step onto the rays, is the one
+    # other transform
+    on_rays, first = inspect.getsourcelines(importlib.import_module("modwave.evolve")._on_rays)
+    pattern = r"\b_i?fft\("
+    assert _naming_lines(pattern, {"spectral.py"}) == [
+        f"evolve.py:{n}" for n, line in enumerate(on_rays, first) if re.search(pattern, line)]
 
 
 def test_only_spectral_and_the_drive_know_the_head_table():
@@ -324,6 +335,22 @@ def test_propagator_mirrored_half_matches_dense_phase(n):
         got = _propagator(g, t)
         assert got.shape == dense.shape
         assert np.array_equal(got, dense)
+
+
+@pytest.mark.parametrize("s", [0.7, [0.3, 1.0, 4.0, 25.0]])
+def test_wave_pair_is_the_free_flow(grid, s):
+    # _to_wave is U(s) in x-space, on one row or a 4-row block, bit for bit
+    # the field route; _from_wave steps back
+    times = np.atleast_1d(s)
+    rows = [forward_transform(random_field(grid, seed=k)).values for k in range(times.size)]
+    a = np.stack(rows) if np.ndim(s) else rows[0]
+    prop = _propagator(grid, s)
+    wave = _to_wave(a, prop, grid)
+    ref = [inverse_transform(free_propagate(FrequencyField(grid, row), t)).values
+           for row, t in zip(rows, times)]
+    assert np.array_equal(np.atleast_2d(wave), ref)
+    back = _from_wave(wave, prop, grid)
+    assert np.max(np.abs(back - a)) <= 1e-14 * np.max(np.abs(a))
 
 
 def test_propagator_inverse(grid):
