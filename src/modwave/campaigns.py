@@ -22,7 +22,6 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .evolve import (
-    _on_rays,
     _strang,
     asymptotic_error,
     evolve,
@@ -51,6 +50,7 @@ from .spectral import (
     FrequencyField,
     PhysicalField,
     SpectralGrid,
+    _on_rays,
     _propagator,
     _to_wave,
     forward_transform,
@@ -552,16 +552,17 @@ def _roundtrip_free(config: ExperimentConfig) -> CampaignResult:
     """An order-one band: the free-flow sup decay of the approximate solution,
     then the Strang cross-check of the forward solver.  The decay is analytic
     in time, so no evolution is run: the sup is read on the rays x = t*xi_k
-    through the chirp factorization (evolve._on_rays), max |u_app(t, t xi)| =
+    through the chirp factorization (spectral._on_rays), max |u_app(t, t xi)| =
     |G(xi)| / sqrt(2 pi t), which needs only a grid that holds the profile.
     At one time whose rays pass through grid points, the ray reading is
     checked point by point against the free wave on the box."""
     res = CampaignResult("roundtrip")
     params = replace(config.params, grid=SpectralGrid(4096, 200.0))
+    grid, n = params.grid, params.grid.num_points
     W = make_final_data(config.data_kind, params, seed=config.seed, bandwidth=1.0)
     times = _sample_times(*config.fit_window)
     uapp_sup = [
-        float(np.max(np.abs(_on_rays(asymptotic_profile(W, t, params.lam), t))))
+        float(np.max(np.abs(_on_rays(asymptotic_profile(W, t, params.lam).values, t, grid))))
         / np.sqrt(2.0 * np.pi * t) for t in times
     ]
     fit_uapp = fit_decay(times, uapp_sup)
@@ -571,10 +572,9 @@ def _roundtrip_free(config: ExperimentConfig) -> CampaignResult:
 
     # at t_c = 8 L^2/(2 pi N) the ray x = t_c xi_k is the grid point x_{8k}
     # for |k| < N/16, where |G(xi_k)| / sqrt(2 pi t_c) is |u_app| on the box
-    grid, n = params.grid, params.grid.num_points
     t_c = 8.0 * grid.box_length**2 / (2.0 * np.pi * n)
     v = asymptotic_profile(W, t_c, params.lam)
-    G = _on_rays(v, t_c)
+    G = _on_rays(v.values, t_c, grid)
     u = inverse_transform(free_propagate(v, t_c)).values
     on_rays = np.argsort(grid.frequencies)[n // 2 - n // 16:n // 2 + n // 16]
     on_box = np.argsort(grid.x)[::8]

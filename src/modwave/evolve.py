@@ -17,8 +17,9 @@ wave _to_wave of f; mass and kinetic energy come from f by Plancherel.
 Strang splitting (``_strang``), which alternates the exact pointwise cubic
 phase rotation with the exact free flight, is kept as an independent
 second-order cross-check.  Diagnostics compare the evolved profile against
-the explicit logarithmically-corrected asymptotic profile and measure the
-pointwise expansion error and dispersive-estimate constants.
+the explicit logarithmically-corrected asymptotic profile, pointwise on the
+rays x = t*xi read through spectral's _on_rays, and measure the
+dispersive-estimate constants.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from .spectral import (
     PhysicalField,
     SpectralGrid,
     _dxi_l2,
-    _fft,
-    _ifft,
+    _on_rays,
     _propagator,
     _to_wave,
     _xt_weights,
@@ -215,37 +215,15 @@ def scattering_deviation(state: EvolutionState, W: FrequencyField, params: Solve
     return float(_xt_weights(t, f.values - v.values, params.alpha, f.grid))
 
 
-def _on_rays(fhat: FrequencyField, t: float) -> np.ndarray:
-    """G = F[M_t F^{-1} fhat] with the chirp M_t(y) = e^{i y^2/(2t)}.
-
-    The free flow factors as U(t) = M_t D_t F M_t, so the free wave of the
-    profile fhat is u(t, t*xi) = (2*pi*i*t)^{-1/2} e^{i t xi^2/2} G(xi) on the
-    rays x = t*xi_k, however far they reach beyond the box.  Raises
-    ValueError where the chirp is unresolved but the profile carries mass.
-    """
-    grid = fhat.grid
-    y = grid.x
-    f = _ifft(fhat.values, grid.dx)
-    # the chirp's local frequency |y|/t must stay inside the xi-grid
-    unresolved = np.abs(y) > t * grid.xi_max
-    mass = np.sum(np.abs(f) ** 2)
-    if mass > 0 and np.sum(np.abs(f[unresolved]) ** 2) / mass > 1e-10:
-        raise ValueError(
-            f"the chirp e^(i y^2/2t) is unresolved where the profile carries mass at t = {t}; "
-            "box too small for this horizon"
-        )
-    return _fft(np.exp(0.5j * y * y / t) * f, grid.dx)
-
-
 def asymptotic_error(state: EvolutionState, W: FrequencyField, params: SolverParams) -> float:
     """Sup-norm distance to the explicit self-similar leading term, on the rays x = t*xi_k:
-    the leading term replaces G = F[M_t f] of the evolved profile f (see _on_rays) by
-    the profile v(t).
+    the leading term replaces G = F[M_t f] of the evolved profile f (see
+    spectral._on_rays) by the profile v(t).
     """
     t = state.t
     if t < params.T:
         raise ValueError(f"expansion defined for t >= T = {params.T}, got t = {t}")
-    G = _on_rays(state.profile, t)
+    G = _on_rays(state.profile.values, t, state.profile.grid)
     v = asymptotic_profile(W, t, params.lam)
     return float(np.max(np.abs(G - v.values))) / np.sqrt(2.0 * np.pi * t)
 

@@ -18,7 +18,8 @@ e^{-i t xi^2/2} is computed on its head, the nonnegative half 0..N/2, and
 mirrored into the rest.  A table of rows may hold the heads alone; its
 readers mirror them into full rows, bit for bit the computed ones.
 Every step from frequency rows into the free wave U(s)a in x-space, and
-back by U(-s), goes through the one pair ``_to_wave`` / ``_from_wave``.
+back by U(-s), goes through the one pair ``_to_wave`` / ``_from_wave``;
+``_on_rays`` reads the wave on the rays x = s*xi through U(s) = M D F M.
 
 Each operation has one array kernel (underscored) acting along the last
 axis, so a block of time nodes is processed like one field.  The public
@@ -169,6 +170,27 @@ def _from_wave(c: np.ndarray, prop: np.ndarray, grid: SpectralGrid) -> np.ndarra
     # in place, in the order of np.conj(prop) * out: the SIMD complex product
     # is not bitwise commutative
     return np.multiply(np.conj(prop), out, out=out)
+
+
+def _on_rays(a: np.ndarray, t: float, grid: SpectralGrid) -> np.ndarray:
+    """G = F[M_t F^{-1} a] of the frequency row a, with M_t(y) = e^{i y^2/(2t)}.
+
+    The free flow factors as U(t) = M_t D_t F M_t, so the free wave of the
+    profile a is u(t, t*xi) = (2*pi*i*t)^{-1/2} e^{i t xi^2/2} G(xi) on the
+    rays x = t*xi_k, however far they reach beyond the box.  Raises
+    ValueError where the chirp is unresolved but the profile carries mass.
+    """
+    y = grid.x
+    f = _ifft(a, grid.dx)
+    # the chirp's local frequency |y|/t must stay inside the xi-grid
+    unresolved = np.abs(y) > t * grid.xi_max
+    mass = np.sum(np.abs(f) ** 2)
+    if mass > 0 and np.sum(np.abs(f[unresolved]) ** 2) / mass > 1e-10:
+        raise ValueError(
+            f"the chirp e^(i y^2/2t) is unresolved where the profile carries mass at t = {t}; "
+            "box too small for this horizon"
+        )
+    return _fft(np.exp(0.5j * y * y / t) * f, grid.dx)
 
 
 def _head_width(grid: SpectralGrid) -> int:

@@ -423,6 +423,12 @@ def test_construct_refuses_invalid_thread_count(monkeypatch):
     _assert_refused(monkeypatch, "construct", "abc")
 
 
+def test_run_campaign_refuses_an_unknown_name():
+    # the CLI's choices refuse it first; a direct caller meets this refusal
+    with pytest.raises(ValueError, match="unknown campaign 'constructs'"):
+        run_campaign("constructs", parse_config(SMALL))
+
+
 # A sweep's allocation pattern, run twice in a fresh process: one trajectory
 # (129 x 4096 complex), then 20 pairs of 4-row block temporaries, all freed.
 # Prints the minor page faults of the second run.

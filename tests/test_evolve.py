@@ -23,6 +23,7 @@ from modwave.spectral import (
     _dxi_l2,
     _fft,
     _ifft,
+    _on_rays,
     _propagator,
     _to_wave,
     forward_transform,
@@ -281,6 +282,19 @@ def test_evolve_caps_the_step_attempts_of_a_sample_interval(monkeypatch):
     assert steps[-1] > 0.0
 
 
+def test_evolve_aborts_on_mass_drift(monkeypatch):
+    # a right-hand side with the growth term 1e-4 lam f added gains mass at
+    # once; the first sample, at t = 10.5, already drifts by 1e-4
+    params = SolverParams(grid=SpectralGrid(256, 100.0))
+    W = make_final_data("gaussian", params, bandwidth=0.4)
+    cubic = evolve_module._pulled_back_cubic
+    monkeypatch.setattr(evolve_module, "_pulled_back_cubic",
+                        lambda a, prop, grid: cubic(a, prop, grid) + 1e-4j * a)
+    with pytest.raises(FloatingPointError,
+                       match=r"^mass drift 0\.0001 exceeds 1e-06 at t = 10\.5$"):
+        evolve(W, 10.0, [10.5, 11.0, 20.0], params)
+
+
 @pytest.mark.parametrize("t0", [0.0, 1.0])
 def test_evolve_stops_at_a_step_that_cannot_move_t(monkeypatch, t0):
     # an estimate far above RK_TOL shrinks the step by 0.2 per attempt, below
@@ -322,6 +336,7 @@ def test_evolve_rejects_bad_sample_times():
         evolve(f0, 0.0, [2.0, 1.0], PARAMS)
     with pytest.raises(ValueError, match="increasing"):
         evolve(f0, 5.0, [1.0], PARAMS)
+    assert evolve(f0, 0.0, [], PARAMS) == []  # no sample, no state
 
 
 def test_state_solution_is_the_free_wave_of_its_profile():
@@ -363,6 +378,8 @@ def test_scattering_deviation_rejects_early_time():
     state = _state(asymptotic_profile(fd, 20.0, PARAMS.lam), 5.0, PARAMS)
     with pytest.raises(ValueError, match="t >= T"):
         scattering_deviation(state, fd, PARAMS)
+    with pytest.raises(ValueError, match="t >= T"):
+        asymptotic_error(state, fd, PARAMS)
 
 
 def test_asymptotic_error_decays_for_explicit_solution():
@@ -391,7 +408,7 @@ def test_asymptotic_error_matches_closed_form():
     for t in (10.0, 50.0, 200.0):
         c = b * b / 4.0 - 0.5j / t
         G = a * b / (2.0 * np.sqrt(np.pi)) * np.sqrt(np.pi / c) * np.exp(-xi * xi / (4.0 * c))
-        rays = evolve_module._on_rays(W, t)
+        rays = _on_rays(W.values, t, params.grid)
         assert np.max(np.abs(rays - G)) <= 1e-12 * np.max(np.abs(G))
         # the kernels give the field route's bits
         y = params.grid.x
@@ -410,7 +427,7 @@ def test_ray_samples_match_the_wave_while_the_box_holds_it():
     fd = make_final_data("gaussian", params, bandwidth=0.3)
     for t in (10.0, 50.0, 200.0):
         on_x = np.max(np.abs(_approximate_solution(fd, t, params).values))
-        G = evolve_module._on_rays(asymptotic_profile(fd, t, params.lam), t)
+        G = _on_rays(asymptotic_profile(fd, t, params.lam).values, t, params.grid)
         assert abs(np.max(np.abs(G)) / np.sqrt(2.0 * np.pi * t) - on_x) <= 1e-12 * on_x
 
 

@@ -36,6 +36,9 @@ def test_noisy_fit_r_squared():
     fit = fit_decay(t, v)
     assert fit.slope == pytest.approx(-1.0, abs=0.05)
     assert 0.99 <= fit.r_squared <= 1.0
+    # a flat series leaves no variance to explain: r_squared is 1, not 0/0
+    flat = fit_decay(t, np.ones(50))
+    assert (flat.slope, flat.r_squared) == (0.0, 1.0)
 
 
 def test_rejects_short_series():

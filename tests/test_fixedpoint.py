@@ -81,6 +81,8 @@ def _tail(integrand):
 
 
 def test_time_grid_validation():
+    with pytest.raises(ValueError, match="at least 3 nodes"):
+        TimeGrid(np.array([10.0, 20.0]))
     with pytest.raises(ValueError, match="t >= 2"):
         TimeGrid(np.geomspace(1.0, 100.0, 16))
     with pytest.raises(ValueError, match="increasing"):

@@ -143,11 +143,11 @@ def test_stage_rows_at_the_wrong_time_fail_the_roundtrip(monkeypatch):
         campaigns._roundtrip_free(config)
 
 
-def _conjugated_chirp(fhat, t):
+def _conjugated_chirp(a, t, grid):
     # _on_rays with the conjugate chirp e^(-i y^2/2t), and without its guard
-    y = fhat.grid.x
-    f = inverse_transform(fhat).values
-    return forward_transform(PhysicalField(fhat.grid, np.exp(-0.5j * y * y / t) * f)).values
+    y = grid.x
+    f = inverse_transform(FrequencyField(grid, a)).values
+    return forward_transform(PhysicalField(grid, np.exp(-0.5j * y * y / t) * f)).values
 
 
 def _asymmetric(real):

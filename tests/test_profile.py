@@ -27,6 +27,8 @@ def test_params_validation():
         SolverParams(T=10.0, t_max=50.0, grid=GRID)
     with pytest.raises(ValueError, match="eps0"):
         SolverParams(eps0=-0.1, grid=GRID)
+    with pytest.raises(ValueError, match="time_grid_points"):
+        SolverParams(time_grid_points=2, grid=GRID)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "bump", "random_bandlimited"])

@@ -92,13 +92,21 @@ def test_only_spectral_knows_the_array_layout():
 
 
 def test_only_spectral_steps_into_the_wave():
-    # every step into and out of the wave goes through _to_wave / _from_wave;
-    # evolve._on_rays, the chirp-factorized step onto the rays, is the one
-    # other transform
-    on_rays, first = inspect.getsourcelines(importlib.import_module("modwave.evolve")._on_rays)
-    pattern = r"\b_i?fft\("
-    assert _naming_lines(pattern, {"spectral.py"}) == [
-        f"evolve.py:{n}" for n, line in enumerate(on_rays, first) if re.search(pattern, line)]
+    # every step into and out of the wave goes through _to_wave / _from_wave,
+    # and every step onto the rays through _on_rays
+    assert _naming_lines(r"\b_i?fft\(", {"spectral.py"}) == []
+
+
+def test_only_the_references_call_numpy_fft():
+    # outside spectral, numpy's own transforms sit only in the two independent
+    # references, Strang's drift and the oracle's raw double integral
+    pattern, allowed = r"\bnp\.fft\b", []
+    for module, name in (("evolve", "_strang"), ("trilinear", "_oracle_raw")):
+        lines, first = inspect.getsourcelines(
+            getattr(importlib.import_module(f"modwave.{module}"), name))
+        allowed += [f"{module}.py:{n}" for n, line in enumerate(lines, first)
+                    if re.search(pattern, line)]
+    assert _naming_lines(pattern, {"spectral.py"}) == allowed
 
 
 def test_only_spectral_and_the_drive_know_the_head_table():
@@ -282,6 +290,8 @@ def test_field_rejects_non_finite(grid):
     vals[3] = np.nan
     with pytest.raises(ValueError, match="finite"):
         PhysicalField(grid, vals)
+    with pytest.raises(ValueError, match="finite"):
+        free_propagate(FrequencyField(grid, np.zeros(grid.num_points, complex)), np.inf)
 
 
 def test_transform_round_trip(grid):

@@ -70,6 +70,11 @@ def test_leading_term_closed_form():
 def test_remainder_rejects_nonpositive_time():
     with pytest.raises(ValueError, match="positive"):
         remainder(sample_field(COARSE_GRID), 0.0)
+    # and so do its oracle and the forcing it is compared with
+    with pytest.raises(ValueError, match="positive"):
+        remainder_oracle(sample_field(COARSE_GRID), 0.0)
+    with pytest.raises(ValueError, match="positive"):
+        pulled_back_forcing(sample_field(COARSE_GRID), 0.0, COARSE_PARAMS)
 
 
 def test_remainder_smaller_than_leading_at_late_time():
