@@ -74,12 +74,9 @@ For each LABEL=PATH checkout it records:
   only sweep, so its calls count every sweep, and _picard runs both of
   construct's starts, picard_iterate's and the second.
   A function the checkout does not define is left out of its counts.  Beside
-  them, minor_faults is the growth of the process's minor page faults
-  (RUSAGE_SELF ru_minflt) over the campaign, and peak_traced_mb the peak of
-  the memory that tracemalloc traces over it, in 10^6 bytes: numpy's arrays
-  and the interpreter's objects, without the allocator's reserve.  Tracing
-  runs through the whole campaign, so minor_faults includes the pages of
-  tracemalloc's own records.
+  them, peak_traced_mb is the peak of the memory that tracemalloc traces
+  over the campaign, in 10^6 bytes: numpy's arrays and the interpreter's
+  objects, without the allocator's reserve.
 
 Every checkout is driven through this script's own calls, so each must
 take apply_phi(g, drive, out, against): a two-checkout record cannot pair
@@ -114,7 +111,6 @@ import inspect
 import json
 import os
 import platform
-import resource
 import shutil
 import statistics
 import subprocess
@@ -330,9 +326,7 @@ def work_counts(campaign: str) -> dict:
 
     config = modwave.parse_config("")
     tracemalloc.start()
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     result = modwave.run_campaign(campaign, config)
-    counts["minor_faults"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     counts["peak_traced_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
     tracemalloc.stop()
     if not result.passed:

@@ -462,10 +462,10 @@ def _construct_and_evolve(res, tag, config, params, bandwidth, times):
     )
     states = evolve(fhat_T, params.T, times, params)
     last = states[-1]
-    free = inverse_transform(free_propagate(fhat_T, last.t))
+    free = _to_wave(fhat_T.values, _propagator(params.grid, last.t), params.grid)
     res.extras[f"evolve_steps_{tag}"] = last.step_count
     res.extras[f"nonlinear_share_{tag}"] = float(
-        np.max(np.abs(last.u.values - free.values)) / np.max(np.abs(last.u.values))
+        np.max(np.abs(last.u.values - free)) / np.max(np.abs(last.u.values))
     )
     return W, states
 
@@ -575,7 +575,7 @@ def _roundtrip_free(config: ExperimentConfig) -> CampaignResult:
     t_c = 8.0 * grid.box_length**2 / (2.0 * np.pi * n)
     v = asymptotic_profile(W, t_c, params.lam)
     G = _on_rays(v.values, t_c, grid)
-    u = inverse_transform(free_propagate(v, t_c)).values
+    u = _to_wave(v.values, _propagator(grid, t_c), grid)
     on_rays = np.argsort(grid.frequencies)[n // 2 - n // 16:n // 2 + n // 16]
     on_box = np.argsort(grid.x)[::8]
     ray_gap = float(np.max(np.abs(np.abs(G[on_rays]) - np.sqrt(2.0 * np.pi * t_c)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from modwave import (
-    FrequencyField,
     PicardReport,
     ProfileTrajectory,
     SolverParams,
@@ -21,22 +20,12 @@ from modwave import (
     xt_distance,
     xt_norm,
 )
-from modwave import asymptotic_profile, fixedpoint
+from modwave import fixedpoint
 from modwave.fixedpoint import (BLOCK_ROWS, _blocks, _integrate_block, _picard,
                                  _tail_sizes, estimate_tail)
 from modwave.profile import _profile, _profile_rate
-from modwave.trilinear import _cubic_difference, _pull_back, _pulled_back_cubic
-from modwave.spectral import (
-    PhysicalField,
-    _ifft,
-    _mirrored,
-    _propagator,
-    forward_transform,
-    free_propagate,
-    inverse_transform,
-    _xt_weights,
-    norms,
-)
+from modwave.trilinear import _pull_back, _pulled_back_cubic
+from modwave.spectral import _ifft, _propagator, _xt_weights
 
 GRID = SpectralGrid(256, 100.0)
 PARAMS = SolverParams(grid=GRID, time_grid_points=65)
@@ -44,19 +33,6 @@ PARAMS = SolverParams(grid=GRID, time_grid_points=65)
 
 def zero_trajectory(grid, tg):
     return ProfileTrajectory(grid, tg, np.zeros((tg.count, grid.num_points), complex))
-
-
-def _cumulative_backward(values, nodes):
-    """The whole-trajectory route of the backward trapezoid integral, in
-    place: an ascending pass of interval trapezoids, then a descending sum."""
-    half_ds = 0.5 * np.diff(nodes)
-    for k in range(len(nodes) - 1):
-        values[k] += values[k + 1]
-        values[k] *= half_ds[k]
-    values[-1] = 0.0
-    for k in range(len(nodes) - 2, -1, -1):
-        values[k] += values[k + 1]
-    return values
 
 
 def _backward_integral(values, nodes):
@@ -198,16 +174,19 @@ def test_picard_converges_and_reports():
 
 def test_picard_reports_finite_tail_of_the_forcing():
     # a box wide enough to hold the wave up to t_max: the forcing integrand
-    # decays integrably, and the drive's tail is the per-node field route's,
-    # exactly
+    # decays integrably, and the drive's tail is the recomputed forcing's,
+    # exactly, and to rounding that of its sizes max|f| + ||f||_L2 per row
     params = SolverParams(grid=SpectralGrid(256, 800.0), time_grid_points=65)
     fd = make_final_data("gaussian", params, bandwidth=0.05)
     drive = build_drive(fd, params)
     _, report = picard_iterate(drive)
     assert 0.0 < report.tail_estimate < float("inf")
     tg = drive.time_grid
-    integrand = _forcing_integrand_per_node(fd, params, tg)
-    assert report.tail_estimate == _tail(ProfileTrajectory(params.grid, tg, integrand))
+    forcing = _forcing_recomputed(fd.values, params, tg.nodes)
+    assert report.tail_estimate == _tail(ProfileTrajectory(params.grid, tg, forcing))
+    mod = np.abs(forcing)
+    sizes = np.max(mod, axis=-1) + np.sqrt(params.grid.dxi * np.sum(mod**2, axis=-1))
+    assert report.tail_estimate == pytest.approx(estimate_tail(tg.nodes, sizes), rel=1e-12)
 
 
 def test_picard_fixed_point_residual():
@@ -300,74 +279,9 @@ def test_report_serializes_with_asdict():
     assert d["iterates"] == 3 and d["converged"] is True
 
 
-# ---- node-blocked kernels against the per-node field-wrapper routes
-
-# The blocked routes perform the same float64 operations on every element as
-# the per-node routes; only the rounding of vectorized exp/log/pow and of
-# row-wise reductions may differ in the last bits, which the backward
-# trapezoid sum accumulates over at most a few dozen nodes.
-BLOCKED_RTOL = 64 * np.finfo(np.float64).eps
-
-
-def _forcing_integrand_per_node(W, params, tg):
-    vals = np.empty((tg.count, params.grid.num_points), complex)
-    for k, s in enumerate(tg.nodes):
-        v = asymptotic_profile(W, s, params.lam)
-        vt = FrequencyField(params.grid, _profile_rate(v.values, s, params.lam))
-        u_app = inverse_transform(free_propagate(v, s)).values
-        drive = inverse_transform(free_propagate(vt, s)).values
-        eps = PhysicalField(params.grid, 1j * drive - params.lam * np.abs(u_app) ** 2 * u_app)
-        vals[k] = free_propagate(forward_transform(eps), -s).values
-    return vals
-
-
-def _apply_phi_per_node(g, W, params, phi_eps_traj):
-    integrand = np.empty_like(g.values)
-    for k, s in enumerate(g.time_grid.nodes):
-        v = asymptotic_profile(W, s, params.lam)
-        u_app = inverse_transform(free_propagate(v, s))
-        w = inverse_transform(free_propagate(FrequencyField(g.grid, g.values[k]), s))
-        n_diff = PhysicalField(g.grid, _cubic_difference(u_app.values, w.values))
-        integrand[k] = free_propagate(forward_transform(n_diff), -s).values
-    acc = _cumulative_backward(integrand, g.time_grid.nodes)
-    return 1j * params.lam * acc + phi_eps_traj.values
-
-
-def _xt_norm_per_node(g, alpha):
-    out = []
-    for k, t in enumerate(g.time_grid.nodes):
-        b = norms(FrequencyField(g.grid, g.values[k]))
-        out.append(t**alpha * (b.linf + b.l2 + b.dxi_l2 / (1.0 + np.log(t))))
-    return max(out)
-
-
-def _rel_err(got, ref):
-    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
-
-
-@pytest.mark.parametrize("lam", [1, -1])
-def test_blocked_routes_match_per_node(lam):
-    nodes = 2 * BLOCK_ROWS + 5  # a partial last block
-    assert nodes % BLOCK_ROWS
-    grid = SpectralGrid(64, 40.0)
-    params = SolverParams(lam=lam, grid=grid, time_grid_points=nodes)
-    W = make_final_data("random_bandlimited", params, seed=3, bandwidth=0.5)
-    drive = build_drive(W, params)
-    tg = drive.time_grid
-    rng = np.random.default_rng(17)
-    shape = (nodes, grid.num_points)
-    g = ProfileTrajectory(grid, tg, 1e-3 * (rng.standard_normal(shape)
-                                            + 1j * rng.standard_normal(shape)))
-
-    ref_phi_eps = -1j * _cumulative_backward(_forcing_integrand_per_node(W, params, tg), tg.nodes)
-    assert _rel_err(drive.phi_eps.values, ref_phi_eps) <= BLOCKED_RTOL
-    ref = _apply_phi_per_node(g, W, params, drive.phi_eps)
-    assert _rel_err(_image(g, drive).values, ref) <= BLOCKED_RTOL
-    ref_norm = _xt_norm_per_node(g, params.alpha)
-    assert abs(xt_norm(g, params.alpha) - ref_norm) <= BLOCKED_RTOL * ref_norm
-
-
-# ---- the drive's tables against recomputing U(s) and the profile in every sweep
+# ---- the one reference of the map: Phi over the whole trajectory at once, with
+# fresh propagator rows U(s), the profile of W's values and the textbook
+# out-of-place trapezoid; bit for bit apply_phi and build_drive
 
 def _cumulative_backward_out_of_place(values, nodes):
     out = np.zeros_like(values)
@@ -377,47 +291,54 @@ def _cumulative_backward_out_of_place(values, nodes):
     return out
 
 
-def _phi_eps_recomputed(W, params, tg):
-    vals = np.empty((tg.count, params.grid.num_points), complex)
-    for rows in _blocks(tg.count):
-        s = tg.nodes[rows]
-        v = _profile(W.values, s, params.lam)
-        vals[rows] = 1j * _profile_rate(v, s, params.lam) - params.lam * _pulled_back_cubic(
-            v, _propagator(params.grid, s), params.grid)
-    return -1j * _cumulative_backward_out_of_place(vals, tg.nodes)
+def _u_app_recomputed(w, params, nodes):
+    """The x-space rows U(s)v(s) of the approximate solution."""
+    return _ifft(_profile(w, nodes, params.lam) * _propagator(params.grid, nodes), params.grid.dx)
 
 
-def _apply_phi_recomputed(g, W, params, phi_eps_values):
-    tg, lam = g.time_grid, params.lam
-    integrand = np.empty_like(g.values)
-    for rows in _blocks(tg.count):
-        s = tg.nodes[rows]
-        prop = _propagator(params.grid, s)
-        u_app = _ifft(_profile(W.values, s, lam) * prop, params.grid.dx)
-        integrand[rows] = _pull_back(u_app, prop, params.grid, g.values[rows])
-    acc = _cumulative_backward_out_of_place(integrand, tg.nodes)
-    acc *= 1j * lam
-    acc += phi_eps_values
-    return acc
+def _forcing_recomputed(w, params, nodes):
+    """The pulled-back forcing i dv/ds - lam U(-s)[|U(s)v|^2 U(s)v] at every node."""
+    v = _profile(w, nodes, params.lam)
+    return 1j * _profile_rate(v, nodes, params.lam) - params.lam * _pulled_back_cubic(
+        v, _propagator(params.grid, nodes), params.grid)
+
+
+def _phi_eps_recomputed(w, params, nodes):
+    return -1j * _cumulative_backward_out_of_place(_forcing_recomputed(w, params, nodes), nodes)
+
+
+def _apply_phi_recomputed(g, w, params):
+    """Phi(g) for the drive of W's values w."""
+    nodes, grid = g.time_grid.nodes, params.grid
+    integrand = _pull_back(_u_app_recomputed(w, params, nodes), _propagator(grid, nodes), grid,
+                           g.values)
+    acc = _cumulative_backward_out_of_place(integrand, nodes)
+    acc *= 1j * params.lam
+    acc += _phi_eps_recomputed(w, params, nodes)
+    return ProfileTrajectory(grid, g.time_grid, acc)
+
+
+def _sweep_case(lam):
+    nodes = 2 * BLOCK_ROWS + 5  # a partial last block
+    grid = SpectralGrid(64, 40.0)
+    params = SolverParams(lam=lam, grid=grid, time_grid_points=nodes)
+    drive = build_drive(make_final_data("random_bandlimited", params, seed=3, bandwidth=0.5),
+                        params)
+    rng = np.random.default_rng(7)
+    shape = (nodes, grid.num_points)
+    g, h = (ProfileTrajectory(grid, drive.time_grid, 1e-3 * (rng.standard_normal(shape)
+                                                             + 1j * rng.standard_normal(shape)))
+            for _ in range(2))
+    return drive, g, h
 
 
 @pytest.mark.parametrize("lam", [1, -1])
 def test_drive_sweeps_are_bit_identical_to_recomputing(lam):
-    nodes = 2 * BLOCK_ROWS + 5  # a partial last block
-    grid = SpectralGrid(64, 40.0)
-    params = SolverParams(lam=lam, grid=grid, time_grid_points=nodes)
-    W = make_final_data("random_bandlimited", params, seed=3, bandwidth=0.5)
-    drive = build_drive(W, params)
-    tg = drive.time_grid
-    rng = np.random.default_rng(5)
-    shape = (nodes, grid.num_points)
-    g = ProfileTrajectory(grid, tg, 1e-3 * (rng.standard_normal(shape)
-                                            + 1j * rng.standard_normal(shape)))
-
-    ref_phi_eps = _phi_eps_recomputed(W, params, tg)
-    assert np.array_equal(drive.phi_eps.values, ref_phi_eps)
+    drive, g, _ = _sweep_case(lam)
+    params, nodes = drive.params, drive.time_grid.nodes
+    assert np.array_equal(drive.phi_eps.values, _phi_eps_recomputed(drive.w, params, nodes))
     assert np.array_equal(_image(g, drive).values,
-                          _apply_phi_recomputed(g, W, params, ref_phi_eps))
+                          _apply_phi_recomputed(g, drive.w, params).values)
 
 
 def test_drive_stopping_at_phi_eps_never_holds_the_u_app_table():
@@ -464,10 +385,8 @@ def test_first_sweep_fills_the_u_app_table_and_later_sweeps_read_it(monkeypatch,
     monkeypatch.setattr(fixedpoint, "_pull_back", real)
     first = _image(g, drive)
     table = drive.u_app
-    ref = _ifft(_profile(drive.w, nodes, params.lam) * _propagator(params.grid, nodes),
-                params.grid.dx)
-    assert np.array_equal(table, ref)
-    assert np.array_equal(first.values, _apply_phi_whole_passes(g, drive).values)
+    assert np.array_equal(table, _u_app_recomputed(drive.w, params, nodes))
+    assert np.array_equal(first.values, _apply_phi_recomputed(g, drive.w, params).values)
     second = _image(g, drive)
     assert drive.u_app is table
     assert np.array_equal(second.values, first.values)
@@ -517,29 +436,13 @@ def test_block_step_is_the_whole_trajectory_integral_bit_for_bit(monkeypatch, ro
     tg = TimeGrid(np.geomspace(10.0, 1000.0, 2 * BLOCK_ROWS + 5))
     traj = synthetic_power_law(-1.1, tg)
     ref = _cumulative_backward_out_of_place(traj.values, tg.nodes)
-    assert np.array_equal(_cumulative_backward(traj.values.copy(), tg.nodes), ref)
     vals = traj.values.copy()
     assert _backward_integral(vals, tg.nodes) is vals
     assert np.array_equal(vals, ref)
 
 
-# ---- the sweep against the whole-trajectory route it replaced: the map into
-# a new array, then xt_norm and xt_distance over the stored image
-
-def _apply_phi_whole_passes(g, drive):
-    """Phi(g) from an ascending pass of blocks into a new array, then the
-    whole-trajectory integral, the scale and Phi_eps over that array."""
-    tg, grid = drive.time_grid, drive.params.grid
-    out = np.empty_like(g.values)
-    for rows in _blocks(tg.count):
-        prop = _mirrored(drive.prop[rows], grid)
-        u_app = _ifft(_profile(drive.w, tg.nodes[rows], drive.params.lam) * prop, grid.dx)
-        out[rows] = _pull_back(u_app, prop, grid, g.values[rows])
-    _cumulative_backward(out, tg.nodes)
-    out *= 1j * drive.params.lam
-    out += drive.phi_eps.values
-    return ProfileTrajectory(grid, tg, out)
-
+# ---- the Picard loop against every iterate in a new array, bracketed after
+# the map that made it
 
 def _picard_whole_passes(drive, max_iter, tol):
     """picard_iterate with every iterate in a new array, its size and step
@@ -549,7 +452,7 @@ def _picard_whole_passes(drive, max_iter, tol):
     g, g_next = None, drive.phi_eps
     for n in range(max_iter):
         if n:
-            g_next = _apply_phi_whole_passes(g, drive)
+            g_next = _apply_phi_recomputed(g, drive.w, drive.params)
         size = xt_norm(g_next, alpha)
         dist = xt_distance(g_next, g, alpha) if n else size
         report.iterates += 1
@@ -564,26 +467,12 @@ def _picard_whole_passes(drive, max_iter, tol):
     return g, report
 
 
-def _sweep_case(lam):
-    nodes = 2 * BLOCK_ROWS + 5  # a partial last block
-    grid = SpectralGrid(64, 40.0)
-    params = SolverParams(lam=lam, grid=grid, time_grid_points=nodes)
-    drive = build_drive(make_final_data("random_bandlimited", params, seed=3, bandwidth=0.5),
-                        params)
-    rng = np.random.default_rng(7)
-    shape = (nodes, grid.num_points)
-    g, h = (ProfileTrajectory(grid, drive.time_grid, 1e-3 * (rng.standard_normal(shape)
-                                                             + 1j * rng.standard_normal(shape)))
-            for _ in range(2))
-    return drive, g, h
-
-
 @pytest.mark.parametrize("where", ["new", "over", None], ids=["new", "over", "nowhere"])
 @pytest.mark.parametrize("lam", [1, -1], ids=["defocusing", "focusing"])
 def test_sweep_is_the_map_and_its_brackets_bit_for_bit(lam, where):
     drive, g, h = _sweep_case(lam)
     alpha = drive.params.alpha
-    ref = _apply_phi_whole_passes(g, drive)
+    ref = _apply_phi_recomputed(g, drive.w, drive.params)
     # h - Phi(g) against the sweep's Phi(g) - h: the brackets see no sign
     ref_brackets = [xt_norm(ref, alpha), xt_distance(ref, g, alpha), xt_distance(h, ref, alpha)]
     g_values, phi_eps = g.values.copy(), drive.phi_eps.values.copy()

@@ -100,15 +100,6 @@ def test_profile_phase_at_unit_time():
     assert np.max(np.abs(v.values - fd.values)) == 0.0
 
 
-def test_profile_phase_closed_form():
-    fd = make_final_data("gaussian", PARAMS)
-    t, lam = 25.0, -1
-    v = asymptotic_profile(fd, t, lam)
-    w = fd.values
-    exact = w * np.exp(-1j * lam * np.abs(w) ** 2 * np.log(t) / (2.0 * np.pi))
-    assert np.max(np.abs(v.values - exact)) <= 1e-15
-
-
 def test_profile_derivative_matches_difference_quotient():
     fd = make_final_data("gaussian", PARAMS)
     t, h, lam = 40.0, 1e-4, 1
