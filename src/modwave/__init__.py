@@ -54,8 +54,6 @@ from .spectral import (
     free_propagate,
     inverse_transform,
     norms,
-    physical_l2,
-    physical_linf,
 )
 from .trilinear import (
     forcing_identity_residual,

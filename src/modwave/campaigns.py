@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .evolve import (
     _strang,
     asymptotic_error,
@@ -50,15 +50,13 @@ from .spectral import (
     FrequencyField,
     PhysicalField,
     SpectralGrid,
+    _l2,
     _on_rays,
     _propagator,
     _to_wave,
     forward_transform,
     free_propagate,
     inverse_transform,
-    norms,
-    physical_l2,
-    physical_linf,
 )
 from .trilinear import (
     forcing_identity_residual,
@@ -100,6 +98,14 @@ class CampaignResult:
 
 def _sample_times(lo: float, hi: float, n: int = 17) -> np.ndarray:
     return np.geomspace(lo, hi, n)
+
+
+def _refuse_zero_data(name: str, config: ExperimentConfig) -> None:
+    """Refuse eps0 = 0 in a campaign that fits the decay of its data or
+    divides by their size."""
+    if config.params.eps0 == 0.0:
+        raise ConfigError(f"eps0 = 0: {name} fits and divides by the size of the final data, "
+                          "which zero data does not have (construct and sweep serve it)")
 
 
 def _requested_workers() -> int:
@@ -187,14 +193,14 @@ def run_verify_spectral(config: ExperimentConfig) -> CampaignResult:
     vals = rng.standard_normal(grid.num_points) + 1j * rng.standard_normal(grid.num_points)
     f = PhysicalField(grid, vals)
     F = forward_transform(f)
-    scale = physical_linf(f)
+    scale = float(np.max(np.abs(f.values)))
 
     back = inverse_transform(F)
     rt_err = float(np.max(np.abs(back.values - f.values))) / scale
     res.add_check("roundtrip_error", rt_err, rt_err <= 1e-12, "relative sup <= 1e-12")
 
-    lhs = physical_l2(f)
-    rhs = norms(F).l2 / np.sqrt(2.0 * np.pi)
+    lhs = float(_l2(np.abs(f.values), grid.dx))
+    rhs = float(_l2(np.abs(F.values), grid.dxi)) / np.sqrt(2.0 * np.pi)
     pl_err = abs(lhs - rhs) / lhs
     res.add_check("plancherel_error", pl_err, pl_err <= 1e-10, "relative error <= 1e-10")
 
@@ -289,6 +295,7 @@ def _coarse_setup(config: ExperimentConfig) -> tuple[SolverParams, FrequencyFiel
 
 def run_verify_forcing(config: ExperimentConfig) -> CampaignResult:
     """Trilinear remainder vs oracle, forcing identity, forcing decay and scaling."""
+    _refuse_zero_data("verify-forcing", config)
     res = CampaignResult("verify-forcing")
     base = config.params
     # decay fits need the wave to stay inside the box over the whole fit
@@ -369,7 +376,6 @@ def _construct_sign(lam: int, config: ExperimentConfig) -> CampaignResult:
     W = make_final_data(config.data_kind, params, seed=config.seed, bandwidth=config.bandwidth)
     # everything Phi takes from W alone: built once for every sweep below
     drive = build_drive(W, params)
-    cached = drive.phi_eps
     alpha = params.alpha
     g, report = picard_iterate(drive, config.max_iter, config.tol)
     # the second start A = 2 Phi_eps, in a buffer of its own, which the sweep
@@ -381,8 +387,8 @@ def _construct_sign(lam: int, config: ExperimentConfig) -> CampaignResult:
     # Phi_eps and its u_app table, which the sign's first sweep fills (that of
     # Picard, or of Phi(A) when Picard stops at Phi_eps), g, and the buffer
     # that holds A, then Phi(A), then the second run's iterate.
-    alt = ProfileTrajectory(params.grid, drive.time_grid, 2.0 * cached.values)
-    probe_den = xt_distance(alt, g, alpha) if np.any(cached.values) else None
+    alt = ProfileTrajectory(params.grid, drive.time_grid, 2.0 * drive.phi_eps.values)
+    probe_den = xt_distance(alt, g, alpha) if report.xt_norms[0] else None  # 0: no forcing
     alt_size, alt_step = apply_phi(alt, drive, alt.values, (None, alt))  # alt is Phi(A) now
     residual, probe_num = apply_phi(g, drive, None, (g, alt))
     probe = None if probe_den is None else probe_num / probe_den
@@ -611,6 +617,7 @@ def run_roundtrip(config: ExperimentConfig) -> CampaignResult:
     with its own series.  A construction that does not converge fails its
     ``construction_converged_<tag>`` check and skips its own regime's others.
     """
+    _refuse_zero_data("roundtrip", config)
     regimes = [_roundtrip_narrow, _roundtrip_dispersive, _roundtrip_free]
     return _merged("roundtrip", *_pool_map(_roundtrip_part, regimes, config))
 

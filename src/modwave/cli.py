@@ -130,6 +130,9 @@ def main(argv=None) -> int:
     try:
         result = run_campaign(args.campaign, config)
         json_path = write_results(result, args.out, config)
+    except ConfigError as exc:  # a valid config that the campaign cannot serve
+        print(json.dumps({"error": "config", "reason": str(exc)}), file=sys.stderr)
+        return 2
     except Exception as exc:  # runtime failures become a structured exit 2
         print(json.dumps({"error": "runtime", "reason": f"{type(exc).__name__}: {exc}"}),
               file=sys.stderr)

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .profile import SolverParams, _profile
-from .spectral import (FrequencyField, SpectralGrid, _head_width, _l2, _mirrored,
-                       _propagator_head, _to_wave, _xt_weights)
+from .spectral import (FrequencyField, SpectralGrid, _head_width, _mirrored,
+                       _propagator_head, _sup_l2, _to_wave, _xt_weights)
 from .trilinear import _pull_back, _pulled_back_forcing
 
 __all__ = [
@@ -140,16 +140,9 @@ def xt_distance(a: ProfileTrajectory, b: ProfileTrajectory, alpha: float) -> flo
     return _xt_max(a, alpha, lambda rows: a.values[rows] - b.values[rows])
 
 
-def _tail_sizes(vals: np.ndarray, dxi: float) -> np.ndarray:
-    """sup + L2 of each row of vals: the sizes estimate_tail fits."""
-    mod = np.abs(vals)
-    # the sup is read before _l2 squares mod in place
-    return np.max(mod, axis=-1) + _l2(mod, dxi)
-
-
 def estimate_tail(nodes: np.ndarray, sizes: np.ndarray) -> float:
     """Power-law extrapolation of the neglected integral beyond t_max, from
-    the sizes (_tail_sizes) of the integrand at the nodes.
+    the sizes sup + L2 (spectral._sup_l2) of the integrand at the nodes.
 
     Fits size(s) ~ A s^m over the last decade of nodes and integrates the
     fit from t_max to infinity.  Returns inf when the size is not decreasing
@@ -251,7 +244,7 @@ def build_drive(W: FrequencyField, params: SolverParams) -> Drive:
         s = tg.nodes[rows]
         prop[rows] = _propagator_head(grid, s)
         block = _pulled_back_forcing(W.values, s, params.lam, _mirrored(prop[rows], grid), grid)
-        sizes[rows] = _tail_sizes(block, grid.dxi)
+        sizes[rows] = _sup_l2(block, grid.dxi)
         _integrate_block(block, rows.start, half_ds, edge)
         vals[rows] = np.multiply(-1j, block, out=block)
         del block  # freed before the next block's temporaries

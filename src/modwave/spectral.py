@@ -42,8 +42,6 @@ __all__ = [
     "inverse_transform",
     "free_propagate",
     "norms",
-    "physical_l2",
-    "physical_linf",
 ]
 
 
@@ -244,12 +242,16 @@ def _dxi_l2(vals: np.ndarray, grid: SpectralGrid, order: int) -> np.ndarray:
     return np.sqrt(2.0 * np.pi) * _l2(np.abs(h), grid.dx)
 
 
+def _sup_l2(vals: np.ndarray, dxi: float) -> np.ndarray:
+    """sup + L2 of each row of vals, from one modulus."""
+    mod = np.abs(vals)
+    # the sup is read before _l2 squares mod in place
+    return np.max(mod, axis=-1) + _l2(mod, dxi)
+
+
 def _xt_weights(t, vals: np.ndarray, alpha: float, grid: SpectralGrid) -> np.ndarray:
     """t^alpha * (sup + L2 + (1+log t)^{-1} * derivative-L2), one per row of vals."""
-    mod = np.abs(vals)
-    linf = np.max(mod, axis=-1)
-    bracket = linf + _l2(mod, grid.dxi) + _dxi_l2(vals, grid, 1) / (1.0 + np.log(t))
-    return t**alpha * bracket
+    return t**alpha * (_sup_l2(vals, grid.dxi) + _dxi_l2(vals, grid, 1) / (1.0 + np.log(t)))
 
 
 # ------------------------------------------------------------ field functions
@@ -283,11 +285,3 @@ def norms(F: FrequencyField) -> NormBundle:
     d1_l2, d2_l2 = (float(_dxi_l2(F.values, F.grid, k)) for k in (1, 2))
     h2 = float(np.sqrt(l2 * l2 + d1_l2 * d1_l2 + d2_l2 * d2_l2))
     return NormBundle(linf=linf, l2=l2, dxi_l2=d1_l2, h2=h2)
-
-
-def physical_l2(f: PhysicalField) -> float:
-    return float(np.sqrt(f.grid.dx * np.sum(np.abs(f.values) ** 2)))
-
-
-def physical_linf(f: PhysicalField) -> float:
-    return float(np.max(np.abs(f.values)))

@@ -9,7 +9,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from modwave import parse_config
+from modwave import campaigns, parse_config
 from modwave.cli import CHECKOUT, _git_sha, main
 from modwave.config import _KEYS
 
@@ -105,6 +105,23 @@ def test_construct_zero_data(tmp_path):
     assert code == 0
     assert payload["passed"] is True
     assert payload["params"]["eps0"] == 0.0
+
+
+@pytest.mark.parametrize("campaign", ["roundtrip", "verify-forcing"])
+def test_zero_data_refused_by_name(tmp_path, capsys, monkeypatch, campaign):
+    # both fit the decay of the data or divide by their size: refused before
+    # any datum is built or any part is pooled
+    def no_work(*args, **kwargs):
+        pytest.fail(f"{campaign} started work on zero data")
+
+    monkeypatch.setattr(campaigns, "make_final_data", no_work)
+    monkeypatch.setattr(campaigns, "_pool_map", no_work)
+    code, payload, _ = run_cli(tmp_path, campaign, "eps0 = 0\n")
+    assert code == 2
+    assert payload is None
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert err["reason"].startswith("eps0 = 0:")
 
 
 def test_construct_small_passes(tmp_path):

@@ -204,6 +204,22 @@ def test_bench_imports_exist():
     assert missing == []
 
 
+def test_same_results_ignores_only_the_run_record(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))  # it imports record_bench by name
+    same = importlib.import_module("same_results")
+    outs = [tmp_path / "parent", tmp_path / "change"]
+    for out, stamp in zip(outs, ("a", "b")):
+        out.mkdir()
+        (out / "results.json").write_text(json.dumps(
+            {"checks": [1.0], "timestamp": stamp, "timings": {"wall_s": stamp},
+             "provenance": {"git_sha": stamp}}))
+        (out / "run_series.csv").write_text("t,value\n1,2\n")
+    assert same._differences(outs, [0, 0]) == []
+    assert same._differences(outs, [0, 1]) == ["exit codes 0 and 1"]
+    (outs[1] / "run_series.csv").write_text("t,value\n1,2.0\n")
+    assert same._differences(outs, [0, 0]) == ["run_series.csv"]
+
+
 def _record_bench():
     spec = importlib.util.spec_from_file_location("record_bench", BENCHMARKS / "record_bench.py")
     bench = importlib.util.module_from_spec(spec)
