@@ -53,8 +53,14 @@ For each LABEL=PATH checkout it records:
   --counts sets MODWAVE_THREADS=1 before it counts: in pool workers the
   wrapped functions and tracemalloc would see nothing, and every count
   would read 0.
-  Every count is taken one way, by wrapping the function by name in each
-  modwave module that holds it: calls of apply_phi, xt_norm and xt_distance,
+  The calls, rows and points of _fft, _ifft and _propagator_head, the calls
+  of _picard and evolve and the iterates and accepted steps they report
+  come from the campaign result's counters, the counters section of its
+  results.json, which the checkout counts itself (spectral._COUNTERS), its
+  pool workers included.  Every other count, and those in a checkout
+  without counters (before schema_version 4), under the same keys, is
+  taken by wrapping the function by name in each modwave module that holds
+  it: calls of apply_phi, xt_norm and xt_distance,
   where the X_T brackets a sweep takes as it goes count as the calls they
   stand for, each None in its against (the image's size) as an xt_norm
   call and each trajectory as an xt_distance call;
@@ -65,7 +71,8 @@ For each LABEL=PATH checkout it records:
   evaluation under every propagator row, and the heads alone that
   build_drive tabulates) and _from_wave (the step back out of the wave,
   which every cubic and every difference of the map takes once, so every
-  right-hand side of the forward solve too) and the rows they return;
+  right-hand side of the forward solve too) and the rows they return, and
+  the points (rows times columns) of _fft, _ifft and _propagator_head;
   calls of evolve and the accepted steps it reports, calls of the
   Dormand-Prince step _dp45, one per step attempt, accepted or rejected,
   and roundtrip's own evolve_steps_<regime> extras beside them.  So the
@@ -260,25 +267,33 @@ def _rows(out) -> int:
     return out.size // out.shape[-1]  # rows along the last axis
 
 
+def _points(out) -> int:
+    return out.size
+
+
 # The functions counted by name: the module that defines them, and the name
-# and measure of what each call adds to a second count beside the calls.
+# and measure of what each call adds to a count beside the calls.
 COUNTED_FUNCTIONS = {
-    "apply_phi": ("fixedpoint", None, None),
-    "xt_norm": ("fixedpoint", None, None),
-    "xt_distance": ("fixedpoint", None, None),
-    "_picard": ("fixedpoint", "iterates", lambda out: out[1].iterates),
-    "build_drive": ("fixedpoint", None, None),
-    "_fft": ("spectral", "rows", _rows),
-    "_ifft": ("spectral", "rows", _rows),
-    "_propagator": ("spectral", "rows", _rows),
-    "_propagator_head": ("spectral", "rows", _rows),
-    "_from_wave": ("spectral", "rows", _rows),
-    "remainder": ("trilinear", None, None),
-    "remainder_oracle": ("trilinear", None, None),
-    "pulled_back_forcing": ("trilinear", None, None),
-    "evolve": ("evolve", "steps", lambda out: out[-1].step_count if out else 0),
-    "_dp45": ("evolve", None, None),
+    "apply_phi": ("fixedpoint", {}),
+    "xt_norm": ("fixedpoint", {}),
+    "xt_distance": ("fixedpoint", {}),
+    "_picard": ("fixedpoint", {"iterates": lambda out: out[1].iterates}),
+    "build_drive": ("fixedpoint", {}),
+    "_fft": ("spectral", {"rows": _rows, "points": _points}),
+    "_ifft": ("spectral", {"rows": _rows, "points": _points}),
+    "_propagator": ("spectral", {"rows": _rows}),
+    "_propagator_head": ("spectral", {"rows": _rows, "points": _points}),
+    "_from_wave": ("spectral", {"rows": _rows}),
+    "remainder": ("trilinear", {}),
+    "remainder_oracle": ("trilinear", {}),
+    "pulled_back_forcing": ("trilinear", {}),
+    "evolve": ("evolve", {"steps": lambda out: out[-1].step_count if out else 0}),
+    "_dp45": ("evolve", {}),
 }
+# The functions whose counts a checkout with the counters section of
+# results.json (schema_version 4 on) reports itself, under the same keys:
+# they are wrapped only in a checkout without it.
+IN_COUNTERS = ("_fft", "_ifft", "_propagator_head", "_picard", "evolve")
 
 
 def _sweep_brackets(real, args, kwargs) -> dict:
@@ -301,20 +316,22 @@ def work_counts(campaign: str) -> dict:
     counts = {}
     # every module of the package: modwave.evolve, for one, is the function
     namespaces = [vars(m) for n, m in sys.modules.items() if n.partition(".")[0] == "modwave"]
-    for name, (module, what, measure) in COUNTED_FUNCTIONS.items():
+    has_counters = hasattr(sys.modules["modwave.spectral"], "_COUNTERS")
+    for name, (module, measures) in COUNTED_FUNCTIONS.items():
         real = getattr(sys.modules[f"modwave.{module}"], name, None)
-        if real is None:
-            continue  # not defined in this checkout
+        if real is None or (has_counters and name in IN_COUNTERS):
+            continue  # not defined in this checkout, or counted by it
         key = name.lstrip("_")
-        calls, more = f"{key}_calls", what and f"{key}_{what}"
-        counts.update({key: 0 for key in (calls, more) if key})
+        calls = f"{key}_calls"
+        more = {f"{key}_{what}": measure for what, measure in measures.items()}
+        counts.update(dict.fromkeys([calls, *more], 0))
 
-        def counted(*args, _real=real, _calls=calls, _more=more, _measure=measure,
+        def counted(*args, _real=real, _calls=calls, _more=more,
                     _brackets=BRACKETS.get(name), **kwargs):
             out = _real(*args, **kwargs)
             counts[_calls] += 1
-            if _more:
-                counts[_more] += _measure(out)
+            for more_key, measure in _more.items():
+                counts[more_key] += measure(out)
             if _brackets:
                 for key, n in _brackets(_real, args, kwargs).items():
                     counts[key] += n
@@ -327,10 +344,12 @@ def work_counts(campaign: str) -> dict:
     config = modwave.parse_config("")
     tracemalloc.start()
     result = modwave.run_campaign(campaign, config)
-    counts["peak_traced_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+    peak = tracemalloc.get_traced_memory()[1] / 1e6
     tracemalloc.stop()
     if not result.passed:
         raise RuntimeError(f"{campaign} failed on the default config")
+    counts.update(getattr(result, "counters", {}))
+    counts["peak_traced_mb"] = peak
     # roundtrip's accepted steps per regime, beside the sum over its evolve calls
     counts.update({k: v for k, v in result.extras.items() if k.startswith("evolve_steps_")})
     return counts

@@ -50,6 +50,7 @@ from .spectral import (
     FrequencyField,
     PhysicalField,
     SpectralGrid,
+    _COUNTERS,
     _l2,
     _on_rays,
     _propagator,
@@ -76,8 +77,9 @@ EXACT_TOL = 1e-12
 @dataclass
 class CampaignResult:
     """Named checks plus supporting fits and time series for one campaign,
-    and its timings: wall_s and cpu_s of the campaign, and under "parts"
-    those of each pooled part, in part order."""
+    its timings: wall_s and cpu_s of the campaign, and under "parts" those
+    of each pooled part, in part order; and its work counters, spectral's
+    _COUNTERS summed over the campaign and its pooled parts."""
 
     name: str
     checks: list = field(default_factory=list)
@@ -85,6 +87,7 @@ class CampaignResult:
     series: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
+    counters: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -148,26 +151,33 @@ def _reuse_freed_memory() -> None:
 
 
 def _timed(fn, *args) -> tuple:
-    """fn(*args) and its wall and CPU seconds, taken in the process that runs it."""
+    """fn(*args), its wall and CPU seconds and what it adds to _COUNTERS, taken
+    in the process that runs it."""
+    before = dict(_COUNTERS)
     wall, cpu = time.perf_counter(), time.process_time()
     out = fn(*args)
-    return out, {"wall_s": time.perf_counter() - wall, "cpu_s": time.process_time() - cpu}
+    elapsed = {"wall_s": time.perf_counter() - wall, "cpu_s": time.process_time() - cpu}
+    return out, elapsed, {key: n - before[key] for key, n in _COUNTERS.items()}
 
 
 def _pool_map(fn, cells: list, config: ExperimentConfig) -> tuple[list, list]:
     """[fn(c, config) for c in cells] and the timings of each, on
     min(len(cells), MODWAVE_THREADS or one per CPU) worker processes, each
     under _reuse_freed_memory; serially in this process when that is one
-    worker."""
+    worker.  What each worker's part adds to its _COUNTERS is added to this
+    process's."""
     workers = min(len(cells), _requested_workers() or os.cpu_count() or 1)
     timed = functools.partial(_timed, fn)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_reuse_freed_memory) as pool:
-            pairs = list(pool.map(timed, cells, itertools.repeat(config)))
+            runs = list(pool.map(timed, cells, itertools.repeat(config)))
+        for _, _, counts in runs:
+            for key, n in counts.items():
+                _COUNTERS[key] += n
     else:
-        pairs = [timed(c, config) for c in cells]
-    return [out for out, _ in pairs], [timing for _, timing in pairs]
+        runs = [timed(c, config) for c in cells]
+    return [out for out, _, _ in runs], [timing for _, timing, _ in runs]
 
 
 def _merged(name: str, parts: list, timings: list) -> CampaignResult:
@@ -228,6 +238,14 @@ def run_verify_spectral(config: ExperimentConfig) -> CampaignResult:
 
 
 _DISPERSIVE_GRID = SpectralGrid(4096, 4096.0)
+# verify-forcing's grid and that of roundtrip's narrow regime.  On the x-space
+# kernel only the box length L has to hold the wave; N only sets the band
+# xi_max = pi N / L.  So N is the smallest power of two whose xi_max holds the
+# cubic's band, 3 x the gaussian datum's radius: 1.02 < 2.01 for
+# verify-forcing's bandwidth 0.06, 0.14 < 0.168 for the narrow regime's
+# 0.008.  L is the box that holds the wave.
+_FORCING_GRID = SpectralGrid(512, 800.0)
+_NARROW_GRID = SpectralGrid(512, 9600.0)
 _DISPERSIVE_TIMES = (1.0, 10.0, 100.0, 1000.0)
 _DISPERSIVE_PROFILES = 100
 
@@ -300,7 +318,7 @@ def run_verify_forcing(config: ExperimentConfig) -> CampaignResult:
     base = config.params
     # decay fits need the wave to stay inside the box over the whole fit
     # window (box >= 2 * t * band radius), hence a wide box + narrow band
-    params = replace(base, grid=SpectralGrid(4096, 800.0))
+    params = replace(base, grid=_FORCING_GRID)
     W = make_final_data(config.data_kind, params, seed=config.seed, bandwidth=0.06)
     cparams, Wc = _coarse_setup(config)
 
@@ -484,7 +502,7 @@ def _roundtrip_narrow(config: ExperimentConfig) -> CampaignResult:
     the full horizon."""
     res = CampaignResult("roundtrip")
     times = _sample_times(*config.fit_window, n=25)
-    params = replace(config.params, t_max=100_000.0, grid=SpectralGrid(4096, 9600.0),
+    params = replace(config.params, t_max=100_000.0, grid=_NARROW_GRID,
                      time_grid_points=257)
     W, states = _construct_and_evolve(res, "narrow", config, params, 0.008, times)
     if states is None:
@@ -672,10 +690,11 @@ CAMPAIGNS = {
 
 def run_campaign(name: str, config: ExperimentConfig) -> CampaignResult:
     """The named campaign's result, its timings those of this process (the
-    CPU seconds of pool workers are their parts')."""
+    CPU seconds of pool workers are their parts') and its counters those
+    of this process and its pool workers."""
     _reuse_freed_memory()
     if name not in CAMPAIGNS:
         raise ValueError(f"unknown campaign {name!r}, expected one of {sorted(CAMPAIGNS)}")
-    res, elapsed = _timed(CAMPAIGNS[name], config)
+    res, elapsed, res.counters = _timed(CAMPAIGNS[name], config)
     res.timings = {"parts": [], **res.timings, **elapsed}
     return res

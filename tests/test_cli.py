@@ -43,7 +43,7 @@ def test_verify_spectral_passes(tmp_path, capsys):
     code, payload, _ = run_cli(tmp_path, "verify-spectral", SMALL_SPECTRAL)
     assert code == 0
     assert payload["passed"] is True
-    assert payload["schema_version"] == 3
+    assert payload["schema_version"] == 4
     assert payload["campaign"] == "verify-spectral"
     names = {c["name"] for c in payload["checks"]}
     assert {"roundtrip_error", "plancherel_error"} <= names
