@@ -290,10 +290,6 @@ COUNTED_FUNCTIONS = {
     "evolve": ("evolve", {"steps": lambda out: out[-1].step_count if out else 0}),
     "_dp45": ("evolve", {}),
 }
-# The functions whose counts a checkout with the counters section of
-# results.json (schema_version 4 on) reports itself, under the same keys:
-# they are wrapped only in a checkout without it.
-IN_COUNTERS = ("_fft", "_ifft", "_propagator_head", "_picard", "evolve")
 
 
 def _sweep_brackets(real, args, kwargs) -> dict:
@@ -316,12 +312,14 @@ def work_counts(campaign: str) -> dict:
     counts = {}
     # every module of the package: modwave.evolve, for one, is the function
     namespaces = [vars(m) for n, m in sys.modules.items() if n.partition(".")[0] == "modwave"]
-    has_counters = hasattr(sys.modules["modwave.spectral"], "_COUNTERS")
+    # what the checkout counts itself (schema_version 4 on), under the same keys
+    self_counted = {key.rpartition("_")[0]
+                    for key in getattr(sys.modules["modwave.spectral"], "_COUNTERS", ())}
     for name, (module, measures) in COUNTED_FUNCTIONS.items():
         real = getattr(sys.modules[f"modwave.{module}"], name, None)
-        if real is None or (has_counters and name in IN_COUNTERS):
-            continue  # not defined in this checkout, or counted by it
         key = name.lstrip("_")
+        if real is None or key in self_counted:
+            continue  # not defined in this checkout, or counted by it
         calls = f"{key}_calls"
         more = {f"{key}_{what}": measure for what, measure in measures.items()}
         counts.update(dict.fromkeys([calls, *more], 0))
