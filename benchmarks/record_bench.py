@@ -53,14 +53,8 @@ For each LABEL=PATH checkout it records:
   --counts sets MODWAVE_THREADS=1 before it counts: in pool workers the
   wrapped functions and tracemalloc would see nothing, and every count
   would read 0.
-  The calls, rows and points of _fft, _ifft and _propagator_head, the calls
-  of _picard and evolve and the iterates and accepted steps they report
-  come from the campaign result's counters, the counters section of its
-  results.json, which the checkout counts itself (spectral._COUNTERS), its
-  pool workers included.  Every other count, and those in a checkout
-  without counters (before schema_version 4), under the same keys, is
-  taken by wrapping the function by name in each modwave module that holds
-  it: calls of apply_phi, xt_norm and xt_distance,
+  Every count is taken one way, by wrapping the function by name in each
+  modwave module that holds it: calls of apply_phi, xt_norm and xt_distance,
   where the X_T brackets a sweep takes as it goes count as the calls they
   stand for, each None in its against (the image's size) as an xt_norm
   call and each trajectory as an xt_distance call;
@@ -312,14 +306,11 @@ def work_counts(campaign: str) -> dict:
     counts = {}
     # every module of the package: modwave.evolve, for one, is the function
     namespaces = [vars(m) for n, m in sys.modules.items() if n.partition(".")[0] == "modwave"]
-    # what the checkout counts itself (schema_version 4 on), under the same keys
-    self_counted = {key.rpartition("_")[0]
-                    for key in getattr(sys.modules["modwave.spectral"], "_COUNTERS", ())}
     for name, (module, measures) in COUNTED_FUNCTIONS.items():
         real = getattr(sys.modules[f"modwave.{module}"], name, None)
+        if real is None:
+            continue  # not defined in this checkout
         key = name.lstrip("_")
-        if real is None or key in self_counted:
-            continue  # not defined in this checkout, or counted by it
         calls = f"{key}_calls"
         more = {f"{key}_{what}": measure for what, measure in measures.items()}
         counts.update(dict.fromkeys([calls, *more], 0))
@@ -342,12 +333,10 @@ def work_counts(campaign: str) -> dict:
     config = modwave.parse_config("")
     tracemalloc.start()
     result = modwave.run_campaign(campaign, config)
-    peak = tracemalloc.get_traced_memory()[1] / 1e6
+    counts["peak_traced_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
     tracemalloc.stop()
     if not result.passed:
         raise RuntimeError(f"{campaign} failed on the default config")
-    counts.update(getattr(result, "counters", {}))
-    counts["peak_traced_mb"] = peak
     # roundtrip's accepted steps per regime, beside the sum over its evolve calls
     counts.update({k: v for k, v in result.extras.items() if k.startswith("evolve_steps_")})
     return counts

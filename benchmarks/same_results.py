@@ -12,11 +12,8 @@ serially (MODWAVE_THREADS=1), one process at a time and without
 OPENBLAS_NUM_THREADS, which each checkout sets itself.
 
 A pair of runs is the same when both exit with the same code and write the
-same files; every CSV byte for byte, and results.json once the record of
-the run is removed: its ``timestamp``, ``timings`` and ``provenance``,
-which differ between two runs of the same code, and its
-``schema_version`` and ``counters``, which describe the file and the work
-done, not the results.  One line per
+same files; every CSV byte for byte, and results.json once its
+``timestamp``, ``timings`` and ``provenance`` are removed.  One line per
 pair is printed; the exit code is 0 when every pair is the same and 1 when
 any differs.  Nothing under ``perfbench/`` is changed.
 """
@@ -38,8 +35,8 @@ CAMPAIGNS = ("verify-spectral", "verify-dispersive", "verify-forcing", "construc
              "roundtrip", "sweep")
 PERFBENCH_CAMPAIGNS = ("construct", "roundtrip", "sweep")
 PERFBENCH_SEEDS = (1, 2)
-# the keys of results.json that record the run, not its results
-RUN_RECORD_KEYS = ("timestamp", "timings", "provenance", "schema_version", "counters")
+# the keys of results.json that differ between two runs of the same code
+UNSTABLE_KEYS = ("timestamp", "timings", "provenance")
 
 
 def _configs(parent: Path, work: Path) -> list[tuple[str, str, Path]]:
@@ -67,11 +64,11 @@ def _run(root: Path, campaign: str, cfg: Path, out: Path, serial: bool) -> int:
 
 
 def _stable(path: Path) -> bytes:
-    """The file's bytes, results.json's without the record of the run."""
+    """The file's bytes, results.json's without its unstable keys."""
     if path.name != "results.json":
         return path.read_bytes()
     payload = json.loads(path.read_text())
-    for key in RUN_RECORD_KEYS:
+    for key in UNSTABLE_KEYS:
         payload.pop(key, None)
     return json.dumps(payload, sort_keys=True).encode()
 

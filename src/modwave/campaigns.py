@@ -50,7 +50,6 @@ from .spectral import (
     FrequencyField,
     PhysicalField,
     SpectralGrid,
-    _COUNTERS,
     _l2,
     _on_rays,
     _propagator,
@@ -77,9 +76,8 @@ EXACT_TOL = 1e-12
 @dataclass
 class CampaignResult:
     """Named checks plus supporting fits and time series for one campaign,
-    its timings: wall_s and cpu_s of the campaign, and under "parts" those
-    of each pooled part, in part order; and its work counters, spectral's
-    _COUNTERS summed over the campaign and its pooled parts."""
+    and its timings: wall_s and cpu_s of the campaign, and under "parts"
+    those of each pooled part, in part order."""
 
     name: str
     checks: list = field(default_factory=list)
@@ -87,7 +85,6 @@ class CampaignResult:
     series: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
-    counters: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -151,33 +148,26 @@ def _reuse_freed_memory() -> None:
 
 
 def _timed(fn, *args) -> tuple:
-    """fn(*args), its wall and CPU seconds and what it adds to _COUNTERS, taken
-    in the process that runs it."""
-    before = dict(_COUNTERS)
+    """fn(*args) and its wall and CPU seconds, taken in the process that runs it."""
     wall, cpu = time.perf_counter(), time.process_time()
     out = fn(*args)
-    elapsed = {"wall_s": time.perf_counter() - wall, "cpu_s": time.process_time() - cpu}
-    return out, elapsed, {key: n - before[key] for key, n in _COUNTERS.items()}
+    return out, {"wall_s": time.perf_counter() - wall, "cpu_s": time.process_time() - cpu}
 
 
 def _pool_map(fn, cells: list, config: ExperimentConfig) -> tuple[list, list]:
     """[fn(c, config) for c in cells] and the timings of each, on
     min(len(cells), MODWAVE_THREADS or one per CPU) worker processes, each
     under _reuse_freed_memory; serially in this process when that is one
-    worker.  What each worker's part adds to its _COUNTERS is added to this
-    process's."""
+    worker."""
     workers = min(len(cells), _requested_workers() or os.cpu_count() or 1)
     timed = functools.partial(_timed, fn)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_reuse_freed_memory) as pool:
-            runs = list(pool.map(timed, cells, itertools.repeat(config)))
-        for _, _, counts in runs:
-            for key, n in counts.items():
-                _COUNTERS[key] += n
+            pairs = list(pool.map(timed, cells, itertools.repeat(config)))
     else:
-        runs = [timed(c, config) for c in cells]
-    return [out for out, _, _ in runs], [timing for _, timing, _ in runs]
+        pairs = [timed(c, config) for c in cells]
+    return [out for out, _ in pairs], [timing for _, timing in pairs]
 
 
 def _merged(name: str, parts: list, timings: list) -> CampaignResult:
@@ -690,11 +680,10 @@ CAMPAIGNS = {
 
 def run_campaign(name: str, config: ExperimentConfig) -> CampaignResult:
     """The named campaign's result, its timings those of this process (the
-    CPU seconds of pool workers are their parts') and its counters those
-    of this process and its pool workers."""
+    CPU seconds of pool workers are their parts')."""
     _reuse_freed_memory()
     if name not in CAMPAIGNS:
         raise ValueError(f"unknown campaign {name!r}, expected one of {sorted(CAMPAIGNS)}")
-    res, elapsed, res.counters = _timed(CAMPAIGNS[name], config)
+    res, elapsed = _timed(CAMPAIGNS[name], config)
     res.timings = {"parts": [], **res.timings, **elapsed}
     return res

@@ -1,13 +1,12 @@
 """Command-line experiment runner: `modwave <campaign> --config <path>`.
 
 Writes a versioned results.json (named checks, fits, extras, the wall and
-CPU seconds of the campaign and of each pooled part, the work counters of
-spectral._COUNTERS summed over the campaign's processes, and the provenance
-of the run: python and numpy versions, the C library, the
-OPENBLAS_NUM_THREADS variable and the git sha of the checkout) plus one CSV
-per recorded time series.  Exit codes: 0 all checks pass, 1 a check
-failed, 2 configuration or runtime error (writing the results included);
-failures carry a machine-readable reason.
+CPU seconds of the campaign and of each pooled part, and the provenance of
+the run: python and numpy versions, the C library, the OPENBLAS_NUM_THREADS
+variable and the git sha of the checkout) plus one CSV per recorded time
+series.  Exit codes: 0 all checks pass, 1 a check failed, 2 configuration
+or runtime error (writing the results included); failures carry a
+machine-readable reason.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .config import ConfigError, ExperimentConfig, load_config, parse_config
 
 __all__ = ["main", "write_results"]
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 3
 
 # The checkout this package was imported from, when it runs from source.
 CHECKOUT = Path(__file__).resolve().parents[2]
@@ -98,7 +97,6 @@ def write_results(result, out_dir: Path, config: ExperimentConfig) -> Path:
         "fits": result.fits,
         "extras": result.extras,
         "timings": result.timings,
-        "counters": result.counters,
         "series_files": {},
         "provenance": {
             "python": platform.python_version(),

@@ -33,7 +33,6 @@ from .spectral import (
     FrequencyField,
     PhysicalField,
     SpectralGrid,
-    _count,
     _dxi_l2,
     _on_rays,
     _propagator,
@@ -152,7 +151,6 @@ def evolve(
     """
     sample_times = np.asarray(sample_times, dtype=float)
     if sample_times.size == 0:
-        _count("evolve", steps=0)
         return []
     if np.any(np.diff(sample_times) <= 0) or sample_times[0] < t0:
         raise ValueError("sample times must be increasing and start at or after t0")
@@ -204,7 +202,6 @@ def evolve(
         states.append(EvolutionState(
             t=t, profile=FrequencyField(grid, f), u=PhysicalField(grid, u), mass=mass,
             energy=_energy(f, u, grid, lam), step_count=steps))
-    _count("evolve", steps=steps)
     return states
 
 

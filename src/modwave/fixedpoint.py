@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .profile import SolverParams, _profile
-from .spectral import (FrequencyField, SpectralGrid, _count, _head_width, _mirrored,
+from .spectral import (FrequencyField, SpectralGrid, _head_width, _mirrored,
                        _propagator_head, _sup_l2, _to_wave, _xt_weights)
 from .trilinear import _pull_back, _pulled_back_forcing
 
@@ -355,5 +355,4 @@ def _picard(drive: Drive, max_iter: int, tol: float, first: ProfileTrajectory,
         if dist <= tol:
             report.converged = True
             break
-    _count("picard", iterates=report.iterates)
     return g, report

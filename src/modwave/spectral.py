@@ -139,31 +139,6 @@ class NormBundle:
     h2: float
 
 
-# ----------------------------------------------------------- work counters
-
-# The work this process has done: the calls of _fft, _ifft and
-# _propagator_head with the rows and points they return, and the calls of
-# the Picard loop and of evolve with the iterates and accepted steps they
-# report.  campaigns reads what a campaign adds, its pool workers' included.
-_COUNTERS = dict.fromkeys(
-    [f"{name}_{what}" for name in ("fft", "ifft", "propagator_head")
-     for what in ("calls", "rows", "points")]
-    + ["picard_calls", "picard_iterates", "evolve_calls", "evolve_steps"], 0)
-
-
-def _count(name: str, **work: int) -> None:
-    """Add one call of name to _COUNTERS, and each measure of its work."""
-    _COUNTERS[f"{name}_calls"] += 1
-    for what, n in work.items():
-        _COUNTERS[f"{name}_{what}"] += n
-
-
-def _count_rows(name: str, out: np.ndarray) -> np.ndarray:
-    """out, once _count has added a call of name with the rows and points of out."""
-    _count(name, rows=out.size // out.shape[-1], points=out.size)
-    return out
-
-
 # ------------------------------------------------------------------ kernels
 
 
@@ -171,14 +146,14 @@ def _fft(values: np.ndarray, dx: float) -> np.ndarray:
     """x -> xi with the continuum normalization, along the last axis."""
     out = np.fft.fft(values)
     out *= dx
-    return _count_rows("fft", out)
+    return out
 
 
 def _ifft(values: np.ndarray, dx: float) -> np.ndarray:
     """xi -> x, the exact inverse of _fft."""
     out = np.fft.ifft(values)
     out *= 1.0 / dx
-    return _count_rows("ifft", out)
+    return out
 
 
 def _to_wave(a: np.ndarray, prop: np.ndarray, grid: SpectralGrid) -> np.ndarray:
@@ -232,7 +207,7 @@ def _propagator_head(grid: SpectralGrid, t) -> np.ndarray:
     # less cost than the complex exp
     np.cos(ph, out=head.real)
     np.sin(ph, out=head.imag)
-    return _count_rows("propagator_head", head)
+    return head
 
 
 def _mirrored(head: np.ndarray, grid: SpectralGrid) -> np.ndarray:

@@ -22,7 +22,6 @@ from modwave import (
     parse_config,
     picard_iterate,
     run_campaign,
-    spectral,
     trilinear,
     xt_distance,
     xt_norm,
@@ -262,69 +261,50 @@ def _agree(small, full, rel, what):
     assert abs(small - full) <= rel * abs(full), (what, small, full)
 
 
+# How far the 512-point grid reads from 4096 points, per datum.  On gaussian
+# data every value agrees to roundoff.  The bump and the random band-limited
+# datum move further: make_final_data's H2 normalization is a Plancherel sum
+# over the x-grid, and it sees their slowly decaying tails at the box edge.
+# Measured: bump 2.9e-7 (narrow) and 1.2e-6 (forcing), random band-limited
+# 1.9e-11 and 3.7e-8; each bound pins that order.
+_RIGHT_SIZED_REL = {
+    ("_NARROW_GRID", "gaussian"): 1e-12,
+    ("_NARROW_GRID", "bump"): 1e-6,
+    ("_NARROW_GRID", "random_bandlimited"): 1e-10,
+    ("_FORCING_GRID", "gaussian"): 1e-12,
+    ("_FORCING_GRID", "bump"): 3e-6,
+    ("_FORCING_GRID", "random_bandlimited"): 1e-7,
+}
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "bump", "random_bandlimited"])
 @pytest.mark.parametrize("part, constant, box", [
     (campaigns._roundtrip_narrow, "_NARROW_GRID", 9600.0),
     (campaigns.run_verify_forcing, "_FORCING_GRID", 800.0),
 ], ids=["roundtrip-narrow", "verify-forcing"])
-def test_right_sized_grid_reads_what_4096_points_read(monkeypatch, part, constant, box):
+def test_right_sized_grid_reads_what_4096_points_read(monkeypatch, part, constant, box, kind):
     # the wave lives on the box; 512 points hold the datum's cubic band, and
-    # the default run reads every check and series entry as 4096 points do
-    config = parse_config("")
+    # the run reads every check verdict as 4096 points do, and every check
+    # value and series entry to the datum's bound above
+    rel = _RIGHT_SIZED_REL[constant, kind]
+    config = parse_config(f"data_kind = {kind}\n")
     assert getattr(campaigns, constant) == SpectralGrid(512, box)
     small = part(config)
     monkeypatch.setattr(campaigns, constant, SpectralGrid(4096, box))
     full = part(config)
-    assert small.passed and full.passed
-    assert [c["name"] for c in small.checks] == [c["name"] for c in full.checks]
+    assert [(c["name"], c["passed"]) for c in small.checks] == \
+        [(c["name"], c["passed"]) for c in full.checks]
     for a, b in zip(small.checks, full.checks):
         if a["name"] in ("mass_drift", "energy_drift"):  # both at roundoff, about 5e-16
             assert abs(a["value"] - b["value"]) <= 1e-15, a["name"]
         else:
-            _agree(a["value"], b["value"], 1e-12, a["name"])
+            _agree(a["value"], b["value"], rel, a["name"])
     assert list(small.series) == list(full.series)
     for name, (header, rows) in small.series.items():
         assert header == full.series[name][0]
         for row, full_row in zip(rows, full.series[name][1], strict=True):
             for column, a, b in zip(header, row, full_row, strict=True):
-                _agree(a, b, 1e-12, f"{name}.{column}")
-
-
-def test_counters_count_the_kernels_of_a_small_construct(monkeypatch):
-    # serially, where wrappers in this process see every call, the counters
-    # hold the calls of each counted function and the rows and points it
-    # returns, or the iterates it reports; pooled, the workers' counts sum
-    # to the same (test_construct_same_on_pool_and_serial)
-    monkeypatch.setenv("MODWAVE_THREADS", "1")
-    seen = dict.fromkeys(spectral._COUNTERS, 0)
-
-    def extent(out):
-        rows = int(np.prod(out.shape[:-1]))
-        return {"rows": rows, "points": rows * out.shape[-1]}
-
-    for module, name, work in [(spectral, "_fft", extent), (spectral, "_ifft", extent),
-                               (spectral, "_propagator_head", extent),
-                               (fixedpoint, "_picard", lambda out: {"iterates": out[1].iterates})]:
-        real, key = getattr(module, name), name.lstrip("_")
-
-        def counted(*args, _real=real, _key=key, _work=work):
-            out = _real(*args)
-            seen[f"{_key}_calls"] += 1
-            for what, n in _work(out).items():
-                seen[f"{_key}_{what}"] += n
-            return out
-
-        for holder in (spectral, fixedpoint, campaigns):
-            if getattr(holder, name, None) is real:
-                monkeypatch.setattr(holder, name, counted)
-    res = run_campaign("construct", parse_config(SMALL))
-    assert res.counters == seen
-    # both signs: two Picard starts each, every kernel at work, no forward solve
-    assert seen["picard_calls"] == 4
-    assert seen["picard_iterates"] >= 4
-    assert min(seen[f"{k}_points"] for k in ("fft", "ifft", "propagator_head")) > 0
-    assert seen["evolve_calls"] == seen["evolve_steps"] == 0
-    # a campaign's counters are its own work, not the process's running total
-    assert run_campaign("construct", parse_config(SMALL)).counters == res.counters
+                _agree(a, b, rel, f"{name}.{column}")
 
 
 class _RecordingPool:

@@ -212,8 +212,7 @@ def test_same_results_ignores_only_the_run_record(tmp_path, monkeypatch):
         out.mkdir()
         (out / "results.json").write_text(json.dumps(
             {"checks": [1.0], "timestamp": stamp, "timings": {"wall_s": stamp},
-             "provenance": {"git_sha": stamp}, "schema_version": stamp,
-             "counters": {"fft_calls": stamp}}))
+             "provenance": {"git_sha": stamp}}))
         (out / "run_series.csv").write_text("t,value\n1,2\n")
     assert same._differences(outs, [0, 0]) == []
     assert same._differences(outs, [0, 1]) == ["exit codes 0 and 1"]
